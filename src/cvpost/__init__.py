@@ -45,12 +45,12 @@ from .errors import ConvergenceError, EmptySelectionError, TruncationError
 from .fock import (
     FockDensity,
     FockVector,
-    TwoModeDensity,
+    TwoModeState,
     apply_displace,
     apply_squeeze,
-    beam_splitter,
     coherent_state,
     fock_state,
+    interfere,
     quadrature_moments,
     quadrature_wavefunction,
     scs_state,
@@ -79,5 +79,4 @@ from .wigner import (
     single_photon_wigner,
     squeezed_vacuum_wigner,
     wigner_from_density,
-    wigner_two_mode_point,
 )

@@ -43,6 +43,22 @@ def _get(cfg, key, default, kind, check=None, where="config"):
     return val
 
 
+def _get_bool(cfg, key, default):
+    val = cfg.get(key, default)
+    if not isinstance(val, bool):
+        raise ConfigError(key, f"expected true or false, got {val!r}")
+    return val
+
+
+def _check_keys(cfg, allowed, where=""):
+    """Reject keys the mode does not read instead of silently ignoring them."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(where.rstrip("."), f"expected a JSON object, got {cfg!r}")
+    unknown = sorted(set(cfg) - allowed)
+    if unknown:
+        raise ConfigError(where + unknown[0], f"unknown key; allowed keys are {sorted(allowed)}")
+
+
 def _get_complex(cfg, key, default):
     raw = cfg.get(key, default)
     if isinstance(raw, (int, float)):
@@ -167,14 +183,14 @@ def _emulate_params(cfg, overrides):
         x0=_get(cfg, "x0_snl", 0.01, float, lambda v: v > 0),
         n_samples=_get(cfg, "n_samples", 4_000_000, int, lambda v: v >= 1),
         rng_seed=int(seed) if seed is not None else _get(cfg, "rng_seed", 2006, int),
-        subtract_electronic=bool(cfg.get("subtract_electronic", True)),
+        subtract_electronic=_get_bool(cfg, "subtract_electronic", True),
     )
     return emulator.ExperimentParams(**kwargs)
 
 
 def _run_emulate(cfg, overrides):
     params = _emulate_params(cfg, overrides)
-    dump_to = cfg.get("dump_samples_csv")
+    dump_to = _get_bool(cfg, "dump_samples_csv", False)
     if dump_to:
         stream = emulator.synthesize(params)
         emulator.dump_samples(stream, overrides["out_dir"] / "samples.csv")
@@ -190,7 +206,7 @@ def _run_emulate(cfg, overrides):
         "gamma_plus": params.gamma_plus, "gamma_minus": params.gamma_minus,
         "x0_snl": params.x0, "n_samples": params.n_samples,
         "rng_seed": params.rng_seed, "subtract_electronic": params.subtract_electronic,
-        "dump_samples_csv": bool(dump_to),
+        "dump_samples_csv": dump_to,
     }
     scalars = {
         "v_out_snl": list(stats.v_out),
@@ -216,6 +232,21 @@ _MODE_RUNNERS = {
     "emulate": _run_emulate,
 }
 
+# Keys each mode reads; anything else in a config is an error.
+_PHOTON_KEYS = {"mode", "dim", "reflectivity", "squeezing", "x0_wig", "nodes", "wigner_export"}
+_MODE_KEYS = {
+    "single-photon": _PHOTON_KEYS,
+    "two-photon": _PHOTON_KEYS | {"scs_gamma"},
+    "coherent": {"mode", "reflectivity", "squeezing", "gamma", "x_snl"},
+    "emulate": {
+        "mode", "reflectivity", "v_in_snl", "anc_sqz_db", "anc_antisqz_db", "eta_vis",
+        "eta_det", "eta_hom", "gate_elec_db", "hom_elec_db", "gamma_plus", "gamma_minus",
+        "x0_snl", "n_samples", "rng_seed", "subtract_electronic", "dump_samples_csv",
+    },
+    "sweep": {"mode", "axis", "start", "stop", "count", "log", "base"},
+}
+_WIGNER_KEYS = {"points", "extent"}
+
 
 # ---------------------------------------------------------------------------
 # Sweeps
@@ -226,7 +257,7 @@ def _axis_values(cfg):
     start = _get(cfg, "start", None, float)
     stop = _get(cfg, "stop", None, float)
     count = _get(cfg, "count", None, int, lambda v: v >= 1)
-    log = bool(cfg.get("log", False))
+    log = _get_bool(cfg, "log", False)
     if start is None or stop is None or count is None:
         raise ConfigError("sweep", "start, stop and count are required")
     if count < 1 or start >= stop:
@@ -269,10 +300,11 @@ def _x0_for_success_prob(base_cfg, base_mode, target_ps, overrides):
 
 
 def _run_sweep(cfg, overrides, threads):
-    base = dict(cfg.get("base", {}))
-    base_mode = base.get("mode")
+    base = cfg.get("base", {})
+    base_mode = base.get("mode") if isinstance(base, dict) else None
     if base_mode not in _MODE_RUNNERS:
         raise ConfigError("base.mode", f"must be one of {sorted(_MODE_RUNNERS)}")
+    _check_keys(base, _MODE_KEYS[base_mode] - {"wigner_export"}, "base.")
     axis = _get(cfg, "axis", None, str)
     allowed = {
         "single-photon": {"x0_wig", "success_prob"},
@@ -305,7 +337,7 @@ def _run_sweep(cfg, overrides, threads):
         rows = [point(v) for v in values]
     resolved = {"mode": "sweep", "axis": axis, "base": base,
                 "start": float(values[0]), "stop": float(values[-1]),
-                "count": len(values), "log": bool(cfg.get("log", False))}
+                "count": len(values), "log": cfg.get("log", False)}
     return resolved, values, rows
 
 
@@ -343,21 +375,20 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     overrides = {"dim": args.dim, "seed": args.seed, "out_dir": out_dir}
-    mode = cfg.get("mode")
     try:
+        mode = cfg.get("mode") if isinstance(cfg, dict) else None
+        if mode not in _MODE_KEYS:
+            raise ConfigError("mode", f"must be one of {sorted(_MODE_KEYS)}")
+        _check_keys(cfg, _MODE_KEYS[mode])
         if mode == "sweep":
             resolved, values, rows = _run_sweep(cfg, overrides, args.threads)
             _write_curve(out_dir / "curve.csv", resolved["axis"], values, rows)
             scalars = {"points": len(values), "first": rows[0], "last": rows[-1]}
-            window = None
-        elif mode in _MODE_RUNNERS:
-            resolved, scalars, window = _MODE_RUNNERS[mode](cfg, overrides)
         else:
-            raise ConfigError("mode", f"must be one of {sorted(_MODE_RUNNERS) + ['sweep']}")
+            resolved, scalars, window = _MODE_RUNNERS[mode](cfg, overrides)
         wig_cfg = cfg.get("wigner_export")
         if wig_cfg is not None:
-            if window is None:
-                raise ConfigError("wigner_export", "only available for single-/two-photon modes")
+            _check_keys(wig_cfg, _WIGNER_KEYS, "wigner_export.")
             points = _get(wig_cfg, "points", 241, int, lambda v: v >= 9)
             extent = _get(wig_cfg, "extent", 6.0, float, lambda v: v > 0)
             axis = np.linspace(-extent, extent, points)

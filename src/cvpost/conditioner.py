@@ -14,16 +14,24 @@ regardless of how callers parallelize around them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import fock
 from .errors import ConvergenceError
-from .fock import FockDensity, FockVector, TwoModeDensity
+from .fock import FockDensity, FockVector, TwoModeState
 
 DEFAULT_WINDOW_NODES = 65
 DEFAULT_NORM_NODES = 193
 CONVERGENCE_RTOL = 1e-4
+
+#: Largest real matrix product (m*n*k multiply-adds) the projections issue
+#: at once.  OpenBLAS runs a product this small on the calling thread.  A
+#: larger one, or a complex one a quarter this size, wakes its worker
+#: threads, which cost more than they save at these sizes and keep spinning
+#: after the call: on 2 cores a dim-40 sweep ran 3x slower with them.
+_BLAS_SERIAL_MNK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +115,12 @@ def prepare_input(spec, dim: int) -> FockVector:
     raise TypeError(f"unknown input spec {spec!r}")
 
 
+@lru_cache(maxsize=16)
+def _squeezed_number_state(n: int, s: float, dim: int) -> FockVector:
+    """S(s)|n>; a sweep asks for the same target at every point."""
+    return fock.apply_squeeze(fock.fock_state(n, dim), s)
+
+
 def resolve_target(config: ProtocolConfig) -> FockVector:
     spec = config.target_spec
     dim = config.dim
@@ -114,7 +128,7 @@ def resolve_target(config: ProtocolConfig) -> FockVector:
         s_t = spec.s_target
         if s_t is None:
             s_t = s_prime(config.reflectivity, config.squeezing)
-        return fock.apply_squeeze(fock.fock_state(spec.n, dim), s_t)
+        return _squeezed_number_state(spec.n, s_t, dim)
     if isinstance(spec, ScsTarget):
         return fock.scs_state(spec.gamma, spec.parity, dim)
     if isinstance(spec, IdealSqueezedInputTarget):
@@ -153,18 +167,34 @@ def s_prime(reflectivity: float, s: float) -> float:
     return float(-np.log(arg**2) / 4.0)
 
 
-def build_joint(config: ProtocolConfig) -> TwoModeDensity:
-    """Interfere the configured input with the squeezed-vacuum ancilla.
-
-    Both inputs are pure here, so the joint is built through the state
-    vector; the result is identical to the density-matrix route.
-    """
+def build_joint(config: ProtocolConfig) -> TwoModeState:
+    """Interfere the configured input with the squeezed-vacuum ancilla."""
     psi_in = prepare_input(config.input_spec, config.dim)
     anc = fock.squeezed_vacuum(config.squeezing, config.dim)
-    return fock.beam_splitter_pure(psi_in, anc, config.reflectivity)
+    return fock.interfere(psi_in, anc, config.reflectivity)
 
 
-def homodyne_project(joint: TwoModeDensity, x: float):
+def _project(joint: TwoModeState, xs):
+    """Project the reflected mode onto the quadrature eigenstates |x_k>.
+
+    Returns ``(re, im)``: column k of ``re + 1j*im`` is the unnormalized
+    transmitted state ``<x_k|Psi>_r`` and its squared norm is the outcome
+    density P1(x_k).  The wavefunctions are real, so this is two real
+    products (half the work of one complex product), taken over blocks of
+    nodes no larger than ``_BLAS_SERIAL_MNK`` allows.
+    """
+    psis = fock.quadrature_wavefunctions(joint.dim - 1, xs)
+    step = max(1, _BLAS_SERIAL_MNK // joint.dim**2)
+    blocks = range(0, psis.shape[1], step)
+    amps = joint.amplitudes
+    re, im = (
+        np.hstack([half @ psis[:, k:k + step] for k in blocks])
+        for half in (np.ascontiguousarray(amps.real), np.ascontiguousarray(amps.imag))
+    )
+    return re, im
+
+
+def homodyne_project(joint: TwoModeState, x: float):
     """Project the reflected mode onto the quadrature eigenstate |x>.
 
     Returns the unnormalized transmitted state ``<x|rho|x>_r`` and the
@@ -173,13 +203,10 @@ def homodyne_project(joint: TwoModeDensity, x: float):
     """
     if not np.isfinite(x):
         raise ValueError("homodyne outcome must be finite")
-    dim = joint.dim
-    psi = fock.quadrature_wavefunctions(dim - 1, float(x))[:, 0]
-    rho4 = joint.as_tensor()
-    partial = np.tensordot(rho4, psi, axes=([3], [0]))  # [i, m, j]
-    reduced = np.tensordot(partial, psi, axes=([1], [0]))  # [i, j]
-    density = float(np.real(np.trace(reduced)))
-    return FockDensity(reduced, dim, validate=False), density
+    re, im = _project(joint, float(x))
+    phi = re[:, 0] + 1j * im[:, 0]
+    density = float(np.real(np.vdot(phi, phi)))
+    return FockDensity(np.outer(phi, phi.conj()), joint.dim, validate=False), density
 
 
 def fidelity(rho: FockDensity, target: FockVector) -> float:
@@ -230,39 +257,31 @@ def _simpson_weights(n_nodes: int, lo: float, hi: float) -> np.ndarray:
     return w * h / 3.0
 
 
-def _gate_matrices(joint: TwoModeDensity, target: FockVector):
-    """Reduce the joint state to the two dim x dim forms that generate
-    P1(x) = psi_x^T M psi_x and P1(x) F1(x) = psi_x^T K psi_x."""
-    rho4 = joint.as_tensor()
-    gate = np.einsum("imin->mn", rho4)
-    t = target.amplitudes
-    kmat = np.einsum("i,imjn,j->mn", t.conj(), rho4, t)
-    return gate, kmat
-
-
-def gate_density(joint: TwoModeDensity, xs) -> np.ndarray:
+def gate_density(joint: TwoModeState, xs) -> np.ndarray:
     """Outcome density P1 at many x values (vectorized)."""
-    gate = np.einsum("imin->mn", joint.as_tensor())
-    psis = fock.quadrature_wavefunctions(joint.dim - 1, xs)
-    return np.real(np.einsum("mk,mn,nk->k", psis, gate, psis))
+    re, im = _project(joint, xs)
+    return np.sum(re * re + im * im, axis=0)
 
 
-def density_norm(joint: TwoModeDensity, half_range: float = 6.0, n_nodes: int = DEFAULT_NORM_NODES) -> float:
+def density_norm(joint: TwoModeState, half_range: float = 6.0, n_nodes: int = DEFAULT_NORM_NODES) -> float:
     """Integral of P1 over [-half_range, half_range] by composite Simpson."""
     xs = np.linspace(-half_range, half_range, n_nodes)
     w = _simpson_weights(n_nodes, -half_range, half_range)
     return float(w @ gate_density(joint, xs))
 
 
-def _window_integrals(gate, kmat, dim, x0, n_nodes):
+def _window_integrals(joint, target, x0, n_nodes):
     xs = np.linspace(-x0, x0, n_nodes)
     w = _simpson_weights(n_nodes, -x0, x0)
-    psis = fock.quadrature_wavefunctions(dim - 1, xs)
-    p1 = np.real(np.einsum("mk,mn,nk->k", psis, gate, psis))
-    p1f1 = np.real(np.einsum("mk,mn,nk->k", psis, kmat, psis))
+    re, im = _project(joint, xs)
+    t_re, t_im = target.amplitudes.real, target.amplitudes.imag
+    overlap_re = t_re @ re + t_im @ im
+    overlap_im = t_re @ im - t_im @ re
+    p1 = np.sum(re * re + im * im, axis=0)
+    p1f1 = overlap_re * overlap_re + overlap_im * overlap_im
     ps = float(w @ p1)
     fave = float(w @ p1f1) / ps
-    return fave, ps, xs, w, psis
+    return fave, ps, xs, w, (re, im)
 
 
 def run_window(config: ProtocolConfig, n_nodes: int = DEFAULT_WINDOW_NODES) -> WindowResult:
@@ -283,12 +302,10 @@ def run_window(config: ProtocolConfig, n_nodes: int = DEFAULT_WINDOW_NODES) -> W
         raise ValueError("n_nodes must be an odd integer >= 33")
     joint = build_joint(config)
     target = resolve_target(config)
-    gate, kmat = _gate_matrices(joint, target)
-    dim = config.dim
 
-    f_c, p_c, *_ = _window_integrals(gate, kmat, dim, config.x0, n_nodes)
+    f_c, p_c, *_ = _window_integrals(joint, target, config.x0, n_nodes)
     fine_nodes = 2 * n_nodes - 1
-    f_f, p_f, xs, w, psis = _window_integrals(gate, kmat, dim, config.x0, fine_nodes)
+    f_f, p_f, xs, w, (re, im) = _window_integrals(joint, target, config.x0, fine_nodes)
     rel = max(abs(f_f - f_c) / max(abs(f_f), 1e-300), abs(p_f - p_c) / max(p_f, 1e-300))
     if rel > CONVERGENCE_RTOL:
         raise ConvergenceError(
@@ -298,10 +315,9 @@ def run_window(config: ProtocolConfig, n_nodes: int = DEFAULT_WINDOW_NODES) -> W
             fine={"avg_fidelity": f_f, "success_prob": p_f},
         )
 
-    wmat = (psis * w) @ psis.T  # sum_k w_k psi_k psi_k^T
-    rho4 = joint.as_tensor()
-    avg = np.tensordot(rho4, wmat, axes=([1, 3], [0, 1]))
-    avg_state = FockDensity(avg, dim, validate=False).normalized()
+    # Psi W Psi^dag with W = sum_k w_k psi_k psi_k^T, in real products.
+    avg = ((re * w) @ re.T + (im * w) @ im.T) + 1j * ((im * w) @ re.T - (re * w) @ im.T)
+    avg_state = FockDensity(avg, config.dim, validate=False).normalized()
     return WindowResult(
         avg_fidelity=f_f,
         success_prob=p_f,
@@ -317,19 +333,16 @@ def postselect_map(config: ProtocolConfig, x_grid) -> list:
     if xs.size == 0 or not np.all(np.isfinite(xs)):
         raise ValueError("x_grid must be a non-empty finite grid")
     joint = build_joint(config)
-    target = resolve_target(config)
-    rho4 = joint.as_tensor()
-    psis = fock.quadrature_wavefunctions(config.dim - 1, xs)
-    t = target.amplitudes
+    t = resolve_target(config).amplitudes
+    re, im = _project(joint, xs)
+    phis = re + 1j * im
     results = []
     for k, x in enumerate(xs):
-        psi = psis[:, k]
-        partial = np.tensordot(rho4, psi, axes=([3], [0]))
-        reduced = np.tensordot(partial, psi, axes=([1], [0]))
-        p1 = float(np.real(np.trace(reduced)))
+        phi = phis[:, k]
+        p1 = float(np.real(np.vdot(phi, phi)))
         if p1 <= 0.0:
             raise ValueError(f"outcome density vanished at x={x}; state undefined there")
-        state = FockDensity(reduced / p1, config.dim, validate=False)
+        state = FockDensity(np.outer(phi, phi.conj()) / p1, config.dim, validate=False)
         fid = min(max(float(np.real(t.conj() @ state.matrix @ t)), 0.0), 1.0 + 1e-9)
         results.append(ConditionalResult(state=state, density=p1, fidelity=fid, x=float(x)))
     return results

@@ -26,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse import coo_matrix, csr_matrix, identity as sparse_identity
 
 from .errors import TruncationError
 
@@ -121,42 +120,21 @@ class FockDensity:
 
 
 @dataclass(frozen=True)
-class TwoModeDensity:
-    """Joint density matrix over (transmitted, reflected) with row/column
-    index ``i_t * dim + i_r``."""
+class TwoModeState:
+    """Pure state over (transmitted, reflected): amplitudes ``Psi[i_t, m_r]``.
 
-    matrix: np.ndarray
+    Every state the protocol feeds into the beam splitter is pure, so the
+    joint is this dim x dim matrix; its density matrix would be dim^4.
+    """
+
+    amplitudes: np.ndarray
     dim: int
 
     def __post_init__(self):
-        d2 = self.dim * self.dim
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (d2, d2):
-            raise ValueError(f"expected {d2}x{d2} matrix, got {mat.shape}")
-        scale = max(float(np.abs(mat).max()), 1e-300)
-        if np.abs(mat - mat.conj().T).max() > 1e-10 * max(scale, 1.0):
-            raise ValueError("two-mode density matrix is not Hermitian")
-        object.__setattr__(self, "matrix", _readonly(mat))
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-    def as_tensor(self) -> np.ndarray:
-        """View as rho[i, m, j, n] with (i, j) transmitted, (m, n) reflected."""
-        d = self.dim
-        return self.matrix.reshape(d, d, d, d)
-
-    def ptrace(self, keep: int) -> FockDensity:
-        """Reduced state of one mode: keep=0 transmitted, keep=1 reflected."""
-        rho4 = self.as_tensor()
-        if keep == 0:
-            red = np.einsum("imjm->ij", rho4)
-        elif keep == 1:
-            red = np.einsum("imin->mn", rho4)
-        else:
-            raise ValueError("keep must be 0 (transmitted) or 1 (reflected)")
-        return FockDensity(red, self.dim, validate=False)
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if amps.shape != (self.dim, self.dim):
+            raise ValueError(f"expected {self.dim}x{self.dim} amplitudes, got shape {amps.shape}")
+        object.__setattr__(self, "amplitudes", _readonly(amps))
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -367,14 +345,21 @@ def apply_displace(state: FockVector, gamma: complex, buffer: int = OPERATOR_BUF
 # ---------------------------------------------------------------------------
 
 
+def _block_rows(total: int, dim: int) -> np.ndarray:
+    """Input-mode photon numbers i of the states |i, total - i> that fit in dim."""
+    return np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
+
+
 @lru_cache(maxsize=16)
-def beam_splitter_unitary(dim: int, reflectivity: float) -> csr_matrix:
-    """Two-mode beam-splitter unitary on the dim x dim product space.
+def beam_splitter_unitary(dim: int, reflectivity: float) -> tuple:
+    """Two-mode beam-splitter unitary on the dim x dim product space, as blocks.
 
     Reflectivity R = sin^2(theta/2).  The generator conserves total photon
-    number, so the unitary is assembled block by block; blocks that fit
-    entirely below the truncation are exact, and the operator is exactly
-    unitary on the truncated space either way.
+    number, so the unitary is block diagonal: block N (for N = 0..2 dim - 2)
+    acts on the states |i, N - i> with i running over ``_block_rows(N, dim)``
+    in ascending order.  Blocks that fit entirely below the truncation are
+    exact, and the operator is exactly unitary on the truncated space either
+    way.  The blocks are real and read-only.
 
     Mode ordering is (input -> transmitted, ancilla -> reflected) with
     ``a_t = sqrt(T) a_in - sqrt(R) a_anc`` and
@@ -383,63 +368,34 @@ def beam_splitter_unitary(dim: int, reflectivity: float) -> csr_matrix:
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
     theta = 2.0 * np.arcsin(np.sqrt(reflectivity))
-    if theta == 0.0:
-        return sparse_identity(dim * dim, format="csr")
-    rows, cols, vals = [], [], []
+    blocks = []
     for total in range(2 * dim - 1):
-        na_lo = max(0, total - dim + 1)
-        na_hi = min(total, dim - 1)
-        idx = np.array([na * dim + (total - na) for na in range(na_lo, na_hi + 1)])
-        m = idx.size
-        if m == 1:
-            rows.append(idx[0])
-            cols.append(idx[0])
-            vals.append(1.0)
-            continue
-        gen = np.zeros((m, m))
-        for p in range(1, m):
-            na = na_lo + p
-            nb = total - na
-            c = (theta / 2.0) * np.sqrt(na * (nb + 1))
-            gen[p - 1, p] = c
-            gen[p, p - 1] = -c
-        block = expm(gen)
+        na = _block_rows(total, dim)[1:]
+        c = (theta / 2.0) * np.sqrt(na * (total - na + 1))
+        block = expm(np.diag(c, k=1) - np.diag(c, k=-1))
         block[np.abs(block) < 1e-300] = 0.0
-        r, c = np.nonzero(block)
-        rows.extend(idx[r])
-        cols.extend(idx[c])
-        vals.extend(block[r, c])
-    u = coo_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
-    return u.tocsr()
+        blocks.append(_readonly(block))
+    return tuple(blocks)
 
 
-def beam_splitter(rho_in: FockDensity, rho_anc: FockDensity, reflectivity: float) -> TwoModeDensity:
-    """Interfere an input mode with an ancilla on a beam splitter.
+def interfere(psi_in: FockVector, psi_anc: FockVector, reflectivity: float) -> TwoModeState:
+    """Interfere a pure input mode with a pure ancilla on a beam splitter.
 
-    Returns the joint state over (transmitted, reflected).  The orientation
-    reproduces the Wigner composition
-    ``W_in(sqrt(T) a + sqrt(R) b) * W_anc(-sqrt(R) a + sqrt(T) b)``.
-    """
-    if rho_in.dim != rho_anc.dim:
-        raise ValueError("input and ancilla must share the truncation dimension")
-    dim = rho_in.dim
-    u = beam_splitter_unitary(dim, reflectivity)
-    joint = np.kron(rho_in.matrix, rho_anc.matrix)
-    out = (u @ joint) @ u.T  # U is real, so U^dag = U^T
-    return TwoModeDensity(out, dim)
-
-
-def beam_splitter_pure(psi_in: FockVector, psi_anc: FockVector, reflectivity: float) -> TwoModeDensity:
-    """Same interference for pure inputs, via the joint state vector.
-
-    Bit-identical to :func:`beam_splitter` on the corresponding outer
-    products, but avoids the dense two-mode matrix products.
+    Returns the joint state over (transmitted, reflected).  Block N of
+    :func:`beam_splitter_unitary` acts on the N-th anti-diagonal of
+    ``outer(psi_in, psi_anc)``.  The orientation reproduces the Wigner
+    composition ``W_in(sqrt(T) a + sqrt(R) b) * W_anc(-sqrt(R) a + sqrt(T) b)``.
     """
     if psi_in.dim != psi_anc.dim:
         raise ValueError("input and ancilla must share the truncation dimension")
-    u = beam_splitter_unitary(psi_in.dim, reflectivity)
-    vec = u @ np.kron(psi_in.amplitudes, psi_anc.amplitudes)
-    return TwoModeDensity(np.outer(vec, vec.conj()), psi_in.dim)
+    dim = psi_in.dim
+    blocks = beam_splitter_unitary(dim, reflectivity)
+    product = np.outer(psi_in.amplitudes, psi_anc.amplitudes)
+    out = np.empty_like(product)
+    for total, block in enumerate(blocks):
+        rows = _block_rows(total, dim)
+        out[rows, total - rows] = block @ product[rows, total - rows]
+    return TwoModeState(out, dim)
 
 
 # ---------------------------------------------------------------------------

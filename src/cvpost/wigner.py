@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .fock import FockDensity, FockVector, TwoModeDensity
+from .fock import FockDensity, FockVector
 
 #: Single-mode Wigner functions are bounded below by -2/pi.
 WIGNER_LOWER_BOUND = -2.0 / np.pi
@@ -125,39 +125,6 @@ def wigner_from_density(
     dp = float(p_axis[1] - p_axis[0])
     defect = abs(float(vals.sum() * dx * dp) - rho.trace)
     return WignerGrid(vals, x_axis, p_axis, (dx, dp), defect)
-
-
-def wigner_two_mode_point(joint: TwoModeDensity, alpha: complex, beta: complex) -> float:
-    """Joint Wigner function W(alpha, beta) of a two-mode state at one point."""
-    dim = joint.dim
-    ka = _kernel_matrix(dim, alpha)
-    kb = _kernel_matrix(dim, beta)
-    rho4 = joint.as_tensor()
-    return float(np.real(np.einsum("imjn,ij,mn->", rho4, ka, kb)))
-
-
-def _kernel_matrix(dim: int, alpha: complex) -> np.ndarray:
-    """K[m, n] with W(alpha) = sum_mn rho[m, n] K[m, n] for one point."""
-    z = 4.0 * abs(alpha) ** 2
-    unit = np.conj(alpha) / abs(alpha) if abs(alpha) > 0 else 1.0
-    k = np.zeros((dim, dim), dtype=complex)
-    for d in range(dim):
-        if d == 0:
-            t_prev, t_cur = 0.0, np.exp(-0.5 * z)
-        else:
-            t_prev = 0.0
-            t_cur = np.exp(0.5 * d * np.log(z) - 0.5 * z - 0.5 * gammaln(d + 1)) if z > 0 else 0.0
-        sign = 1.0
-        for n in range(dim - d):
-            val = sign * unit**d * t_cur
-            k[n + d, n] = val
-            if d > 0:
-                k[n, n + d] = np.conj(val)
-            c1 = (2 * n + 1 + d - z) / np.sqrt((n + 1) * (n + 1 + d))
-            c2 = np.sqrt(n * (n + d) / ((n + 1) * (n + 1 + d))) if n > 0 else 0.0
-            t_prev, t_cur = t_cur, c1 * t_cur - c2 * t_prev
-            sign = -sign
-    return (2.0 / np.pi) * k
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,134 @@
+"""Dense two-mode route: the agreement oracle for the pure-state joint.
+
+The package keeps the state after the beam splitter as a dim x dim amplitude
+matrix and applies the beam splitter block by block.  This module does the
+same physics the long way: the blocks sit in one dense dim^2 x dim^2
+unitary, the joint is a dense dim^2 x dim^2 density matrix, and every
+reduction is an explicit tensor contraction of that matrix.  The blocks
+themselves are checked against one ``expm`` of the full two-mode generator
+(:func:`generator_unitary`), whose own rounding error on a generator of
+norm ~dim is near 1e-12.  Meant for small dims only.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+from scipy.linalg import expm
+from scipy.special import gammaln
+
+from cvpost import fock
+from cvpost.conditioner import _simpson_weights
+from cvpost.fock import FockDensity
+
+
+@dataclass(frozen=True)
+class TwoModeDensity:
+    """Joint density matrix over (transmitted, reflected) with row/column
+    index ``i_t * dim + i_r``."""
+
+    matrix: np.ndarray
+    dim: int
+
+    @property
+    def trace(self) -> float:
+        return float(np.real(np.trace(self.matrix)))
+
+    def as_tensor(self) -> np.ndarray:
+        """View as rho[i, m, j, n] with (i, j) transmitted, (m, n) reflected."""
+        d = self.dim
+        return self.matrix.reshape(d, d, d, d)
+
+    def ptrace(self, keep: int) -> FockDensity:
+        """Reduced state of one mode: keep=0 transmitted, keep=1 reflected."""
+        rho4 = self.as_tensor()
+        red = np.einsum("imjm->ij", rho4) if keep == 0 else np.einsum("imin->mn", rho4)
+        return FockDensity(red, self.dim, validate=False)
+
+
+@lru_cache(maxsize=8)
+def dense_unitary(dim: int, reflectivity: float) -> np.ndarray:
+    """The package's per-photon-number blocks placed in one dim^2 x dim^2 matrix."""
+    u = np.zeros((dim * dim, dim * dim))
+    for total, block in enumerate(fock.beam_splitter_unitary(dim, reflectivity)):
+        idx = [i * dim + total - i for i in range(dim) if 0 <= total - i < dim]
+        u[np.ix_(idx, idx)] = block
+    return u
+
+
+def generator_unitary(dim: int, reflectivity: float) -> np.ndarray:
+    """exp[(theta/2)(a_in a_anc^dag - a_in^dag a_anc)] by one dense ``expm``."""
+    theta = 2.0 * np.arcsin(np.sqrt(reflectivity))
+    a = fock.annihilation(dim)
+    return expm((theta / 2.0) * (np.kron(a, a.T) - np.kron(a.T, a)))
+
+
+def beam_splitter(rho_in: FockDensity, rho_anc: FockDensity, reflectivity: float) -> TwoModeDensity:
+    u = dense_unitary(rho_in.dim, reflectivity)
+    joint = np.kron(rho_in.matrix, rho_anc.matrix)
+    return TwoModeDensity(u @ joint @ u.T, rho_in.dim)
+
+
+def homodyne_project(joint: TwoModeDensity, x: float):
+    """``<x|rho|x>_r`` as a dim x dim matrix, and its trace P1(x)."""
+    psi = fock.quadrature_wavefunctions(joint.dim - 1, float(x))[:, 0]
+    partial = np.tensordot(joint.as_tensor(), psi, axes=([3], [0]))  # [i, m, j]
+    reduced = np.tensordot(partial, psi, axes=([1], [0]))  # [i, j]
+    return reduced, float(np.real(np.trace(reduced)))
+
+
+def gate_density(joint: TwoModeDensity, xs) -> np.ndarray:
+    gate = np.einsum("imin->mn", joint.as_tensor())
+    psis = fock.quadrature_wavefunctions(joint.dim - 1, xs)
+    return np.real(np.einsum("mk,mn,nk->k", psis, gate, psis))
+
+
+def density_norm(joint: TwoModeDensity, half_range: float = 6.0, n_nodes: int = 193) -> float:
+    xs = np.linspace(-half_range, half_range, n_nodes)
+    return float(_simpson_weights(n_nodes, -half_range, half_range) @ gate_density(joint, xs))
+
+
+def window(joint: TwoModeDensity, target: np.ndarray, x0: float, n_nodes: int):
+    """(F_ave, P_s, normalized averaged state) on ``n_nodes`` Simpson nodes."""
+    rho4 = joint.as_tensor()
+    kmat = np.einsum("i,imjn,j->mn", target.conj(), rho4, target)
+    xs = np.linspace(-x0, x0, n_nodes)
+    w = _simpson_weights(n_nodes, -x0, x0)
+    psis = fock.quadrature_wavefunctions(joint.dim - 1, xs)
+    ps = float(w @ gate_density(joint, xs))
+    fave = float(w @ np.real(np.einsum("mk,mn,nk->k", psis, kmat, psis))) / ps
+    avg = np.tensordot(rho4, (psis * w) @ psis.T, axes=([1, 3], [0, 1]))
+    return fave, ps, avg / np.trace(avg)
+
+
+def _kernel_matrix(dim: int, alpha: complex) -> np.ndarray:
+    """K[m, n] with W(alpha) = sum_mn rho[m, n] K[m, n] for one point."""
+    z = 4.0 * abs(alpha) ** 2
+    unit = np.conj(alpha) / abs(alpha) if abs(alpha) > 0 else 1.0
+    k = np.zeros((dim, dim), dtype=complex)
+    for d in range(dim):
+        if d == 0:
+            t_prev, t_cur = 0.0, np.exp(-0.5 * z)
+        else:
+            t_prev = 0.0
+            t_cur = np.exp(0.5 * d * np.log(z) - 0.5 * z - 0.5 * gammaln(d + 1)) if z > 0 else 0.0
+        sign = 1.0
+        for n in range(dim - d):
+            val = sign * unit**d * t_cur
+            k[n + d, n] = val
+            if d > 0:
+                k[n, n + d] = np.conj(val)
+            c1 = (2 * n + 1 + d - z) / np.sqrt((n + 1) * (n + 1 + d))
+            c2 = np.sqrt(n * (n + d) / ((n + 1) * (n + 1 + d))) if n > 0 else 0.0
+            t_prev, t_cur = t_cur, c1 * t_cur - c2 * t_prev
+            sign = -sign
+    return (2.0 / np.pi) * k
+
+
+def wigner_two_mode_point(joint: TwoModeDensity, alpha: complex, beta: complex) -> float:
+    """Joint Wigner function W(alpha, beta) of a two-mode state at one point."""
+    ka = _kernel_matrix(joint.dim, alpha)
+    kb = _kernel_matrix(joint.dim, beta)
+    return float(np.real(np.einsum("imjn,ij,mn->", joint.as_tensor(), ka, kb)))

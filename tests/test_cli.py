@@ -160,6 +160,15 @@ def test_sweep_threads_agree(tmp_path):
     assert (out1 / "curve.csv").read_text() == (out2 / "curve.csv").read_text()
 
 
+def test_single_photon_at_dim_120(tmp_path):
+    # the dense two-mode density matrix would need 3.3 GB here
+    code, out = run_cli(tmp_path, {"mode": "single-photon", "dim": 120})
+    assert code == 0
+    res = read_result(out)["results"]
+    assert res["fidelity_at_zero"] >= 1 - 1e-6
+    assert abs(res["density_norm"] - 1.0) <= 1e-6
+
+
 def test_wigner_export(tmp_path):
     payload = {
         "mode": "single-photon",
@@ -202,6 +211,84 @@ def test_bad_field_exits_2(tmp_path, capsys):
     code, _ = run_cli(tmp_path, {"mode": "single-photon", "reflectivity": 1.7})
     assert code == 2
     assert "reflectivity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"mode": "emulate", "n_samples": 20_000, "subtract_electronic": "false"}, "subtract_electronic"),
+        ({"mode": "emulate", "n_samples": 20_000, "dump_samples_csv": 1}, "dump_samples_csv"),
+        ({"mode": "sweep", "axis": "gamma_plus", "start": 0.1, "stop": 1.0, "count": 2,
+          "log": "false", "base": {"mode": "coherent"}}, "log"),
+    ],
+    ids=["subtract_electronic", "dump_samples_csv", "log"],
+)
+def test_booleans_must_be_json_booleans(tmp_path, capsys, payload, field):
+    code, out = run_cli(tmp_path, payload)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err and "true or false" in err
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"mode": "single-photon", "reflectivty": 0.5}, "reflectivty"),
+        ({"mode": "coherent", "dim": 40}, "dim"),
+        ({"mode": "coherent", "wigner_export": {"points": 41}}, "wigner_export"),
+        ({"mode": "sweep", "axis": "gamma_plus", "start": 0.1, "stop": 1.0, "count": 2,
+          "base": {"mode": "coherent", "x0_wig": 0.1}}, "base.x0_wig"),
+        ({"mode": "single-photon", "wigner_export": {"points": 41, "extnet": 4.0}},
+         "wigner_export.extnet"),
+    ],
+    ids=["top-level", "other-mode", "wigner-export-mode", "sweep-base", "wigner-export"],
+)
+def test_unknown_keys_exit_2(tmp_path, capsys, payload, field):
+    code, out = run_cli(tmp_path, payload)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err and "allowed keys" in err
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [([1, 2], "mode"), ({"mode": "single-photon", "wigner_export": [41, 4.0]}, "wigner_export")],
+    ids=["config", "wigner-export"],
+)
+def test_non_object_sections_exit_2(tmp_path, capsys, payload, field):
+    code, _ = run_cli(tmp_path, payload)
+    assert code == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_every_documented_key_is_accepted(tmp_path):
+    configs = [
+        {"mode": "single-photon", "dim": 40, "reflectivity": 0.98, "squeezing": 0.7,
+         "x0_wig": 0.025, "nodes": 65, "wigner_export": {"points": 9, "extent": 4.0}},
+        {"mode": "two-photon", "dim": 40, "reflectivity": 0.5, "squeezing": -0.37,
+         "x0_wig": 0.084, "nodes": 65, "scs_gamma": [0.0, 1.1]},
+        {"mode": "coherent", "reflectivity": 0.75, "squeezing": 0.52, "gamma": [0.18, 0.1],
+         "x_snl": 0.0},
+        {"mode": "emulate", "reflectivity": 0.75, "v_in_snl": [1.13, 1.05], "anc_sqz_db": -4.5,
+         "anc_antisqz_db": 8.5, "eta_vis": 0.96, "eta_det": 0.92, "eta_hom": 0.89,
+         "gate_elec_db": -6.5, "hom_elec_db": -8.5, "gamma_plus": 0.18, "gamma_minus": 0.5,
+         "x0_snl": 1.0, "n_samples": 50_000, "rng_seed": 3, "subtract_electronic": False,
+         "dump_samples_csv": False},
+        {"mode": "sweep", "axis": "x0_snl", "start": 0.5, "stop": 1.0, "count": 2, "log": True,
+         "base": {"mode": "emulate", "n_samples": 50_000, "rng_seed": 3}},
+    ]
+    for k, payload in enumerate(configs):
+        out = tmp_path / f"out{k}"
+        assert cli.main(["--out", str(out), "run", write_config(tmp_path, payload)]) == 0, payload
+        resolved = read_result(out)["config"]
+        assert resolved["mode"] == payload["mode"]
+        if "subtract_electronic" in payload:
+            assert resolved["subtract_electronic"] is False
+        # the echoed config passes the same checks
+        echo = tmp_path / f"echo{k}"
+        assert cli.main(["--out", str(echo), "run", write_config(tmp_path, resolved)]) == 0
 
 
 def test_missing_config_exits_2(tmp_path):

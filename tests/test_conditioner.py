@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from cvpost import conditioner, fock
 from cvpost.conditioner import (
     CoherentInput,
@@ -54,9 +55,7 @@ def test_s_prime_validation():
 
 
 def test_two_mode_vacuum_projection():
-    joint = fock.beam_splitter(
-        fock.fock_state(0, 12).density(), fock.fock_state(0, 12).density(), 0.5
-    )
+    joint = fock.interfere(fock.fock_state(0, 12), fock.fock_state(0, 12), 0.5)
     state, density = homodyne_project(joint, 0.0)
     # P1(0) is the N(0, 1/4) density at the origin
     np.testing.assert_allclose(density, np.sqrt(2 / np.pi), atol=1e-9)
@@ -66,9 +65,7 @@ def test_two_mode_vacuum_projection():
 
 
 def test_zero_reflectivity_leaves_input_untouched():
-    joint = fock.beam_splitter(
-        fock.fock_state(1, 12).density(), fock.fock_state(0, 12).density(), 0.0
-    )
+    joint = fock.interfere(fock.fock_state(1, 12), fock.fock_state(0, 12), 0.0)
     for x in (-0.7, 0.0, 1.3):
         state, _ = homodyne_project(joint, x)
         np.testing.assert_allclose(
@@ -274,3 +271,53 @@ def test_protocol_config_validation():
         ProtocolConfig(reflectivity=0.5, squeezing=0.5, x0=-0.1)
     with pytest.raises(ValueError):
         ProtocolConfig(reflectivity=0.5, squeezing=0.5, x0=0.1, dim=1)
+
+
+# ---------------------------------------------------------------------------
+# Agreement with the dense two-mode route
+# ---------------------------------------------------------------------------
+
+AGREE_TOL = 1e-12
+
+
+@pytest.mark.parametrize("reflectivity", [0.3, 0.75, 0.98])
+@pytest.mark.parametrize(
+    "input_spec, target_spec",
+    [
+        (FockInput(1), conditioner.SqueezedFockTarget()),
+        (FockInput(2), ScsTarget(1.1j)),
+        (CoherentInput(0.5 + 0.3j), ScsTarget(0.6 + 0.5j)),
+    ],
+    ids=["fock1", "fock2", "coherent"],
+)
+def test_pure_joint_agrees_with_dense_route(reflectivity, input_spec, target_spec):
+    dim, s, x0, nodes = 24, 0.4, 0.1, 65
+    config = ProtocolConfig(reflectivity, s, x0, input_spec=input_spec, target_spec=target_spec, dim=dim)
+    psi_in = conditioner.prepare_input(input_spec, dim)
+    dense = oracle.beam_splitter(
+        psi_in.density(), fock.squeezed_vacuum(s, dim).density(), reflectivity
+    )
+    joint = build_joint(config)
+    vec = joint.amplitudes.ravel()
+    np.testing.assert_allclose(np.outer(vec, vec.conj()), dense.matrix, rtol=0, atol=AGREE_TOL)
+
+    xs = [-0.4, 0.0, 0.13]
+    target = conditioner.resolve_target(config).amplitudes
+    for x, cond in zip(xs, postselect_map(config, xs)):
+        want, want_p1 = oracle.homodyne_project(dense, x)
+        got, got_p1 = homodyne_project(joint, x)
+        np.testing.assert_allclose(got.matrix, want, rtol=0, atol=AGREE_TOL)
+        np.testing.assert_allclose(got_p1, want_p1, rtol=AGREE_TOL)
+        np.testing.assert_allclose(cond.density, want_p1, rtol=AGREE_TOL)
+        np.testing.assert_allclose(cond.state.matrix, want / want_p1, rtol=0, atol=AGREE_TOL)
+        want_fid = np.real(target.conj() @ want @ target) / want_p1
+        np.testing.assert_allclose(cond.fidelity, want_fid, rtol=0, atol=AGREE_TOL)
+
+    win = run_window(config, n_nodes=nodes)
+    fave, ps, avg = oracle.window(dense, target, x0, 2 * nodes - 1)
+    np.testing.assert_allclose(win.avg_fidelity, fave, rtol=AGREE_TOL)
+    np.testing.assert_allclose(win.success_prob, ps, rtol=AGREE_TOL)
+    np.testing.assert_allclose(win.avg_state.matrix, avg, rtol=0, atol=AGREE_TOL)
+    for n_nodes in (193, 769):  # at dim 24, 769 nodes take two blocks in _project
+        np.testing.assert_allclose(density_norm(joint, n_nodes=n_nodes),
+                                   oracle.density_norm(dense, n_nodes=n_nodes), rtol=AGREE_TOL)

