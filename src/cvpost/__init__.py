@@ -15,10 +15,7 @@ __version__ = "0.1.0"
 from .conditioner import (
     CoherentInput,
     ConditionalResult,
-    CustomInput,
-    CustomTarget,
     FockInput,
-    IdealSqueezedInputTarget,
     ProtocolConfig,
     ScsTarget,
     SqueezedFockTarget,
@@ -73,7 +70,6 @@ from .gaussian import (
 )
 from .wigner import (
     WignerGrid,
-    closed_form,
     overlap,
     scs_wigner,
     single_photon_wigner,

@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +31,18 @@ class ConfigError(Exception):
         self.field = field
 
 
-def _get(cfg, key, default, kind, check=None, where="config"):
+def _is_number(val):
+    # bool is an int subclass, but JSON true/false is not a number.
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _get(cfg, key, default, kind, check=None):
+    """Read a JSON number: ``int`` keys take integers only, ``float`` keys any number."""
     val = cfg.get(key, default)
-    try:
-        val = kind(val)
-    except (TypeError, ValueError):
-        raise ConfigError(key, f"expected {kind.__name__}, got {val!r}") from None
+    if not _is_number(val) or (kind is int and not isinstance(val, int)):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(key, f"expected {expected}, got {val!r}")
+    val = kind(val)
     if check is not None and not check(val):
         raise ConfigError(key, f"invalid value {val!r}")
     return val
@@ -59,13 +64,19 @@ def _check_keys(cfg, allowed, where=""):
         raise ConfigError(where + unknown[0], f"unknown key; allowed keys are {sorted(allowed)}")
 
 
+def _get_pair(cfg, key, default):
+    raw = cfg.get(key, default)
+    if not (isinstance(raw, list) and len(raw) == 2 and all(map(_is_number, raw))):
+        raise ConfigError(key, f"expected a pair of numbers, got {raw!r}")
+    return tuple(raw)
+
+
 def _get_complex(cfg, key, default):
     raw = cfg.get(key, default)
-    if isinstance(raw, (int, float)):
-        return complex(raw)
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return complex(float(raw[0]), float(raw[1]))
-    raise ConfigError(key, f"expected a number or [re, im] pair, got {raw!r}")
+    parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
+    if not all(map(_is_number, parts)):
+        raise ConfigError(key, f"expected a number or [re, im] pair, got {raw!r}")
+    return complex(float(parts[0]), float(parts[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -73,61 +84,59 @@ def _get_complex(cfg, key, default):
 # ---------------------------------------------------------------------------
 
 
-def _run_single_photon(cfg, overrides):
-    dim = overrides.get("dim") or _get(cfg, "dim", 60, int, lambda v: v >= 2)
-    r = _get(cfg, "reflectivity", 0.98, float, lambda v: 0 <= v <= 1)
-    s = _get(cfg, "squeezing", 0.7, float)
-    x0 = _get(cfg, "x0_wig", 0.025, float, lambda v: v > 0)
+# The two Fock-input modes run the same protocol; they differ only in the
+# input photon number, the target and these defaults.
+_PHOTON_DEFAULTS = {
+    "single-photon": {"n": 1, "reflectivity": 0.98, "squeezing": 0.7, "x0_wig": 0.025, "dim": 60},
+    "two-photon": {"n": 2, "reflectivity": 0.5, "squeezing": -0.37, "x0_wig": 0.084, "dim": 40},
+}
+
+
+def _photon_config(cfg, overrides):
+    """ProtocolConfig and resolved keys of a single- or two-photon config."""
+    mode = cfg["mode"]
+    defaults = _PHOTON_DEFAULTS[mode]
+    dim = overrides.get("dim") or _get(cfg, "dim", defaults["dim"], int, lambda v: v >= 2)
+    r = _get(cfg, "reflectivity", defaults["reflectivity"], float, lambda v: 0 <= v <= 1)
+    s = _get(cfg, "squeezing", defaults["squeezing"], float)
+    x0 = _get(cfg, "x0_wig", defaults["x0_wig"], float, lambda v: v > 0)
     nodes = _get(cfg, "nodes", 65, int, lambda v: v >= 33 and v % 2 == 1)
-    config = conditioner.ProtocolConfig(
-        reflectivity=r, squeezing=s, x0=x0,
-        input_spec=conditioner.FockInput(1),
-        target_spec=conditioner.SqueezedFockTarget(n=1),
-        dim=dim,
-    )
-    win = conditioner.run_window(config, nodes)
-    joint = conditioner.build_joint(config)
-    zero = conditioner.postselect_map(config, [0.0])[0]
     resolved = {
-        "mode": "single-photon", "reflectivity": r, "squeezing": s,
+        "mode": mode, "reflectivity": r, "squeezing": s,
         "x0_wig": x0, "dim": dim, "nodes": nodes,
     }
-    scalars = {
-        "s_prime": conditioner.s_prime(r, s),
-        "f_ave": win.avg_fidelity,
-        "p_s": win.success_prob,
-        "fidelity_at_zero": zero.fidelity,
-        "purity_avg_state": win.avg_state.purity(),
-        "density_norm": conditioner.density_norm(joint, n_nodes=769),
-    }
-    return resolved, scalars, win
-
-
-def _run_two_photon(cfg, overrides):
-    dim = overrides.get("dim") or _get(cfg, "dim", 40, int, lambda v: v >= 2)
-    r = _get(cfg, "reflectivity", 0.5, float, lambda v: 0 <= v <= 1)
-    s = _get(cfg, "squeezing", -0.37, float)
-    x0 = _get(cfg, "x0_wig", 0.084, float, lambda v: v > 0)
-    nodes = _get(cfg, "nodes", 65, int, lambda v: v >= 33 and v % 2 == 1)
-    gamma = _get_complex(cfg, "scs_gamma", [0.0, 1.1])
+    if mode == "single-photon":
+        target = conditioner.SqueezedFockTarget(n=1)
+    else:
+        gamma = _get_complex(cfg, "scs_gamma", [0.0, 1.1])
+        target = conditioner.ScsTarget(gamma=gamma, parity="even")
+        resolved["scs_gamma"] = [gamma.real, gamma.imag]
     config = conditioner.ProtocolConfig(
         reflectivity=r, squeezing=s, x0=x0,
-        input_spec=conditioner.FockInput(2),
-        target_spec=conditioner.ScsTarget(gamma=gamma, parity="even"),
+        input_spec=conditioner.FockInput(defaults["n"]),
+        target_spec=target,
         dim=dim,
     )
-    win = conditioner.run_window(config, nodes)
+    return config, resolved
+
+
+def _run_photon(cfg, overrides):
+    config, resolved = _photon_config(cfg, overrides)
+    win = conditioner.run_window(config, resolved["nodes"])
     zero = conditioner.postselect_map(config, [0.0])[0]
-    resolved = {
-        "mode": "two-photon", "reflectivity": r, "squeezing": s, "x0_wig": x0,
-        "scs_gamma": [gamma.real, gamma.imag], "dim": dim, "nodes": nodes,
-    }
     scalars = {
         "f_ave": win.avg_fidelity,
         "p_s": win.success_prob,
         "fidelity_at_zero": zero.fidelity,
         "purity_avg_state": win.avg_state.purity(),
     }
+    if resolved["mode"] == "single-photon":
+        # s' leads and the density check trails, as curve.csv's columns expect.
+        scalars = {
+            "s_prime": conditioner.s_prime(config.reflectivity, config.squeezing),
+            **scalars,
+            "density_norm": conditioner.density_norm(conditioner.build_joint(config), n_nodes=769),
+        }
     return resolved, scalars, win
 
 
@@ -170,7 +179,7 @@ def _emulate_params(cfg, overrides):
     seed = overrides.get("seed")
     kwargs = dict(
         R=_get(cfg, "reflectivity", 0.75, float, lambda v: 0 <= v <= 1),
-        v_in=tuple(_get(cfg, "v_in_snl", [1.13, 1.05], list, lambda v: len(v) == 2)),
+        v_in=_get_pair(cfg, "v_in_snl", [1.13, 1.05]),
         anc_sqz_db=_get(cfg, "anc_sqz_db", -4.5, float),
         anc_antisqz_db=_get(cfg, "anc_antisqz_db", 8.5, float),
         eta_vis=_get(cfg, "eta_vis", 0.96, float, lambda v: 0 < v <= 1),
@@ -226,8 +235,8 @@ def _run_emulate(cfg, overrides):
 
 
 _MODE_RUNNERS = {
-    "single-photon": _run_single_photon,
-    "two-photon": _run_two_photon,
+    "single-photon": _run_photon,
+    "two-photon": _run_photon,
     "coherent": _run_coherent,
     "emulate": _run_emulate,
 }
@@ -254,13 +263,14 @@ _WIGNER_KEYS = {"points", "extent"}
 
 
 def _axis_values(cfg):
+    for key in ("start", "stop", "count"):
+        if key not in cfg:
+            raise ConfigError(key, "start, stop and count are required")
     start = _get(cfg, "start", None, float)
     stop = _get(cfg, "stop", None, float)
     count = _get(cfg, "count", None, int, lambda v: v >= 1)
     log = _get_bool(cfg, "log", False)
-    if start is None or stop is None or count is None:
-        raise ConfigError("sweep", "start, stop and count are required")
-    if count < 1 or start >= stop:
+    if start >= stop:
         raise ConfigError("sweep", "range must be non-empty and ordered (start < stop)")
     if log:
         if start <= 0:
@@ -275,37 +285,33 @@ def _x0_for_success_prob(base_cfg, base_mode, target_ps, overrides):
         params = _emulate_params(base_cfg, overrides)
 
         def ps_of(x0):
-            probe = dataclasses.replace(params, x0=float(x0))
-            return emulator.predict_stats(probe).success_prob - target_ps
+            return emulator.predict_stats(dataclasses.replace(params, x0=float(x0))).success_prob
 
-        return float(brentq(ps_of, 1e-6, 50.0))
-    runner_defaults = {"single-photon": (0.98, 0.7, 1, 60), "two-photon": (0.5, -0.37, 2, 40)}
-    r0, s0, n_in, dim0 = runner_defaults[base_mode]
-    dim = overrides.get("dim") or _get(base_cfg, "dim", dim0, int)
-    config = conditioner.ProtocolConfig(
-        reflectivity=_get(base_cfg, "reflectivity", r0, float),
-        squeezing=_get(base_cfg, "squeezing", s0, float),
-        x0=1.0,
-        input_spec=conditioner.FockInput(n_in),
-        dim=dim,
-    )
-    joint = conditioner.build_joint(config)
+        lo, hi = 1e-6, 50.0
+    else:
+        joint = conditioner.build_joint(_photon_config(base_cfg, overrides)[0])
 
-    def ps_of(x0):
-        xs = np.linspace(-x0, x0, 65)
-        w = conditioner._simpson_weights(65, -x0, x0)
-        return float(w @ conditioner.gate_density(joint, xs)) - target_ps
+        def ps_of(x0):
+            return conditioner.density_norm(joint, x0, 65)
 
-    return float(brentq(ps_of, 1e-6, 6.0))
+        lo, hi = 1e-6, 6.0
+    ps_lo, ps_hi = ps_of(lo), ps_of(hi)
+    if not ps_lo <= target_ps <= ps_hi:
+        raise ConfigError(
+            "success_prob",
+            f"{target_ps!r} cannot be reached: x0 in [{lo}, {hi}] gives "
+            f"P_s in [{ps_lo:.12g}, {ps_hi:.12g}]",
+        )
+    return float(brentq(lambda x0: ps_of(x0) - target_ps, lo, hi))
 
 
-def _run_sweep(cfg, overrides, threads):
+def _run_sweep(cfg, overrides):
     base = cfg.get("base", {})
     base_mode = base.get("mode") if isinstance(base, dict) else None
     if base_mode not in _MODE_RUNNERS:
         raise ConfigError("base.mode", f"must be one of {sorted(_MODE_RUNNERS)}")
     _check_keys(base, _MODE_KEYS[base_mode] - {"wigner_export"}, "base.")
-    axis = _get(cfg, "axis", None, str)
+    axis = cfg.get("axis")
     allowed = {
         "single-photon": {"x0_wig", "success_prob"},
         "two-photon": {"x0_wig", "success_prob"},
@@ -330,11 +336,7 @@ def _run_sweep(cfg, overrides, threads):
         _, scalars, _ = _MODE_RUNNERS[base_mode](point_cfg, overrides)
         return scalars
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(point, values))
-    else:
-        rows = [point(v) for v in values]
+    rows = [point(v) for v in values]
     resolved = {"mode": "sweep", "axis": axis, "base": base,
                 "start": float(values[0]), "stop": float(values[-1]),
                 "count": len(values), "log": cfg.get("log", False)}
@@ -381,7 +383,7 @@ def _cmd_run(args) -> int:
             raise ConfigError("mode", f"must be one of {sorted(_MODE_KEYS)}")
         _check_keys(cfg, _MODE_KEYS[mode])
         if mode == "sweep":
-            resolved, values, rows = _run_sweep(cfg, overrides, args.threads)
+            resolved, values, rows = _run_sweep(cfg, overrides)
             _write_curve(out_dir / "curve.csv", resolved["axis"], values, rows)
             scalars = {"points": len(values), "first": rows[0], "last": rows[-1]}
         else:
@@ -501,7 +503,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the emulator RNG seed")
     parser.add_argument("--dim", type=int, default=None, help="override the Fock truncation")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+    parser.add_argument("--threads", type=int, default=1, help="accepted; sweeps run serially")
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a scenario from a JSON config")
     run_p.add_argument("config", help="path to the config file")

@@ -50,11 +50,6 @@ class CoherentInput:
 
 
 @dataclass(frozen=True)
-class CustomInput:
-    amplitudes: tuple
-
-
-@dataclass(frozen=True)
 class SqueezedFockTarget:
     """S(s_target)|n>; s_target=None means s_prime(R, s) of the config."""
 
@@ -66,16 +61,6 @@ class SqueezedFockTarget:
 class ScsTarget:
     gamma: complex
     parity: str = "even"
-
-
-@dataclass(frozen=True)
-class IdealSqueezedInputTarget:
-    """S(-ln(T)/2) applied to the (coherent) input state."""
-
-
-@dataclass(frozen=True)
-class CustomTarget:
-    amplitudes: tuple
 
 
 @dataclass(frozen=True)
@@ -107,11 +92,6 @@ def prepare_input(spec, dim: int) -> FockVector:
         return fock.fock_state(spec.n, dim)
     if isinstance(spec, CoherentInput):
         return fock.coherent_state(spec.gamma, dim)
-    if isinstance(spec, CustomInput):
-        vec = FockVector(np.asarray(spec.amplitudes, dtype=complex), dim)
-        if abs(vec.norm - 1.0) > 1e-6:
-            raise ValueError("custom input must be normalized")
-        return vec
     raise TypeError(f"unknown input spec {spec!r}")
 
 
@@ -131,19 +111,6 @@ def resolve_target(config: ProtocolConfig) -> FockVector:
         return _squeezed_number_state(spec.n, s_t, dim)
     if isinstance(spec, ScsTarget):
         return fock.scs_state(spec.gamma, spec.parity, dim)
-    if isinstance(spec, IdealSqueezedInputTarget):
-        if not isinstance(config.input_spec, CoherentInput):
-            raise ValueError("ideal-squeezed-input target requires a coherent input")
-        t = 1.0 - config.reflectivity
-        s_ideal = -0.5 * np.log(t)
-        return fock.apply_squeeze(
-            fock.coherent_state(config.input_spec.gamma, dim), s_ideal
-        )
-    if isinstance(spec, CustomTarget):
-        vec = FockVector(np.asarray(spec.amplitudes, dtype=complex), dim)
-        if abs(vec.norm - 1.0) > 1e-6:
-            raise ValueError("custom target must be normalized")
-        return vec
     raise TypeError(f"unknown target spec {spec!r}")
 
 
@@ -243,8 +210,6 @@ class WindowResult:
     avg_fidelity: float
     success_prob: float
     avg_state: FockDensity
-    quadrature_nodes: np.ndarray
-    quadrature_weights: np.ndarray
 
 
 def _simpson_weights(n_nodes: int, lo: float, hi: float) -> np.ndarray:
@@ -281,7 +246,7 @@ def _window_integrals(joint, target, x0, n_nodes):
     p1f1 = overlap_re * overlap_re + overlap_im * overlap_im
     ps = float(w @ p1)
     fave = float(w @ p1f1) / ps
-    return fave, ps, xs, w, (re, im)
+    return fave, ps, w, (re, im)
 
 
 def run_window(config: ProtocolConfig, n_nodes: int = DEFAULT_WINDOW_NODES) -> WindowResult:
@@ -305,7 +270,7 @@ def run_window(config: ProtocolConfig, n_nodes: int = DEFAULT_WINDOW_NODES) -> W
 
     f_c, p_c, *_ = _window_integrals(joint, target, config.x0, n_nodes)
     fine_nodes = 2 * n_nodes - 1
-    f_f, p_f, xs, w, (re, im) = _window_integrals(joint, target, config.x0, fine_nodes)
+    f_f, p_f, w, (re, im) = _window_integrals(joint, target, config.x0, fine_nodes)
     rel = max(abs(f_f - f_c) / max(abs(f_f), 1e-300), abs(p_f - p_c) / max(p_f, 1e-300))
     if rel > CONVERGENCE_RTOL:
         raise ConvergenceError(
@@ -322,8 +287,6 @@ def run_window(config: ProtocolConfig, n_nodes: int = DEFAULT_WINDOW_NODES) -> W
         avg_fidelity=f_f,
         success_prob=p_f,
         avg_state=avg_state,
-        quadrature_nodes=xs,
-        quadrature_weights=w,
     )
 
 

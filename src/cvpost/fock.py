@@ -35,7 +35,6 @@ from .errors import TruncationError
 WIGNER_VACUUM_VAR = 0.25
 SNL_VACUUM_VAR = 1.0
 VAR_SNL_PER_WIGNER = 4.0
-X_SNL_PER_WIGNER = 2.0
 
 #: Largest tail mass a preparer may silently discard.
 TAIL_TOLERANCE = 1e-8

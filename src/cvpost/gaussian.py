@@ -16,9 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-VAR_SNL_PER_WIGNER = 4.0
-X_SNL_PER_WIGNER = 2.0
-
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])

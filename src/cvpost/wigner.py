@@ -45,11 +45,6 @@ class WignerGrid:
         return float(self.values.sum() * dx * dp)
 
 
-def default_axes(points: int = 241, extent: float = 6.0):
-    axis = np.linspace(-extent, extent, points)
-    return axis, axis.copy()
-
-
 def _wigner_values(rho: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Sum_{mn} rho_mn W_mn at arbitrary complex points.
 
@@ -112,12 +107,8 @@ def wigner_from_density(
     Defaults to 241 x 241 points over [-6, 6]^2, which resolves cat-state
     fringes at |gamma| ~ 1.1 with >= 10 points per fringe.
     """
-    if x_axis is None or p_axis is None:
-        dx_axis, dp_axis = default_axes()
-        x_axis = dx_axis if x_axis is None else np.asarray(x_axis, float)
-        p_axis = dp_axis if p_axis is None else np.asarray(p_axis, float)
-    x_axis = np.asarray(x_axis, dtype=float)
-    p_axis = np.asarray(p_axis, dtype=float)
+    x_axis = np.linspace(-6.0, 6.0, 241) if x_axis is None else np.asarray(x_axis, dtype=float)
+    p_axis = np.linspace(-6.0, 6.0, 241) if p_axis is None else np.asarray(p_axis, dtype=float)
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
     alphas = xg + 1j * pg
     vals = _wigner_values(rho.matrix, alphas.ravel()).reshape(alphas.shape)
@@ -159,24 +150,6 @@ def scs_wigner(alpha, gamma: complex):
     direct = np.exp(-2.0 * np.abs(a - g) ** 2) + np.exp(-2.0 * np.abs(a + g) ** 2)
     cross = 2.0 * np.exp(-2.0 * np.abs(a) ** 2) * np.cos(4.0 * np.imag(np.conj(g) * a))
     return n1 * (direct + cross)
-
-
-def closed_form(kind: str, alpha, *, s: float | None = None, gamma: complex | None = None):
-    """Dispatch to the closed-form Wigner expressions.
-
-    ``kind`` is one of 'sqz' (needs s), 'single_photon', 'scs' (needs gamma).
-    """
-    if kind == "sqz":
-        if s is None:
-            raise ValueError("kind='sqz' requires s")
-        return squeezed_vacuum_wigner(alpha, s)
-    if kind == "single_photon":
-        return single_photon_wigner(alpha)
-    if kind == "scs":
-        if gamma is None:
-            raise ValueError("kind='scs' requires gamma")
-        return scs_wigner(alpha, gamma)
-    raise ValueError(f"unknown closed form {kind!r}")
 
 
 def overlap(w1: WignerGrid, w2: WignerGrid) -> float:

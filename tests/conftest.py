@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from cvpost import ProtocolConfig, build_joint
@@ -14,13 +13,3 @@ def fig2_config():
 def fig2_joint(fig2_config):
     return build_joint(fig2_config)
 
-
-def simpson(values, xs):
-    """Composite Simpson with an odd uniform grid."""
-    n = len(xs)
-    assert n % 2 == 1
-    h = (xs[-1] - xs[0]) / (n - 1)
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(np.sum(w * values) * h / 3.0)

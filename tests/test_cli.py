@@ -234,6 +234,51 @@ def test_booleans_must_be_json_booleans(tmp_path, capsys, payload, field):
 @pytest.mark.parametrize(
     "payload, field",
     [
+        ({"mode": "single-photon", "dim": 40.7}, "dim"),
+        ({"mode": "emulate", "n_samples": 50_000.9}, "n_samples"),
+        ({"mode": "two-photon", "reflectivity": "0.95"}, "reflectivity"),
+        ({"mode": "coherent", "squeezing": True}, "squeezing"),
+        ({"mode": "emulate", "n_samples": 20_000, "v_in_snl": [1.13, "1.05"]}, "v_in_snl"),
+        ({"mode": "two-photon", "scs_gamma": [0.0, True]}, "scs_gamma"),
+    ],
+    ids=["float-int", "fractional-int", "string-float", "bool-float", "string-pair", "bool-complex"],
+)
+def test_numbers_must_be_json_numbers(tmp_path, capsys, payload, field):
+    code, out = run_cli(tmp_path, payload)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err and "expected" in err
+    assert not (out / "result.json").exists()
+
+
+def test_sweep_without_start_exits_2(tmp_path, capsys):
+    payload = {"mode": "sweep", "axis": "x0_wig", "stop": 0.1, "count": 3,
+               "base": {"mode": "single-photon"}}
+    code, _ = run_cli(tmp_path, payload)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'start'" in err and "required" in err
+
+
+def test_unreachable_success_prob_exits_2(tmp_path, capsys):
+    # P_s of a two-photon window tops out just below 1; an emulator window
+    # of 1e-6 SNL already passes more than 1e-9 of the shots.
+    cases = [
+        ({"mode": "two-photon", "dim": 40}, 0.5, 1.0),
+        ({"mode": "emulate", "n_samples": 20_000}, 1e-9, 1e-3),
+    ]
+    for k, (base, start, stop) in enumerate(cases):
+        payload = {"mode": "sweep", "axis": "success_prob", "start": start, "stop": stop,
+                   "count": 2, "base": base}
+        code = cli.main(["--out", str(tmp_path / f"o{k}"), "run", write_config(tmp_path, payload)])
+        assert code == 2, base
+        err = capsys.readouterr().err
+        assert "'success_prob'" in err and "cannot be reached" in err, err
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
         ({"mode": "single-photon", "reflectivty": 0.5}, "reflectivty"),
         ({"mode": "coherent", "dim": 40}, "dim"),
         ({"mode": "coherent", "wigner_export": {"points": 41}}, "wigner_export"),

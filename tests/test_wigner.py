@@ -78,20 +78,11 @@ def test_scs_pointwise_tight():
 
 
 def test_closed_form_values():
-    np.testing.assert_allclose(wigner.closed_form("sqz", 0.0, s=0.0), 2 / np.pi, rtol=1e-12)
+    np.testing.assert_allclose(wigner.squeezed_vacuum_wigner(0.0, 0.0), 2 / np.pi, rtol=1e-12)
     # zero ring of the single photon at |alpha| = 1/2
-    np.testing.assert_allclose(wigner.closed_form("single_photon", 0.5), 0.0, atol=1e-15)
-    np.testing.assert_allclose(wigner.closed_form("single_photon", 0.3 + 0.4j), 0.0, atol=1e-15)
-    np.testing.assert_allclose(wigner.closed_form("scs", 0.0, gamma=1.1j), 2 / np.pi, rtol=1e-12)
-
-
-def test_closed_form_dispatch_errors():
-    with pytest.raises(ValueError):
-        wigner.closed_form("sqz", 0.0)
-    with pytest.raises(ValueError):
-        wigner.closed_form("scs", 0.0)
-    with pytest.raises(ValueError):
-        wigner.closed_form("thermal", 0.0)
+    np.testing.assert_allclose(wigner.single_photon_wigner(0.5), 0.0, atol=1e-15)
+    np.testing.assert_allclose(wigner.single_photon_wigner(0.3 + 0.4j), 0.0, atol=1e-15)
+    np.testing.assert_allclose(wigner.scs_wigner(0.0, 1.1j), 2 / np.pi, rtol=1e-12)
 
 
 @pytest.mark.parametrize(
