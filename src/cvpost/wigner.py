@@ -52,42 +52,63 @@ def _wigner_values(rho: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     recurrence, ``T_n^d(z) = sqrt(n!/(n+d)!) L_n^d(z) z^{d/2} e^{-z/2}``
     with ``z = 4|alpha|^2``, which stays bounded at large n and d where
     raw factorial ratios overflow.
+
+    ``T_n^d`` depends on the radius only, so the recurrence runs once per
+    distinct ``z`` (a symmetric grid repeats each radius up to eight
+    times).  The phase enters as ``unit**d`` with ``unit = conj(a)/|a|``;
+    the sum over diagonals is a Horner sum in ``unit`` taken from the
+    highest ``d`` down, each radial part folded in as soon as it exists.
+    Diagonals whose coefficients are all below ``1e-16`` of the largest
+    ``|rho_mn|`` are skipped, so the result scales with ``rho``.
     """
     dim = rho.shape[0]
     a = np.asarray(alphas, dtype=complex).ravel()
-    z = 4.0 * np.abs(a) ** 2
     mag = np.abs(a)
     safe = np.where(mag > 0, mag, 1.0)
     unit = np.where(mag > 0, np.conj(a) / safe, 1.0)
+    z, inv = np.unique(4.0 * mag**2, return_inverse=True)
     logz = np.log(np.where(z > 0, z, 1.0))
-    acc = np.zeros(a.size, dtype=complex)
-    for d in range(dim):
-        coef = np.diagonal(rho, offset=-d)  # rho[n+d, n]
-        n_top = dim - d
-        nz = np.nonzero(np.abs(coef) > 1e-16)[0]
-        if nz.size == 0:
-            continue
-        n_last = int(nz[-1])
-        if d == 0:
-            t_prev = np.zeros_like(z)
-            t_cur = np.exp(-0.5 * z)
-        else:
-            t_prev = np.zeros_like(z)
-            t_cur = np.where(z > 0, np.exp(0.5 * d * logz - 0.5 * z - 0.5 * gammaln(d + 1)), 0.0)
-        part = np.zeros(a.size, dtype=complex)
-        sign = 1.0
-        for n in range(n_top):
-            c = coef[n]
-            if c != 0:
-                part += (sign * c) * t_cur
-            if n == n_last:
-                break
-            c1 = (2 * n + 1 + d - z) / np.sqrt((n + 1) * (n + 1 + d))
-            c2 = np.sqrt(n * (n + d) / ((n + 1) * (n + 1 + d))) if n > 0 else 0.0
-            t_prev, t_cur = t_cur, c1 * t_cur - c2 * t_prev
-            sign = -sign
-        acc += part if d == 0 else 2.0 * np.real(unit**d * part)
-    return (2.0 / np.pi) * np.real(acc)
+    cutoff = 1e-16 * np.abs(rho).max(initial=0.0)
+    # After step d, horner = sum over d' >= d of part_d' * unit**(d' - d + 1).
+    horner = np.zeros(a.size, dtype=complex)
+    for d in range(dim - 1, 0, -1):
+        part = _radial_part(rho, d, cutoff, z, logz)
+        if part is not None:
+            horner += part[inv]
+        horner *= unit
+    total = 2.0 * horner.real
+    part = _radial_part(rho, 0, cutoff, z, logz)
+    if part is not None:
+        total += part.real[inv]
+    return (2.0 / np.pi) * total
+
+
+def _radial_part(rho: np.ndarray, d: int, cutoff: float, z: np.ndarray, logz: np.ndarray):
+    """Sum_n (-1)^n rho[n+d, n] T_n^d(z) at the distinct radii ``z``, or None
+    when no coefficient of the diagonal exceeds ``cutoff``."""
+    coef = np.diagonal(rho, offset=-d)  # rho[n+d, n]
+    nz = np.nonzero(np.abs(coef) > cutoff)[0]
+    if nz.size == 0:
+        return None
+    n_last = int(nz[-1])
+    t_prev = np.zeros_like(z)
+    if d == 0:
+        t_cur = np.exp(-0.5 * z)
+    else:
+        t_cur = np.where(z > 0, np.exp(0.5 * d * logz - 0.5 * z - 0.5 * gammaln(d + 1)), 0.0)
+    part = np.zeros(z.size, dtype=complex)
+    sign = 1.0
+    for n in range(n_last + 1):
+        c = coef[n]
+        if c != 0:
+            part += (sign * c) * t_cur
+        if n == n_last:
+            break
+        c1 = (2 * n + 1 + d - z) / np.sqrt((n + 1) * (n + 1 + d))
+        c2 = np.sqrt(n * (n + d) / ((n + 1) * (n + 1 + d))) if n > 0 else 0.0
+        t_prev, t_cur = t_cur, c1 * t_cur - c2 * t_prev
+        sign = -sign
+    return part
 
 
 def wigner_point(rho: FockDensity | np.ndarray, alpha) -> np.ndarray | float:

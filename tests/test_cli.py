@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cvpost import cli
+from cvpost import cli, wigner
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -186,9 +186,45 @@ def test_wigner_export(tmp_path):
     np.testing.assert_allclose(float(rows[1][0]), -4.0)
 
 
+def _write_wigner_with_csv_module(path, grid):
+    """wigner.csv as csv.writer writes it: the format _write_wigner must keep."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["alpha_plus\\alpha_minus"] + [repr(float(p)) for p in grid.p_axis])
+        for i, x in enumerate(grid.x_axis):
+            writer.writerow([repr(float(x))] + [repr(float(v)) for v in grid.values[i]])
+
+
+def test_wigner_csv_bytes_match_csv_writer(tmp_path):
+    x_axis = np.array([-1.5, 0.0, 0.1 + 0.2])
+    p_axis = np.array([-2.0, -0.0, 1e-20, 2.0 / 3.0])
+    values = np.array([
+        [0.0, -0.0, 1e-20, -1e-20],
+        [-2.0 / np.pi, 0.12345678901234568, -6.366197723675813e-21, 1.0],
+        [np.pi, -1.2345678901234567e-05, 5e-324, -0.30000000000000004],
+    ])
+    grid = wigner.WignerGrid(values, x_axis, p_axis, (0.1, 0.1), 0.0)
+    cli._write_wigner(tmp_path / "new.csv", grid)
+    _write_wigner_with_csv_module(tmp_path / "old.csv", grid)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # Validation and exit codes
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("points", [cli.MAX_WIGNER_POINTS + 1, 20_000])
+def test_oversized_wigner_export_exits_2_before_running(tmp_path, capsys, monkeypatch, points):
+    def must_not_run(cfg, overrides):
+        raise AssertionError("the mode ran before wigner_export was checked")
+
+    monkeypatch.setitem(cli._MODE_RUNNERS, "single-photon", must_not_run)
+    code, out = run_cli(tmp_path, {"mode": "single-photon", "wigner_export": {"points": points}})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'wigner_export.points'" in err and str(cli.MAX_WIGNER_POINTS) in err
+    assert not (out / "result.json").exists()
 
 
 def test_unknown_mode_exits_2(tmp_path, capsys):

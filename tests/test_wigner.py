@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from cvpost import conditioner, fock, wigner
 
 GRID_TOL = 1e-4
@@ -70,6 +71,80 @@ def test_scs_pointwise_tight():
     pts = np.array([0.0, 0.3 + 0.4j, -1.0 + 1.1j, 0.5j, 1.5 - 0.5j])
     got = wigner.wigner_point(fock.scs_state(1.1j, "even", dim).density(), pts)
     np.testing.assert_allclose(got, wigner.scs_wigner(pts, 1.1j), atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Grid evaluation against the point-by-point oracle
+# ---------------------------------------------------------------------------
+
+
+def random_mixed_density(dim, rank=4, seed=0):
+    rng = np.random.default_rng(seed + dim)
+    vecs = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = (vecs * rng.random(rank)) @ vecs.conj().T
+    return fock.FockDensity(rho / np.trace(rho).real, dim)
+
+
+def oracle_axes(kind):
+    rng = np.random.default_rng(7)
+    if kind == "cli-symmetric":  # radii repeat up to eight times
+        axis = np.linspace(-6.0, 6.0, 241)
+        return axis, axis.copy()
+    if kind == "non-uniform":  # radii do not repeat
+        return np.sort(rng.uniform(-6, 6, 57)), np.sort(rng.uniform(-6, 6, 43))
+    # "origin": alpha = 0 lies on the grid
+    return (np.sort(np.append(rng.uniform(-4, 4, 20), 0.0)),
+            np.sort(np.append(rng.uniform(-4, 4, 16), 0.0)))
+
+
+@pytest.mark.parametrize("kind", ["cli-symmetric", "non-uniform", "origin"])
+@pytest.mark.parametrize("dim", [12, 40, 80])
+def test_grid_matches_pointwise_oracle(dim, kind):
+    rho = random_mixed_density(dim)
+    x_axis, p_axis = oracle_axes(kind)
+    grid = wigner.wigner_from_density(rho, x_axis, p_axis)
+    xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
+    expected = oracle.wigner_values(rho.matrix, (xg + 1j * pg).ravel()).reshape(xg.shape)
+    np.testing.assert_allclose(grid.values, expected, rtol=0, atol=1e-13)
+
+
+def test_empty_diagonals_match_oracle():
+    # an even cat has no odd Fock components, so every odd diagonal is zero
+    rho = fock.scs_state(1.1j, "even", 40).density()
+    x_axis, p_axis = oracle_axes("non-uniform")
+    grid = wigner.wigner_from_density(rho, x_axis, p_axis)
+    xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
+    expected = oracle.wigner_values(rho.matrix, (xg + 1j * pg).ravel()).reshape(xg.shape)
+    np.testing.assert_allclose(grid.values, expected, rtol=0, atol=1e-13)
+
+
+def test_wigner_point_matches_oracle():
+    rho = random_mixed_density(40)
+    pts = np.array([0.0, 0.3 - 0.4j, -1.0 + 1.1j, 0.5j, 2.5 - 0.5j, -0.3 + 0.4j])
+    np.testing.assert_allclose(
+        wigner.wigner_point(rho, pts), oracle.wigner_values(rho.matrix, pts), rtol=0, atol=1e-13
+    )
+    got = wigner.wigner_point(rho, -1.0 + 1.1j)
+    assert isinstance(got, float)
+    assert abs(got - oracle.wigner_values(rho.matrix, np.array([-1.0 + 1.1j]))[0]) <= 1e-13
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e3])
+def test_wigner_scales_with_the_state(scale):
+    # conditioned states come unnormalized, with traces down to P1(x) << 1
+    rho = random_mixed_density(40)
+    x_axis, p_axis = oracle_axes("non-uniform")
+    base = wigner.wigner_from_density(rho, x_axis, p_axis).values
+    scaled = wigner.wigner_from_density(
+        fock.FockDensity(scale * rho.matrix, 40), x_axis, p_axis
+    ).values
+    np.testing.assert_allclose(scaled / scale, base, rtol=1e-12, atol=1e-12 * np.abs(base).max())
+
+
+def test_tiny_trace_photon_is_not_zeroed():
+    one = fock.fock_state(1, 40).density().matrix
+    got = wigner.wigner_point(fock.FockDensity(1e-20 * one, 40), 0.0)
+    np.testing.assert_allclose(got, -1e-20 * 2 / np.pi, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
