@@ -27,7 +27,13 @@ Model choices
   Gaussian quadrature records.
 
 Synthesis is chunked with sub-generators spawned deterministically from
-``rng_seed`` and reduced in fixed order, so results are bit-stable.
+``rng_seed`` and reduced in fixed order, so results are bit-stable.  Each
+chunk draws the three normals that set the gate record (input X+, ancilla
+X+, gate noise) for every row, then the four that only the transmitted
+records use (input X-, ancilla X-, two homodyne noises) for the rows inside
+the window, and, when the full stream is built, for the other rows after
+them.  So :func:`run_experiment` and :func:`synthesize` then
+:func:`postselect` keep the same rows, to the bit.
 """
 
 from __future__ import annotations
@@ -35,14 +41,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, truncnorm
+from scipy.special import ndtr
 
 from . import gaussian
 from .errors import EmptySelectionError
 from .gaussian import GainReport, GaussianState
 
 _CHUNK = 1 << 20
-_BOOTSTRAP_RESAMPLES = 200
+_JACKKNIFE_GROUPS = 64
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 SAMPLE_COLUMNS = ("x_t_plus", "x_t_minus", "x_r_plus")
 
@@ -129,38 +136,59 @@ def _variance_correction(params: ExperimentParams) -> float:
     return sub
 
 
-def _draw_chunk(rng: np.random.Generator, m: int, params: ExperimentParams) -> np.ndarray:
+def _draw_chunk(rng: np.random.Generator, m: int, params: ExperimentParams, full: bool) -> np.ndarray:
+    """Records (X+_t, X-_t, gate) of m draws: every row when ``full``, else
+    only the rows inside the window, in draw order."""
     p = params
     st, sr = np.sqrt(1.0 - p.R), np.sqrt(p.R)
-    anc_cov = _ancilla_record_cov(p)
-    x_in_p = 2.0 * p.gamma_plus + np.sqrt(p.v_in[0]) * rng.standard_normal(m)
-    x_in_m = 2.0 * p.gamma_minus + np.sqrt(p.v_in[1]) * rng.standard_normal(m)
-    anc_p = np.sqrt(anc_cov[0, 0]) * rng.standard_normal(m)
-    anc_m = np.sqrt(anc_cov[1, 1]) * rng.standard_normal(m)
+    # The gate-side normals become input X+, ancilla X+ and the gate record
+    # in place, so this side of a chunk holds one (3, m) block.
+    x_in_p, anc_p, gate = rng.standard_normal((3, m))
+    x_in_p *= np.sqrt(p.v_in[0])
+    x_in_p += 2.0 * p.gamma_plus
+    anc_p *= np.sqrt(_ancilla_record_cov(p)[0, 0])
+    gate *= np.sqrt((1.0 - p.eta_det) + _db_to_var(p.gate_elec_db))
+    gate += np.sqrt(p.eta_det) * (sr * x_in_p + st * anc_p)
+    inside = np.abs(gate) < p.x0
+    kept = _transmitted(rng, x_in_p[inside], anc_p[inside], p)
+    if not full:
+        return np.column_stack([kept, gate[inside]])
+    out = np.empty((m, 3))
+    out[:, 2] = gate
+    out[inside, :2] = kept
+    out[~inside, :2] = _transmitted(rng, x_in_p[~inside], anc_p[~inside], p)
+    return out
+
+
+def _transmitted(rng: np.random.Generator, x_in_p: np.ndarray, anc_p: np.ndarray, params: ExperimentParams) -> np.ndarray:
+    """Rescaled homodyne records (X+_t, X-_t) of the rows with these X+
+    values; draws the four normals only they use."""
+    p = params
+    st, sr = np.sqrt(1.0 - p.R), np.sqrt(p.R)
+    z_in_m, z_anc_m, z_hom_p, z_hom_m = rng.standard_normal((4, x_in_p.size))
+    x_in_m = 2.0 * p.gamma_minus + np.sqrt(p.v_in[1]) * z_in_m
+    anc_m = np.sqrt(_ancilla_record_cov(p)[1, 1]) * z_anc_m
     t_p = st * x_in_p - sr * anc_p
     t_m = st * x_in_m - sr * anc_m
-    r_p = sr * x_in_p + st * anc_p
-    gate_noise = (1.0 - p.eta_det) + _db_to_var(p.gate_elec_db)
-    gate = np.sqrt(p.eta_det) * r_p + np.sqrt(gate_noise) * rng.standard_normal(m)
     hom_noise = (1.0 - p.eta_hom) + _db_to_var(p.hom_elec_db)
-    rt_p = (np.sqrt(p.eta_hom) * t_p + np.sqrt(hom_noise) * rng.standard_normal(m)) / np.sqrt(p.eta_hom)
-    rt_m = (np.sqrt(p.eta_hom) * t_m + np.sqrt(hom_noise) * rng.standard_normal(m)) / np.sqrt(p.eta_hom)
-    return np.column_stack([rt_p, rt_m, gate])
+    rt_p = (np.sqrt(p.eta_hom) * t_p + np.sqrt(hom_noise) * z_hom_p) / np.sqrt(p.eta_hom)
+    rt_m = (np.sqrt(p.eta_hom) * t_m + np.sqrt(hom_noise) * z_hom_m) / np.sqrt(p.eta_hom)
+    return np.column_stack([rt_p, rt_m])
 
 
-def _iter_chunks(params: ExperimentParams):
+def _iter_chunks(params: ExperimentParams, full: bool):
     n_chunks = (params.n_samples + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(params.rng_seed).spawn(n_chunks)
     remaining = params.n_samples
     for seed in seeds:
         m = min(_CHUNK, remaining)
         remaining -= m
-        yield _draw_chunk(np.random.default_rng(seed), m, params)
+        yield _draw_chunk(np.random.default_rng(seed), m, params, full)
 
 
 def synthesize(params: ExperimentParams) -> np.ndarray:
     """Sample stream of (X+_t, X-_t, X+_r) record triples, shape (n, 3)."""
-    return np.concatenate(list(_iter_chunks(params)), axis=0)
+    return np.concatenate(list(_iter_chunks(params, full=True)), axis=0)
 
 
 def postselect(stream: np.ndarray, x0: float):
@@ -204,12 +232,37 @@ def _fidelity_purity(mean, cov, params: ExperimentParams):
     return fid, pnorm
 
 
+def _jackknife_se(rows: np.ndarray, mean: np.ndarray, params: ExperimentParams):
+    """Delete-one-group jackknife standard errors of (fidelity, purity_norm)
+    over contiguous groups of rows (Efron 1982), from one pass of per-group
+    sums of the centred transmitted records."""
+    n, g = rows.shape[0], _JACKKNIFE_GROUPS
+    group = np.arange(n) * g // n
+    dx, dy = rows[:, 0] - mean[0], rows[:, 1] - mean[1]
+    sums = np.stack([np.bincount(group, w, minlength=g) for w in (None, dx, dy, dx * dx, dx * dy, dy * dy)])
+    cnt, sx, sy, sxx, sxy, syy = sums.sum(axis=1, keepdims=True) - sums
+    means = mean + np.column_stack([sx, sy]) / cnt[:, None]
+    outer = np.column_stack([sxx - sx * sx / cnt, sxy - sx * sy / cnt, sxy - sx * sy / cnt, syy - sy * sy / cnt])
+    covs = (outer / (cnt - 1)[:, None]).reshape(g, 2, 2) - _variance_correction(params) * np.eye(2)
+    estimates = np.full((g, 2), np.nan)
+    for k in range(g):
+        try:
+            estimates[k] = _fidelity_purity(means[k], covs[k], params)
+        except ValueError:  # degenerate leave-one-out covariance: left out
+            pass
+    # sqrt((G-1)/G * sum (v - mean v)^2) over the usable estimates
+    usable = (col[~np.isnan(col)] for col in estimates.T)
+    return tuple(float(np.sqrt((v.size - 1) * np.var(v))) for v in usable)
+
+
 def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float | None = None) -> EnsembleStats:
     """Sample means/variances, gains, Gaussian fidelity against the ideal
     squeezed transform of the input, and normalized purity.
 
-    Standard errors come from a bootstrap over the selected samples
-    (200 resamples, seeded deterministically from the params).
+    Standard errors come from a delete-one-group jackknife over 64
+    contiguous groups of the selected samples, so they depend only on the
+    rows and their order.  A group whose removal leaves a degenerate
+    covariance is skipped.
     """
     rows = np.asarray(selected, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 3:
@@ -233,18 +286,7 @@ def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float
     g_minus = float(mean[1] / in_means[1]) if in_means[1] != 0 else float("nan")
     gains = GainReport(g_plus, g_minus, float(ig_p), float(ig_m))
 
-    rng = np.random.default_rng(np.random.SeedSequence(params.rng_seed, spawn_key=(1,)))
-    fids = np.empty(_BOOTSTRAP_RESAMPLES)
-    purs = np.empty(_BOOTSTRAP_RESAMPLES)
-    for b in range(_BOOTSTRAP_RESAMPLES):
-        idx = rng.integers(0, n, size=n)
-        m_b, c_b = _stats_from_rows(rows[idx], params)
-        try:
-            fids[b], purs[b] = _fidelity_purity(m_b, c_b, params)
-        except ValueError:  # degenerate resample covariance
-            fids[b], purs[b] = np.nan, np.nan
-    fid_se = float(np.nanstd(fids, ddof=1))
-    pur_se = float(np.nanstd(purs, ddof=1))
+    fid_se, pur_se = _jackknife_se(rows, mean, params)
 
     notes = (
         f"anc_antisqz_db={params.anc_antisqz_db:+.1f} dB is an assumed device "
@@ -267,21 +309,18 @@ def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float
 
 
 def run_experiment(params: ExperimentParams) -> EnsembleStats:
-    """Synthesize, post-select, and estimate in one streamed pass."""
-    kept = []
-    total = 0
-    for chunk in _iter_chunks(params):
-        total += chunk.shape[0]
-        mask = np.abs(chunk[:, 2]) < params.x0
-        if mask.any():
-            kept.append(chunk[mask])
-    if not kept:
+    """Synthesize, post-select, and estimate in one streamed pass.
+
+    Only the rows inside the window get their transmitted records drawn;
+    they are the rows ``postselect(synthesize(params), params.x0)`` keeps.
+    """
+    selected = np.concatenate(list(_iter_chunks(params, full=False)), axis=0)
+    if selected.shape[0] == 0:
         raise EmptySelectionError(
-            f"post-selection window |x| < {params.x0} kept no samples out of {total}; "
+            f"post-selection window |x| < {params.x0} kept no samples out of {params.n_samples}; "
             "raise x0 or n_samples"
         )
-    selected = np.concatenate(kept, axis=0)
-    return estimate(selected, params, success_prob=selected.shape[0] / total)
+    return estimate(selected, params, success_prob=selected.shape[0] / params.n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -329,25 +368,51 @@ def predict_records(params: ExperimentParams):
     return mean, cov
 
 
+# Windows of half-width h up to this many standard deviations take their
+# moments by Gauss-Legendre quadrature about the window centre: the closed
+# form gets a variance near h^2/3 as 1 minus a term near 1, losing about
+# log10(3/h^2) digits (9 at the bench's x0 = 1e-4, 5 at x0 = 0.01).
+_NARROW_HALF_WIDTH = 2.0
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def _truncated_normal(a: float, b: float):
+    """Mass, mean and variance of a standard normal truncated to [a, b]."""
+    # Both ends above the mean: difference the upper tails, which are small,
+    # rather than two CDF values near 1.
+    mass = float(ndtr(-a) - ndtr(-b)) if a > 0 else float(ndtr(b) - ndtr(a))
+    half = 0.5 * (b - a)
+    if half <= _NARROW_HALF_WIDTH:
+        centre = 0.5 * (a + b)
+        v = half * _GL_NODES
+        dens = _GL_WEIGHTS * np.exp(-centre * v - 0.5 * v * v)
+        shift = float(dens @ v / dens.sum())
+        return mass, centre + shift, float(dens @ (v - shift) ** 2 / dens.sum())
+    pa, pb = np.exp(-0.5 * a * a) / _SQRT_2PI, np.exp(-0.5 * b * b) / _SQRT_2PI
+    mean = (pa - pb) / mass
+    # an infinite end has zero density and contributes nothing
+    edge_a = (a - mean) * pa if pa > 0 else 0.0
+    edge_b = (b - mean) * pb if pb > 0 else 0.0
+    return mass, float(mean), float(1.0 + (edge_a - edge_b) / mass)
+
+
 def predict_stats(params: ExperimentParams) -> PredictedStats:
     """Closed-form post-selected statistics for the emulator's loss model.
 
-    The gate record inside the window follows a truncated normal; the
-    selected transmitted moments follow from the Schur conditional plus the
-    within-window gate spread.
+    The gate record inside the window follows a truncated normal, whose mass
+    is P_s; the selected transmitted moments follow from the Schur
+    conditional plus the within-window gate spread.
     """
     mean, cov = predict_records(params)
     m_g, v_g = mean[2], cov[2, 2]
     sig = np.sqrt(v_g)
     a, b = (-params.x0 - m_g) / sig, (params.x0 - m_g) / sig
-    tn = truncnorm(a, b, loc=m_g, scale=sig)
-    p_s = float(norm.cdf(b) - norm.cdf(a))
-    e_w, var_w = float(tn.mean()), float(tn.var())
+    p_s, mu, var = _truncated_normal(a, b)
 
     beta = cov[:2, 2] / v_g
     cond_cov = cov[:2, :2] - np.outer(cov[:2, 2], cov[:2, 2]) / v_g
-    sel_mean = mean[:2] + beta * (e_w - m_g)
-    sel_cov = cond_cov + np.outer(beta, beta) * var_w
+    sel_mean = mean[:2] + beta * (sig * mu)
+    sel_cov = cond_cov + np.outer(beta, beta) * (v_g * var)
 
     sub = _variance_correction(params)
     est_cov = sel_cov - np.diag([sub, sub])

@@ -25,9 +25,13 @@ NORM_DEFECT_TOLERANCE = 1e-4
 class WignerGrid:
     """Wigner function sampled on a rectangular (a_plus, a_minus) grid.
 
-    ``values[i, j]`` is W(x_axis[i], p_axis[j]).  ``norm_defect`` is the
-    difference between the Riemann sum and the state's trace; ``coarse``
-    flags grids whose defect exceeds the normalization tolerance.
+    ``values[i, j]`` is W(x_axis[i], p_axis[j]).  Integrals over the grid
+    give each point the cell from halfway to its neighbours (the full step
+    at the ends), so they hold on non-uniform axes too.  ``spacing`` is
+    the step of each axis, or None for an axis that is not uniform.
+    ``norm_defect`` is the difference between the Riemann sum and the
+    state's trace; ``coarse`` flags grids whose defect exceeds the
+    normalization tolerance.
     """
 
     values: np.ndarray
@@ -40,9 +44,28 @@ class WignerGrid:
     def coarse(self) -> bool:
         return self.norm_defect > NORM_DEFECT_TOLERANCE
 
+    def integrate(self, values: np.ndarray) -> float:
+        """Riemann sum of ``values`` (same shape as the grid) over the plane."""
+        return _riemann_sum(self.x_axis, self.p_axis, values)
+
     def riemann_sum(self) -> float:
-        dx, dp = self.spacing
-        return float(self.values.sum() * dx * dp)
+        return self.integrate(self.values)
+
+
+def _riemann_sum(x_axis: np.ndarray, p_axis: np.ndarray, values: np.ndarray) -> float:
+    return float(np.gradient(x_axis) @ values @ np.gradient(p_axis))
+
+
+def _grid_axis(axis, name: str) -> tuple[np.ndarray, float | None]:
+    """The axis as floats, and its step if the points are evenly spaced."""
+    axis = np.asarray(axis, dtype=float)
+    if axis.ndim != 1 or axis.size < 2:
+        raise ValueError(f"{name} needs at least two points to span grid cells, got shape {axis.shape}")
+    steps = np.diff(axis)
+    if not steps.min() > 0:
+        raise ValueError(f"{name} must be strictly increasing")
+    uniform = steps.max() - steps.min() <= 1e-9 * steps.mean()
+    return axis, float(steps.mean()) if uniform else None
 
 
 def _wigner_values(rho: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -126,16 +149,16 @@ def wigner_from_density(
     """Sample the Wigner function of a state on a rectangular grid.
 
     Defaults to 241 x 241 points over [-6, 6]^2, which resolves cat-state
-    fringes at |gamma| ~ 1.1 with >= 10 points per fringe.
+    fringes at |gamma| ~ 1.1 with >= 10 points per fringe.  Each axis needs
+    at least two points, in increasing order.
     """
-    x_axis = np.linspace(-6.0, 6.0, 241) if x_axis is None else np.asarray(x_axis, dtype=float)
-    p_axis = np.linspace(-6.0, 6.0, 241) if p_axis is None else np.asarray(p_axis, dtype=float)
+    default = np.linspace(-6.0, 6.0, 241)
+    x_axis, dx = _grid_axis(default if x_axis is None else x_axis, "x_axis")
+    p_axis, dp = _grid_axis(default.copy() if p_axis is None else p_axis, "p_axis")
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
     alphas = xg + 1j * pg
     vals = _wigner_values(rho.matrix, alphas.ravel()).reshape(alphas.shape)
-    dx = float(x_axis[1] - x_axis[0])
-    dp = float(p_axis[1] - p_axis[0])
-    defect = abs(float(vals.sum() * dx * dp) - rho.trace)
+    defect = abs(_riemann_sum(x_axis, p_axis, vals) - rho.trace)
     return WignerGrid(vals, x_axis, p_axis, (dx, dp), defect)
 
 
@@ -182,21 +205,19 @@ def overlap(w1: WignerGrid, w2: WignerGrid) -> float:
         np.array_equal(w1.x_axis, w2.x_axis) and np.array_equal(w1.p_axis, w2.p_axis)
     ):
         raise ValueError("overlap requires identical grids")
-    dx, dp = w1.spacing
-    return float(np.pi * np.sum(w1.values * w2.values) * dx * dp)
+    return float(np.pi * w1.integrate(w1.values * w2.values))
 
 
 def grid_moments(grid: WignerGrid):
     """Mean vector and 2x2 covariance of the grid as a quasi-distribution."""
-    dx, dp = grid.spacing
     w = grid.values
-    total = w.sum() * dx * dp
+    total = grid.riemann_sum()
     xg, pg = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
-    mx = float((w * xg).sum() * dx * dp / total)
-    mp = float((w * pg).sum() * dx * dp / total)
-    vxx = float((w * (xg - mx) ** 2).sum() * dx * dp / total)
-    vpp = float((w * (pg - mp) ** 2).sum() * dx * dp / total)
-    vxp = float((w * (xg - mx) * (pg - mp)).sum() * dx * dp / total)
+    mx = grid.integrate(w * xg) / total
+    mp = grid.integrate(w * pg) / total
+    vxx = grid.integrate(w * (xg - mx) ** 2) / total
+    vpp = grid.integrate(w * (pg - mp) ** 2) / total
+    vxp = grid.integrate(w * (xg - mx) * (pg - mp)) / total
     return np.array([mx, mp]), np.array([[vxx, vxp], [vxp, vpp]])
 
 

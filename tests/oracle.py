@@ -12,6 +12,10 @@ norm ~dim is near 1e-12.  Meant for small dims only.
 
 :func:`wigner_values` is the Wigner evaluator that runs the Laguerre
 recurrence at every point and raises the phase to each power explicitly.
+
+:func:`bootstrap_se` is the emulator's earlier error-bar method, 200
+resamples of the selected rows, kept as the reference for the grouped
+jackknife.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from scipy.special import gammaln
 
 from cvpost import fock
 from cvpost.conditioner import _simpson_weights
+from cvpost.emulator import _fidelity_purity, _stats_from_rows
 from cvpost.fock import FockDensity
 
 
@@ -178,3 +183,21 @@ def wigner_values(rho: np.ndarray, alphas: np.ndarray) -> np.ndarray:
             sign = -sign
         acc += part if d == 0 else 2.0 * np.real(unit**d * part)
     return (2.0 / np.pi) * np.real(acc)
+
+
+def bootstrap_se(rows: np.ndarray, params) -> tuple[float, float]:
+    """Bootstrap standard errors of (fidelity, purity_norm): 200 resamples
+    of the rows, seeded deterministically from the params."""
+    n = rows.shape[0]
+    resamples = 200
+    rng = np.random.default_rng(np.random.SeedSequence(params.rng_seed, spawn_key=(1,)))
+    fids = np.empty(resamples)
+    purs = np.empty(resamples)
+    for b in range(resamples):
+        idx = rng.integers(0, n, size=n)
+        m_b, c_b = _stats_from_rows(rows[idx], params)
+        try:
+            fids[b], purs[b] = _fidelity_purity(m_b, c_b, params)
+        except ValueError:  # degenerate resample covariance
+            fids[b], purs[b] = np.nan, np.nan
+    return float(np.nanstd(fids, ddof=1)), float(np.nanstd(purs, ddof=1))

@@ -422,3 +422,15 @@ def test_emulate_sample_dump(tmp_path):
     assert lines[0] == "x_t_plus,x_t_minus,x_r_plus"
     assert len(lines) == 100_001
     assert read_result(out)["config"]["dump_samples_csv"] is True
+
+
+def test_emulate_sample_dump_leaves_results_unchanged(tmp_path):
+    # with the dump the full stream is drawn and post-selected; without it
+    # only the kept rows get transmitted records; the results are the same
+    results = []
+    for dump in (True, False):
+        payload = {"mode": "emulate", "n_samples": 300_000, "x0_snl": 0.1, "dump_samples_csv": dump}
+        out = tmp_path / f"dump-{dump}"
+        assert cli.main(["--out", str(out), "run", write_config(tmp_path, payload)]) == 0
+        results.append(read_result(out)["results"])
+    assert results[0] == results[1]

@@ -1,6 +1,14 @@
+import dataclasses
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import norm, truncnorm
 
+import cvpost
 from cvpost import emulator
 from cvpost.emulator import (
     ExperimentParams,
@@ -14,6 +22,12 @@ from cvpost.emulator import (
     synthesize,
 )
 from cvpost.errors import EmptySelectionError
+
+import oracle
+
+# The bench's two window classes: the narrow one keeps about 0.5% of 4e6
+# draws, the wide one about 15% of 1e6.
+BENCH_WINDOWS = {"narrow": dict(x0=0.01, n_samples=4_000_000), "wide": dict(x0=0.3, n_samples=1_000_000)}
 
 
 def quiet_params(**overrides):
@@ -112,6 +126,19 @@ def test_success_probability_matches_gaussian_tail():
     assert abs(prob - predicted) / predicted < 0.05
 
 
+@pytest.mark.parametrize("window", sorted(BENCH_WINDOWS))
+def test_streamed_run_matches_full_stream(window):
+    # run_experiment draws the transmitted records of kept rows only, before
+    # those of the rejected rows; the rows it keeps must be the ones the full
+    # stream keeps, to the bit, so every estimate is the same
+    params = bench_params(rng_seed=7, **BENCH_WINDOWS[window])
+    selected, prob = postselect(synthesize(params), params.x0)
+    streamed = run_experiment(params)
+    dumped = estimate(selected, params, success_prob=prob)
+    for field in dataclasses.fields(emulator.EnsembleStats):
+        assert getattr(streamed, field.name) == getattr(dumped, field.name), field.name
+
+
 def test_empty_selection_raises():
     stream = synthesize(quiet_params(n_samples=100))
     with pytest.raises(EmptySelectionError):
@@ -163,6 +190,81 @@ def test_gain_is_nan_without_input_displacement():
     stats = run_experiment(params)
     assert np.isnan(stats.gains.g_plus)
     assert np.isnan(stats.gains.g_minus)
+
+
+@pytest.mark.parametrize("window", sorted(BENCH_WINDOWS))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_jackknife_agrees_with_bootstrap(seed, window):
+    params = bench_params(rng_seed=seed, **BENCH_WINDOWS[window])
+    selected, prob = postselect(synthesize(params), params.x0)
+    stats = estimate(selected, params, success_prob=prob)
+    fid_se, pur_se = oracle.bootstrap_se(selected, params)
+    assert 0.75 <= stats.fidelity_se / fid_se <= 1.25
+    assert 0.75 <= stats.purity_norm_se / pur_se <= 1.25
+
+
+# ---------------------------------------------------------------------------
+# Closed-form prediction
+# ---------------------------------------------------------------------------
+
+
+def _window_moments_by_quadrature(a, b):
+    """Mean and variance of a standard normal on [a, b], by adaptive
+    quadrature of the moments about the window centre."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+
+    def moment(f, epsabs=0.0):
+        return quad(lambda v: f(v) * np.exp(-0.5 * (c + v) ** 2), -h, h, epsabs=epsabs, epsrel=1e-12)[0]
+
+    m0 = moment(lambda v: 1.0)
+    # the first moment is ~h^3 or exactly 0: ask for it to 1e-13 of h
+    shift = moment(lambda v: v, epsabs=1e-13 * h * m0) / m0
+    return c + shift, moment(lambda v: (v - shift) ** 2) / m0
+
+
+@pytest.mark.parametrize("gamma_plus", [-2.03, 0.0, 0.18, 2.03])
+@pytest.mark.parametrize("x0", [1e-4, 1e-3, 0.01, 0.3, 1.0, 5.0])
+def test_truncated_normal_matches_oracles(x0, gamma_plus):
+    params = bench_params(gamma_plus=gamma_plus, x0=x0)
+    mean, cov = predict_records(params)
+    m_g, sig = mean[2], np.sqrt(cov[2, 2])
+    a, b = (-x0 - m_g) / sig, (x0 - m_g) / sig
+    mass, mu, var = emulator._truncated_normal(a, b)
+    # both ends above the mean: the upper tails do not cancel
+    want_mass = norm.sf(a) - norm.sf(b) if a > 0 else norm.cdf(b) - norm.cdf(a)
+    assert abs(mass - want_mass) <= 1e-10 * want_mass
+    assert predict_stats(params).success_prob == mass
+    # Moments are measured against the window's half-width: the mean is ~0
+    # when the gate mean is 0.  truncnorm computes its variance as 1 minus a
+    # term near 1, so on narrow windows it is itself off (1e-2 relative at
+    # x0 = 1e-4, 2e-8 at the bench's 0.01); it is the oracle only where
+    # that loss is below 1e-12.
+    half = 0.5 * (b - a)
+    want_mu, want_var = _window_moments_by_quadrature(a, b)
+    assert abs(mu - want_mu) <= 1e-10 * max(abs(want_mu), half)
+    assert abs(var - want_var) <= 1e-10 * want_var
+    if x0 >= 0.3:
+        tn = truncnorm(a, b)
+        assert abs(mu - tn.mean()) <= 1e-10 * max(abs(tn.mean()), half)
+        assert abs(var - tn.var()) <= 1e-10 * tn.var()
+
+
+def test_infinite_window_selects_everything():
+    # both window ends at infinity have zero density; the prediction is the
+    # unconditioned record model
+    params = bench_params(x0=np.inf)
+    pred = predict_stats(params)
+    assert pred.success_prob == 1.0
+    np.testing.assert_allclose(pred.selected_mean, pred.record_mean[:2], rtol=0, atol=1e-15)
+    unconditioned = pred.record_cov[:2, :2] - emulator._variance_correction(params) * np.eye(2)
+    np.testing.assert_allclose(pred.selected_cov, unconditioned, rtol=1e-14)
+
+
+def test_importing_the_cli_leaves_out_scipy_stats():
+    src = os.path.dirname(os.path.dirname(cvpost.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, cvpost.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 # ---------------------------------------------------------------------------

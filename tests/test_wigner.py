@@ -260,6 +260,30 @@ def test_coarse_grid_is_flagged():
     assert grid.coarse
 
 
+def test_non_uniform_axis_is_integrated_cell_by_cell():
+    # 200 points on [-6, 0) and 41 on [0, 6]: a first-step spacing of 0.03
+    # would put the vacuum's Riemann sum near 0.36
+    axis = np.concatenate([np.linspace(-6, 0, 200, endpoint=False), np.linspace(0, 6, 41)])
+    grid = wigner.wigner_from_density(fock.fock_state(0, 20).density(), axis, axis.copy())
+    assert grid.spacing == (None, None)
+    assert abs(grid.riemann_sum() - 1.0) < wigner.NORM_DEFECT_TOLERANCE
+    assert not grid.coarse
+    uniform = wigner.state_grid(fock.fock_state(0, 20))
+    assert uniform.spacing == pytest.approx((0.05, 0.05), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [([0.5], "at least two points"), ([], "at least two points"),
+     ([1.0, 0.0, -1.0], "strictly increasing"), ([0.0, 0.0, 1.0], "strictly increasing")],
+    ids=["one-point", "empty", "decreasing", "repeated"],
+)
+def test_bad_axis_is_rejected(axis, message):
+    rho = fock.fock_state(0, 8).density()
+    with pytest.raises(ValueError, match=message):
+        wigner.wigner_from_density(rho, np.linspace(-3, 3, 7), axis)
+
+
 def test_conditional_coherent_output_is_minimum_uncertainty():
     # pure-state config at x = 0: det of the quadrature covariance is 1/16
     config = conditioner.ProtocolConfig(
