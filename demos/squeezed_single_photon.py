@@ -13,10 +13,11 @@ import numpy as np
 from cvpost import (
     FockInput,
     ProtocolConfig,
-    SqueezedFockTarget,
+    build_joint,
     postselect_map,
     run_window,
     s_prime,
+    squeezed_number_state,
     wigner_from_density,
 )
 
@@ -27,20 +28,23 @@ DIM = 60
 print(f"beam splitter R = {R}, ancilla squeezing s = {S_ANC}")
 print(f"output squeezing s' = {s_prime(R, S_ANC):.4f}  (-> s as R -> 1)\n")
 
+# The joint state after the beam splitter does not depend on the window, so
+# it is built once and every conditioning step below reads it.
+joint = build_joint(ProtocolConfig(R, S_ANC, x0=0.025, input_spec=FockInput(1), dim=DIM))
+target = squeezed_number_state(1, s_prime(R, S_ANC), DIM)
+
 # The zero-outcome conditional state is exactly S(s')|1>.
-config = ProtocolConfig(R, S_ANC, x0=0.025, input_spec=FockInput(1),
-                        target_spec=SqueezedFockTarget(n=1), dim=DIM)
-zero = postselect_map(config, [0.0])[0]
+zero = postselect_map(joint, target, [0.0])[0]
 print(f"fidelity to S(s')|1> at outcome x = 0: {zero.fidelity:.12f}")
 
 # Widening the acceptance window trades fidelity for success probability.
 print("\n  x0 (wigner units)   F_ave      P_s")
 for x0 in (0.005, 0.01, 0.025, 0.05, 0.1):
-    win = run_window(ProtocolConfig(R, S_ANC, x0, dim=DIM))
+    win = run_window(joint, target, x0)
     print(f"  {x0:>8.3f}          {win.avg_fidelity:.4f}   {win.success_prob:.5f}")
 
 # The window-averaged state keeps the negative Wigner dip of the photon.
-win = run_window(ProtocolConfig(R, S_ANC, 0.025, dim=DIM))
+win = run_window(joint, target, 0.025)
 axis = np.linspace(-3, 3, 121)
 grid = wigner_from_density(win.avg_state, axis, axis.copy())
 origin = grid.values[60, 60]

@@ -12,7 +12,7 @@ import numpy as np
 from cvpost import (
     FockInput,
     ProtocolConfig,
-    ScsTarget,
+    build_joint,
     postselect_map,
     run_window,
     scs_state,
@@ -25,21 +25,20 @@ S_ANC = -0.37
 GAMMA = 1.1j
 DIM = 40
 
-config = ProtocolConfig(R, S_ANC, x0=0.084, input_spec=FockInput(2),
-                        target_spec=ScsTarget(GAMMA, "even"), dim=DIM)
+joint = build_joint(ProtocolConfig(R, S_ANC, x0=0.084, input_spec=FockInput(2), dim=DIM))
+target = scs_state(GAMMA, "even", DIM)
 
-zero = postselect_map(config, [0.0])[0]
+zero = postselect_map(joint, target, [0.0])[0]
 print(f"input |2>, R = {R}, s = {S_ANC}, target even cat with gamma = {GAMMA}")
 print(f"fidelity to the cat at outcome x = 0: {zero.fidelity:.6f}\n")
 
 print("  x0 (wigner units)   F_ave      P_s")
 for x0 in (0.02, 0.05, 0.084, 0.15, 0.3):
-    win = run_window(config.__class__(R, S_ANC, x0, input_spec=FockInput(2),
-                                      target_spec=ScsTarget(GAMMA, "even"), dim=DIM))
+    win = run_window(joint, target, x0)
     print(f"  {x0:>8.3f}          {win.avg_fidelity:.4f}   {win.success_prob:.5f}")
 
 # Fringes along the amplitude axis: the cat's signature oscillation.
-win = run_window(config)
+win = run_window(joint, target, 0.084)
 axis = np.linspace(-2.5, 2.5, 101)
 produced = wigner_point(win.avg_state, axis.astype(complex))
 ideal = scs_wigner(axis, GAMMA)
@@ -47,5 +46,4 @@ print("\nWigner cut along alpha+ (alpha- = 0): produced vs ideal cat")
 for k in range(0, 101, 10):
     print(f"  alpha+ = {axis[k]:+.2f}:  {produced[k]:+.4f}   {ideal[k]:+.4f}")
 
-target = scs_state(GAMMA, "even", DIM)
 print(f"\ncat state normalization check: |psi| = {target.norm:.10f}")

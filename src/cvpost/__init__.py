@@ -43,14 +43,14 @@ from .fock import (
     FockDensity,
     FockVector,
     TwoModeState,
-    apply_displace,
-    apply_squeeze,
     coherent_state,
+    displaced_squeezed_vacuum,
     fock_state,
     interfere,
     quadrature_moments,
     quadrature_wavefunction,
     scs_state,
+    squeezed_number_state,
     squeezed_vacuum,
 )
 from .gaussian import (

@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import __version__, conditioner, emulator, fock, gaussian, wigner
 from .errors import ConvergenceError
@@ -122,8 +122,9 @@ def _photon_config(cfg, overrides):
 
 def _run_photon(cfg, overrides):
     config, resolved = _photon_config(cfg, overrides)
-    win = conditioner.run_window(config, resolved["nodes"])
-    zero = conditioner.postselect_map(config, [0.0])[0]
+    joint, target = conditioner.build_joint(config), conditioner.resolve_target(config)
+    win = conditioner.run_window(joint, target, config.x0, resolved["nodes"])
+    zero = conditioner.postselect_map(joint, target, [0.0])[0]
     scalars = {
         "f_ave": win.avg_fidelity,
         "p_s": win.success_prob,
@@ -135,7 +136,7 @@ def _run_photon(cfg, overrides):
         scalars = {
             "s_prime": conditioner.s_prime(config.reflectivity, config.squeezing),
             **scalars,
-            "density_norm": conditioner.density_norm(conditioner.build_joint(config), n_nodes=769),
+            "density_norm": conditioner.density_norm(joint, n_nodes=769),
         }
     return resolved, scalars, win
 
@@ -323,7 +324,26 @@ def _x0_for_success_prob(base_cfg, base_mode, target_ps, overrides):
             f"{target_ps!r} cannot be reached: x0 in [{lo}, {hi}] gives "
             f"P_s in [{ps_lo:.12g}, {ps_hi:.12g}]",
         )
-    return float(brentq(lambda x0: ps_of(x0) - target_ps, lo, hi))
+    return _increasing_root(lambda x0: ps_of(x0) - target_ps, lo, hi, ps_lo - target_ps, ps_hi - target_ps)
+
+
+def _increasing_root(f, lo, hi, f_lo, f_hi, xtol=2e-12):
+    """Root of f in [lo, hi], where f(lo) = f_lo <= 0 <= f_hi = f(hi), by false
+    position with the Illinois step: the value kept at an end that stays put
+    twice in a row is halved, so both ends close in."""
+    x, stayed = lo, 0
+    while hi - lo > xtol:
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        fx = f(x)
+        if fx == 0.0:
+            break
+        if fx < 0.0:
+            lo, f_lo, f_hi = x, fx, f_hi * 0.5 if stayed == 1 else f_hi
+            stayed = 1
+        else:
+            hi, f_hi, f_lo = x, fx, f_lo * 0.5 if stayed == -1 else f_lo
+            stayed = -1
+    return float(x)
 
 
 def _run_sweep(cfg, overrides):
@@ -457,15 +477,18 @@ def _selfcheck_checks(dim: int):
         ok = abs(norm - 1) < 1e-9 and abs(var - 0.25) < 1e-9
         return ok, f"norm={norm:.12f} var={var:.12f}"
 
+    # The single-photon joint is built once, on first use, for the two checks that read it.
+    single_photon = conditioner.ProtocolConfig(0.98, 0.7, 0.025, dim=dim)
+    single_photon_joint = functools.cache(lambda: conditioner.build_joint(single_photon))
+
     def density_normalization():
-        config = conditioner.ProtocolConfig(0.98, 0.7, 0.025, dim=dim)
-        val = conditioner.density_norm(conditioner.build_joint(config), n_nodes=769)
+        val = conditioner.density_norm(single_photon_joint(), n_nodes=769)
         ok = abs(val - 1.0) < 1e-6
         return ok, f"integral={val:.9f}"
 
     def squeezed_photon_exactness():
-        config = conditioner.ProtocolConfig(0.98, 0.7, 0.025, dim=dim)
-        fid = conditioner.postselect_map(config, [0.0])[0].fidelity
+        target = conditioner.resolve_target(single_photon)
+        fid = conditioner.postselect_map(single_photon_joint(), target, [0.0])[0].fidelity
         ok = fid >= 1.0 - 1e-6
         hint = "" if ok else " (truncation: increase --dim)"
         return ok, f"fidelity deficit={1.0 - fid:.3e}{hint}"

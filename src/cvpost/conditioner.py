@@ -6,15 +6,14 @@ mode is homodyned with outcome x, and the transmitted state is kept when
 |x| < x0.  All outcomes and thresholds here are in Wigner units
 (vacuum quadrature variance 1/4).
 
-Node evaluations inside :func:`run_window` and :func:`postselect_map` are
-independent and accumulated in fixed node order, so results are bit-stable
-regardless of how callers parallelize around them.
+The conditioning functions take the joint state after the beam splitter
+(:func:`build_joint`) and the target (:func:`resolve_target`) as arguments,
+so a caller builds each once and conditions on it as often as it needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,10 +50,9 @@ class CoherentInput:
 
 @dataclass(frozen=True)
 class SqueezedFockTarget:
-    """S(s_target)|n>; s_target=None means s_prime(R, s) of the config."""
+    """S(s')|n> with s' = s_prime(R, s) of the config."""
 
     n: int = 1
-    s_target: float | None = None
 
 
 @dataclass(frozen=True)
@@ -95,20 +93,11 @@ def prepare_input(spec, dim: int) -> FockVector:
     raise TypeError(f"unknown input spec {spec!r}")
 
 
-@lru_cache(maxsize=16)
-def _squeezed_number_state(n: int, s: float, dim: int) -> FockVector:
-    """S(s)|n>; a sweep asks for the same target at every point."""
-    return fock.apply_squeeze(fock.fock_state(n, dim), s)
-
-
 def resolve_target(config: ProtocolConfig) -> FockVector:
     spec = config.target_spec
     dim = config.dim
     if isinstance(spec, SqueezedFockTarget):
-        s_t = spec.s_target
-        if s_t is None:
-            s_t = s_prime(config.reflectivity, config.squeezing)
-        return _squeezed_number_state(spec.n, s_t, dim)
+        return fock.squeezed_number_state(spec.n, s_prime(config.reflectivity, config.squeezing), dim)
     if isinstance(spec, ScsTarget):
         return fock.scs_state(spec.gamma, spec.parity, dim)
     raise TypeError(f"unknown target spec {spec!r}")
@@ -235,42 +224,37 @@ def density_norm(joint: TwoModeState, half_range: float = 6.0, n_nodes: int = DE
     return float(w @ gate_density(joint, xs))
 
 
-def _window_integrals(joint, target, x0, n_nodes):
-    xs = np.linspace(-x0, x0, n_nodes)
-    w = _simpson_weights(n_nodes, -x0, x0)
+def run_window(joint: TwoModeState, target: FockVector, x0: float,
+               n_nodes: int = DEFAULT_WINDOW_NODES) -> WindowResult:
+    """Average the conditional output over the window |x| < x0.
+
+    Integrates P1, P1*F1 and P1*rho(x) with composite Simpson on
+    2 n_nodes - 1 uniform nodes and checks convergence against the same
+    rule on the n_nodes nodes at even indices; the fine estimates are
+    returned.
+
+    Raises
+    ------
+    ConvergenceError
+        If halving the nodes moves F_ave or P_s by more than 1e-4 relative.
+    """
+    if x0 <= 0.0:
+        raise ValueError("run_window needs x0 > 0; use homodyne_project for a single outcome")
+    if n_nodes < 33 or n_nodes % 2 == 0:
+        raise ValueError("n_nodes must be an odd integer >= 33")
+    fine_nodes = 2 * n_nodes - 1
+    xs = np.linspace(-x0, x0, fine_nodes)
     re, im = _project(joint, xs)
     t_re, t_im = target.amplitudes.real, target.amplitudes.imag
     overlap_re = t_re @ re + t_im @ im
     overlap_im = t_re @ im - t_im @ re
     p1 = np.sum(re * re + im * im, axis=0)
     p1f1 = overlap_re * overlap_re + overlap_im * overlap_im
-    ps = float(w @ p1)
-    fave = float(w @ p1f1) / ps
-    return fave, ps, w, (re, im)
 
-
-def run_window(config: ProtocolConfig, n_nodes: int = DEFAULT_WINDOW_NODES) -> WindowResult:
-    """Average the conditional output over the window |x| < x0.
-
-    Integrates P1, P1*F1 and P1*rho(x) with composite Simpson on an odd
-    uniform grid and checks convergence by doubling the node count; the
-    fine estimates are returned.
-
-    Raises
-    ------
-    ConvergenceError
-        If doubling the nodes moves F_ave or P_s by more than 1e-4 relative.
-    """
-    if config.x0 <= 0.0:
-        raise ValueError("run_window needs x0 > 0; use homodyne_project for a single outcome")
-    if n_nodes < 33 or n_nodes % 2 == 0:
-        raise ValueError("n_nodes must be an odd integer >= 33")
-    joint = build_joint(config)
-    target = resolve_target(config)
-
-    f_c, p_c, *_ = _window_integrals(joint, target, config.x0, n_nodes)
-    fine_nodes = 2 * n_nodes - 1
-    f_f, p_f, w, (re, im) = _window_integrals(joint, target, config.x0, fine_nodes)
+    w = _simpson_weights(fine_nodes, -x0, x0)
+    w_c = _simpson_weights(n_nodes, -x0, x0)
+    p_f, p_c = float(w @ p1), float(w_c @ p1[::2])
+    f_f, f_c = float(w @ p1f1) / p_f, float(w_c @ p1f1[::2]) / p_c
     rel = max(abs(f_f - f_c) / max(abs(f_f), 1e-300), abs(p_f - p_c) / max(p_f, 1e-300))
     if rel > CONVERGENCE_RTOL:
         raise ConvergenceError(
@@ -282,7 +266,7 @@ def run_window(config: ProtocolConfig, n_nodes: int = DEFAULT_WINDOW_NODES) -> W
 
     # Psi W Psi^dag with W = sum_k w_k psi_k psi_k^T, in real products.
     avg = ((re * w) @ re.T + (im * w) @ im.T) + 1j * ((im * w) @ re.T - (re * w) @ im.T)
-    avg_state = FockDensity(avg, config.dim, validate=False).normalized()
+    avg_state = FockDensity(avg, joint.dim, validate=False).normalized()
     return WindowResult(
         avg_fidelity=f_f,
         success_prob=p_f,
@@ -290,13 +274,11 @@ def run_window(config: ProtocolConfig, n_nodes: int = DEFAULT_WINDOW_NODES) -> W
     )
 
 
-def postselect_map(config: ProtocolConfig, x_grid) -> list:
-    """Conditional state, density and fidelity at every grid node."""
+def postselect_map(joint: TwoModeState, target: FockVector, x_grid) -> list:
+    """Conditional state, density and fidelity to target at every grid node."""
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if xs.size == 0 or not np.all(np.isfinite(xs)):
         raise ValueError("x_grid must be a non-empty finite grid")
-    joint = build_joint(config)
-    t = resolve_target(config).amplitudes
     re, im = _project(joint, xs)
     phis = re + 1j * im
     results = []
@@ -305,9 +287,8 @@ def postselect_map(config: ProtocolConfig, x_grid) -> list:
         p1 = float(np.real(np.vdot(phi, phi)))
         if p1 <= 0.0:
             raise ValueError(f"outcome density vanished at x={x}; state undefined there")
-        state = FockDensity(np.outer(phi, phi.conj()) / p1, config.dim, validate=False)
-        fid = min(max(float(np.real(t.conj() @ state.matrix @ t)), 0.0), 1.0 + 1e-9)
-        results.append(ConditionalResult(state=state, density=p1, fidelity=fid, x=float(x)))
+        state = FockDensity(np.outer(phi, phi.conj()) / p1, joint.dim, validate=False)
+        results.append(ConditionalResult(state, p1, fidelity(state, target), float(x)))
     return results
 
 
@@ -318,4 +299,4 @@ def conditioned_coherent_target(gamma: complex, reflectivity: float, s: float, d
     t = 1.0 - reflectivity
     g = complex(gamma)
     shifted = np.sqrt(t) * (np.exp(2.0 * sp) * g.real + 1j * g.imag)
-    return fock.apply_displace(fock.squeezed_vacuum(sp, dim), shifted)
+    return fock.displaced_squeezed_vacuum(shifted, sp, dim)

@@ -21,6 +21,7 @@ pure functions, so everything is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -38,9 +39,6 @@ VAR_SNL_PER_WIGNER = 4.0
 
 #: Largest tail mass a preparer may silently discard.
 TAIL_TOLERANCE = 1e-8
-
-#: Extra Fock levels used while exponentiating squeeze/displace generators.
-OPERATOR_BUFFER = 20
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -234,6 +232,16 @@ def coherent_state(gamma: complex, dim: int) -> FockVector:
     return FockVector(amps, dim)
 
 
+def _checked(amps: np.ndarray, what: str) -> FockVector:
+    """The state with these amplitudes, unless it discards more than the tail budget."""
+    tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
+    if tail > TAIL_TOLERANCE:
+        raise TruncationError(
+            f"{what} tail mass {tail:.3e} exceeds {TAIL_TOLERANCE:.0e} at dim={amps.size}; increase dim",
+        )
+    return FockVector(amps, amps.size)
+
+
 def squeezed_vacuum(s: float, dim: int) -> FockVector:
     """Squeezed vacuum S(s)|0> in the number basis.
 
@@ -242,23 +250,54 @@ def squeezed_vacuum(s: float, dim: int) -> FockVector:
     For ``s > 0`` the phase quadrature is squeezed, ``V(a_minus) = e^{-2s}/4``,
     matching the Wigner form ``(2/pi) exp[-2 a_plus^2 e^{-2s} - 2 a_minus^2 e^{2s}]``.
     """
-    amps = np.zeros(dim, dtype=complex)
-    t = np.tanh(s)
-    c = 1.0 / np.sqrt(np.cosh(s))
-    retained = 0.0
-    k = 0
-    while 2 * k < dim:
-        amps[2 * k] = c
-        retained += c * c
-        c *= t * np.sqrt((2 * k + 1) / (2 * k + 2))
-        k += 1
-    tail = max(0.0, 1.0 - retained)
-    if tail > TAIL_TOLERANCE:
-        raise TruncationError(
-            f"squeezed_vacuum(s={s}) tail mass {tail:.3e} exceeds "
-            f"{TAIL_TOLERANCE:.0e} at dim={dim}; increase dim",
-        )
-    return FockVector(amps, dim)
+    return squeezed_number_state(0, s, dim)
+
+
+def squeezed_number_state(n: int, s: float, dim: int) -> FockVector:
+    """Squeezed number state S(s)|n>.
+
+    ``S(s) a^dag S(s)^dag = cosh(s) a^dag - sinh(s) a``, so
+    ``S(s)|n> = (cosh(s) a^dag - sinh(s) a)^n S(s)|0> / sqrt(n!)``.  One
+    application of that operator to a vector kept on L levels is exact on
+    the first L - 1, so starting from the squeezed vacuum on dim + n levels
+    leaves the first dim levels exact.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    amps = np.zeros(dim + n, dtype=complex)
+    t, c = np.tanh(s), 1.0 / np.sqrt(np.cosh(s))
+    for k in range(0, dim + n, 2):
+        amps[k] = c
+        c *= t * np.sqrt((k + 1) / (k + 2))
+    ch, sh = np.cosh(s), np.sinh(s)
+    for j in range(1, n + 1):
+        root = np.sqrt(np.arange(1.0, amps.size))
+        raised = np.zeros_like(amps)
+        raised[1:] = ch * root * amps[:-1]
+        raised[:-1] -= sh * root * amps[1:]
+        amps = raised[:-1] / np.sqrt(j)
+    return _checked(amps, f"S(s={s})|{n}>")
+
+
+def displaced_squeezed_vacuum(beta: complex, s: float, dim: int) -> FockVector:
+    """Displaced squeezed vacuum D(beta) S(s)|0> (H. P. Yuen, Phys. Rev. A 13, 2226 (1976)).
+
+    The state is annihilated by ``cosh(s)(a - beta) - sinh(s)(a^dag - beta*)``,
+    so its amplitudes follow the three-term recurrence
+    ``sqrt(k+1) cosh(s) c_{k+1} = g c_k + sqrt(k) sinh(s) c_{k-1}`` with
+    ``g = beta cosh(s) - beta* sinh(s)``, from
+    ``c_0 = exp(-|beta|^2/2 + beta*^2 tanh(s)/2) / sqrt(cosh(s))``.
+    """
+    beta = complex(beta)
+    ch, sh = math.cosh(s), math.sinh(s)
+    g = beta * ch - beta.conjugate() * sh
+    c0 = np.exp(-0.5 * abs(beta) ** 2 + 0.5 * beta.conjugate() ** 2 * math.tanh(s)) / math.sqrt(ch)
+    prev, cur = 0.0, complex(c0)
+    amps = [cur]
+    for k in range(1, dim):
+        prev, cur = cur, (g * cur + math.sqrt(k - 1) * sh * prev) / (math.sqrt(k) * ch)
+        amps.append(cur)
+    return _checked(np.array(amps, dtype=complex), f"D({beta:.4g}) S(s={s})|0>")
 
 
 def scs_state(gamma: complex, parity: str, dim: int) -> FockVector:
@@ -287,56 +326,6 @@ def scs_state(gamma: complex, parity: str, dim: int) -> FockVector:
             suggested_dim=need,
         )
     return FockVector(amps, dim)
-
-
-# ---------------------------------------------------------------------------
-# Unitary operators on a single mode
-# ---------------------------------------------------------------------------
-
-
-def _apply_buffered(state: FockVector, generator, buffer: int) -> FockVector:
-    """Exponentiate ``generator(big_dim)`` on a buffered space, apply, crop.
-
-    Population pushed beyond the buffered space is a genuine loss; population
-    cropped back out of the buffer is checked against the tail tolerance.
-    """
-    dim = state.dim
-    big = dim + buffer
-    u = expm(generator(big))
-    padded = np.zeros(big, dtype=complex)
-    padded[:dim] = state.amplitudes
-    out_big = u @ padded
-    out = out_big[:dim]
-    norm_in = float(np.vdot(padded, padded).real)
-    norm_out = float(np.vdot(out, out).real)
-    lost = norm_in - norm_out
-    if lost > TAIL_TOLERANCE:
-        raise TruncationError(
-            f"operator application lost {lost:.3e} population to truncation at "
-            f"dim={dim} (buffer {buffer}); increase dim",
-        )
-    return FockVector(out, dim)
-
-
-def apply_squeeze(state: FockVector, s: float, buffer: int = OPERATOR_BUFFER) -> FockVector:
-    """Apply S(s) = exp[-(s/2)(a^2 - a^dag^2)] to a state."""
-
-    def gen(d):
-        a = annihilation(d)
-        aa = a @ a
-        return -(s / 2.0) * (aa - aa.T)
-
-    return _apply_buffered(state, gen, buffer)
-
-
-def apply_displace(state: FockVector, gamma: complex, buffer: int = OPERATOR_BUFFER) -> FockVector:
-    """Apply D(gamma) = exp[gamma a^dag - gamma* a] to a state."""
-
-    def gen(d):
-        a = annihilation(d)
-        return gamma * a.T - np.conj(gamma) * a
-
-    return _apply_buffered(state, gen, buffer)
 
 
 # ---------------------------------------------------------------------------

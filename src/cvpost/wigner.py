@@ -7,10 +7,10 @@ the (a_plus, a_minus) plane.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import FockDensity, FockVector
 
@@ -118,7 +118,7 @@ def _radial_part(rho: np.ndarray, d: int, cutoff: float, z: np.ndarray, logz: np
     if d == 0:
         t_cur = np.exp(-0.5 * z)
     else:
-        t_cur = np.where(z > 0, np.exp(0.5 * d * logz - 0.5 * z - 0.5 * gammaln(d + 1)), 0.0)
+        t_cur = np.where(z > 0, np.exp(0.5 * d * logz - 0.5 * z - 0.5 * math.lgamma(d + 1)), 0.0)
     part = np.zeros(z.size, dtype=complex)
     sign = 1.0
     for n in range(n_last + 1):

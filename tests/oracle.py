@@ -10,6 +10,11 @@ themselves are checked against one ``expm`` of the full two-mode generator
 (:func:`generator_unitary`), whose own rounding error on a generator of
 norm ~dim is near 1e-12.  Meant for small dims only.
 
+:func:`apply_squeeze` and :func:`apply_displace` exponentiate the squeeze
+and displacement generators with ``expm`` on a buffered space, the route
+the package used before its preparers became exact recurrences; they are
+the reference for those recurrences.
+
 :func:`wigner_values` is the Wigner evaluator that runs the Laguerre
 recurrence at every point and raises the phase to each power explicitly.
 
@@ -30,7 +35,8 @@ from scipy.special import gammaln
 from cvpost import fock
 from cvpost.conditioner import _simpson_weights
 from cvpost.emulator import _fidelity_purity, _stats_from_rows
-from cvpost.fock import FockDensity
+from cvpost.errors import TruncationError
+from cvpost.fock import FockDensity, FockVector
 
 
 @dataclass(frozen=True)
@@ -110,6 +116,44 @@ def window(joint: TwoModeDensity, target: np.ndarray, x0: float, n_nodes: int):
     fave = float(w @ np.real(np.einsum("mk,mn,nk->k", psis, kmat, psis))) / ps
     avg = np.tensordot(rho4, (psis * w) @ psis.T, axes=([1, 3], [0, 1]))
     return fave, ps, avg / np.trace(avg)
+
+
+def _apply_buffered(state: FockVector, generator, buffer: int) -> FockVector:
+    """Exponentiate ``generator(dim + buffer)``, apply it to the padded state, crop."""
+    dim = state.dim
+    big = dim + buffer
+    u = expm(generator(big))
+    padded = np.zeros(big, dtype=complex)
+    padded[:dim] = state.amplitudes
+    out = (u @ padded)[:dim]
+    lost = float(np.vdot(padded, padded).real) - float(np.vdot(out, out).real)
+    if lost > fock.TAIL_TOLERANCE:
+        raise TruncationError(
+            f"operator application lost {lost:.3e} population to truncation at "
+            f"dim={dim} (buffer {buffer}); increase dim",
+        )
+    return FockVector(out, dim)
+
+
+def apply_squeeze(state: FockVector, s: float, buffer: int = 20) -> FockVector:
+    """S(s) = exp[-(s/2)(a^2 - a^dag^2)] applied to a state."""
+
+    def gen(d):
+        a = fock.annihilation(d)
+        aa = a @ a
+        return -(s / 2.0) * (aa - aa.T)
+
+    return _apply_buffered(state, gen, buffer)
+
+
+def apply_displace(state: FockVector, gamma: complex, buffer: int = 20) -> FockVector:
+    """D(gamma) = exp[gamma a^dag - gamma* a] applied to a state."""
+
+    def gen(d):
+        a = fock.annihilation(d)
+        return gamma * a.T - np.conj(gamma) * a
+
+    return _apply_buffered(state, gen, buffer)
 
 
 def _kernel_matrix(dim: int, alpha: complex) -> np.ndarray:

@@ -19,6 +19,7 @@ from cvpost.conditioner import (
     build_joint,
     density_norm,
     postselect_map,
+    resolve_target,
     run_window,
     s_prime,
 )
@@ -40,7 +41,7 @@ def report(n, elapsed, detail):
 def test_criterion_1_zero_outcome_exactness():
     with timer() as t:
         config = ProtocolConfig(0.98, 0.7, 0.025, dim=60)
-        result = postselect_map(config, [0.0])[0]
+        result = postselect_map(build_joint(config), resolve_target(config), [0.0])[0]
     assert result.fidelity >= 1 - 1e-6
     assert t.elapsed < 10.0
     report(1, t.elapsed, f"zero-outcome fidelity deficit {1 - result.fidelity:.2e}")
@@ -48,7 +49,8 @@ def test_criterion_1_zero_outcome_exactness():
 
 def test_criterion_2_single_photon_window():
     with timer() as t:
-        win = run_window(ProtocolConfig(0.98, 0.7, 0.025, dim=60), n_nodes=65)
+        config = ProtocolConfig(0.98, 0.7, 0.025, dim=60)
+        win = run_window(build_joint(config), resolve_target(config), config.x0, n_nodes=65)
     assert abs(win.avg_fidelity - 0.99) <= 0.005
     assert abs(win.success_prob - 0.003) / 0.003 <= 0.30
     assert t.elapsed < 60.0
@@ -61,7 +63,7 @@ def test_criterion_3_two_photon_window():
             0.5, -0.37, 0.084,
             input_spec=FockInput(2), target_spec=ScsTarget(1.1j), dim=40,
         )
-        win = run_window(config, n_nodes=65)
+        win = run_window(build_joint(config), resolve_target(config), config.x0, n_nodes=65)
     assert abs(win.avg_fidelity - 0.99) <= 0.005
     assert abs(win.success_prob - 0.052) / 0.052 <= 0.20
     assert t.elapsed < 60.0
@@ -131,7 +133,7 @@ def test_criterion_8_property_suite():
         # parity conservation at the zero outcome
         for n_in in (1, 2):
             cfg = ProtocolConfig(0.6, 0.5, 0.1, input_spec=FockInput(n_in), dim=40)
-            state = postselect_map(cfg, [0.0])[0].state
+            state = postselect_map(build_joint(cfg), resolve_target(cfg), [0.0])[0].state
             wrong = np.arange(40) % 2 != n_in % 2
             assert np.abs(np.diag(state.matrix)[wrong]).max() < 1e-10
 

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from cvpost import cli, wigner
+from cvpost import cli, conditioner, emulator, wigner
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -142,6 +144,38 @@ def test_sweep_success_prob_axis(tmp_path):
         rows = list(csv.reader(fh))
     got = [float(r[rows[0].index("p_s")]) for r in rows[1:]]
     np.testing.assert_allclose(got, [0.002, 0.011, 0.02], rtol=1e-3)
+
+
+@pytest.mark.parametrize(
+    "base, targets",
+    [
+        ({"mode": "single-photon", "dim": 40}, [0.002, 0.011, 0.02]),
+        ({"mode": "two-photon", "dim": 40}, [0.02, 0.05, 0.08, 0.5]),
+        ({"mode": "emulate"}, [0.004, 0.006, 0.3]),
+    ],
+    ids=["single-photon", "two-photon", "emulate"],
+)
+def test_success_prob_roots_match_brentq(base, targets):
+    # the same P_s(x0) and brackets as the CLI, solved by scipy's brentq
+    overrides = {"dim": None, "seed": None}
+    if base["mode"] == "emulate":
+        params = cli._emulate_params(base, overrides)
+
+        def ps_of(x0):
+            return emulator.predict_stats(dataclasses.replace(params, x0=float(x0))).success_prob
+
+        lo, hi = 1e-6, 50.0
+    else:
+        joint = conditioner.build_joint(cli._photon_config(base, overrides)[0])
+
+        def ps_of(x0):
+            return conditioner.density_norm(joint, x0, 65)
+
+        lo, hi = 1e-6, 6.0
+    for target in targets:
+        got = cli._x0_for_success_prob(base, base["mode"], target, overrides)
+        want = brentq(lambda x0: ps_of(x0) - target, lo, hi, xtol=2e-12)
+        assert abs(got - want) <= 4e-12, (target, got, want)
 
 
 def test_sweep_threads_agree(tmp_path):

@@ -118,31 +118,38 @@ def test_squeezed_vacuum_parity():
 
 def test_squeezed_vacuum_matches_operator_route():
     series = fock.squeezed_vacuum(0.6, 40)
-    applied = fock.apply_squeeze(fock.fock_state(0, 40), 0.6)
+    applied = oracle.apply_squeeze(fock.fock_state(0, 40), 0.6)
     np.testing.assert_allclose(series.amplitudes, applied.amplitudes, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
-# Displacement / squeezing operators
+# Squeezed number states and displaced squeezed vacua
 # ---------------------------------------------------------------------------
+
+# The oracle exponentiates on this many levels above the compared ones, so
+# its own truncation error is far below the tolerance.
+ORACLE_LEVELS = 80
 
 
 def test_displaced_vacuum_is_coherent():
     gamma = 0.8 - 0.4j
     direct = fock.coherent_state(gamma, 40)
-    displaced = fock.apply_displace(fock.fock_state(0, 40), gamma)
+    displaced = fock.displaced_squeezed_vacuum(gamma, 0.0, 40)
     np.testing.assert_allclose(displaced.amplitudes, direct.amplitudes, atol=1e-8)
 
 
 def test_zero_squeeze_is_identity():
     psi = fock.coherent_state(0.5 + 0.2j, 30)
-    out = fock.apply_squeeze(psi, 0.0)
+    out = fock.displaced_squeezed_vacuum(0.5 + 0.2j, 0.0, 30)
     np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=1e-12)
+    for n in (0, 1, 2):
+        out = fock.squeezed_number_state(n, 0.0, 30)
+        np.testing.assert_allclose(out.amplitudes, fock.fock_state(n, 30).amplitudes, atol=1e-12)
 
 
 def test_squeezed_photon_origin_parity():
     # squeezing preserves photon-number parity, so W(0) = -2/pi for S(s)|1>
-    psi = fock.apply_squeeze(fock.fock_state(1, 40), 0.67)
+    psi = fock.squeezed_number_state(1, 0.67, 40)
     probs = np.abs(psi.amplitudes) ** 2
     parity = np.sum(probs * (-1.0) ** np.arange(40))
     w_origin = (2 / np.pi) * parity
@@ -151,7 +158,45 @@ def test_squeezed_photon_origin_parity():
 
 def test_apply_squeeze_truncation_guard():
     with pytest.raises(TruncationError):
-        fock.apply_squeeze(fock.fock_state(1, 8), 1.5, buffer=4)
+        fock.squeezed_number_state(1, 1.5, 8)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("s", [-0.9, -0.3, 0.4, 0.9])
+def test_squeezed_number_state_matches_oracle(n, s):
+    dim = 80
+    got = fock.squeezed_number_state(n, s, dim)
+    ref = oracle.apply_squeeze(fock.fock_state(n, dim + ORACLE_LEVELS), s)
+    np.testing.assert_allclose(got.amplitudes, ref.amplitudes[:dim], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.7 - 0.4j, 1.5j, -1.5, 1.06 + 1.06j])
+@pytest.mark.parametrize("s", [-0.6, 0.0, 0.7])
+def test_displaced_squeezed_vacuum_matches_oracle(beta, s):
+    dim = 60
+    got = fock.displaced_squeezed_vacuum(beta, s, dim)
+    vac = fock.fock_state(0, dim + ORACLE_LEVELS)
+    ref = oracle.apply_displace(oracle.apply_squeeze(vac, s), beta)
+    np.testing.assert_allclose(got.amplitudes, ref.amplitudes[:dim], rtol=0, atol=1e-12)
+
+
+def test_squeezed_number_state_tail_guard_is_exact():
+    # S(s)|1> at dim 40 keeps 1 - 5.3e-8 of its norm at s = 0.75 and
+    # 1 - 7.4e-9 at s = 0.7; the guard raises on the first only
+    for s, raises in ((0.75, True), (0.7, False)):
+        ref = oracle.apply_squeeze(fock.fock_state(1, 40 + ORACLE_LEVELS), s)
+        true_tail = 1.0 - np.sum(np.abs(ref.amplitudes[:40]) ** 2)
+        assert (true_tail > fock.TAIL_TOLERANCE) == raises, true_tail
+        if raises:
+            with pytest.raises(TruncationError, match="dim=40"):
+                fock.squeezed_number_state(1, s, 40)
+        else:
+            np.testing.assert_allclose(fock.squeezed_number_state(1, s, 40).tail_mass, true_tail, atol=1e-14)
+
+
+def test_displaced_squeezed_vacuum_tail_guard():
+    with pytest.raises(TruncationError):
+        fock.displaced_squeezed_vacuum(2.0 + 1.0j, 0.5, 12)
 
 
 # ---------------------------------------------------------------------------

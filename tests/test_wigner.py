@@ -35,7 +35,7 @@ def test_single_photon_origin():
 def test_squeezed_photon_matches_closed_form():
     # W of S(s')|1> in closed form: squeezed coordinates in the |1> formula
     sp = 0.67
-    psi = fock.apply_squeeze(fock.fock_state(1, 60), sp)
+    psi = fock.squeezed_number_state(1, sp, 60)
     x_axis, p_axis = small_axes()
     grid = wigner.wigner_from_density(psi.density(), x_axis, p_axis)
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
@@ -206,7 +206,9 @@ def test_overlap_matches_fock_fidelity_for_conditional_cat():
         target_spec=conditioner.ScsTarget(1.1j),
         dim=40,
     )
-    result = conditioner.postselect_map(config, [0.0])[0]
+    result = conditioner.postselect_map(
+        conditioner.build_joint(config), conditioner.resolve_target(config), [0.0]
+    )[0]
     grid_state = wigner.wigner_from_density(result.state)
     grid_target = wigner.state_grid(fock.scs_state(1.1j, "even", 40))
     np.testing.assert_allclose(
@@ -289,7 +291,9 @@ def test_conditional_coherent_output_is_minimum_uncertainty():
     config = conditioner.ProtocolConfig(
         0.75, 0.52, 0.1, input_spec=conditioner.CoherentInput(0.3 + 0.2j), dim=40
     )
-    result = conditioner.postselect_map(config, [0.0])[0]
+    result = conditioner.postselect_map(
+        conditioner.build_joint(config), conditioner.resolve_target(config), [0.0]
+    )[0]
     grid = wigner.wigner_from_density(result.state)
     _, cov = wigner.grid_moments(grid)
     np.testing.assert_allclose(np.linalg.det(cov), 1.0 / 16.0, atol=GRID_TOL)
