@@ -48,6 +48,14 @@ def _get(cfg, key, default, kind, check=None):
     return val
 
 
+def _check_dim(dim):
+    """Reject a ``dim`` whose beam-splitter eigenbasis and joint would be over the memory budget."""
+    try:
+        fock.check_dim(dim)
+    except ValueError as exc:
+        raise ConfigError("dim", str(exc)) from None
+
+
 def _get_bool(cfg, key, default):
     val = cfg.get(key, default)
     if not isinstance(val, bool):
@@ -97,6 +105,7 @@ def _photon_config(cfg, overrides):
     mode = cfg["mode"]
     defaults = _PHOTON_DEFAULTS[mode]
     dim = overrides.get("dim") or _get(cfg, "dim", defaults["dim"], int, lambda v: v >= 2)
+    _check_dim(dim)
     r = _get(cfg, "reflectivity", defaults["reflectivity"], float, lambda v: 0 <= v <= 1)
     s = _get(cfg, "squeezing", defaults["squeezing"], float)
     x0 = _get(cfg, "x0_wig", defaults["x0_wig"], float, lambda v: v > 0)
@@ -395,11 +404,16 @@ def _write_curve(path, axis, values, rows):
 
 def _write_wigner(path, grid: wigner.WignerGrid):
     # The bytes csv.writer would write (repr fields, "\r\n" line ends), one
-    # string per row; no field needs quoting.
+    # string per row; no field needs quoting.  Each distinct bit pattern is
+    # formatted once, so -0.0 and 0.0 keep their own repr.
+    values = np.ascontiguousarray(grid.values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    rows = text[inverse.reshape(values.shape)].tolist()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["alpha_plus\\alpha_minus", *map(repr, grid.p_axis.tolist())]) + "\r\n")
-        for x, row in zip(grid.x_axis.tolist(), grid.values):
-            fh.write(repr(x) + "," + ",".join(map(repr, row.tolist())) + "\r\n")
+        for x, row in zip(grid.x_axis.tolist(), rows):
+            fh.write(repr(x) + "," + ",".join(row) + "\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +571,12 @@ def main(argv=None) -> int:
     if args.dim is not None and args.dim < 2:
         print("--dim must be >= 2", file=sys.stderr)
         return 2
+    if args.dim is not None:
+        try:
+            fock.check_dim(args.dim)
+        except ValueError as exc:
+            print(f"--dim: {exc}", file=sys.stderr)
+            return 2
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_selfcheck(args)

@@ -24,9 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import TruncationError
 
@@ -333,57 +333,169 @@ def scs_state(gamma: complex, parity: str, dim: int) -> FockVector:
 # ---------------------------------------------------------------------------
 
 
-def _block_rows(total: int, dim: int) -> np.ndarray:
-    """Input-mode photon numbers i of the states |i, total - i> that fit in dim."""
-    return np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
+#: Largest estimated memory (:func:`_dim_bytes`) one truncation dimension may
+#: take; the cache keeps up to four dims.  dim 401 is the largest that fits,
+#: far past the dims (40 to 120) the protocol needs.
+MEMORY_BUDGET = 1 << 29
+
+# 1j**k for k mod 4, exactly.
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-@lru_cache(maxsize=16)
-def beam_splitter_unitary(dim: int, reflectivity: float) -> tuple:
-    """Two-mode beam-splitter unitary on the dim x dim product space, as blocks.
+def _dim_bytes(dim: int) -> int:
+    """Estimated bytes of :func:`beam_splitter_unitary` at ``dim`` plus one joint.
 
-    Reflectivity R = sin^2(theta/2).  The generator conserves total photon
-    number, so the unitary is block diagonal: block N (for N = 0..2 dim - 2)
-    acts on the states |i, N - i> with i running over ``_block_rows(N, dim)``
-    in ascending order.  Blocks that fit entirely below the truncation are
-    exact, and the operator is exactly unitary on the truncated space either
-    way.  The blocks are real and read-only.
+    The eigenvectors take dim^3 float64 values; the eigenvalues, the two
+    index arrays, the joint and the temporaries of :func:`interfere` take
+    about sixteen dim^2 float64 values together.
+    """
+    return 8 * dim**3 + 128 * dim**2
+
+
+def check_dim(dim: int) -> None:
+    """Raise ValueError, before anything is allocated, if ``dim`` is over :data:`MEMORY_BUDGET`."""
+    need = _dim_bytes(dim)
+    if need <= MEMORY_BUDGET:
+        return
+    fits = int((MEMORY_BUDGET / 8) ** (1 / 3))
+    while _dim_bytes(fits) > MEMORY_BUDGET:
+        fits -= 1
+    raise ValueError(
+        f"dim={dim} needs about {need / 2**20:.0f} MiB for the beam-splitter eigenbasis and the "
+        f"joint, over the {MEMORY_BUDGET >> 20} MiB budget; the largest dim that fits is {fits}"
+    )
+
+
+class BeamSplitterBasis(NamedTuple):
+    """Eigenbasis of the beam-splitter generator at one truncation ``dim``.
+
+    Row N = 0..dim-1 of every array belongs to the "wrapped diagonal"
+    ``|i, (N - i) mod dim>``, i = 0..dim-1, which holds photon-number block N
+    on ``i <= N`` and block N + dim on ``i > N``.  All arrays are read-only.
+    """
+
+    #: ``vectors[N]``: real orthogonal dim x dim, block diagonal in those two blocks.
+    vectors: np.ndarray
+    #: ``eigenvalues[N, k]`` of column k of ``vectors[N]``.
+    eigenvalues: np.ndarray
+    #: ``phases[k] = 1j**k``, the diagonal of S.
+    phases: np.ndarray
+    #: ``gather[N * dim + i]``: flat index into the dim x dim product matrix of
+    #: wrapped diagonal N, row i; a permutation of range(dim**2).
+    gather: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def beam_splitter_unitary(dim: int) -> BeamSplitterBasis:
+    """The two-mode beam-splitter unitary on the dim x dim product space, in factored form.
+
+    Reflectivity R = sin^2(phi).  The generator conserves total photon number,
+    so the unitary is block diagonal: block N (N = 0..2 dim - 2) acts on the
+    states |i, N - i> that fit in dim, and is ``exp(phi A_N)``, where ``A_N``
+    is real antisymmetric tridiagonal with ``A_N[i-1, i] = sqrt(i (N - i + 1))``.
+    With ``S = diag(1j**k)`` and ``T_N`` the real symmetric tridiagonal matrix
+    with the same off-diagonal entries, ``A_N = 1j S T_N S^-1``; so
+    ``U_N(R) = S V e^{i phi Lambda} V^T S^-1`` with ``T_N = V Lambda V^T``,
+    and V and Lambda depend on dim only, never on R.  Blocks N and N + dim
+    share one row of the returned arrays (see :class:`BeamSplitterBasis`), so
+    :func:`interfere` applies the 2 dim - 1 blocks as dim stacked dim x dim
+    products.  Blocks that fit below the truncation are exact, and the
+    operator is exactly unitary on the truncated space either way.
 
     Mode ordering is (input -> transmitted, ancilla -> reflected) with
     ``a_t = sqrt(T) a_in - sqrt(R) a_anc`` and
     ``a_r = sqrt(R) a_in + sqrt(T) a_anc``.
     """
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
-    theta = 2.0 * np.arcsin(np.sqrt(reflectivity))
-    blocks = []
-    for total in range(2 * dim - 1):
-        na = _block_rows(total, dim)[1:]
-        c = (theta / 2.0) * np.sqrt(na * (total - na + 1))
-        block = expm(np.diag(c, k=1) - np.diag(c, k=-1))
-        block[np.abs(block) < 1e-300] = 0.0
-        blocks.append(_readonly(block))
-    return tuple(blocks)
+    check_dim(dim)
+    i = np.arange(dim)
+    vectors = np.zeros((dim, dim, dim))
+    eigenvalues = np.zeros((dim, dim))
+    for n in range(dim):
+        for rows, total in ((i[: n + 1], n), (i[n + 1:], n + dim)):
+            if rows.size:
+                block = slice(rows[0], rows[-1] + 1)
+                coupling = np.sqrt(rows[1:] * (total - rows[1:] + 1.0))
+                eigenvalues[n, block], vectors[n, block, block] = _block_eigh(coupling)
+    return BeamSplitterBasis(
+        vectors=_readonly(vectors),
+        eigenvalues=_readonly(eigenvalues),
+        phases=_readonly(_I_POWERS[i % 4]),
+        gather=_readonly((i * dim + (i[:, None] - i) % dim).ravel()),
+    )
+
+
+def _block_eigh(coupling: np.ndarray):
+    """Eigenvalues and eigenvectors of the symmetric tridiagonal matrix with
+    zero diagonal and off-diagonal ``coupling``.
+
+    ``coupling`` reads the same both ways (swapping the modes maps
+    |i, N - i> to |N - i, i>), so the eigenvectors are mirror-even or
+    mirror-odd, and each kind solves a problem of half the size.  For an
+    even size the two halves differ only in the sign of one diagonal entry,
+    so the odd problem is the even one negated and conjugated by (-1)^i.
+    """
+    k = coupling.size + 1
+    if k == 1:
+        return np.zeros(1), np.ones((1, 1))
+    m, odd = k // 2, k % 2
+    inner, mid = coupling[: m - 1], coupling[m - 1]
+    if odd:  # the middle row couples to the mirror-even half only, by sqrt(2) mid
+        lam_e, y_e = np.linalg.eigh(_tridiagonal(np.append(inner, math.sqrt(2.0) * mid)))
+        lam_o, y_o = np.linalg.eigh(_tridiagonal(inner))
+    else:
+        half = _tridiagonal(inner)
+        half[-1, -1] = mid
+        lam_e, y_e = np.linalg.eigh(half)
+        lam_o, y_o = -lam_e, y_e * (-1.0) ** np.arange(m)[:, None]
+    root = math.sqrt(0.5)
+    vectors = np.zeros((k, k))
+    vectors[:m, : m + odd] = root * y_e[:m]
+    vectors[k - m:, : m + odd] = root * y_e[m - 1::-1]
+    vectors[:m, m + odd:] = root * y_o
+    vectors[k - m:, m + odd:] = -root * y_o[::-1]
+    if odd:
+        vectors[m, : m + 1] = y_e[m]
+    return np.concatenate([lam_e, lam_o]), vectors
+
+
+def _tridiagonal(off: np.ndarray) -> np.ndarray:
+    return np.diag(off, k=1) + np.diag(off, k=-1)
+
+
+def _stacked_product(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``mats[N] @ vecs[N]`` for real ``mats`` and complex ``vecs``: one real
+    (dim x dim) @ (dim x 2) product per N, small enough for OpenBLAS to run
+    on the calling thread."""
+    dim = vecs.shape[0]
+    return np.matmul(mats, vecs.view(np.float64).reshape(dim, dim, 2)).view(complex)[..., 0]
 
 
 def interfere(psi_in: FockVector, psi_anc: FockVector, reflectivity: float) -> TwoModeState:
     """Interfere a pure input mode with a pure ancilla on a beam splitter.
 
-    Returns the joint state over (transmitted, reflected).  Block N of
-    :func:`beam_splitter_unitary` acts on the N-th anti-diagonal of
-    ``outer(psi_in, psi_anc)``.  The orientation reproduces the Wigner
+    Returns the joint state over (transmitted, reflected).  Applies
+    ``S V e^{i phi Lambda} V^T S^-1`` of :func:`beam_splitter_unitary` to each
+    wrapped diagonal of ``outer(psi_in, psi_anc)`` without building any block:
+    gather, multiply by S^-1, take V^T, multiply by the phases, take V,
+    multiply by S, scatter.  The orientation reproduces the Wigner
     composition ``W_in(sqrt(T) a + sqrt(R) b) * W_anc(-sqrt(R) a + sqrt(T) b)``.
     """
     if psi_in.dim != psi_anc.dim:
         raise ValueError("input and ancilla must share the truncation dimension")
+    if not 0.0 <= reflectivity <= 1.0:
+        raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
     dim = psi_in.dim
-    blocks = beam_splitter_unitary(dim, reflectivity)
     product = np.outer(psi_in.amplitudes, psi_anc.amplitudes)
-    out = np.empty_like(product)
-    for total, block in enumerate(blocks):
-        rows = _block_rows(total, dim)
-        out[rows, total - rows] = block @ product[rows, total - rows]
-    return TwoModeState(out, dim)
+    if reflectivity == 0.0:  # the identity, exactly
+        return TwoModeState(product, dim)
+    basis = beam_splitter_unitary(dim)
+    phi = math.asin(math.sqrt(reflectivity))
+    diagonals = product.ravel()[basis.gather].reshape(dim, dim) * basis.phases.conj()
+    rotated = _stacked_product(basis.vectors.transpose(0, 2, 1), diagonals)
+    rotated *= np.exp(1j * phi * basis.eigenvalues)
+    out = np.empty(dim * dim, dtype=complex)
+    out[basis.gather] = (_stacked_product(basis.vectors, rotated) * basis.phases).ravel()
+    return TwoModeState(out.reshape(dim, dim), dim)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 and the point-by-point Wigner evaluator for the grid evaluator.
 
 The package keeps the state after the beam splitter as a dim x dim amplitude
-matrix and applies the beam splitter block by block.  This module does the
-same physics the long way: the blocks sit in one dense dim^2 x dim^2
-unitary, the joint is a dense dim^2 x dim^2 density matrix, and every
-reduction is an explicit tensor contraction of that matrix.  The blocks
-themselves are checked against one ``expm`` of the full two-mode generator
-(:func:`generator_unitary`), whose own rounding error on a generator of
-norm ~dim is near 1e-12.  Meant for small dims only.
+matrix and applies the beam splitter from a per-dim eigenbasis, one wrapped
+diagonal at a time.  This module does the same physics the long way: the
+beam splitter is one dense dim^2 x dim^2 unitary, read off ``fock.interfere``
+on every product basis state, the joint is a dense dim^2 x dim^2 density
+matrix, and every reduction is an explicit tensor contraction of that
+matrix.  The unitary itself is checked against one ``expm`` of the full
+two-mode generator (:func:`generator_unitary`), whose own rounding error on a
+generator of norm ~dim is near 1e-12.  Meant for small dims only.
 
 :func:`apply_squeeze` and :func:`apply_displace` exponentiate the squeeze
 and displacement generators with ``expm`` on a buffered space, the route
@@ -65,11 +66,13 @@ class TwoModeDensity:
 
 @lru_cache(maxsize=8)
 def dense_unitary(dim: int, reflectivity: float) -> np.ndarray:
-    """The package's per-photon-number blocks placed in one dim^2 x dim^2 matrix."""
-    u = np.zeros((dim * dim, dim * dim))
-    for total, block in enumerate(fock.beam_splitter_unitary(dim, reflectivity)):
-        idx = [i * dim + total - i for i in range(dim) if 0 <= total - i < dim]
-        u[np.ix_(idx, idx)] = block
+    """The package's beam splitter as one dim^2 x dim^2 matrix: column
+    ``i * dim + m`` is ``fock.interfere`` applied to the product state |i, m>."""
+    u = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        for m in range(dim):
+            joint = fock.interfere(fock.fock_state(i, dim), fock.fock_state(m, dim), reflectivity)
+            u[:, i * dim + m] = joint.amplitudes.ravel()
     return u
 
 
@@ -83,7 +86,7 @@ def generator_unitary(dim: int, reflectivity: float) -> np.ndarray:
 def beam_splitter(rho_in: FockDensity, rho_anc: FockDensity, reflectivity: float) -> TwoModeDensity:
     u = dense_unitary(rho_in.dim, reflectivity)
     joint = np.kron(rho_in.matrix, rho_anc.matrix)
-    return TwoModeDensity(u @ joint @ u.T, rho_in.dim)
+    return TwoModeDensity(u @ joint @ u.conj().T, rho_in.dim)
 
 
 def homodyne_project(joint: TwoModeDensity, x: float):

@@ -1,12 +1,13 @@
 import csv
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from cvpost import cli, conditioner, emulator, wigner
+from cvpost import cli, conditioner, emulator, fock, wigner
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -230,12 +231,13 @@ def _write_wigner_with_csv_module(path, grid):
 
 
 def test_wigner_csv_bytes_match_csv_writer(tmp_path):
-    x_axis = np.array([-1.5, 0.0, 0.1 + 0.2])
+    x_axis = np.array([-1.5, 0.0, 0.1 + 0.2, 2.5])
     p_axis = np.array([-2.0, -0.0, 1e-20, 2.0 / 3.0])
     values = np.array([
         [0.0, -0.0, 1e-20, -1e-20],
         [-2.0 / np.pi, 0.12345678901234568, -6.366197723675813e-21, 1.0],
         [np.pi, -1.2345678901234567e-05, 5e-324, -0.30000000000000004],
+        [-0.0, 0.0, -2.0 / np.pi, -0.0],  # repeats, with -0.0 and 0.0 kept apart
     ])
     grid = wigner.WignerGrid(values, x_axis, p_axis, (0.1, 0.1), 0.0)
     cli._write_wigner(tmp_path / "new.csv", grid)
@@ -259,6 +261,35 @@ def test_oversized_wigner_export_exits_2_before_running(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert "'wigner_export.points'" in err and str(cli.MAX_WIGNER_POINTS) in err
     assert not (out / "result.json").exists()
+
+
+_OVER_BUDGET = 10_000  # its eigenbasis alone would take 7.5 TiB
+
+
+@pytest.mark.parametrize("payload, extra", [
+    ({"mode": "single-photon", "dim": _OVER_BUDGET}, []),
+    ({"mode": "two-photon"}, ["--dim", str(_OVER_BUDGET)]),
+    ({"mode": "sweep", "axis": "x0_wig", "start": 0.02, "stop": 0.03, "count": 2,
+      "base": {"mode": "single-photon", "dim": _OVER_BUDGET}}, []),
+    ({"mode": "sweep", "axis": "success_prob", "start": 0.02, "stop": 0.03, "count": 2,
+      "base": {"mode": "two-photon", "dim": 402}}, []),  # the smallest dim over budget
+])
+def test_dim_over_the_memory_budget_exits_2_at_once(tmp_path, capsys, payload, extra):
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, payload, *extra)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{fock.MEMORY_BUDGET >> 20} MiB budget" in err and "the largest dim that fits is 401" in err
+    assert not (out / "result.json").exists()
+
+
+def test_selfcheck_dim_over_the_memory_budget_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    assert cli.main(["--dim", str(_OVER_BUDGET), "selfcheck"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "the largest dim that fits is 401" in captured.err
 
 
 def test_unknown_mode_exits_2(tmp_path, capsys):

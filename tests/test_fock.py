@@ -319,10 +319,10 @@ def test_operations_do_not_mutate_inputs():
     with pytest.raises(ValueError):
         joint.amplitudes[0, 0] = 2.0
     with pytest.raises(ValueError):
-        fock.beam_splitter_unitary(20, 0.6)[5][0, 0] = 2.0
+        fock.beam_splitter_unitary(20).vectors[5][0, 0] = 2.0
 
 
-@pytest.mark.parametrize("reflectivity", [0.3, 0.75, 1.0])
+@pytest.mark.parametrize("reflectivity", [0.0, 0.3, 0.75, 1.0])
 def test_unitary_blocks_match_dense_generator(reflectivity):
     # independent route: one expm of the full two-mode generator, whose own
     # rounding on a generator of norm ~dim is ~1e-12
@@ -335,11 +335,43 @@ def test_unitary_blocks_match_dense_generator(reflectivity):
 
 
 def test_unitary_blocks_are_unitary_and_cached():
-    blocks = fock.beam_splitter_unitary(30, 0.7)
-    assert fock.beam_splitter_unitary(30, 0.7) is blocks
-    assert len(blocks) == 2 * 30 - 1
-    for block in blocks:
-        np.testing.assert_allclose(block @ block.T, np.eye(len(block)), atol=1e-12)
+    basis = fock.beam_splitter_unitary(30)
+    assert fock.beam_splitter_unitary(30) is basis
+    assert basis.vectors.shape == (30, 30, 30)
+    for vectors in basis.vectors:
+        np.testing.assert_allclose(vectors @ vectors.T, np.eye(30), atol=1e-12)
+    # the operator itself, truncated blocks (N >= dim) included
+    u = oracle.dense_unitary(30, 0.7)
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(30 * 30), atol=1e-12)
+
+
+def test_cached_eigenbasis_is_read_only():
+    for arr in fock.beam_splitter_unitary(12):  # every cached array, not only the vectors
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0
+
+
+def test_interfere_is_bit_identical_from_a_cold_and_a_warm_cache():
+    psi_in, psi_anc = fock.fock_state(2, 40), fock.squeezed_vacuum(-0.37, 40)
+    fock.beam_splitter_unitary.cache_clear()
+    cold = fock.interfere(psi_in, psi_anc, 0.5).amplitudes
+    fock.interfere(fock.fock_state(1, 24), fock.squeezed_vacuum(0.3, 24), 0.9)
+    warm = fock.interfere(psi_in, psi_anc, 0.5).amplitudes
+    assert cold.tobytes() == warm.tobytes()
+
+
+@pytest.mark.parametrize("reflectivity", [-0.1, 1.0 + 1e-12, float("nan")])
+def test_interfere_rejects_bad_reflectivity(reflectivity):
+    psi = fock.fock_state(0, 8)
+    with pytest.raises(ValueError):
+        fock.interfere(psi, psi, reflectivity)
+
+
+def test_memory_guard_names_the_budget_and_the_largest_dim():
+    fits = 401
+    assert fock._dim_bytes(fits) <= fock.MEMORY_BUDGET < fock._dim_bytes(fits + 1)
+    with pytest.raises(ValueError, match=f"{fock.MEMORY_BUDGET >> 20} MiB budget; the largest dim that fits is {fits}"):
+        fock.beam_splitter_unitary(fits + 1)
 
 
 def test_interfere_is_the_dense_route_on_a_vector():
