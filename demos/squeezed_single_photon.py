@@ -11,9 +11,8 @@ windows at the price of throughput.
 import numpy as np
 
 from cvpost import (
-    FockInput,
-    ProtocolConfig,
     build_joint,
+    fock_state,
     postselect_map,
     run_window,
     s_prime,
@@ -30,7 +29,7 @@ print(f"output squeezing s' = {s_prime(R, S_ANC):.4f}  (-> s as R -> 1)\n")
 
 # The joint state after the beam splitter does not depend on the window, so
 # it is built once and every conditioning step below reads it.
-joint = build_joint(ProtocolConfig(R, S_ANC, x0=0.025, input_spec=FockInput(1), dim=DIM))
+joint = build_joint(fock_state(1, DIM), R, S_ANC)
 target = squeezed_number_state(1, s_prime(R, S_ANC), DIM)
 
 # The zero-outcome conditional state is exactly S(s')|1>.

@@ -10,9 +10,8 @@ coherent lobes survive the window averaging.
 import numpy as np
 
 from cvpost import (
-    FockInput,
-    ProtocolConfig,
     build_joint,
+    fock_state,
     postselect_map,
     run_window,
     scs_state,
@@ -25,7 +24,7 @@ S_ANC = -0.37
 GAMMA = 1.1j
 DIM = 40
 
-joint = build_joint(ProtocolConfig(R, S_ANC, x0=0.084, input_spec=FockInput(2), dim=DIM))
+joint = build_joint(fock_state(2, DIM), R, S_ANC)
 target = scs_state(GAMMA, "even", DIM)
 
 zero = postselect_map(joint, target, [0.0])[0]

@@ -13,12 +13,7 @@ engine), :mod:`cvpost.emulator` (Monte Carlo bench emulation),
 __version__ = "0.1.0"
 
 from .conditioner import (
-    CoherentInput,
     ConditionalResult,
-    FockInput,
-    ProtocolConfig,
-    ScsTarget,
-    SqueezedFockTarget,
     WindowResult,
     build_joint,
     conditioned_coherent_target,

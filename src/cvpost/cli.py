@@ -16,13 +16,14 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, conditioner, emulator, fock, gaussian, wigner
-from .errors import ConvergenceError
+from .errors import ConvergenceError, EmptySelectionError
 
 
 class ConfigError(Exception):
@@ -32,15 +33,16 @@ class ConfigError(Exception):
 
 
 def _is_number(val):
-    # bool is an int subclass, but JSON true/false is not a number.
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    # bool is an int subclass, but JSON true/false is not a number; the NaN and
+    # Infinity that Python's json parser accepts are not finite numbers.
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
 
 
 def _get(cfg, key, default, kind, check=None):
-    """Read a JSON number: ``int`` keys take integers only, ``float`` keys any number."""
+    """Read a JSON number: ``int`` keys take integers only, ``float`` keys any finite number."""
     val = cfg.get(key, default)
     if not _is_number(val) or (kind is int and not isinstance(val, int)):
-        expected = "an integer" if kind is int else "a number"
+        expected = "an integer" if kind is int else "a finite number"
         raise ConfigError(key, f"expected {expected}, got {val!r}")
     val = kind(val)
     if check is not None and not check(val):
@@ -75,7 +77,7 @@ def _check_keys(cfg, allowed, where=""):
 def _get_pair(cfg, key, default):
     raw = cfg.get(key, default)
     if not (isinstance(raw, list) and len(raw) == 2 and all(map(_is_number, raw))):
-        raise ConfigError(key, f"expected a pair of numbers, got {raw!r}")
+        raise ConfigError(key, f"expected a pair of finite numbers, got {raw!r}")
     return tuple(raw)
 
 
@@ -83,7 +85,7 @@ def _get_complex(cfg, key, default):
     raw = cfg.get(key, default)
     parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
     if not all(map(_is_number, parts)):
-        raise ConfigError(key, f"expected a number or [re, im] pair, got {raw!r}")
+        raise ConfigError(key, f"expected a finite number or [re, im] pair, got {raw!r}")
     return complex(float(parts[0]), float(parts[1]))
 
 
@@ -101,7 +103,7 @@ _PHOTON_DEFAULTS = {
 
 
 def _photon_config(cfg, overrides):
-    """ProtocolConfig and resolved keys of a single- or two-photon config."""
+    """Joint, target and resolved keys of a photon config; all keys are read before any work."""
     mode = cfg["mode"]
     defaults = _PHOTON_DEFAULTS[mode]
     dim = overrides.get("dim") or _get(cfg, "dim", defaults["dim"], int, lambda v: v >= 2)
@@ -114,25 +116,20 @@ def _photon_config(cfg, overrides):
         "mode": mode, "reflectivity": r, "squeezing": s,
         "x0_wig": x0, "dim": dim, "nodes": nodes,
     }
-    if mode == "single-photon":
-        target = conditioner.SqueezedFockTarget(n=1)
-    else:
+    if mode == "two-photon":
         gamma = _get_complex(cfg, "scs_gamma", [0.0, 1.1])
-        target = conditioner.ScsTarget(gamma=gamma, parity="even")
         resolved["scs_gamma"] = [gamma.real, gamma.imag]
-    config = conditioner.ProtocolConfig(
-        reflectivity=r, squeezing=s, x0=x0,
-        input_spec=conditioner.FockInput(defaults["n"]),
-        target_spec=target,
-        dim=dim,
-    )
-    return config, resolved
+    joint = conditioner.build_joint(fock.fock_state(defaults["n"], dim), r, s)
+    if mode == "single-photon":
+        target = fock.squeezed_number_state(1, conditioner.s_prime(r, s), dim)
+    else:
+        target = fock.scs_state(gamma, "even", dim)
+    return joint, target, resolved
 
 
 def _run_photon(cfg, overrides):
-    config, resolved = _photon_config(cfg, overrides)
-    joint, target = conditioner.build_joint(config), conditioner.resolve_target(config)
-    win = conditioner.run_window(joint, target, config.x0, resolved["nodes"])
+    joint, target, resolved = _photon_config(cfg, overrides)
+    win = conditioner.run_window(joint, target, resolved["x0_wig"], resolved["nodes"])
     zero = conditioner.postselect_map(joint, target, [0.0])[0]
     scalars = {
         "f_ave": win.avg_fidelity,
@@ -143,7 +140,7 @@ def _run_photon(cfg, overrides):
     if resolved["mode"] == "single-photon":
         # s' leads and the density check trails, as curve.csv's columns expect.
         scalars = {
-            "s_prime": conditioner.s_prime(config.reflectivity, config.squeezing),
+            "s_prime": conditioner.s_prime(resolved["reflectivity"], resolved["squeezing"]),
             **scalars,
             "density_norm": conditioner.density_norm(joint, n_nodes=769),
         }
@@ -320,7 +317,7 @@ def _x0_for_success_prob(base_cfg, base_mode, target_ps, overrides):
 
         lo, hi = 1e-6, 50.0
     else:
-        joint = conditioner.build_joint(_photon_config(base_cfg, overrides)[0])
+        joint = _photon_config(base_cfg, overrides)[0]
 
         def ps_of(x0):
             return conditioner.density_norm(joint, x0, 65)
@@ -453,7 +450,7 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, EmptySelectionError) as exc:
         print(f"config validation failed: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
@@ -491,18 +488,17 @@ def _selfcheck_checks(dim: int):
         ok = abs(norm - 1) < 1e-9 and abs(var - 0.25) < 1e-9
         return ok, f"norm={norm:.12f} var={var:.12f}"
 
-    # The single-photon joint is built once, on first use, for the two checks that read it.
-    single_photon = conditioner.ProtocolConfig(0.98, 0.7, 0.025, dim=dim)
-    single_photon_joint = functools.cache(lambda: conditioner.build_joint(single_photon))
+    # The default single-photon joint and target are built once, on first use.
+    single_photon = functools.cache(lambda: _photon_config({"mode": "single-photon"}, {"dim": dim}))
 
     def density_normalization():
-        val = conditioner.density_norm(single_photon_joint(), n_nodes=769)
+        val = conditioner.density_norm(single_photon()[0], n_nodes=769)
         ok = abs(val - 1.0) < 1e-6
         return ok, f"integral={val:.9f}"
 
     def squeezed_photon_exactness():
-        target = conditioner.resolve_target(single_photon)
-        fid = conditioner.postselect_map(single_photon_joint(), target, [0.0])[0].fidelity
+        joint, target, _ = single_photon()
+        fid = conditioner.postselect_map(joint, target, [0.0])[0].fidelity
         ok = fid >= 1.0 - 1e-6
         hint = "" if ok else " (truncation: increase --dim)"
         return ok, f"fidelity deficit={1.0 - fid:.3e}{hint}"
@@ -510,10 +506,7 @@ def _selfcheck_checks(dim: int):
     def cross_engine_agreement():
         gamma, r, s, x_snl = 0.5 + 0.3j, 0.75, 0.52, 0.1
         g_state = gaussian.condition_coherent(gamma, r, s, x_snl)
-        config = conditioner.ProtocolConfig(
-            r, s, 0.1, input_spec=conditioner.CoherentInput(gamma), dim=dim
-        )
-        joint = conditioner.build_joint(config)
+        joint = conditioner.build_joint(fock.coherent_state(gamma, dim), r, s)
         rho, p1 = conditioner.homodyne_project(joint, x_snl / 2.0)
         mean_w, cov_w = fock.quadrature_moments(rho.normalized())
         dmean = np.max(np.abs(2.0 * mean_w - g_state.mean))

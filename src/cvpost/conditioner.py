@@ -7,13 +7,13 @@ mode is homodyned with outcome x, and the transmitted state is kept when
 (vacuum quadrature variance 1/4).
 
 The conditioning functions take the joint state after the beam splitter
-(:func:`build_joint`) and the target (:func:`resolve_target`) as arguments,
-so a caller builds each once and conditions on it as often as it needs.
+(:func:`build_joint`) and the target state as arguments, so a caller builds
+each once and conditions on it as often as it needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,76 +31,6 @@ CONVERGENCE_RTOL = 1e-4
 #: threads, which cost more than they save at these sizes and keep spinning
 #: after the call: on 2 cores a dim-40 sweep ran 3x slower with them.
 _BLAS_SERIAL_MNK = 1 << 18
-
-
-# ---------------------------------------------------------------------------
-# Input and target specifications
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FockInput:
-    n: int
-
-
-@dataclass(frozen=True)
-class CoherentInput:
-    gamma: complex
-
-
-@dataclass(frozen=True)
-class SqueezedFockTarget:
-    """S(s')|n> with s' = s_prime(R, s) of the config."""
-
-    n: int = 1
-
-
-@dataclass(frozen=True)
-class ScsTarget:
-    gamma: complex
-    parity: str = "even"
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """One post-selection scenario.
-
-    ``x0`` is the window half-width in Wigner units.  ``dim`` is the Fock
-    truncation used for both modes.
-    """
-
-    reflectivity: float
-    squeezing: float
-    x0: float
-    input_spec: object = field(default_factory=lambda: FockInput(1))
-    target_spec: object = field(default_factory=SqueezedFockTarget)
-    dim: int = 40
-
-    def __post_init__(self):
-        if not 0.0 <= self.reflectivity <= 1.0:
-            raise ValueError("reflectivity must be in [0, 1]")
-        if self.x0 < 0.0:
-            raise ValueError("x0 must be >= 0")
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-
-
-def prepare_input(spec, dim: int) -> FockVector:
-    if isinstance(spec, FockInput):
-        return fock.fock_state(spec.n, dim)
-    if isinstance(spec, CoherentInput):
-        return fock.coherent_state(spec.gamma, dim)
-    raise TypeError(f"unknown input spec {spec!r}")
-
-
-def resolve_target(config: ProtocolConfig) -> FockVector:
-    spec = config.target_spec
-    dim = config.dim
-    if isinstance(spec, SqueezedFockTarget):
-        return fock.squeezed_number_state(spec.n, s_prime(config.reflectivity, config.squeezing), dim)
-    if isinstance(spec, ScsTarget):
-        return fock.scs_state(spec.gamma, spec.parity, dim)
-    raise TypeError(f"unknown target spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +53,10 @@ def s_prime(reflectivity: float, s: float) -> float:
     return float(-np.log(arg**2) / 4.0)
 
 
-def build_joint(config: ProtocolConfig) -> TwoModeState:
-    """Interfere the configured input with the squeezed-vacuum ancilla."""
-    psi_in = prepare_input(config.input_spec, config.dim)
-    anc = fock.squeezed_vacuum(config.squeezing, config.dim)
-    return fock.interfere(psi_in, anc, config.reflectivity)
+def build_joint(psi_in: FockVector, reflectivity: float, squeezing: float) -> TwoModeState:
+    """Interfere ``psi_in`` with the squeezed-vacuum ancilla S(squeezing)|0>."""
+    anc = fock.squeezed_vacuum(squeezing, psi_in.dim)
+    return fock.interfere(psi_in, anc, reflectivity)
 
 
 def _project(joint: TwoModeState, xs):

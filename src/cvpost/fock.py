@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -211,6 +211,22 @@ def _min_dim_for_coherent(gamma: complex, tol: float) -> int:
     return k + 1
 
 
+def _checked(amps: np.ndarray, what: str, need=None) -> FockVector:
+    """The state with these amplitudes, unless they are not finite or discard
+    more than the tail budget; ``need()``, if given, is the smallest adequate dim."""
+    if not np.all(np.isfinite(amps)):
+        raise ValueError(f"{what} has non-finite amplitudes; its parameters must be finite")
+    tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
+    if tail > TAIL_TOLERANCE:
+        suggested = need() if need else None
+        raise TruncationError(
+            f"{what} tail mass {tail:.3e} exceeds {TAIL_TOLERANCE:.0e} at dim={amps.size}; "
+            + (f"use dim >= {suggested}" if suggested else "increase dim"),
+            suggested_dim=suggested,
+        )
+    return FockVector(amps, amps.size)
+
+
 def coherent_state(gamma: complex, dim: int) -> FockVector:
     """Coherent state |gamma> with amplitudes e^{-|g|^2/2} g^n / sqrt(n!).
 
@@ -220,26 +236,8 @@ def coherent_state(gamma: complex, dim: int) -> FockVector:
         If the discarded tail mass exceeds the tolerance; the error names
         the smallest adequate dimension.
     """
-    amps = _coherent_amplitudes(gamma, dim)
-    tail = 1.0 - float(np.vdot(amps, amps).real)
-    if tail > TAIL_TOLERANCE:
-        need = _min_dim_for_coherent(gamma, TAIL_TOLERANCE)
-        raise TruncationError(
-            f"coherent_state(|gamma|={abs(gamma):.4g}) tail mass {tail:.3e} exceeds "
-            f"{TAIL_TOLERANCE:.0e} at dim={dim}; use dim >= {need}",
-            suggested_dim=need,
-        )
-    return FockVector(amps, dim)
-
-
-def _checked(amps: np.ndarray, what: str) -> FockVector:
-    """The state with these amplitudes, unless it discards more than the tail budget."""
-    tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
-    if tail > TAIL_TOLERANCE:
-        raise TruncationError(
-            f"{what} tail mass {tail:.3e} exceeds {TAIL_TOLERANCE:.0e} at dim={amps.size}; increase dim",
-        )
-    return FockVector(amps, amps.size)
+    need = partial(_min_dim_for_coherent, gamma, TAIL_TOLERANCE)
+    return _checked(_coherent_amplitudes(gamma, dim), f"coherent_state(|gamma|={abs(gamma):.4g})", need)
 
 
 def squeezed_vacuum(s: float, dim: int) -> FockVector:
@@ -291,7 +289,8 @@ def displaced_squeezed_vacuum(beta: complex, s: float, dim: int) -> FockVector:
     beta = complex(beta)
     ch, sh = math.cosh(s), math.sinh(s)
     g = beta * ch - beta.conjugate() * sh
-    c0 = np.exp(-0.5 * abs(beta) ** 2 + 0.5 * beta.conjugate() ** 2 * math.tanh(s)) / math.sqrt(ch)
+    with np.errstate(invalid="ignore"):  # _checked reports a NaN parameter
+        c0 = np.exp(-0.5 * abs(beta) ** 2 + 0.5 * beta.conjugate() ** 2 * math.tanh(s)) / math.sqrt(ch)
     prev, cur = 0.0, complex(c0)
     amps = [cur]
     for k in range(1, dim):
@@ -316,16 +315,10 @@ def scs_state(gamma: complex, parity: str, dim: int) -> FockVector:
         raise ValueError(f"{parity} superposition is degenerate at gamma={gamma}")
     plus = _coherent_amplitudes(gamma, dim)
     minus = _coherent_amplitudes(-gamma, dim)
-    amps = (plus + sign * minus) / np.sqrt(norm_sq)
-    tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
-    if tail > TAIL_TOLERANCE:
-        need = _min_dim_for_coherent(gamma, TAIL_TOLERANCE / 4.0)
-        raise TruncationError(
-            f"scs_state(|gamma|={abs(gamma):.4g}) tail mass {tail:.3e} exceeds "
-            f"{TAIL_TOLERANCE:.0e} at dim={dim}; use dim >= {need}",
-            suggested_dim=need,
-        )
-    return FockVector(amps, dim)
+    with np.errstate(invalid="ignore"):  # _checked reports a NaN parameter
+        amps = (plus + sign * minus) / np.sqrt(norm_sq)
+    need = partial(_min_dim_for_coherent, gamma, TAIL_TOLERANCE / 4.0)
+    return _checked(amps, f"scs_state(|gamma|={abs(gamma):.4g})", need)
 
 
 # ---------------------------------------------------------------------------

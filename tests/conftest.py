@@ -1,15 +1,15 @@
 import pytest
 
-from cvpost import ProtocolConfig, build_joint
+from cvpost import build_joint, fock_state, s_prime, squeezed_number_state
 
 
 @pytest.fixture(scope="session")
-def fig2_config():
-    """Single-photon squeezing configuration at full working dimension."""
-    return ProtocolConfig(reflectivity=0.98, squeezing=0.7, x0=0.025, dim=60)
+def fig2_joint():
+    """Single-photon squeezing configuration (R 0.98, s 0.7) at full working dimension."""
+    return build_joint(fock_state(1, 60), 0.98, 0.7)
 
 
 @pytest.fixture(scope="session")
-def fig2_joint(fig2_config):
-    return build_joint(fig2_config)
-
+def fig2_target():
+    """Its zero-outcome target S(s')|1>."""
+    return squeezed_number_state(1, s_prime(0.98, 0.7), 60)

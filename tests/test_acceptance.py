@@ -11,18 +11,7 @@ import numpy as np
 import pytest
 
 from cvpost import conditioner, emulator, fock, gaussian
-from cvpost.conditioner import (
-    CoherentInput,
-    FockInput,
-    ProtocolConfig,
-    ScsTarget,
-    build_joint,
-    density_norm,
-    postselect_map,
-    resolve_target,
-    run_window,
-    s_prime,
-)
+from cvpost.conditioner import build_joint, density_norm, postselect_map, run_window, s_prime
 
 
 class timer:
@@ -40,8 +29,8 @@ def report(n, elapsed, detail):
 
 def test_criterion_1_zero_outcome_exactness():
     with timer() as t:
-        config = ProtocolConfig(0.98, 0.7, 0.025, dim=60)
-        result = postselect_map(build_joint(config), resolve_target(config), [0.0])[0]
+        target = fock.squeezed_number_state(1, s_prime(0.98, 0.7), 60)
+        result = postselect_map(build_joint(fock.fock_state(1, 60), 0.98, 0.7), target, [0.0])[0]
     assert result.fidelity >= 1 - 1e-6
     assert t.elapsed < 10.0
     report(1, t.elapsed, f"zero-outcome fidelity deficit {1 - result.fidelity:.2e}")
@@ -49,8 +38,8 @@ def test_criterion_1_zero_outcome_exactness():
 
 def test_criterion_2_single_photon_window():
     with timer() as t:
-        config = ProtocolConfig(0.98, 0.7, 0.025, dim=60)
-        win = run_window(build_joint(config), resolve_target(config), config.x0, n_nodes=65)
+        target = fock.squeezed_number_state(1, s_prime(0.98, 0.7), 60)
+        win = run_window(build_joint(fock.fock_state(1, 60), 0.98, 0.7), target, 0.025, n_nodes=65)
     assert abs(win.avg_fidelity - 0.99) <= 0.005
     assert abs(win.success_prob - 0.003) / 0.003 <= 0.30
     assert t.elapsed < 60.0
@@ -59,11 +48,8 @@ def test_criterion_2_single_photon_window():
 
 def test_criterion_3_two_photon_window():
     with timer() as t:
-        config = ProtocolConfig(
-            0.5, -0.37, 0.084,
-            input_spec=FockInput(2), target_spec=ScsTarget(1.1j), dim=40,
-        )
-        win = run_window(build_joint(config), resolve_target(config), config.x0, n_nodes=65)
+        target = fock.scs_state(1.1j, "even", 40)
+        win = run_window(build_joint(fock.fock_state(2, 40), 0.5, -0.37), target, 0.084, n_nodes=65)
     assert abs(win.avg_fidelity - 0.99) <= 0.005
     assert abs(win.success_prob - 0.052) / 0.052 <= 0.20
     assert t.elapsed < 60.0
@@ -83,8 +69,8 @@ def test_criterion_5_cross_engine_agreement():
     with timer() as t:
         gamma, r, s, x_snl = 0.5 + 0.3j, 0.75, 0.52, 0.1
         g_state = gaussian.condition_coherent(gamma, r, s, x_snl)
-        config = ProtocolConfig(r, s, 0.1, input_spec=CoherentInput(gamma), dim=60)
-        rho, _ = conditioner.homodyne_project(build_joint(config), x_snl / 2.0)
+        joint = build_joint(fock.coherent_state(gamma, 60), r, s)
+        rho, _ = conditioner.homodyne_project(joint, x_snl / 2.0)
         mean_w, cov_w = fock.quadrature_moments(rho.normalized())
         dmean = np.abs(2.0 * mean_w - g_state.mean).max()
         dcov = np.abs(4.0 * cov_w - g_state.cov).max()
@@ -126,14 +112,13 @@ def test_criterion_7_classical_limits():
 def test_criterion_8_property_suite():
     with timer() as t:
         # outcome density integrates to one
-        config = ProtocolConfig(0.98, 0.7, 0.025, dim=60)
-        norm = density_norm(build_joint(config), n_nodes=769)
+        norm = density_norm(build_joint(fock.fock_state(1, 60), 0.98, 0.7), n_nodes=769)
         assert abs(norm - 1.0) <= 1e-6
 
         # parity conservation at the zero outcome
         for n_in in (1, 2):
-            cfg = ProtocolConfig(0.6, 0.5, 0.1, input_spec=FockInput(n_in), dim=40)
-            state = postselect_map(build_joint(cfg), resolve_target(cfg), [0.0])[0].state
+            target = fock.squeezed_number_state(n_in, s_prime(0.6, 0.5), 40)
+            state = postselect_map(build_joint(fock.fock_state(n_in, 40), 0.6, 0.5), target, [0.0])[0].state
             wrong = np.arange(40) % 2 != n_in % 2
             assert np.abs(np.diag(state.matrix)[wrong]).max() < 1e-10
 

@@ -167,7 +167,7 @@ def test_success_prob_roots_match_brentq(base, targets):
 
         lo, hi = 1e-6, 50.0
     else:
-        joint = conditioner.build_joint(cli._photon_config(base, overrides)[0])
+        joint = cli._photon_config(base, overrides)[0]
 
         def ps_of(x0):
             return conditioner.density_norm(joint, x0, 65)
@@ -341,14 +341,27 @@ def test_booleans_must_be_json_booleans(tmp_path, capsys, payload, field):
         ({"mode": "coherent", "squeezing": True}, "squeezing"),
         ({"mode": "emulate", "n_samples": 20_000, "v_in_snl": [1.13, "1.05"]}, "v_in_snl"),
         ({"mode": "two-photon", "scs_gamma": [0.0, True]}, "scs_gamma"),
+        ({"mode": "single-photon", "squeezing": float("nan"), "dim": 40}, "squeezing"),
+        ({"mode": "coherent", "x_snl": float("inf")}, "x_snl"),
+        ({"mode": "sweep", "axis": "x0_wig", "start": 0.01, "stop": float("nan"), "count": 2,
+          "base": {"mode": "single-photon", "dim": 40}}, "stop"),
+        ({"mode": "two-photon", "scs_gamma": [float("nan"), 1.1]}, "scs_gamma"),
     ],
-    ids=["float-int", "fractional-int", "string-float", "bool-float", "string-pair", "bool-complex"],
+    ids=["float-int", "fractional-int", "string-float", "bool-float", "string-pair", "bool-complex",
+         "nan-float", "infinite-float", "nan-sweep-stop", "nan-complex"],
 )
 def test_numbers_must_be_json_numbers(tmp_path, capsys, payload, field):
     code, out = run_cli(tmp_path, payload)
     assert code == 2
     err = capsys.readouterr().err
     assert f"'{field}'" in err and "expected" in err
+    assert not (out / "result.json").exists()
+
+
+def test_empty_emulator_selection_exits_2(tmp_path, capsys):
+    code, out = run_cli(tmp_path, {"mode": "emulate", "n_samples": 1000, "x0_snl": 1e-7})
+    assert code == 2
+    assert "raise x0 or n_samples" in capsys.readouterr().err
     assert not (out / "result.json").exists()
 
 

@@ -4,16 +4,11 @@ import pytest
 import oracle
 from cvpost import conditioner, fock
 from cvpost.conditioner import (
-    CoherentInput,
-    FockInput,
-    ProtocolConfig,
-    ScsTarget,
     build_joint,
     density_norm,
     fidelity,
     homodyne_project,
     postselect_map,
-    resolve_target,
     run_window,
     s_prime,
 )
@@ -74,12 +69,9 @@ def test_zero_reflectivity_leaves_input_untouched():
         )
 
 
-def test_zero_outcome_yields_squeezed_photon(fig2_config, fig2_joint):
+def test_zero_outcome_yields_squeezed_photon(fig2_joint, fig2_target):
     state, _ = homodyne_project(fig2_joint, 0.0)
-    target = fock.squeezed_number_state(
-        1, s_prime(fig2_config.reflectivity, fig2_config.squeezing), 60
-    )
-    assert fidelity(state.normalized(), target) >= 1 - 1e-6
+    assert fidelity(state.normalized(), fig2_target) >= 1 - 1e-6
 
 
 def test_homodyne_rejects_non_finite_outcome(fig2_joint):
@@ -123,56 +115,53 @@ def test_fidelity_rejects_unnormalized():
 # ---------------------------------------------------------------------------
 
 
-def window(config, n_nodes=65):
-    """run_window on the config's own joint and target."""
-    return run_window(build_joint(config), resolve_target(config), config.x0, n_nodes)
+def single_photon(r, s, dim):
+    """Joint of |1> and S(s)|0> at reflectivity r, and the target S(s')|1>."""
+    return build_joint(fock.fock_state(1, dim), r, s), fock.squeezed_number_state(1, s_prime(r, s), dim)
 
 
-def zero_outcome(config):
-    """postselect_map at x = 0 on the config's own joint and target."""
-    return postselect_map(build_joint(config), resolve_target(config), [0.0])[0]
+def two_photon_cat():
+    """Joint of the two-photon reference configuration and its even-cat target."""
+    return build_joint(fock.fock_state(2, 40), 0.5, -0.37), fock.scs_state(1.1j, "even", 40)
+
+
+def zero_outcome(joint, target):
+    """postselect_map at x = 0."""
+    return postselect_map(joint, target, [0.0])[0]
 
 
 def test_window_single_photon_reference():
-    config = ProtocolConfig(0.98, 0.7, 0.025, dim=60)
-    win = window(config)
+    win = run_window(*single_photon(0.98, 0.7, 60), 0.025)
     assert abs(win.avg_fidelity - 0.99) < 0.005
     assert abs(win.success_prob - 0.003) / 0.003 < 0.30
     np.testing.assert_allclose(win.avg_state.trace, 1.0, atol=1e-8)
 
 
 def test_window_two_photon_reference():
-    config = ProtocolConfig(
-        0.5, -0.37, 0.084, input_spec=FockInput(2), target_spec=ScsTarget(1.1j), dim=40
-    )
-    win = window(config)
+    win = run_window(*two_photon_cat(), 0.084)
     assert abs(win.avg_fidelity - 0.99) < 0.005
     assert abs(win.success_prob - 0.052) / 0.052 < 0.20
 
 
 def test_window_wide_threshold_captures_everything():
-    config = ProtocolConfig(0.5, 0.3, 6.0, dim=40)
-    win = window(config, n_nodes=641)
+    win = run_window(*single_photon(0.5, 0.3, 40), 6.0, n_nodes=641)
     np.testing.assert_allclose(win.success_prob, 1.0, atol=1e-6)
 
 
 def test_window_validation():
-    config = ProtocolConfig(0.5, 0.3, 0.0, dim=20)
+    joint, target = single_photon(0.5, 0.3, 20)
+    for x0 in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            run_window(joint, target, x0)
     with pytest.raises(ValueError):
-        window(config)
-    config = ProtocolConfig(0.5, 0.3, 0.1, dim=20)
+        run_window(joint, target, 0.1, n_nodes=34)  # even
     with pytest.raises(ValueError):
-        window(config, n_nodes=34)  # even
-    with pytest.raises(ValueError):
-        window(config, n_nodes=17)  # too few
+        run_window(joint, target, 0.1, n_nodes=17)  # too few
 
 
 def test_window_convergence_error_carries_both_estimates():
-    config = ProtocolConfig(
-        0.5, -0.37, 6.0, input_spec=FockInput(2), target_spec=ScsTarget(1.1j), dim=40
-    )
     with pytest.raises(ConvergenceError) as err:
-        window(config, n_nodes=33)
+        run_window(*two_photon_cat(), 6.0, n_nodes=33)
     assert set(err.value.coarse) == {"avg_fidelity", "success_prob"}
     assert set(err.value.fine) == {"avg_fidelity", "success_prob"}
 
@@ -180,14 +169,12 @@ def test_window_convergence_error_carries_both_estimates():
 def test_window_coarse_estimate_is_the_coarse_rule():
     # the convergence check reads the coarse rule off the fine grid's even
     # nodes; it must equal that rule evaluated on its own grid
-    config = ProtocolConfig(
-        0.5, -0.37, 6.0, input_spec=FockInput(2), target_spec=ScsTarget(1.1j), dim=40
-    )
-    joint, target = build_joint(config), resolve_target(config)
+    joint, target = two_photon_cat()
+    x0 = 6.0
     with pytest.raises(ConvergenceError) as err:
-        run_window(joint, target, config.x0, n_nodes=33)
-    xs = np.linspace(-config.x0, config.x0, 33)
-    w = conditioner._simpson_weights(33, -config.x0, config.x0)
+        run_window(joint, target, x0, n_nodes=33)
+    xs = np.linspace(-x0, x0, 33)
+    w = conditioner._simpson_weights(33, -x0, x0)
     p1f1 = [cond.density * cond.fidelity for cond in postselect_map(joint, target, xs)]
     ps = float(w @ conditioner.gate_density(joint, xs))
     np.testing.assert_allclose(err.value.coarse["success_prob"], ps, rtol=1e-12)
@@ -196,17 +183,17 @@ def test_window_coarse_estimate_is_the_coarse_rule():
 
 def test_window_average_approaches_zero_outcome_fidelity():
     # F_ave converges quadratically in x0 to the zero-outcome fidelity
-    config = ProtocolConfig(0.9, 0.5, 1e-4, dim=40)
-    joint, target = build_joint(config), resolve_target(config)
-    win = run_window(joint, target, config.x0)
-    zero = postselect_map(joint, target, [0.0])[0]
+    joint, target = single_photon(0.9, 0.5, 40)
+    win = run_window(joint, target, 1e-4)
+    zero = zero_outcome(joint, target)
     np.testing.assert_allclose(win.avg_fidelity, zero.fidelity, atol=1e-6)
 
 
 def test_window_monotone_in_threshold():
     faves, probs = [], []
+    joint, target = single_photon(0.98, 0.7, 48)
     for x0 in (0.01, 0.025, 0.05, 0.1, 0.2):
-        win = window(ProtocolConfig(0.98, 0.7, x0, dim=48))
+        win = run_window(joint, target, x0)
         faves.append(win.avg_fidelity)
         probs.append(win.success_prob)
     assert np.all(np.diff(faves) < 0)
@@ -219,30 +206,28 @@ def test_window_monotone_in_threshold():
 
 
 def test_map_symmetric_density():
-    config = ProtocolConfig(0.75, 0.4, 0.1, dim=40)
     xs = np.linspace(-1.5, 1.5, 21)
-    results = postselect_map(build_joint(config), resolve_target(config), xs)
+    results = postselect_map(*single_photon(0.75, 0.4, 40), xs)
     p1 = np.array([r.density for r in results])
     np.testing.assert_allclose(p1, p1[::-1], atol=1e-9)
 
 
-def test_map_single_node_matches_direct_projection(fig2_config, fig2_joint):
-    result = postselect_map(fig2_joint, resolve_target(fig2_config), [0.3])[0]
+def test_map_single_node_matches_direct_projection(fig2_joint, fig2_target):
+    result = postselect_map(fig2_joint, fig2_target, [0.3])[0]
     raw, density = homodyne_project(fig2_joint, 0.3)
     np.testing.assert_allclose(result.density, density, rtol=1e-12)
     np.testing.assert_allclose(result.state.matrix, raw.matrix / density, atol=1e-12)
 
 
-def test_map_zero_entry_reproduces_exact_target(fig2_config, fig2_joint):
-    result = postselect_map(fig2_joint, resolve_target(fig2_config), [0.0])[0]
+def test_map_zero_entry_reproduces_exact_target(fig2_joint, fig2_target):
+    result = zero_outcome(fig2_joint, fig2_target)
     assert result.fidelity >= 1 - 1e-6
     np.testing.assert_allclose(result.state.trace, 1.0, atol=1e-9)
 
 
 def test_map_rejects_empty_grid():
-    config = ProtocolConfig(0.5, 0.3, 0.1, dim=20)
     with pytest.raises(ValueError):
-        postselect_map(build_joint(config), resolve_target(config), [])
+        postselect_map(*single_photon(0.5, 0.3, 20), [])
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +236,24 @@ def test_map_rejects_empty_grid():
 
 
 @pytest.mark.parametrize(
-    "config",
+    "psi_in, reflectivity, s",
     [
-        ProtocolConfig(0.98, 0.7, 0.025, dim=60),
-        ProtocolConfig(0.5, -0.37, 0.084, input_spec=FockInput(2), target_spec=ScsTarget(1.1j), dim=40),
-        ProtocolConfig(0.5, 0.0, 0.1, input_spec=FockInput(0), dim=40),
-        ProtocolConfig(0.75, 0.52, 0.1, input_spec=CoherentInput(0.5 + 0.3j), dim=40),
+        (fock.fock_state(1, 60), 0.98, 0.7),
+        (fock.fock_state(2, 40), 0.5, -0.37),
+        (fock.fock_state(0, 40), 0.5, 0.0),
+        (fock.coherent_state(0.5 + 0.3j, 40), 0.75, 0.52),
     ],
     ids=["squeezed-photon", "cat", "vacuum", "coherent"],
 )
-def test_outcome_density_normalizes(config):
-    joint = build_joint(config)
+def test_outcome_density_normalizes(psi_in, reflectivity, s):
+    joint = build_joint(psi_in, reflectivity, s)
     np.testing.assert_allclose(density_norm(joint, n_nodes=769), 1.0, atol=1e-6)
 
 
 @pytest.mark.parametrize("n_in", [1, 2])
 def test_parity_conservation_at_zero_outcome(n_in):
-    config = ProtocolConfig(0.6, 0.5, 0.1, input_spec=FockInput(n_in), dim=40)
-    state = zero_outcome(config).state
+    joint = build_joint(fock.fock_state(n_in, 40), 0.6, 0.5)
+    state = zero_outcome(joint, fock.squeezed_number_state(n_in, s_prime(0.6, 0.5), 40)).state
     wrong = np.arange(40) % 2 != n_in % 2
     assert np.abs(np.diag(state.matrix)[wrong]).max() < 1e-10
     assert np.abs(state.matrix[np.ix_(wrong, ~wrong)]).max() < 1e-10
@@ -279,17 +264,15 @@ def test_exactness_grid():
     dim = 60
     for r in np.linspace(0.5, 0.98, 5):
         for s in np.linspace(0.0, 0.7, 5):
-            config = ProtocolConfig(r, s, 0.1, dim=dim)
-            result = zero_outcome(config)
+            result = zero_outcome(*single_photon(r, s, dim))
             assert result.fidelity >= 1 - 1e-6, (r, s, result.fidelity)
 
 
 def test_conditioned_coherent_target_is_exact():
     # coherent input at x = 0 produces exactly the displaced squeezed state
     gamma, r, s = 0.5 + 0.3j, 0.75, 0.52
-    config = ProtocolConfig(r, s, 0.1, input_spec=CoherentInput(gamma), dim=40)
-    state = zero_outcome(config).state
     target = conditioner.conditioned_coherent_target(gamma, r, s, 40)
+    state = zero_outcome(build_joint(fock.coherent_state(gamma, 40), r, s), target).state
     assert fidelity(state, target) >= 1 - 1e-8
 
 
@@ -304,15 +287,6 @@ def test_conditioned_coherent_target_matches_wide_oracle():
     np.testing.assert_allclose(got.amplitudes, ref.amplitudes[:dim], rtol=0, atol=1e-12)
 
 
-def test_protocol_config_validation():
-    with pytest.raises(ValueError):
-        ProtocolConfig(reflectivity=1.3, squeezing=0.5, x0=0.1)
-    with pytest.raises(ValueError):
-        ProtocolConfig(reflectivity=0.5, squeezing=0.5, x0=-0.1)
-    with pytest.raises(ValueError):
-        ProtocolConfig(reflectivity=0.5, squeezing=0.5, x0=0.1, dim=1)
-
-
 # ---------------------------------------------------------------------------
 # Agreement with the dense two-mode route
 # ---------------------------------------------------------------------------
@@ -322,27 +296,25 @@ AGREE_TOL = 1e-12
 
 @pytest.mark.parametrize("reflectivity", [0.3, 0.75, 0.98])
 @pytest.mark.parametrize(
-    "input_spec, target_spec",
+    "prepare",
     [
-        (FockInput(1), conditioner.SqueezedFockTarget()),
-        (FockInput(2), ScsTarget(1.1j)),
-        (CoherentInput(0.5 + 0.3j), ScsTarget(0.6 + 0.5j)),
+        lambda r, s, dim: (fock.fock_state(1, dim), fock.squeezed_number_state(1, s_prime(r, s), dim)),
+        lambda r, s, dim: (fock.fock_state(2, dim), fock.scs_state(1.1j, "even", dim)),
+        lambda r, s, dim: (fock.coherent_state(0.5 + 0.3j, dim), fock.scs_state(0.6 + 0.5j, "even", dim)),
     ],
     ids=["fock1", "fock2", "coherent"],
 )
-def test_pure_joint_agrees_with_dense_route(reflectivity, input_spec, target_spec):
+def test_pure_joint_agrees_with_dense_route(reflectivity, prepare):
     dim, s, x0, nodes = 24, 0.4, 0.1, 65
-    config = ProtocolConfig(reflectivity, s, x0, input_spec=input_spec, target_spec=target_spec, dim=dim)
-    psi_in = conditioner.prepare_input(input_spec, dim)
+    psi_in, target_state = prepare(reflectivity, s, dim)
     dense = oracle.beam_splitter(
         psi_in.density(), fock.squeezed_vacuum(s, dim).density(), reflectivity
     )
-    joint = build_joint(config)
+    joint = build_joint(psi_in, reflectivity, s)
     vec = joint.amplitudes.ravel()
     np.testing.assert_allclose(np.outer(vec, vec.conj()), dense.matrix, rtol=0, atol=AGREE_TOL)
 
     xs = [-0.4, 0.0, 0.13]
-    target_state = resolve_target(config)
     target = target_state.amplitudes
     for x, cond in zip(xs, postselect_map(joint, target_state, xs)):
         want, want_p1 = oracle.homodyne_project(dense, x)

@@ -234,6 +234,22 @@ def test_scs_odd_variant():
         fock.scs_state(0.0, "odd", 20)
 
 
+@pytest.mark.parametrize(
+    "prepare",
+    [
+        lambda: fock.squeezed_vacuum(np.nan, 20),
+        lambda: fock.squeezed_number_state(1, np.nan, 20),
+        lambda: fock.displaced_squeezed_vacuum(0.5, np.nan, 20),
+        lambda: fock.coherent_state(complex(np.nan, 0.0), 20),
+        lambda: fock.scs_state(complex(0.0, np.nan), "even", 20),
+    ],
+    ids=["squeezed_vacuum", "squeezed_number_state", "displaced_squeezed_vacuum", "coherent_state", "scs_state"],
+)
+def test_preparers_reject_nan_parameters(prepare):
+    with pytest.raises(ValueError, match="non-finite amplitudes"):
+        prepare()
+
+
 # ---------------------------------------------------------------------------
 # Beam splitter
 # ---------------------------------------------------------------------------

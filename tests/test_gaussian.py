@@ -75,10 +75,7 @@ def test_matches_fock_engine():
     # oracle route: full Fock construction of the same configuration
     gamma, r, s, x_snl = 0.5 + 0.3j, 0.75, 0.52, 0.1
     g_state = condition_coherent(gamma, r, s, x_snl)
-    config = conditioner.ProtocolConfig(
-        r, s, 0.1, input_spec=conditioner.CoherentInput(gamma), dim=60
-    )
-    joint = conditioner.build_joint(config)
+    joint = conditioner.build_joint(fock.coherent_state(gamma, 60), r, s)
     rho, _ = conditioner.homodyne_project(joint, x_snl / 2.0)  # x_wig = x_snl / 2
     mean_w, cov_w = fock.quadrature_moments(rho.normalized())
     np.testing.assert_allclose(2.0 * mean_w, g_state.mean, atol=1e-6)
@@ -91,10 +88,8 @@ def test_outcome_density_units():
     _, dens_snl = condition_through(
         coherent_gaussian(gamma), squeezed_gaussian(s), r, 0.3
     )
-    config = conditioner.ProtocolConfig(
-        r, s, 0.1, input_spec=conditioner.CoherentInput(gamma), dim=40
-    )
-    _, dens_wig = conditioner.homodyne_project(conditioner.build_joint(config), 0.15)
+    joint = conditioner.build_joint(fock.coherent_state(gamma, 40), r, s)
+    _, dens_wig = conditioner.homodyne_project(joint, 0.15)
     np.testing.assert_allclose(dens_wig, 2.0 * dens_snl, atol=1e-8)
 
 

@@ -200,17 +200,11 @@ def test_overlap_requires_identical_grids():
 
 def test_overlap_matches_fock_fidelity_for_conditional_cat():
     # dual route: grid overlap against the Fock-basis fidelity
-    config = conditioner.ProtocolConfig(
-        0.5, -0.37, 0.084,
-        input_spec=conditioner.FockInput(2),
-        target_spec=conditioner.ScsTarget(1.1j),
-        dim=40,
-    )
-    result = conditioner.postselect_map(
-        conditioner.build_joint(config), conditioner.resolve_target(config), [0.0]
-    )[0]
+    target = fock.scs_state(1.1j, "even", 40)
+    joint = conditioner.build_joint(fock.fock_state(2, 40), 0.5, -0.37)
+    result = conditioner.postselect_map(joint, target, [0.0])[0]
     grid_state = wigner.wigner_from_density(result.state)
-    grid_target = wigner.state_grid(fock.scs_state(1.1j, "even", 40))
+    grid_target = wigner.state_grid(target)
     np.testing.assert_allclose(
         wigner.overlap(grid_state, grid_target), result.fidelity, atol=GRID_TOL
     )
@@ -288,12 +282,8 @@ def test_bad_axis_is_rejected(axis, message):
 
 def test_conditional_coherent_output_is_minimum_uncertainty():
     # pure-state config at x = 0: det of the quadrature covariance is 1/16
-    config = conditioner.ProtocolConfig(
-        0.75, 0.52, 0.1, input_spec=conditioner.CoherentInput(0.3 + 0.2j), dim=40
-    )
-    result = conditioner.postselect_map(
-        conditioner.build_joint(config), conditioner.resolve_target(config), [0.0]
-    )[0]
-    grid = wigner.wigner_from_density(result.state)
+    joint = conditioner.build_joint(fock.coherent_state(0.3 + 0.2j, 40), 0.75, 0.52)
+    state, _ = conditioner.homodyne_project(joint, 0.0)
+    grid = wigner.wigner_from_density(state.normalized())
     _, cov = wigner.grid_moments(grid)
     np.testing.assert_allclose(np.linalg.det(cov), 1.0 / 16.0, atol=GRID_TOL)
