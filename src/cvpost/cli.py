@@ -1,9 +1,13 @@
 """Scenario runner: read a JSON config, dispatch to the engines, write
-result.json / curve.csv / wigner.csv.
+result.json / curve.csv / wigner.csv / samples.csv.
 
-Config keys carry explicit unit suffixes (_wig, _snl, _db) so the two unit
-systems cannot be confused.  Every mode's defaults are a complete working
-scenario, so ``{"mode": "single-photon"}`` is a valid config.
+Each mode's keys form one table, key -> (default, kind, check), and every key
+of a config is checked against it before any work; an unknown key is an
+error.  Keys carry unit suffixes (_wig, _snl, _db) so the two unit systems
+cannot be confused, and each mode's defaults are a complete working scenario,
+so ``{"mode": "single-photon"}`` is a valid config.  Every run is a sweep of
+one or more points: the mode's runner prepares once what the swept key leaves
+alone.  A sweep base takes no output keys, as each point would overwrite them.
 
 Exit codes: 0 success, 2 config validation failure, 3 engine convergence
 failure.
@@ -34,211 +38,257 @@ class ConfigError(Exception):
 
 def _is_number(val):
     # bool is an int subclass, but JSON true/false is not a number; the NaN and
-    # Infinity that Python's json parser accepts are not finite numbers.
-    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
-
-
-def _get(cfg, key, default, kind, check=None):
-    """Read a JSON number: ``int`` keys take integers only, ``float`` keys any finite number."""
-    val = cfg.get(key, default)
-    if not _is_number(val) or (kind is int and not isinstance(val, int)):
-        expected = "an integer" if kind is int else "a finite number"
-        raise ConfigError(key, f"expected {expected}, got {val!r}")
-    val = kind(val)
-    if check is not None and not check(val):
-        raise ConfigError(key, f"invalid value {val!r}")
-    return val
-
-
-def _check_dim(dim):
-    """Reject a ``dim`` whose beam-splitter eigenbasis and joint would be over the memory budget."""
+    # Infinity that Python's json parser accepts are not finite numbers, and
+    # neither is an integer too large for a float.
     try:
-        fock.check_dim(dim)
+        return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+    except OverflowError:
+        return False
+
+
+def _parts(val):
+    """A complex value as written: an [re, im] pair, or a number taken as [val, 0]."""
+    return val if isinstance(val, list) and len(val) == 2 else [val, 0.0]
+
+
+# A config key is (default, kind, check).  Each kind names what a JSON value
+# of it must be; values are not coerced, so an integer key takes no 2.0.
+_KINDS = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and _is_number(v)),
+    float: ("a finite number", _is_number),
+    tuple: ("a pair of finite numbers",
+            lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))),
+    complex: ("a finite number or [re, im] pair", lambda v: all(map(_is_number, _parts(v)))),
+    dict: ("a JSON object", lambda v: isinstance(v, dict)),
+}
+_REQUIRED = object()  # the default of a key that has none
+
+
+def _value(field, val, kind, check):
+    """``val`` checked and converted to ``kind`` (a complex to [re, im]); ``check``
+    says whether that is valid, or raises ValueError saying what would be."""
+    expected, accepts = _KINDS[kind]
+    if not accepts(val):
+        raise ConfigError(field, f"expected {expected}, got {val!r}")
+    val = [float(p) for p in _parts(val)] if kind is complex else kind(val)
+    try:
+        ok = check is None or check(val)
     except ValueError as exc:
-        raise ConfigError("dim", str(exc)) from None
-
-
-def _get_bool(cfg, key, default):
-    val = cfg.get(key, default)
-    if not isinstance(val, bool):
-        raise ConfigError(key, f"expected true or false, got {val!r}")
+        raise ConfigError(field, str(exc)) from None
+    if not ok:
+        raise ConfigError(field, f"invalid value {val!r}")
     return val
 
 
-def _check_keys(cfg, allowed, where=""):
-    """Reject keys the mode does not read instead of silently ignoring them."""
+def _read(cfg, table, where=""):
+    """The resolved config: every key of ``cfg`` checked against ``table`` and
+    every default filled in, before any work.  A key whose kind is itself a
+    table is an optional section, read the same way and left out if absent."""
     if not isinstance(cfg, dict):
         raise ConfigError(where.rstrip("."), f"expected a JSON object, got {cfg!r}")
-    unknown = sorted(set(cfg) - allowed)
+    unknown = sorted(set(cfg) - set(table))
     if unknown:
-        raise ConfigError(where + unknown[0], f"unknown key; allowed keys are {sorted(allowed)}")
+        raise ConfigError(where + unknown[0], f"unknown key; allowed keys are {sorted(table)}")
+    resolved = {}
+    for key, (default, kind, check) in table.items():
+        val = cfg.get(key, default)
+        if val is _REQUIRED:
+            raise ConfigError(where + key, "this key is required")
+        if not isinstance(kind, dict):
+            resolved[key] = _value(where + key, val, kind, check)
+        elif val is not None:
+            resolved[key] = _read(val, kind, f"{where}{key}.")
+    return resolved
 
 
-def _get_pair(cfg, key, default):
-    raw = cfg.get(key, default)
-    if not (isinstance(raw, list) and len(raw) == 2 and all(map(_is_number, raw))):
-        raise ConfigError(key, f"expected a pair of finite numbers, got {raw!r}")
-    return tuple(raw)
+def _resolve(cfg, tables, where="", dim=None, seed=None):
+    """Read a config of one of the modes in ``tables``.  ``--dim`` and
+    ``--seed`` replace ``dim`` and ``rng_seed`` once the config's own are checked."""
+    mode = cfg.get("mode") if isinstance(cfg, dict) else None
+    if mode not in tables:
+        raise ConfigError(where + "mode", f"must be one of {sorted(tables)}")
+    resolved = _read(cfg, tables[mode], where)
+    for key, val in (("dim", dim), ("rng_seed", seed)):
+        if val is not None and key in resolved:
+            resolved[key] = val
+    return resolved
 
 
-def _get_complex(cfg, key, default):
-    raw = cfg.get(key, default)
-    parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
-    if not all(map(_is_number, parts)):
-        raise ConfigError(key, f"expected a finite number or [re, im] pair, got {raw!r}")
-    return complex(float(parts[0]), float(parts[1]))
+#: Largest ``wigner_export.points``.  The grid evaluator holds several
+#: points²-sized arrays: at this size a two-photon dim-40 run with the export
+#: peaks about 110 MB above the same run without it.
+MAX_WIGNER_POINTS = 1001
 
 
-# ---------------------------------------------------------------------------
-# Mode runners: each returns (resolved_config, scalars_dict, window_or_None)
-# ---------------------------------------------------------------------------
+def _wigner_points(points):
+    if points > MAX_WIGNER_POINTS:
+        raise ValueError(f"{points} points per axis is too large; the largest allowed is {MAX_WIGNER_POINTS}")
+    return points >= 9
 
 
-# The two Fock-input modes run the same protocol; they differ only in the
-# input photon number, the target and these defaults.
-_PHOTON_DEFAULTS = {
-    "single-photon": {"n": 1, "reflectivity": 0.98, "squeezing": 0.7, "x0_wig": 0.025, "dim": 60},
-    "two-photon": {"n": 2, "reflectivity": 0.5, "squeezing": -0.37, "x0_wig": 0.084, "dim": 40},
+def _eta(val):
+    return 0 < val <= 1
+
+
+def _photon_keys(reflectivity, squeezing, x0_wig, dim, **extra):
+    """Keys of a Fock-input mode; the two run one protocol and differ in these defaults."""
+    return {
+        "mode": (_REQUIRED, str, None),
+        "dim": (dim, int, lambda v: v >= 2 and fock.check_dim(v) is None),
+        "reflectivity": (reflectivity, float, lambda v: 0 <= v <= 1),
+        "squeezing": (squeezing, float, None),
+        "x0_wig": (x0_wig, float, lambda v: v > 0),
+        "nodes": (65, int, lambda v: v >= 33 and v % 2 == 1),
+        **extra,
+        "wigner_export": (None, {"points": (241, int, _wigner_points),
+                                 "extent": (6.0, float, lambda v: v > 0)}, None),
+    }
+
+
+# Emulate keys that name an ExperimentParams field differently; the other
+# keys are field names.  Their defaults are the bench run's.
+_FIELDS = {"reflectivity": "R", "v_in_snl": "v_in", "x0_snl": "x0"}
+_BENCH = emulator.bench_params()
+
+# Keys each mode reads; anything else in a config is an error.
+_KEYS = {
+    "single-photon": _photon_keys(0.98, 0.7, 0.025, 60),
+    "two-photon": _photon_keys(0.5, -0.37, 0.084, 40, scs_gamma=([0.0, 1.1], complex, None)),
+    "coherent": {
+        "mode": (_REQUIRED, str, None),
+        "reflectivity": (0.75, float, lambda v: 0 <= v < 1),
+        "squeezing": (0.52, float, None),
+        "gamma": ([0.18, 0.0], complex, None),
+        "x_snl": (0.0, float, None),
+    },
+    "emulate": {
+        "mode": (_REQUIRED, str, None),
+        **{key: (getattr(_BENCH, _FIELDS.get(key, key)), kind, check) for key, kind, check in (
+            ("reflectivity", float, lambda v: 0 <= v <= 1), ("v_in_snl", tuple, None),
+            ("anc_sqz_db", float, None), ("anc_antisqz_db", float, None),
+            ("eta_vis", float, _eta), ("eta_det", float, _eta), ("eta_hom", float, _eta),
+            ("gate_elec_db", float, None), ("hom_elec_db", float, None),
+            ("gamma_plus", float, None), ("gamma_minus", float, None), ("x0_snl", float, lambda v: v > 0),
+            ("n_samples", int, lambda v: v >= 1), ("rng_seed", int, None),
+            ("subtract_electronic", bool, None),
+        )},
+        "dump_samples_csv": (False, bool, None),
+    },
+    "sweep": {
+        "mode": (_REQUIRED, str, None),
+        "axis": (_REQUIRED, str, None),
+        "start": (_REQUIRED, float, None), "stop": (_REQUIRED, float, None),
+        "count": (_REQUIRED, int, lambda v: v >= 1),
+        "log": (False, bool, None),
+        "base": ({}, dict, None),
+    },
+}
+# A sweep base runs at every point, so it takes no output keys.
+_BASE_KEYS = {
+    mode: {key: spec for key, spec in table.items() if key not in ("wigner_export", "dump_samples_csv")}
+    for mode, table in _KEYS.items() if mode != "sweep"
+}
+_AXES = {
+    "single-photon": ("success_prob", "x0_wig"),
+    "two-photon": ("success_prob", "x0_wig"),
+    "coherent": ("gamma_plus",),
+    "emulate": ("gamma_plus", "success_prob", "x0_snl"),
 }
 
 
-def _photon_config(cfg, overrides):
-    """Joint, target and resolved keys of a photon config; all keys are read before any work."""
-    mode = cfg["mode"]
-    defaults = _PHOTON_DEFAULTS[mode]
-    dim = overrides.get("dim") or _get(cfg, "dim", defaults["dim"], int, lambda v: v >= 2)
-    _check_dim(dim)
-    r = _get(cfg, "reflectivity", defaults["reflectivity"], float, lambda v: 0 <= v <= 1)
-    s = _get(cfg, "squeezing", defaults["squeezing"], float)
-    x0 = _get(cfg, "x0_wig", defaults["x0_wig"], float, lambda v: v > 0)
-    nodes = _get(cfg, "nodes", 65, int, lambda v: v >= 33 and v % 2 == 1)
-    resolved = {
-        "mode": mode, "reflectivity": r, "squeezing": s,
-        "x0_wig": x0, "dim": dim, "nodes": nodes,
-    }
-    if mode == "two-photon":
-        gamma = _get_complex(cfg, "scs_gamma", [0.0, 1.1])
-        resolved["scs_gamma"] = [gamma.real, gamma.imag]
-    joint = conditioner.build_joint(fock.fock_state(defaults["n"], dim), r, s)
-    if mode == "single-photon":
-        target = fock.squeezed_number_state(1, conditioner.s_prime(r, s), dim)
-    else:
-        target = fock.scs_state(gamma, "even", dim)
-    return joint, target, resolved
+# ---------------------------------------------------------------------------
+# Mode runners: each takes a resolved config and, for a sweep, its axis and values,
+# and returns one (scalars, window or None) row per value.  A run is one point.
+# ---------------------------------------------------------------------------
 
 
-def _run_photon(cfg, overrides):
-    joint, target, resolved = _photon_config(cfg, overrides)
-    win = conditioner.run_window(joint, target, resolved["x0_wig"], resolved["nodes"])
-    zero = conditioner.postselect_map(joint, target, [0.0])[0]
-    scalars = {
-        "f_ave": win.avg_fidelity,
-        "p_s": win.success_prob,
-        "fidelity_at_zero": zero.fidelity,
-        "purity_avg_state": win.avg_state.purity(),
-    }
+def _photon_setup(resolved):
+    """The joint state and the target of a resolved photon config."""
+    dim, r, s = resolved["dim"], resolved["reflectivity"], resolved["squeezing"]
+    n = 1 if resolved["mode"] == "single-photon" else 2
+    joint = conditioner.build_joint(fock.fock_state(n, dim), r, s)
+    if n == 1:
+        return joint, fock.squeezed_number_state(1, conditioner.s_prime(r, s), dim)
+    return joint, fock.scs_state(complex(*resolved["scs_gamma"]), "even", dim)
+
+
+def _run_photon(resolved, axis=None, values=(None,)):
+    joint, target = _photon_setup(resolved)
+    zero = conditioner.postselect_map(joint, target, [0.0])[0].fidelity
+    head, tail = {}, {}
     if resolved["mode"] == "single-photon":
         # s' leads and the density check trails, as curve.csv's columns expect.
+        head = {"s_prime": conditioner.s_prime(resolved["reflectivity"], resolved["squeezing"])}
+        tail = {"density_norm": conditioner.density_norm(joint, n_nodes=769)}
+    rows = []
+    for value in values:
+        x0 = resolved["x0_wig"] if axis is None else value
+        if axis == "success_prob":
+            x0 = _x0_for_success_prob(*_ps_of(resolved["mode"], joint), value)
+        win = conditioner.run_window(joint, target, x0, resolved["nodes"])
         scalars = {
-            "s_prime": conditioner.s_prime(resolved["reflectivity"], resolved["squeezing"]),
-            **scalars,
-            "density_norm": conditioner.density_norm(joint, n_nodes=769),
+            "f_ave": win.avg_fidelity,
+            "p_s": win.success_prob,
+            "fidelity_at_zero": zero,
+            "purity_avg_state": win.avg_state.purity(),
         }
-    return resolved, scalars, win
+        rows.append(({**head, **scalars, **tail}, win))
+    return rows
 
 
-def _run_coherent(cfg, overrides):
-    r = _get(cfg, "reflectivity", 0.75, float, lambda v: 0 <= v < 1)
-    s = _get(cfg, "squeezing", 0.52, float)
-    gamma = _get_complex(cfg, "gamma", [0.18, 0.0])
-    x_snl = _get(cfg, "x_snl", 0.0, float)
-    out = gaussian.condition_coherent(gamma, r, s, x_snl)
-    inp = gaussian.coherent_gaussian(gamma)
-    target = gaussian.ideal_target(inp, r)
+def _run_coherent(resolved, axis=None, values=(None,)):
+    r, s, x_snl = resolved["reflectivity"], resolved["squeezing"], resolved["x_snl"]
+    gamma = complex(*resolved["gamma"])
     sp = conditioner.s_prime(r, s)
     ig_p, ig_m = gaussian.ideal_gains(r)
-    g_p = out.mean[0] / inp.mean[0] if inp.mean[0] != 0 else float("nan")
-    g_m = out.mean[1] / inp.mean[1] if inp.mean[1] != 0 else float("nan")
     try:
         clim = gaussian.classical_limit(r)
     except ValueError:
         clim = None
-    resolved = {
-        "mode": "coherent", "reflectivity": r, "squeezing": s,
-        "gamma": [gamma.real, gamma.imag], "x_snl": x_snl,
-    }
-    scalars = {
-        "s_prime": sp,
-        "mean_out_snl": [float(out.mean[0]), float(out.mean[1])],
-        "v_out_snl": [float(out.cov[0, 0]), float(out.cov[1, 1])],
-        "g_plus": float(g_p),
-        "g_minus": float(g_m),
-        "ideal_g_plus": float(ig_p),
-        "ideal_g_minus": float(ig_m),
-        "purity": gaussian.purity(out),
-        "fidelity_to_ideal_target": gaussian.gaussian_fidelity(out, target),
-        "classical_limit": clim,
-    }
-    return resolved, scalars, None
+    rows = []
+    for value in values:
+        if axis == "gamma_plus":
+            gamma = complex(value, gamma.imag)
+        out = gaussian.condition_coherent(gamma, r, s, x_snl)
+        inp = gaussian.coherent_gaussian(gamma)
+        g_p = out.mean[0] / inp.mean[0] if inp.mean[0] != 0 else float("nan")
+        g_m = out.mean[1] / inp.mean[1] if inp.mean[1] != 0 else float("nan")
+        scalars = {
+            "s_prime": sp,
+            "mean_out_snl": [float(out.mean[0]), float(out.mean[1])],
+            "v_out_snl": [float(out.cov[0, 0]), float(out.cov[1, 1])],
+            "g_plus": float(g_p),
+            "g_minus": float(g_m),
+            "ideal_g_plus": float(ig_p),
+            "ideal_g_minus": float(ig_m),
+            "purity": gaussian.purity(out),
+            "fidelity_to_ideal_target": gaussian.gaussian_fidelity(out, gaussian.ideal_target(inp, r)),
+            "classical_limit": clim,
+        }
+        rows.append((scalars, None))
+    return rows
 
 
-def _emulate_params(cfg, overrides):
-    seed = overrides.get("seed")
-    kwargs = dict(
-        R=_get(cfg, "reflectivity", 0.75, float, lambda v: 0 <= v <= 1),
-        v_in=_get_pair(cfg, "v_in_snl", [1.13, 1.05]),
-        anc_sqz_db=_get(cfg, "anc_sqz_db", -4.5, float),
-        anc_antisqz_db=_get(cfg, "anc_antisqz_db", 8.5, float),
-        eta_vis=_get(cfg, "eta_vis", 0.96, float, lambda v: 0 < v <= 1),
-        eta_det=_get(cfg, "eta_det", 0.92, float, lambda v: 0 < v <= 1),
-        eta_hom=_get(cfg, "eta_hom", 0.89, float, lambda v: 0 < v <= 1),
-        gate_elec_db=_get(cfg, "gate_elec_db", -6.5, float),
-        hom_elec_db=_get(cfg, "hom_elec_db", -8.5, float),
-        gamma_plus=_get(cfg, "gamma_plus", 0.18, float),
-        gamma_minus=_get(cfg, "gamma_minus", 0.5, float),
-        x0=_get(cfg, "x0_snl", 0.01, float, lambda v: v > 0),
-        n_samples=_get(cfg, "n_samples", 4_000_000, int, lambda v: v >= 1),
-        rng_seed=int(seed) if seed is not None else _get(cfg, "rng_seed", 2006, int),
-        subtract_electronic=_get_bool(cfg, "subtract_electronic", True),
-    )
-    return emulator.ExperimentParams(**kwargs)
+def _experiment_params(resolved):
+    fields = {_FIELDS.get(key, key): val for key, val in resolved.items()}
+    return emulator.ExperimentParams(**{k: v for k, v in fields.items() if k not in ("mode", "dump_samples_csv")})
 
 
-def _run_emulate(cfg, overrides):
-    params = _emulate_params(cfg, overrides)
-    dump_to = _get_bool(cfg, "dump_samples_csv", False)
-    if dump_to:
-        stream = emulator.synthesize(params)
-        emulator.dump_samples(stream, overrides["out_dir"] / "samples.csv")
-        selected, prob = emulator.postselect(stream, params.x0)
-        stats = emulator.estimate(selected, params, success_prob=prob)
-    else:
-        stats = emulator.run_experiment(params)
-    resolved = {
-        "mode": "emulate", "reflectivity": params.R, "v_in_snl": list(params.v_in),
-        "anc_sqz_db": params.anc_sqz_db, "anc_antisqz_db": params.anc_antisqz_db,
-        "eta_vis": params.eta_vis, "eta_det": params.eta_det, "eta_hom": params.eta_hom,
-        "gate_elec_db": params.gate_elec_db, "hom_elec_db": params.hom_elec_db,
-        "gamma_plus": params.gamma_plus, "gamma_minus": params.gamma_minus,
-        "x0_snl": params.x0, "n_samples": params.n_samples,
-        "rng_seed": params.rng_seed, "subtract_electronic": params.subtract_electronic,
-        "dump_samples_csv": dump_to,
-    }
-    scalars = {
-        "v_out_snl": list(stats.v_out),
-        "g_plus": stats.gains.g_plus,
-        "g_minus": stats.gains.g_minus,
-        "ideal_g_plus": stats.gains.ideal_g_plus,
-        "ideal_g_minus": stats.gains.ideal_g_minus,
-        "fidelity_est": stats.fidelity_est,
-        "fidelity_se": stats.fidelity_se,
-        "purity_norm": stats.purity_norm,
-        "purity_norm_se": stats.purity_norm_se,
-        "success_prob": stats.success_prob,
-        "n_selected": stats.n_selected,
-        "notes": list(stats.notes),
-    }
-    return resolved, scalars, None
+def _run_emulate(resolved, axis=None, values=(None,)):
+    params = _experiment_params(resolved)
+    rows = []
+    for value in values:
+        point = params
+        if axis == "success_prob":
+            point = dataclasses.replace(params, x0=_x0_for_success_prob(*_ps_of("emulate", params), value))
+        elif axis is not None:
+            point = dataclasses.replace(params, **{_FIELDS.get(axis, axis): value})
+        # The results are the EnsembleStats fields in order, with the gains inlined.
+        stats = dataclasses.asdict(emulator.run_experiment(point))
+        rows.append(({"v_out_snl": stats.pop("v_out"), **stats.pop("gains"), **stats}, None))
+    return rows
 
 
 _MODE_RUNNERS = {
@@ -248,81 +298,33 @@ _MODE_RUNNERS = {
     "emulate": _run_emulate,
 }
 
-# Keys each mode reads; anything else in a config is an error.
-_PHOTON_KEYS = {"mode", "dim", "reflectivity", "squeezing", "x0_wig", "nodes", "wigner_export"}
-_MODE_KEYS = {
-    "single-photon": _PHOTON_KEYS,
-    "two-photon": _PHOTON_KEYS | {"scs_gamma"},
-    "coherent": {"mode", "reflectivity", "squeezing", "gamma", "x_snl"},
-    "emulate": {
-        "mode", "reflectivity", "v_in_snl", "anc_sqz_db", "anc_antisqz_db", "eta_vis",
-        "eta_det", "eta_hom", "gate_elec_db", "hom_elec_db", "gamma_plus", "gamma_minus",
-        "x0_snl", "n_samples", "rng_seed", "subtract_electronic", "dump_samples_csv",
-    },
-    "sweep": {"mode", "axis", "start", "stop", "count", "log", "base"},
-}
-_WIGNER_KEYS = {"points", "extent"}
-
-#: Largest ``wigner_export.points``.  The grid evaluator holds several
-#: points²-sized arrays: at this size a two-photon dim-40 run with the export
-#: peaks about 110 MB above the same run without it.
-MAX_WIGNER_POINTS = 1001
-
-
-def _wigner_export(cfg):
-    """The validated ``wigner_export`` section, or None; checked before any work."""
-    wig_cfg = cfg.get("wigner_export")
-    if wig_cfg is None:
-        return None
-    _check_keys(wig_cfg, _WIGNER_KEYS, "wigner_export.")
-    points = _get(wig_cfg, "points", 241, int, lambda v: v >= 9)
-    if points > MAX_WIGNER_POINTS:
-        raise ConfigError(
-            "wigner_export.points",
-            f"{points} points per axis is too large; the largest allowed is {MAX_WIGNER_POINTS}",
-        )
-    extent = _get(wig_cfg, "extent", 6.0, float, lambda v: v > 0)
-    return {"points": points, "extent": extent}
-
 
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
 
 
-def _axis_values(cfg):
-    for key in ("start", "stop", "count"):
-        if key not in cfg:
-            raise ConfigError(key, "start, stop and count are required")
-    start = _get(cfg, "start", None, float)
-    stop = _get(cfg, "stop", None, float)
-    count = _get(cfg, "count", None, int, lambda v: v >= 1)
-    log = _get_bool(cfg, "log", False)
+def _axis_values(sweep):
+    start, stop = sweep["start"], sweep["stop"]
     if start >= stop:
         raise ConfigError("sweep", "range must be non-empty and ordered (start < stop)")
-    if log:
+    if sweep["log"]:
         if start <= 0:
             raise ConfigError("start", "log sweeps need start > 0")
-        return np.geomspace(start, stop, count)
-    return np.linspace(start, stop, count)
+        return np.geomspace(start, stop, sweep["count"])
+    return np.linspace(start, stop, sweep["count"])
 
 
-def _x0_for_success_prob(base_cfg, base_mode, target_ps, overrides):
-    """Invert the success probability to a window half-width."""
-    if base_mode == "emulate":
-        params = _emulate_params(base_cfg, overrides)
+def _ps_of(mode, prepared):
+    """P_s(x0) of a photon joint or emulate ExperimentParams, and the x0 bracket's top."""
+    if mode == "emulate":
+        return (lambda x0: emulator.predict_stats(dataclasses.replace(prepared, x0=float(x0))).success_prob), 50.0
+    return (lambda x0: conditioner.density_norm(prepared, x0, 65)), 6.0
 
-        def ps_of(x0):
-            return emulator.predict_stats(dataclasses.replace(params, x0=float(x0))).success_prob
 
-        lo, hi = 1e-6, 50.0
-    else:
-        joint = _photon_config(base_cfg, overrides)[0]
-
-        def ps_of(x0):
-            return conditioner.density_norm(joint, x0, 65)
-
-        lo, hi = 1e-6, 6.0
+def _x0_for_success_prob(ps_of, hi, target_ps):
+    """The window half-width in [lo, hi] at which ``ps_of`` reaches ``target_ps``."""
+    lo = 1e-6
     ps_lo, ps_hi = ps_of(lo), ps_of(hi)
     if not ps_lo <= target_ps <= ps_hi:
         raise ConfigError(
@@ -352,42 +354,18 @@ def _increasing_root(f, lo, hi, f_lo, f_hi, xtol=2e-12):
     return float(x)
 
 
-def _run_sweep(cfg, overrides):
-    base = cfg.get("base", {})
-    base_mode = base.get("mode") if isinstance(base, dict) else None
-    if base_mode not in _MODE_RUNNERS:
-        raise ConfigError("base.mode", f"must be one of {sorted(_MODE_RUNNERS)}")
-    _check_keys(base, _MODE_KEYS[base_mode] - {"wigner_export"}, "base.")
-    axis = cfg.get("axis")
-    allowed = {
-        "single-photon": {"x0_wig", "success_prob"},
-        "two-photon": {"x0_wig", "success_prob"},
-        "coherent": {"gamma_plus"},
-        "emulate": {"x0_snl", "gamma_plus", "success_prob"},
-    }[base_mode]
-    if axis not in allowed:
-        raise ConfigError("axis", f"mode {base_mode} supports axes {sorted(allowed)}")
-    values = _axis_values(cfg)
-
-    def point(value):
-        point_cfg = dict(base)
-        if axis == "success_prob":
-            x0 = _x0_for_success_prob(base, base_mode, float(value), overrides)
-            key = "x0_snl" if base_mode == "emulate" else "x0_wig"
-            point_cfg[key] = x0
-        elif axis == "gamma_plus" and base_mode == "coherent":
-            gamma = _get_complex(base, "gamma", [0.18, 0.0])
-            point_cfg["gamma"] = [float(value), gamma.imag]
-        else:
-            point_cfg[axis] = float(value)
-        _, scalars, _ = _MODE_RUNNERS[base_mode](point_cfg, overrides)
-        return scalars
-
-    rows = [point(v) for v in values]
-    resolved = {"mode": "sweep", "axis": axis, "base": base,
-                "start": float(values[0]), "stop": float(values[-1]),
-                "count": len(values), "log": cfg.get("log", False)}
-    return resolved, values, rows
+def _run_sweep(sweep, dim, seed):
+    """Axis values and scalar rows of a resolved sweep, its base read and prepared once."""
+    base = _resolve(sweep["base"], _BASE_KEYS, "base.", dim, seed)
+    axis, mode = sweep["axis"], base["mode"]
+    if axis not in _AXES[mode]:
+        raise ConfigError("axis", f"mode {mode} supports axes {sorted(_AXES[mode])}")
+    values = _axis_values(sweep)
+    if axis in _KEYS[mode]:  # every point is checked as the key it sets would be
+        for value in values:
+            _value(axis, float(value), *_KEYS[mode][axis][1:])
+    rows = _MODE_RUNNERS[mode](base, axis, [float(v) for v in values])
+    return values, [scalars for scalars, _ in rows]
 
 
 def _write_curve(path, axis, values, rows):
@@ -424,29 +402,27 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer literal too long to parse
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    overrides = {"dim": args.dim, "seed": args.seed, "out_dir": out_dir}
     try:
-        mode = cfg.get("mode") if isinstance(cfg, dict) else None
-        if mode not in _MODE_KEYS:
-            raise ConfigError("mode", f"must be one of {sorted(_MODE_KEYS)}")
-        _check_keys(cfg, _MODE_KEYS[mode])
-        export = _wigner_export(cfg)
-        if mode == "sweep":
-            resolved, values, rows = _run_sweep(cfg, overrides)
+        resolved = _resolve(cfg, _KEYS, dim=args.dim, seed=args.seed)
+        if resolved["mode"] == "sweep":
+            values, rows = _run_sweep(resolved, args.dim, args.seed)
             _write_curve(out_dir / "curve.csv", resolved["axis"], values, rows)
+            resolved.update(start=float(values[0]), stop=float(values[-1]))
             scalars = {"points": len(values), "first": rows[0], "last": rows[-1]}
         else:
-            resolved, scalars, window = _MODE_RUNNERS[mode](cfg, overrides)
+            if resolved.get("dump_samples_csv"):
+                emulator.dump_samples(emulator.synthesize(_experiment_params(resolved)), out_dir / "samples.csv")
+            [(scalars, window)] = _MODE_RUNNERS[resolved["mode"]](resolved)
+        export = resolved.get("wigner_export")
         if export is not None:
             axis = np.linspace(-export["extent"], export["extent"], export["points"])
             grid = wigner.wigner_from_density(window.avg_state, axis, axis.copy())
             _write_wigner(out_dir / "wigner.csv", grid)
-            resolved["wigner_export"] = export
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -489,7 +465,7 @@ def _selfcheck_checks(dim: int):
         return ok, f"norm={norm:.12f} var={var:.12f}"
 
     # The default single-photon joint and target are built once, on first use.
-    single_photon = functools.cache(lambda: _photon_config({"mode": "single-photon"}, {"dim": dim}))
+    single_photon = functools.cache(lambda: _photon_setup(_resolve({"mode": "single-photon"}, _KEYS, dim=dim)))
 
     def density_normalization():
         val = conditioner.density_norm(single_photon()[0], n_nodes=769)
@@ -497,7 +473,7 @@ def _selfcheck_checks(dim: int):
         return ok, f"integral={val:.9f}"
 
     def squeezed_photon_exactness():
-        joint, target, _ = single_photon()
+        joint, target = single_photon()
         fid = conditioner.postselect_map(joint, target, [0.0])[0].fidelity
         ok = fid >= 1.0 - 1e-6
         hint = "" if ok else " (truncation: increase --dim)"

@@ -147,6 +147,14 @@ def test_sweep_success_prob_axis(tmp_path):
     np.testing.assert_allclose(got, [0.002, 0.011, 0.02], rtol=1e-3)
 
 
+def _prepared(base):
+    """What a sweep over ``base`` prepares once: its joint state, or its ExperimentParams."""
+    resolved = cli._resolve(base, cli._KEYS)
+    if base["mode"] == "emulate":
+        return cli._experiment_params(resolved)
+    return cli._photon_setup(resolved)[0]
+
+
 @pytest.mark.parametrize(
     "base, targets",
     [
@@ -157,26 +165,64 @@ def test_sweep_success_prob_axis(tmp_path):
     ids=["single-photon", "two-photon", "emulate"],
 )
 def test_success_prob_roots_match_brentq(base, targets):
-    # the same P_s(x0) and brackets as the CLI, solved by scipy's brentq
-    overrides = {"dim": None, "seed": None}
+    # the P_s(x0) and bracket the mode runners solve with, against scipy's brentq
+    # on P_s written out here
+    prepared = _prepared(base)
     if base["mode"] == "emulate":
-        params = cli._emulate_params(base, overrides)
 
         def ps_of(x0):
-            return emulator.predict_stats(dataclasses.replace(params, x0=float(x0))).success_prob
+            return emulator.predict_stats(dataclasses.replace(prepared, x0=float(x0))).success_prob
 
         lo, hi = 1e-6, 50.0
     else:
-        joint = cli._photon_config(base, overrides)[0]
 
         def ps_of(x0):
-            return conditioner.density_norm(joint, x0, 65)
+            return conditioner.density_norm(prepared, x0, 65)
 
         lo, hi = 1e-6, 6.0
     for target in targets:
-        got = cli._x0_for_success_prob(base, base["mode"], target, overrides)
+        got = cli._x0_for_success_prob(*cli._ps_of(base["mode"], prepared), target)
         want = brentq(lambda x0: ps_of(x0) - target, lo, hi, xtol=2e-12)
         assert abs(got - want) <= 4e-12, (target, got, want)
+
+
+@pytest.mark.parametrize(
+    "base, axis, start, stop",
+    [
+        ({"mode": "single-photon", "dim": 40}, "x0_wig", 0.01, 0.05),
+        ({"mode": "two-photon", "dim": 40, "scs_gamma": [0.2, 1.0]}, "x0_wig", 0.03, 0.15),
+        ({"mode": "coherent", "gamma": [0.18, 0.3]}, "gamma_plus", 0.1, 2.0),
+        ({"mode": "emulate", "n_samples": 200_000}, "x0_snl", 0.2, 0.6),
+        ({"mode": "emulate", "n_samples": 200_000, "x0_snl": 0.2}, "gamma_plus", 0.1, 0.9),
+        ({"mode": "single-photon", "dim": 40}, "success_prob", 0.002, 0.02),
+        ({"mode": "two-photon", "dim": 40}, "success_prob", 0.02, 0.08),
+        ({"mode": "emulate", "n_samples": 200_000}, "success_prob", 0.1, 0.3),
+    ],
+    ids=["single-photon-x0_wig", "two-photon-x0_wig", "coherent-gamma_plus", "emulate-x0_snl",
+         "emulate-gamma_plus", "single-photon-success_prob", "two-photon-success_prob",
+         "emulate-success_prob"],
+)
+def test_sweep_row_is_the_single_run_at_its_point(tmp_path, base, axis, start, stop):
+    # a sweep prepares its base once; each row must still be that point's own run
+    payload = {"mode": "sweep", "axis": axis, "start": start, "stop": stop, "count": 3, "base": base}
+    code, out = run_cli(tmp_path, payload)
+    assert code == 0
+    with open(out / "curve.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(rows) == 3
+    for k, row in enumerate(rows):
+        value = float(row[0])
+        if axis == "success_prob":  # the single run at the window the sweep solved for
+            x0 = cli._x0_for_success_prob(*cli._ps_of(base["mode"], _prepared(base)), value)
+            point = dict(base, **{"x0_snl" if base["mode"] == "emulate" else "x0_wig": x0})
+        elif base["mode"] == "coherent":
+            point = dict(base, gamma=[value, base["gamma"][1]])
+        else:
+            point = dict(base, **{axis: value})
+        single = tmp_path / f"single{k}"
+        assert cli.main(["--out", str(single), "run", write_config(tmp_path, point, f"point{k}.json")]) == 0
+        results = read_result(single)["results"]
+        assert [float(x) for x in row[1:]] == [results[key] for key in header[1:]], (k, row)
 
 
 def test_sweep_threads_agree(tmp_path):
@@ -252,7 +298,7 @@ def test_wigner_csv_bytes_match_csv_writer(tmp_path):
 
 @pytest.mark.parametrize("points", [cli.MAX_WIGNER_POINTS + 1, 20_000])
 def test_oversized_wigner_export_exits_2_before_running(tmp_path, capsys, monkeypatch, points):
-    def must_not_run(cfg, overrides):
+    def must_not_run(resolved, axis=None, values=(None,)):
         raise AssertionError("the mode ran before wigner_export was checked")
 
     monkeypatch.setitem(cli._MODE_RUNNERS, "single-photon", must_not_run)
@@ -273,6 +319,7 @@ _OVER_BUDGET = 10_000  # its eigenbasis alone would take 7.5 TiB
       "base": {"mode": "single-photon", "dim": _OVER_BUDGET}}, []),
     ({"mode": "sweep", "axis": "success_prob", "start": 0.02, "stop": 0.03, "count": 2,
       "base": {"mode": "two-photon", "dim": 402}}, []),  # the smallest dim over budget
+    ({"mode": "single-photon", "dim": _OVER_BUDGET}, ["--dim", "40"]),  # checked though overridden
 ])
 def test_dim_over_the_memory_budget_exits_2_at_once(tmp_path, capsys, payload, extra):
     start = time.perf_counter()
@@ -346,9 +393,11 @@ def test_booleans_must_be_json_booleans(tmp_path, capsys, payload, field):
         ({"mode": "sweep", "axis": "x0_wig", "start": 0.01, "stop": float("nan"), "count": 2,
           "base": {"mode": "single-photon", "dim": 40}}, "stop"),
         ({"mode": "two-photon", "scs_gamma": [float("nan"), 1.1]}, "scs_gamma"),
+        ({"mode": "coherent", "squeezing": 10**400}, "squeezing"),
+        ({"mode": "single-photon", "dim": 10**400}, "dim"),
     ],
     ids=["float-int", "fractional-int", "string-float", "bool-float", "string-pair", "bool-complex",
-         "nan-float", "infinite-float", "nan-sweep-stop", "nan-complex"],
+         "nan-float", "infinite-float", "nan-sweep-stop", "nan-complex", "huge-float", "huge-int"],
 )
 def test_numbers_must_be_json_numbers(tmp_path, capsys, payload, field):
     code, out = run_cli(tmp_path, payload)
@@ -400,8 +449,11 @@ def test_unreachable_success_prob_exits_2(tmp_path, capsys):
           "base": {"mode": "coherent", "x0_wig": 0.1}}, "base.x0_wig"),
         ({"mode": "single-photon", "wigner_export": {"points": 41, "extnet": 4.0}},
          "wigner_export.extnet"),
+        ({"mode": "sweep", "axis": "x0_snl", "start": 0.1, "stop": 0.3, "count": 3,
+          "base": {"mode": "emulate", "dump_samples_csv": True}}, "base.dump_samples_csv"),
     ],
-    ids=["top-level", "other-mode", "wigner-export-mode", "sweep-base", "wigner-export"],
+    ids=["top-level", "other-mode", "wigner-export-mode", "sweep-base", "wigner-export",
+         "sweep-base-dump"],
 )
 def test_unknown_keys_exit_2(tmp_path, capsys, payload, field):
     code, out = run_cli(tmp_path, payload)
@@ -452,6 +504,14 @@ def test_every_documented_key_is_accepted(tmp_path):
 
 def test_missing_config_exits_2(tmp_path):
     assert cli.main(["--out", str(tmp_path / "o"), "run", str(tmp_path / "nope.json")]) == 2
+
+
+def test_unparsable_integer_exits_2(tmp_path, capsys):
+    # Python's int() refuses a literal of more than 4300 digits
+    path = tmp_path / "long.json"
+    path.write_text('{"mode": "coherent", "squeezing": 1' + "0" * 5000 + "}")
+    assert cli.main(["--out", str(tmp_path / "o"), "run", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_convergence_failure_exits_3(tmp_path, capsys):
