@@ -16,7 +16,6 @@ from .conditioner import (
     ConditionalResult,
     WindowResult,
     build_joint,
-    conditioned_coherent_target,
     fidelity,
     homodyne_project,
     postselect_map,
@@ -33,17 +32,15 @@ from .emulator import (
     run_experiment,
     synthesize,
 )
-from .errors import ConvergenceError, EmptySelectionError, TruncationError
+from .errors import EmptySelectionError, TruncationError
 from .fock import (
     FockDensity,
     FockVector,
     TwoModeState,
     coherent_state,
-    displaced_squeezed_vacuum,
     fock_state,
     interfere,
     quadrature_moments,
-    quadrature_wavefunction,
     scs_state,
     squeezed_number_state,
     squeezed_vacuum,
@@ -61,13 +58,9 @@ from .gaussian import (
     purity,
     purity_norm,
     squeezed_gaussian,
-    vacuum_state,
 )
 from .wigner import (
     WignerGrid,
-    overlap,
     scs_wigner,
-    single_photon_wigner,
-    squeezed_vacuum_wigner,
     wigner_from_density,
 )

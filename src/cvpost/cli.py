@@ -9,8 +9,7 @@ so ``{"mode": "single-photon"}`` is a valid config.  Every run is a sweep of
 one or more points: the mode's runner prepares once what the swept key leaves
 alone.  A sweep base takes no output keys, as each point would overwrite them.
 
-Exit codes: 0 success, 2 config validation failure, 3 engine convergence
-failure.
+Exit codes: 0 success, 2 config validation failure.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, conditioner, emulator, fock, gaussian, wigner
-from .errors import ConvergenceError, EmptySelectionError
+from .errors import EmptySelectionError
 
 
 class ConfigError(Exception):
@@ -128,6 +127,19 @@ def _wigner_points(points):
     return points >= 9
 
 
+#: Largest sweep ``count``.  A sweep holds one row of scalars per point (about
+#: 1 KB) until it writes curve.csv, and a photon point takes about a
+#: millisecond, an emulate point up to a second: at this size a sweep holds
+#: about 10 MB and a photon sweep ends in seconds.  A curve needs far fewer.
+MAX_SWEEP_POINTS = 10_000
+
+
+def _sweep_points(count):
+    if count > MAX_SWEEP_POINTS:
+        raise ValueError(f"{count} points is too many; the largest allowed is {MAX_SWEEP_POINTS}")
+    return count >= 1
+
+
 def _eta(val):
     return 0 < val <= 1
 
@@ -140,7 +152,6 @@ def _photon_keys(reflectivity, squeezing, x0_wig, dim, **extra):
         "reflectivity": (reflectivity, float, lambda v: 0 <= v <= 1),
         "squeezing": (squeezing, float, None),
         "x0_wig": (x0_wig, float, lambda v: v > 0),
-        "nodes": (65, int, lambda v: v >= 33 and v % 2 == 1),
         **extra,
         "wigner_export": (None, {"points": (241, int, _wigner_points),
                                  "extent": (6.0, float, lambda v: v > 0)}, None),
@@ -180,7 +191,7 @@ _KEYS = {
         "mode": (_REQUIRED, str, None),
         "axis": (_REQUIRED, str, None),
         "start": (_REQUIRED, float, None), "stop": (_REQUIRED, float, None),
-        "count": (_REQUIRED, int, lambda v: v >= 1),
+        "count": (_REQUIRED, int, _sweep_points),
         "log": (False, bool, None),
         "base": ({}, dict, None),
     },
@@ -200,7 +211,8 @@ _AXES = {
 
 # ---------------------------------------------------------------------------
 # Mode runners: each takes a resolved config and, for a sweep, its axis and values,
-# and returns one (scalars, window or None) row per value.  A run is one point.
+# and yields one (scalars, window or None) row per value, so a sweep drops each
+# window once it has the scalars.  A run is one point.
 # ---------------------------------------------------------------------------
 
 
@@ -221,21 +233,20 @@ def _run_photon(resolved, axis=None, values=(None,)):
     if resolved["mode"] == "single-photon":
         # s' leads and the density check trails, as curve.csv's columns expect.
         head = {"s_prime": conditioner.s_prime(resolved["reflectivity"], resolved["squeezing"])}
-        tail = {"density_norm": conditioner.density_norm(joint, n_nodes=769)}
-    rows = []
+        tail = {"density_norm": conditioner.density_norm(joint)}
+    ps_of = _ps_of(resolved["mode"], joint)
     for value in values:
         x0 = resolved["x0_wig"] if axis is None else value
         if axis == "success_prob":
-            x0 = _x0_for_success_prob(*_ps_of(resolved["mode"], joint), value)
-        win = conditioner.run_window(joint, target, x0, resolved["nodes"])
+            x0 = _x0_for_success_prob(*ps_of, value)
+        win = conditioner.run_window(joint, target, x0)
         scalars = {
             "f_ave": win.avg_fidelity,
             "p_s": win.success_prob,
             "fidelity_at_zero": zero,
             "purity_avg_state": win.avg_state.purity(),
         }
-        rows.append(({**head, **scalars, **tail}, win))
-    return rows
+        yield {**head, **scalars, **tail}, win
 
 
 def _run_coherent(resolved, axis=None, values=(None,)):
@@ -247,7 +258,6 @@ def _run_coherent(resolved, axis=None, values=(None,)):
         clim = gaussian.classical_limit(r)
     except ValueError:
         clim = None
-    rows = []
     for value in values:
         if axis == "gamma_plus":
             gamma = complex(value, gamma.imag)
@@ -267,8 +277,7 @@ def _run_coherent(resolved, axis=None, values=(None,)):
             "fidelity_to_ideal_target": gaussian.gaussian_fidelity(out, gaussian.ideal_target(inp, r)),
             "classical_limit": clim,
         }
-        rows.append((scalars, None))
-    return rows
+        yield scalars, None
 
 
 def _experiment_params(resolved):
@@ -278,17 +287,16 @@ def _experiment_params(resolved):
 
 def _run_emulate(resolved, axis=None, values=(None,)):
     params = _experiment_params(resolved)
-    rows = []
+    ps_of = _ps_of("emulate", params)
     for value in values:
         point = params
         if axis == "success_prob":
-            point = dataclasses.replace(params, x0=_x0_for_success_prob(*_ps_of("emulate", params), value))
+            point = dataclasses.replace(params, x0=_x0_for_success_prob(*ps_of, value))
         elif axis is not None:
             point = dataclasses.replace(params, **{_FIELDS.get(axis, axis): value})
         # The results are the EnsembleStats fields in order, with the gains inlined.
         stats = dataclasses.asdict(emulator.run_experiment(point))
-        rows.append(({"v_out_snl": stats.pop("v_out"), **stats.pop("gains"), **stats}, None))
-    return rows
+        yield {"v_out_snl": stats.pop("v_out"), **stats.pop("gains"), **stats}, None
 
 
 _MODE_RUNNERS = {
@@ -316,10 +324,13 @@ def _axis_values(sweep):
 
 
 def _ps_of(mode, prepared):
-    """P_s(x0) of a photon joint or emulate ExperimentParams, and the x0 bracket's top."""
+    """P_s(x0) of a photon joint or emulate ExperimentParams, and the x0 bracket's top.
+    P_s is memoized, so a sweep evaluates the bracket's ends once."""
     if mode == "emulate":
-        return (lambda x0: emulator.predict_stats(dataclasses.replace(prepared, x0=float(x0))).success_prob), 50.0
-    return (lambda x0: conditioner.density_norm(prepared, x0, 65)), 6.0
+        ps_of, hi = (lambda x0: emulator.predict_stats(dataclasses.replace(prepared, x0=float(x0))).success_prob), 50.0
+    else:
+        ps_of, hi = (lambda x0: conditioner.density_norm(prepared, x0)), 6.0
+    return functools.cache(ps_of), hi
 
 
 def _x0_for_success_prob(ps_of, hi, target_ps):
@@ -412,7 +423,6 @@ def _cmd_run(args) -> int:
         if resolved["mode"] == "sweep":
             values, rows = _run_sweep(resolved, args.dim, args.seed)
             _write_curve(out_dir / "curve.csv", resolved["axis"], values, rows)
-            resolved.update(start=float(values[0]), stop=float(values[-1]))
             scalars = {"points": len(values), "first": rows[0], "last": rows[-1]}
         else:
             if resolved.get("dump_samples_csv"):
@@ -429,9 +439,6 @@ def _cmd_run(args) -> int:
     except (ValueError, TypeError, EmptySelectionError) as exc:
         print(f"config validation failed: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"engine did not converge: {exc}", file=sys.stderr)
-        return 3
 
     payload = {
         "tool": {"name": "cvpost", "version": __version__},
@@ -457,10 +464,9 @@ def _sanitize(obj):
 def _selfcheck_checks(dim: int):
     def quad_convention():
         xs = np.linspace(-8, 8, 1601)
-        w = conditioner._simpson_weights(1601, -8, 8)
         psi0 = fock.quadrature_wavefunctions(0, xs)[0]
-        norm = float(w @ psi0**2)
-        var = float(w @ (xs**2 * psi0**2))
+        norm = float(np.trapezoid(psi0**2, xs))
+        var = float(np.trapezoid(xs**2 * psi0**2, xs))
         ok = abs(norm - 1) < 1e-9 and abs(var - 0.25) < 1e-9
         return ok, f"norm={norm:.12f} var={var:.12f}"
 
@@ -468,7 +474,7 @@ def _selfcheck_checks(dim: int):
     single_photon = functools.cache(lambda: _photon_setup(_resolve({"mode": "single-photon"}, _KEYS, dim=dim)))
 
     def density_normalization():
-        val = conditioner.density_norm(single_photon()[0], n_nodes=769)
+        val = conditioner.density_norm(single_photon()[0])
         ok = abs(val - 1.0) < 1e-6
         return ok, f"integral={val:.9f}"
 

@@ -14,19 +14,6 @@ class TruncationError(ValueError):
         self.suggested_dim = suggested_dim
 
 
-class ConvergenceError(RuntimeError):
-    """Raised when a node-doubling quadrature check does not converge.
-
-    Carries both the coarse and the fine estimates so the caller can inspect
-    how far apart they are.
-    """
-
-    def __init__(self, message, coarse, fine):
-        super().__init__(message)
-        self.coarse = coarse
-        self.fine = fine
-
-
 class EmptySelectionError(RuntimeError):
     """Raised when a post-selection window keeps zero samples; raise the
     threshold or the sample count."""

@@ -277,28 +277,6 @@ def squeezed_number_state(n: int, s: float, dim: int) -> FockVector:
     return _checked(amps, f"S(s={s})|{n}>")
 
 
-def displaced_squeezed_vacuum(beta: complex, s: float, dim: int) -> FockVector:
-    """Displaced squeezed vacuum D(beta) S(s)|0> (H. P. Yuen, Phys. Rev. A 13, 2226 (1976)).
-
-    The state is annihilated by ``cosh(s)(a - beta) - sinh(s)(a^dag - beta*)``,
-    so its amplitudes follow the three-term recurrence
-    ``sqrt(k+1) cosh(s) c_{k+1} = g c_k + sqrt(k) sinh(s) c_{k-1}`` with
-    ``g = beta cosh(s) - beta* sinh(s)``, from
-    ``c_0 = exp(-|beta|^2/2 + beta*^2 tanh(s)/2) / sqrt(cosh(s))``.
-    """
-    beta = complex(beta)
-    ch, sh = math.cosh(s), math.sinh(s)
-    g = beta * ch - beta.conjugate() * sh
-    with np.errstate(invalid="ignore"):  # _checked reports a NaN parameter
-        c0 = np.exp(-0.5 * abs(beta) ** 2 + 0.5 * beta.conjugate() ** 2 * math.tanh(s)) / math.sqrt(ch)
-    prev, cur = 0.0, complex(c0)
-    amps = [cur]
-    for k in range(1, dim):
-        prev, cur = cur, (g * cur + math.sqrt(k - 1) * sh * prev) / (math.sqrt(k) * ch)
-        amps.append(cur)
-    return _checked(np.array(amps, dtype=complex), f"D({beta:.4g}) S(s={s})|0>")
-
-
 def scs_state(gamma: complex, parity: str, dim: int) -> FockVector:
     """Normalized superposition of coherent states |gamma> +/- |-gamma>.
 
@@ -506,20 +484,12 @@ def quadrature_wavefunctions(n_max: int, x) -> np.ndarray:
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     xi = np.sqrt(2.0) * xs
+    k = np.arange(1.0, n_max + 1)
+    up, down = np.outer(np.sqrt(2.0 / k), xi), np.sqrt((k - 1.0) / k).tolist()
     out = np.empty((n_max + 1, xs.size))
+    out[0] = np.exp(-0.5 * xi**2)
     prev = np.zeros_like(xi)
-    cur = np.exp(-0.5 * xi**2)
-    out[0] = cur
     for n in range(n_max):
-        nxt = xi * np.sqrt(2.0 / (n + 1)) * cur - np.sqrt(n / (n + 1)) * prev
-        out[n + 1] = nxt
-        prev, cur = cur, nxt
+        out[n + 1] = up[n] * out[n] - down[n] * prev
+        prev = out[n]
     return (2.0 / np.pi) ** 0.25 * out
-
-
-def quadrature_wavefunction(n: int, x):
-    """<n|x> for a single n; scalar in, scalar out."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    vals = quadrature_wavefunctions(n, x)[n]
-    return float(vals[0]) if np.isscalar(x) else vals

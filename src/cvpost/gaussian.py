@@ -63,10 +63,6 @@ class GaussianState:
         return self.mean.size // 2
 
 
-def vacuum_state(n_modes: int = 1) -> GaussianState:
-    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
-
-
 def coherent_gaussian(gamma: complex) -> GaussianState:
     g = complex(gamma)
     return GaussianState(np.array([2.0 * g.real, 2.0 * g.imag]), np.eye(2))
@@ -75,11 +71,6 @@ def coherent_gaussian(gamma: complex) -> GaussianState:
 def squeezed_gaussian(s: float) -> GaussianState:
     """S(s)|0>: V(X+) = e^{2s}, V(X-) = e^{-2s} (phase squeezed for s > 0)."""
     return GaussianState(np.zeros(2), np.diag([np.exp(2.0 * s), np.exp(-2.0 * s)]))
-
-
-def gaussian_from_variances(v_plus: float, v_minus: float, mean=(0.0, 0.0)) -> GaussianState:
-    """Single-mode Gaussian with independent quadrature variances (possibly mixed)."""
-    return GaussianState(np.asarray(mean, dtype=float), np.diag([v_plus, v_minus]))
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:

@@ -167,21 +167,6 @@ def wigner_from_density(
 # ---------------------------------------------------------------------------
 
 
-def squeezed_vacuum_wigner(alpha, s: float):
-    """W of S(s)|0>: (2/pi) exp[-2 a+^2 e^{-2s} - 2 a-^2 e^{2s}]."""
-    a = np.asarray(alpha, dtype=complex)
-    return (2.0 / np.pi) * np.exp(
-        -2.0 * a.real**2 * np.exp(-2.0 * s) - 2.0 * a.imag**2 * np.exp(2.0 * s)
-    )
-
-
-def single_photon_wigner(alpha):
-    """W of |1>: (2/pi) exp(-2|a|^2) (4|a|^2 - 1)."""
-    a = np.asarray(alpha, dtype=complex)
-    r2 = np.abs(a) ** 2
-    return (2.0 / np.pi) * np.exp(-2.0 * r2) * (4.0 * r2 - 1.0)
-
-
 def scs_wigner(alpha, gamma: complex):
     """W of the normalized even superposition |gamma> + |-gamma>.
 
@@ -194,31 +179,6 @@ def scs_wigner(alpha, gamma: complex):
     direct = np.exp(-2.0 * np.abs(a - g) ** 2) + np.exp(-2.0 * np.abs(a + g) ** 2)
     cross = 2.0 * np.exp(-2.0 * np.abs(a) ** 2) * np.cos(4.0 * np.imag(np.conj(g) * a))
     return n1 * (direct + cross)
-
-
-def overlap(w1: WignerGrid, w2: WignerGrid) -> float:
-    """pi-weighted overlap pi * sum(W1 * W2) dx dp.
-
-    Equals the Fock-basis fidelity for pure states up to grid error.
-    """
-    if w1.values.shape != w2.values.shape or not (
-        np.array_equal(w1.x_axis, w2.x_axis) and np.array_equal(w1.p_axis, w2.p_axis)
-    ):
-        raise ValueError("overlap requires identical grids")
-    return float(np.pi * w1.integrate(w1.values * w2.values))
-
-
-def grid_moments(grid: WignerGrid):
-    """Mean vector and 2x2 covariance of the grid as a quasi-distribution."""
-    w = grid.values
-    total = grid.riemann_sum()
-    xg, pg = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
-    mx = grid.integrate(w * xg) / total
-    mp = grid.integrate(w * pg) / total
-    vxx = grid.integrate(w * (xg - mx) ** 2) / total
-    vpp = grid.integrate(w * (pg - mp) ** 2) / total
-    vxp = grid.integrate(w * (xg - mx) * (pg - mp)) / total
-    return np.array([mx, mp]), np.array([[vxx, vxp], [vxp, vpp]])
 
 
 def state_grid(state: FockVector, **kwargs) -> WignerGrid:

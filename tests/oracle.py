@@ -22,10 +22,19 @@ recurrence at every point and raises the phase to each power explicitly.
 :func:`bootstrap_se` is the emulator's earlier error-bar method, 200
 resamples of the selected rows, kept as the reference for the grouped
 jackknife.
+
+:func:`window` and :func:`density_norm` integrate the outcome density by
+composite Simpson on uniform nodes, the rule the package used before its
+window became the exact matrix ``conditioner.window_matrix``.
+
+The rest is API that only the tests call: closed-form Wigner functions, the
+grid overlap and moments, single-wavefunction and Gaussian-state
+shorthands, and the pure state the protocol makes from a coherent input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,10 +43,12 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from cvpost import fock
-from cvpost.conditioner import _simpson_weights
+from cvpost.conditioner import s_prime
 from cvpost.emulator import _fidelity_purity, _stats_from_rows
 from cvpost.errors import TruncationError
-from cvpost.fock import FockDensity, FockVector
+from cvpost.fock import FockDensity, FockVector, _checked
+from cvpost.gaussian import GaussianState
+from cvpost.wigner import WignerGrid
 
 
 @dataclass(frozen=True)
@@ -95,6 +106,16 @@ def homodyne_project(joint: TwoModeDensity, x: float):
     partial = np.tensordot(joint.as_tensor(), psi, axes=([3], [0]))  # [i, m, j]
     reduced = np.tensordot(partial, psi, axes=([1], [0]))  # [i, j]
     return reduced, float(np.real(np.trace(reduced)))
+
+
+def _simpson_weights(n_nodes: int, lo: float, hi: float) -> np.ndarray:
+    if n_nodes < 3 or n_nodes % 2 == 0:
+        raise ValueError("composite Simpson needs an odd node count >= 3")
+    h = (hi - lo) / (n_nodes - 1)
+    w = np.ones(n_nodes)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * h / 3.0
 
 
 def gate_density(joint: TwoModeDensity, xs) -> np.ndarray:
@@ -248,3 +269,97 @@ def bootstrap_se(rows: np.ndarray, params) -> tuple[float, float]:
         except ValueError:  # degenerate resample covariance
             fids[b], purs[b] = np.nan, np.nan
     return float(np.nanstd(fids, ddof=1)), float(np.nanstd(purs, ddof=1))
+
+
+# ---------------------------------------------------------------------------
+# Test-only API
+# ---------------------------------------------------------------------------
+
+
+def quadrature_wavefunction(n: int, x):
+    """<n|x> for a single n; scalar in, scalar out."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    vals = fock.quadrature_wavefunctions(n, x)[n]
+    return float(vals[0]) if np.isscalar(x) else vals
+
+
+def displaced_squeezed_vacuum(beta: complex, s: float, dim: int) -> FockVector:
+    """Displaced squeezed vacuum D(beta) S(s)|0> (H. P. Yuen, Phys. Rev. A 13, 2226 (1976)).
+
+    The state is annihilated by ``cosh(s)(a - beta) - sinh(s)(a^dag - beta*)``,
+    so its amplitudes follow the three-term recurrence
+    ``sqrt(k+1) cosh(s) c_{k+1} = g c_k + sqrt(k) sinh(s) c_{k-1}`` with
+    ``g = beta cosh(s) - beta* sinh(s)``, from
+    ``c_0 = exp(-|beta|^2/2 + beta*^2 tanh(s)/2) / sqrt(cosh(s))``.
+    """
+    beta = complex(beta)
+    ch, sh = math.cosh(s), math.sinh(s)
+    g = beta * ch - beta.conjugate() * sh
+    with np.errstate(invalid="ignore"):  # _checked reports a NaN parameter
+        c0 = np.exp(-0.5 * abs(beta) ** 2 + 0.5 * beta.conjugate() ** 2 * math.tanh(s)) / math.sqrt(ch)
+    prev, cur = 0.0, complex(c0)
+    amps = [cur]
+    for k in range(1, dim):
+        prev, cur = cur, (g * cur + math.sqrt(k - 1) * sh * prev) / (math.sqrt(k) * ch)
+        amps.append(cur)
+    return _checked(np.array(amps, dtype=complex), f"D({beta:.4g}) S(s={s})|0>")
+
+
+def conditioned_coherent_target(gamma: complex, reflectivity: float, s: float, dim: int) -> FockVector:
+    """Pure state the protocol produces from a coherent input at outcome 0:
+    ``D(sqrt(T)[e^{2s'} g+ + i g-]) S(s')|0>`` with s' = s_prime(R, s)."""
+    sp = s_prime(reflectivity, s)
+    t = 1.0 - reflectivity
+    g = complex(gamma)
+    shifted = np.sqrt(t) * (np.exp(2.0 * sp) * g.real + 1j * g.imag)
+    return displaced_squeezed_vacuum(shifted, sp, dim)
+
+
+def vacuum_state(n_modes: int = 1) -> GaussianState:
+    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
+
+
+def gaussian_from_variances(v_plus: float, v_minus: float, mean=(0.0, 0.0)) -> GaussianState:
+    """Single-mode Gaussian with independent quadrature variances (possibly mixed)."""
+    return GaussianState(np.asarray(mean, dtype=float), np.diag([v_plus, v_minus]))
+
+
+def squeezed_vacuum_wigner(alpha, s: float):
+    """W of S(s)|0>: (2/pi) exp[-2 a+^2 e^{-2s} - 2 a-^2 e^{2s}]."""
+    a = np.asarray(alpha, dtype=complex)
+    return (2.0 / np.pi) * np.exp(
+        -2.0 * a.real**2 * np.exp(-2.0 * s) - 2.0 * a.imag**2 * np.exp(2.0 * s)
+    )
+
+
+def single_photon_wigner(alpha):
+    """W of |1>: (2/pi) exp(-2|a|^2) (4|a|^2 - 1)."""
+    a = np.asarray(alpha, dtype=complex)
+    r2 = np.abs(a) ** 2
+    return (2.0 / np.pi) * np.exp(-2.0 * r2) * (4.0 * r2 - 1.0)
+
+
+def overlap(w1: WignerGrid, w2: WignerGrid) -> float:
+    """pi-weighted overlap pi * sum(W1 * W2) dx dp.
+
+    Equals the Fock-basis fidelity for pure states up to grid error.
+    """
+    if w1.values.shape != w2.values.shape or not (
+        np.array_equal(w1.x_axis, w2.x_axis) and np.array_equal(w1.p_axis, w2.p_axis)
+    ):
+        raise ValueError("overlap requires identical grids")
+    return float(np.pi * w1.integrate(w1.values * w2.values))
+
+
+def grid_moments(grid: WignerGrid):
+    """Mean vector and 2x2 covariance of the grid as a quasi-distribution."""
+    w = grid.values
+    total = grid.riemann_sum()
+    xg, pg = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
+    mx = grid.integrate(w * xg) / total
+    mp = grid.integrate(w * pg) / total
+    vxx = grid.integrate(w * (xg - mx) ** 2) / total
+    vpp = grid.integrate(w * (pg - mp) ** 2) / total
+    vxp = grid.integrate(w * (xg - mx) * (pg - mp)) / total
+    return np.array([mx, mp]), np.array([[vxx, vxp], [vxp, vpp]])

@@ -39,7 +39,7 @@ def test_criterion_1_zero_outcome_exactness():
 def test_criterion_2_single_photon_window():
     with timer() as t:
         target = fock.squeezed_number_state(1, s_prime(0.98, 0.7), 60)
-        win = run_window(build_joint(fock.fock_state(1, 60), 0.98, 0.7), target, 0.025, n_nodes=65)
+        win = run_window(build_joint(fock.fock_state(1, 60), 0.98, 0.7), target, 0.025)
     assert abs(win.avg_fidelity - 0.99) <= 0.005
     assert abs(win.success_prob - 0.003) / 0.003 <= 0.30
     assert t.elapsed < 60.0
@@ -49,7 +49,7 @@ def test_criterion_2_single_photon_window():
 def test_criterion_3_two_photon_window():
     with timer() as t:
         target = fock.scs_state(1.1j, "even", 40)
-        win = run_window(build_joint(fock.fock_state(2, 40), 0.5, -0.37), target, 0.084, n_nodes=65)
+        win = run_window(build_joint(fock.fock_state(2, 40), 0.5, -0.37), target, 0.084)
     assert abs(win.avg_fidelity - 0.99) <= 0.005
     assert abs(win.success_prob - 0.052) / 0.052 <= 0.20
     assert t.elapsed < 60.0
@@ -112,7 +112,7 @@ def test_criterion_7_classical_limits():
 def test_criterion_8_property_suite():
     with timer() as t:
         # outcome density integrates to one
-        norm = density_norm(build_joint(fock.fock_state(1, 60), 0.98, 0.7), n_nodes=769)
+        norm = density_norm(build_joint(fock.fock_state(1, 60), 0.98, 0.7))
         assert abs(norm - 1.0) <= 1e-6
 
         # parity conservation at the zero outcome

