@@ -27,10 +27,8 @@ from .emulator import (
     ExperimentParams,
     estimate,
     bench_params,
-    postselect,
     predict_stats,
     run_experiment,
-    synthesize,
 )
 from .errors import EmptySelectionError, TruncationError
 from .fock import (

@@ -426,7 +426,7 @@ def _cmd_run(args) -> int:
             scalars = {"points": len(values), "first": rows[0], "last": rows[-1]}
         else:
             if resolved.get("dump_samples_csv"):
-                emulator.dump_samples(emulator.synthesize(_experiment_params(resolved)), out_dir / "samples.csv")
+                emulator.dump_samples(_experiment_params(resolved), out_dir / "samples.csv")
             [(scalars, window)] = _MODE_RUNNERS[resolved["mode"]](resolved)
         export = resolved.get("wigner_export")
         if export is not None:

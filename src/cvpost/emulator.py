@@ -27,13 +27,15 @@ Model choices
   Gaussian quadrature records.
 
 Synthesis is chunked with sub-generators spawned deterministically from
-``rng_seed`` and reduced in fixed order, so results are bit-stable.  Each
-chunk draws the three normals that set the gate record (input X+, ancilla
-X+, gate noise) for every row, then the four that only the transmitted
-records use (input X-, ancilla X-, two homodyne noises) for the rows inside
-the window, and, when the full stream is built, for the other rows after
-them.  So :func:`run_experiment` and :func:`synthesize` then
-:func:`postselect` keep the same rows, to the bit.
+``rng_seed`` and reduced in fixed order, so results are bit-stable.  The gate
+record is one linear combination of input X+, ancilla X+ and gate noise, so
+each chunk draws it straight from its Gaussian marginal, one normal per row.
+The rows inside the window then draw input and ancilla X+ from their
+Gaussian conditional on the gate (two normals) and the four normals that
+only the transmitted records use (input X-, ancilla X-, two homodyne
+noises).  The full stream (:func:`dump_samples`) draws the same for the
+other rows after them, so the dump and :func:`run_experiment` share every
+kept row, to the bit.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ class ExperimentParams:
             eta = getattr(self, name)
             if not 0.0 < eta <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1]")
+        if not self.x0 > 0:
+            raise ValueError("x0 must be > 0")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if len(self.v_in) != 2 or min(self.v_in) <= 0:
@@ -136,28 +140,67 @@ def _variance_correction(params: ExperimentParams) -> float:
     return sub
 
 
+def _gate_model(params: ExperimentParams):
+    """Mean and standard deviation of the gate record, and the regression
+    vector and a covariance root of (input X+, ancilla X+) given it.
+
+    Input and ancilla X+ are u = mu + L w for a standard normal pair w, and
+    the gate record is m_g + k.w + sqrt(v_noise) z, so v_g = k.k + v_noise.
+    Given the gate, w has mean k (g - m_g) / v_g and covariance
+    I - k k^T / v_g, with eigenvalue 1 across k and v_noise / v_g along it.
+    The root L [e_perp, sqrt(v_noise / v_g) e] (e = k / |k|) is exact when
+    the gate carries no noise and that covariance has rank 1.
+    """
+    p = params
+    scale = np.sqrt([p.v_in[0], _ancilla_record_cov(p)[0, 0]])
+    k = np.sqrt(p.eta_det) * np.sqrt([p.R, 1.0 - p.R]) * scale
+    v_noise = (1.0 - p.eta_det) + _db_to_var(p.gate_elec_db)
+    kk = float(k @ k)
+    v_g = kk + v_noise
+    e = k / np.sqrt(kk)
+    root = scale[:, None] * np.column_stack([[-e[1], e[0]], np.sqrt(v_noise / v_g) * e])
+    m_g = np.sqrt(p.eta_det * p.R) * 2.0 * p.gamma_plus
+    return m_g, np.sqrt(v_g), scale * k / v_g, root
+
+
 def _draw_chunk(rng: np.random.Generator, m: int, params: ExperimentParams, full: bool) -> np.ndarray:
     """Records (X+_t, X-_t, gate) of m draws: every row when ``full``, else
     only the rows inside the window, in draw order."""
-    p = params
-    st, sr = np.sqrt(1.0 - p.R), np.sqrt(p.R)
-    # The gate-side normals become input X+, ancilla X+ and the gate record
-    # in place, so this side of a chunk holds one (3, m) block.
-    x_in_p, anc_p, gate = rng.standard_normal((3, m))
-    x_in_p *= np.sqrt(p.v_in[0])
-    x_in_p += 2.0 * p.gamma_plus
-    anc_p *= np.sqrt(_ancilla_record_cov(p)[0, 0])
-    gate *= np.sqrt((1.0 - p.eta_det) + _db_to_var(p.gate_elec_db))
-    gate += np.sqrt(p.eta_det) * (sr * x_in_p + st * anc_p)
-    inside = np.abs(gate) < p.x0
-    kept = _transmitted(rng, x_in_p[inside], anc_p[inside], p)
+    model = _gate_model(params)
+    m_g, sd_g = model[:2]
+    z = rng.standard_normal(m)
+    # Form the gate record only near the window: the bounds on z are padded
+    # by far more than the rounding of sd_g z + m_g, and the window test is
+    # then made on the gate record itself, as the full stream holds it.
+    lo, hi = (np.array([-params.x0, params.x0]) - m_g) / sd_g
+    pad = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
+    rows = np.flatnonzero((z > lo - pad) & (z < hi + pad))
+    gate = z[rows] * sd_g + m_g
+    inside = np.abs(gate) < params.x0
+    rows, gate = rows[inside], gate[inside]
+    kept = _transmitted_given_gate(rng, gate, model, params)
     if not full:
-        return np.column_stack([kept, gate[inside]])
+        return np.column_stack([kept, gate])
     out = np.empty((m, 3))
-    out[:, 2] = gate
-    out[inside, :2] = kept
-    out[~inside, :2] = _transmitted(rng, x_in_p[~inside], anc_p[~inside], p)
+    out[:, 2] = z * sd_g + m_g
+    out[rows, :2] = kept
+    rest = np.ones(m, dtype=bool)
+    rest[rows] = False
+    out[rest, :2] = _transmitted_given_gate(rng, out[rest, 2], model, params)
     return out
+
+
+def _transmitted_given_gate(rng: np.random.Generator, gate: np.ndarray, model, params: ExperimentParams) -> np.ndarray:
+    """Transmitted records of the rows with these gate records: input and
+    ancilla X+ from their Gaussian conditional on the gate (``model`` is
+    :func:`_gate_model`; two normals per row), then :func:`_transmitted`."""
+    m_g, _, beta, root = model
+    n1, n2 = rng.standard_normal((2, gate.size))
+    dev = gate - m_g
+    # elementwise, not a 2 x 2 matmul, so no BLAS call runs per chunk
+    x_in_p = 2.0 * params.gamma_plus + beta[0] * dev + root[0, 0] * n1 + root[0, 1] * n2
+    anc_p = beta[1] * dev + root[1, 0] * n1 + root[1, 1] * n2
+    return _transmitted(rng, x_in_p, anc_p, params)
 
 
 def _transmitted(rng: np.random.Generator, x_in_p: np.ndarray, anc_p: np.ndarray, params: ExperimentParams) -> np.ndarray:
@@ -186,29 +229,6 @@ def _iter_chunks(params: ExperimentParams, full: bool):
         yield _draw_chunk(np.random.default_rng(seed), m, params, full)
 
 
-def synthesize(params: ExperimentParams) -> np.ndarray:
-    """Sample stream of (X+_t, X-_t, X+_r) record triples, shape (n, 3)."""
-    return np.concatenate(list(_iter_chunks(params, full=True)), axis=0)
-
-
-def postselect(stream: np.ndarray, x0: float):
-    """Keep samples whose gate record satisfies |X+_r| < x0.
-
-    Returns (selected samples, success probability).
-    """
-    if x0 <= 0:
-        raise ValueError("x0 must be > 0")
-    stream = np.asarray(stream)
-    mask = np.abs(stream[:, 2]) < x0
-    kept = int(mask.sum())
-    if kept == 0:
-        raise EmptySelectionError(
-            f"post-selection window |x| < {x0} kept no samples out of {stream.shape[0]}; "
-            "raise x0 or n_samples"
-        )
-    return stream[mask], kept / stream.shape[0]
-
-
 MIN_SELECTED = 10_000
 
 
@@ -220,12 +240,20 @@ def _stats_from_rows(rows: np.ndarray, params: ExperimentParams):
     return mean, cov
 
 
-def _fidelity_purity(mean, cov, params: ExperimentParams):
+def _references(params: ExperimentParams):
+    """The input state and the ideal squeezed transform of it, the states
+    the output estimates are compared with."""
     inp = GaussianState(
         np.array([2.0 * params.gamma_plus, 2.0 * params.gamma_minus]),
         np.diag(list(params.v_in)),
     )
-    target = gaussian.ideal_target(inp, params.R)
+    return inp, gaussian.ideal_target(inp, params.R)
+
+
+def _fidelity_purity(mean, cov, refs):
+    """Fidelity to the target and normalised purity of the output with these
+    moments; ``refs`` is :func:`_references`."""
+    inp, target = refs
     out = GaussianState(mean, 0.5 * (cov + cov.T), physical=False)
     fid = gaussian.gaussian_fidelity(out, target)
     pnorm = gaussian.purity_norm(out, inp)
@@ -245,9 +273,10 @@ def _jackknife_se(rows: np.ndarray, mean: np.ndarray, params: ExperimentParams):
     outer = np.column_stack([sxx - sx * sx / cnt, sxy - sx * sy / cnt, sxy - sx * sy / cnt, syy - sy * sy / cnt])
     covs = (outer / (cnt - 1)[:, None]).reshape(g, 2, 2) - _variance_correction(params) * np.eye(2)
     estimates = np.full((g, 2), np.nan)
+    refs = _references(params)
     for k in range(g):
         try:
-            estimates[k] = _fidelity_purity(means[k], covs[k], params)
+            estimates[k] = _fidelity_purity(means[k], covs[k], refs)
         except ValueError:  # degenerate leave-one-out covariance: left out
             pass
     # sqrt((G-1)/G * sum (v - mean v)^2) over the usable estimates
@@ -278,7 +307,7 @@ def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float
             "variance correction exceeded the estimated record variance; "
             "check the electronic-noise and efficiency settings"
         )
-    fid, pnorm = _fidelity_purity(mean, cov, params)
+    fid, pnorm = _fidelity_purity(mean, cov, _references(params))
 
     in_means = np.array([2.0 * params.gamma_plus, 2.0 * params.gamma_minus])
     ig_p, ig_m = gaussian.ideal_gains(params.R)
@@ -312,7 +341,8 @@ def run_experiment(params: ExperimentParams) -> EnsembleStats:
     """Synthesize, post-select, and estimate in one streamed pass.
 
     Only the rows inside the window get their transmitted records drawn;
-    they are the rows ``postselect(synthesize(params), params.x0)`` keeps.
+    they are the rows inside the window of the stream :func:`dump_samples`
+    writes.
     """
     selected = np.concatenate(list(_iter_chunks(params, full=False)), axis=0)
     if selected.shape[0] == 0:
@@ -420,7 +450,7 @@ def predict_stats(params: ExperimentParams) -> PredictedStats:
 
     sub = _variance_correction(params)
     est_cov = sel_cov - np.diag([sub, sub])
-    fid, pnorm = _fidelity_purity(sel_mean, est_cov, params)
+    fid, pnorm = _fidelity_purity(sel_mean, est_cov, _references(params))
     return PredictedStats(
         record_mean=mean,
         record_cov=cov,
@@ -433,9 +463,11 @@ def predict_stats(params: ExperimentParams) -> PredictedStats:
     )
 
 
-def dump_samples(stream: np.ndarray, path) -> None:
-    """Write a raw sample dump: CSV with header x_t_plus,x_t_minus,x_r_plus."""
-    stream = np.asarray(stream)
-    header = ",".join(SAMPLE_COLUMNS)
-    # %.17g round-trips every double exactly, in fewer bytes than %.18e.
-    np.savetxt(path, stream, fmt="%.17g", delimiter=",", header=header, comments="")
+def dump_samples(params: ExperimentParams, path) -> None:
+    """Write the raw sample stream of ``params``: CSV with header
+    x_t_plus,x_t_minus,x_r_plus, one chunk of rows at a time."""
+    with open(path, "w") as fh:
+        fh.write(",".join(SAMPLE_COLUMNS) + "\n")
+        for chunk in _iter_chunks(params, full=True):
+            # %.17g round-trips every double exactly, in fewer bytes than %.18e.
+            np.savetxt(fh, chunk, fmt="%.17g", delimiter=",")

@@ -191,11 +191,11 @@ def fock_state(n: int, dim: int) -> FockVector:
 
 
 def _coherent_amplitudes(gamma: complex, dim: int) -> np.ndarray:
-    amps = np.zeros(dim, dtype=complex)
-    amps[0] = np.exp(-0.5 * abs(gamma) ** 2)
-    for k in range(1, dim):
-        amps[k] = amps[k - 1] * gamma / np.sqrt(k)
-    return amps
+    # c_k = c_{k-1} gamma / sqrt(k), as one running product
+    steps = np.empty(dim, dtype=complex)
+    steps[0] = np.exp(-0.5 * abs(gamma) ** 2)
+    steps[1:] = gamma / np.sqrt(np.arange(1, dim))
+    return np.cumprod(steps)
 
 
 def _min_dim_for_coherent(gamma: complex, tol: float) -> int:

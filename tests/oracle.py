@@ -23,6 +23,13 @@ recurrence at every point and raises the phase to each power explicitly.
 resamples of the selected rows, kept as the reference for the grouped
 jackknife.
 
+:func:`three_normal_chunk` is the emulator's earlier sampler, which drew
+three normals for every row to form the gate record; it is the reference
+for the sampler that draws the gate record from its marginal.
+:func:`synthesize` and :func:`postselect` build the emulator's full sample
+stream in memory and select from it, the route ``run_experiment`` and the
+streamed sample dump must agree with.
+
 :func:`window` and :func:`density_norm` integrate the outcome density by
 composite Simpson on uniform nodes, the rule the package used before its
 window became the exact matrix ``conditioner.window_matrix``.
@@ -42,10 +49,10 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from cvpost import fock
+from cvpost import emulator, fock
 from cvpost.conditioner import s_prime
-from cvpost.emulator import _fidelity_purity, _stats_from_rows
-from cvpost.errors import TruncationError
+from cvpost.emulator import _fidelity_purity, _references, _stats_from_rows
+from cvpost.errors import EmptySelectionError, TruncationError
 from cvpost.fock import FockDensity, FockVector, _checked
 from cvpost.gaussian import GaussianState
 from cvpost.wigner import WignerGrid
@@ -261,14 +268,76 @@ def bootstrap_se(rows: np.ndarray, params) -> tuple[float, float]:
     rng = np.random.default_rng(np.random.SeedSequence(params.rng_seed, spawn_key=(1,)))
     fids = np.empty(resamples)
     purs = np.empty(resamples)
+    refs = _references(params)
     for b in range(resamples):
         idx = rng.integers(0, n, size=n)
         m_b, c_b = _stats_from_rows(rows[idx], params)
         try:
-            fids[b], purs[b] = _fidelity_purity(m_b, c_b, params)
+            fids[b], purs[b] = _fidelity_purity(m_b, c_b, refs)
         except ValueError:  # degenerate resample covariance
             fids[b], purs[b] = np.nan, np.nan
     return float(np.nanstd(fids, ddof=1)), float(np.nanstd(purs, ddof=1))
+
+
+def three_normal_chunk(rng: np.random.Generator, m: int, params, full: bool) -> np.ndarray:
+    """``emulator._draw_chunk`` as it was before it drew the gate record
+    from its marginal: three normals for every row (input X+, ancilla X+,
+    gate noise) form the gate record, then the transmitted records of the
+    rows inside the window, and when ``full`` of the other rows after them."""
+    p = params
+    st, sr = np.sqrt(1.0 - p.R), np.sqrt(p.R)
+    x_in_p, anc_p, gate = rng.standard_normal((3, m))
+    x_in_p *= np.sqrt(p.v_in[0])
+    x_in_p += 2.0 * p.gamma_plus
+    anc_p *= np.sqrt(emulator._ancilla_record_cov(p)[0, 0])
+    gate *= np.sqrt((1.0 - p.eta_det) + emulator._db_to_var(p.gate_elec_db))
+    gate += np.sqrt(p.eta_det) * (sr * x_in_p + st * anc_p)
+    inside = np.abs(gate) < p.x0
+    kept = emulator._transmitted(rng, x_in_p[inside], anc_p[inside], p)
+    if not full:
+        return np.column_stack([kept, gate[inside]])
+    out = np.empty((m, 3))
+    out[:, 2] = gate
+    out[inside, :2] = kept
+    out[~inside, :2] = emulator._transmitted(rng, x_in_p[~inside], anc_p[~inside], p)
+    return out
+
+
+def three_normal_selected(params) -> np.ndarray:
+    """The rows :func:`three_normal_chunk` keeps, over the chunks and
+    chunk seeds ``emulator.run_experiment`` uses."""
+    n_chunks = (params.n_samples + emulator._CHUNK - 1) // emulator._CHUNK
+    seeds = np.random.SeedSequence(params.rng_seed).spawn(n_chunks)
+    chunks, remaining = [], params.n_samples
+    for seed in seeds:
+        m = min(emulator._CHUNK, remaining)
+        remaining -= m
+        chunks.append(three_normal_chunk(np.random.default_rng(seed), m, params, full=False))
+    return np.concatenate(chunks, axis=0)
+
+
+def synthesize(params) -> np.ndarray:
+    """The emulator's full sample stream of (X+_t, X-_t, X+_r) record
+    triples, shape (n, 3), built in memory."""
+    return np.concatenate(list(emulator._iter_chunks(params, full=True)), axis=0)
+
+
+def postselect(stream: np.ndarray, x0: float):
+    """Keep samples whose gate record satisfies |X+_r| < x0.
+
+    Returns (selected samples, success probability).
+    """
+    if x0 <= 0:
+        raise ValueError("x0 must be > 0")
+    stream = np.asarray(stream)
+    mask = np.abs(stream[:, 2]) < x0
+    kept = int(mask.sum())
+    if kept == 0:
+        raise EmptySelectionError(
+            f"post-selection window |x| < {x0} kept no samples out of {stream.shape[0]}; "
+            "raise x0 or n_samples"
+        )
+    return stream[mask], kept / stream.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,14 @@ from cvpost.emulator import (
     dump_samples,
     estimate,
     bench_params,
-    postselect,
     predict_records,
     predict_stats,
     run_experiment,
-    synthesize,
 )
 from cvpost.errors import EmptySelectionError
 
 import oracle
+from oracle import postselect, synthesize
 
 # The bench's two window classes: the narrow one keeps about 0.5% of 4e6
 # draws, the wide one about 15% of 1e6.
@@ -89,6 +88,54 @@ def test_gate_record_matches_closed_form_moments():
     assert abs(c - cov_pred[0, 2]) < 4 * se
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"R": 0.0}, {"R": 1.0}, {"gate_elec_db": -4000.0}],
+    ids=["quiet", "R=0", "R=1", "zero-gate-noise"],
+)
+def test_noiseless_gate_draws_finite_rows(overrides):
+    # eta_det = 1 and no gate noise: input and ancilla X+ given the gate
+    # have a rank-1 covariance (no Cholesky factor); -4000 dB is exactly 0.
+    # Any RuntimeWarning fails the test; the stream keeps its moments.
+    params = quiet_params(x0=0.5, n_samples=100_000, **overrides)
+    stream = synthesize(params)
+    assert np.isfinite(stream).all()
+    mean_pred, cov_pred = predict_records(params)
+    n = stream.shape[0]
+    cov = np.cov(stream.T)
+    for i in range(3):
+        assert abs(stream[:, i].mean() - mean_pred[i]) < 5 * np.sqrt(cov_pred[i, i] / n)
+        for j in range(i, 3):
+            se = np.sqrt((cov_pred[i, i] * cov_pred[j, j] + cov_pred[i, j] ** 2) / n)
+            assert abs(cov[i, j] - cov_pred[i, j]) < 5 * se, (i, j)
+
+
+def _kept_row_stats(rows, n_samples):
+    """Means, the six covariance entries and P_s of one run's kept rows."""
+    cov = np.cov(rows.T)
+    return np.concatenate([rows.mean(axis=0), cov[np.triu_indices(3)], [rows.shape[0] / n_samples]])
+
+
+def test_marginal_sampler_matches_three_normal_sampler():
+    # The gate drawn from its marginal, then input and ancilla X+ from their
+    # conditional, must keep rows distributed as the three-normal sampler's.
+    # Each statistic's spread over 40 seeds gives its standard error.
+    seeds, n = range(40), 100_000
+    new, old = [], []
+    for seed in seeds:
+        params = bench_params(x0=0.3, n_samples=n, rng_seed=seed)
+        new.append(_kept_row_stats(np.concatenate(list(emulator._iter_chunks(params, full=False))), n))
+        old.append(_kept_row_stats(oracle.three_normal_selected(params), n))
+    new, old = np.array(new), np.array(old)
+    gap = new[:, :-1].mean(axis=0) - old[:, :-1].mean(axis=0)
+    se = np.sqrt((new[:, :-1].var(axis=0, ddof=1) + old[:, :-1].var(axis=0, ddof=1)) / len(seeds))
+    assert np.all(np.abs(gap) < 5 * se), gap / se
+    # P_s of the pooled draws, in binomial sigma of the prediction
+    p_s = predict_stats(bench_params(x0=0.3)).success_prob
+    sigma = np.sqrt(2 * p_s * (1 - p_s) / (n * len(seeds)))
+    assert abs(new[:, -1].mean() - old[:, -1].mean()) < 5 * sigma
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         ExperimentParams(R=1.2)
@@ -96,6 +143,9 @@ def test_parameter_validation():
         ExperimentParams(eta_det=0.0)
     with pytest.raises(ValueError):
         ExperimentParams(n_samples=0)
+    for x0 in (0.0, -0.01, float("nan")):
+        with pytest.raises(ValueError):
+            ExperimentParams(x0=x0)
     with pytest.raises(ValueError):
         ExperimentParams(v_in=(1.0, -0.5))
 
@@ -335,19 +385,31 @@ def test_run_experiment_is_deterministic():
 
 
 def test_sample_dump_round_trip(tmp_path):
-    stream = synthesize(quiet_params(n_samples=500))
+    params = quiet_params(n_samples=500)
     path = tmp_path / "samples.csv"
-    dump_samples(stream, path)
+    dump_samples(params, path)
     header = path.read_text().splitlines()[0]
     assert header == "x_t_plus,x_t_minus,x_r_plus"
     back = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_allclose(back, stream, rtol=1e-6)
+    np.testing.assert_allclose(back, synthesize(params), rtol=1e-6)
 
 
 def test_sample_dump_is_exact(tmp_path):
-    stream = synthesize(quiet_params(n_samples=2000))
+    params = quiet_params(n_samples=2000)
+    stream = synthesize(params)
     path = tmp_path / "samples.csv"
-    dump_samples(stream, path)
+    dump_samples(params, path)
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert back.shape == stream.shape
     assert np.array_equal(back.view(np.uint64), np.ascontiguousarray(stream, dtype=float).view(np.uint64))
+
+
+def test_streamed_dump_matches_whole_stream_bytes(tmp_path, monkeypatch):
+    # Three chunks, the last one short: the streamed file is byte for byte
+    # the in-memory stream written by one savetxt call with its header.
+    monkeypatch.setattr(emulator, "_CHUNK", 1000)
+    params = bench_params(n_samples=2500, x0=0.3)
+    dump_samples(params, tmp_path / "streamed.csv")
+    np.savetxt(tmp_path / "whole.csv", synthesize(params), fmt="%.17g", delimiter=",",
+               header="x_t_plus,x_t_minus,x_r_plus", comments="")
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
