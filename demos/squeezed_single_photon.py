@@ -12,8 +12,9 @@ import numpy as np
 
 from cvpost import (
     build_joint,
+    fidelity,
     fock_state,
-    postselect_map,
+    homodyne_project,
     run_window,
     s_prime,
     squeezed_number_state,
@@ -33,8 +34,8 @@ joint = build_joint(fock_state(1, DIM), R, S_ANC)
 target = squeezed_number_state(1, s_prime(R, S_ANC), DIM)
 
 # The zero-outcome conditional state is exactly S(s')|1>.
-zero = postselect_map(joint, target, [0.0])[0]
-print(f"fidelity to S(s')|1> at outcome x = 0: {zero.fidelity:.12f}")
+zero, _ = homodyne_project(joint, 0.0)
+print(f"fidelity to S(s')|1> at outcome x = 0: {fidelity(zero, target):.12f}")
 
 # Widening the acceptance window trades fidelity for success probability.
 print("\n  x0 (wigner units)   F_ave      P_s")

@@ -11,8 +11,9 @@ import numpy as np
 
 from cvpost import (
     build_joint,
+    fidelity,
     fock_state,
-    postselect_map,
+    homodyne_project,
     run_window,
     scs_state,
     scs_wigner,
@@ -27,9 +28,9 @@ DIM = 40
 joint = build_joint(fock_state(2, DIM), R, S_ANC)
 target = scs_state(GAMMA, "even", DIM)
 
-zero = postselect_map(joint, target, [0.0])[0]
+zero, _ = homodyne_project(joint, 0.0)
 print(f"input |2>, R = {R}, s = {S_ANC}, target even cat with gamma = {GAMMA}")
-print(f"fidelity to the cat at outcome x = 0: {zero.fidelity:.6f}\n")
+print(f"fidelity to the cat at outcome x = 0: {fidelity(zero, target):.6f}\n")
 
 print("  x0 (wigner units)   F_ave      P_s")
 for x0 in (0.02, 0.05, 0.084, 0.15, 0.3):

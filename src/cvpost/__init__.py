@@ -13,12 +13,10 @@ engine), :mod:`cvpost.emulator` (Monte Carlo bench emulation),
 __version__ = "0.1.0"
 
 from .conditioner import (
-    ConditionalResult,
     WindowResult,
     build_joint,
     fidelity,
     homodyne_project,
-    postselect_map,
     run_window,
     s_prime,
 )
@@ -49,7 +47,6 @@ from .gaussian import (
     classical_limit,
     coherent_gaussian,
     condition_coherent,
-    condition_through,
     gaussian_fidelity,
     ideal_gains,
     ideal_target,

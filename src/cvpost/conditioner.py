@@ -22,11 +22,12 @@ from . import fock
 from .emulator import _GL_NODES, _GL_WEIGHTS
 from .fock import FockDensity, FockVector, TwoModeState
 
-#: Below this window half-width (Wigner units) the diagonal of
-#: :func:`window_matrix` is taken by Gauss-Legendre quadrature: its closed-form
-#: recurrence subtracts terms near erf(sqrt(2) x0) and loses digits as x0 -> 0
-#: (2e-12 relative at x0 = 0.01, 4e-4 at 1e-6), while 32 nodes agree with a
-#: 1200-node rule to 1.3e-13 up to x0 = 0.3 at dims 40 to 401.
+#: Below this window half-width (Wigner units) :func:`window_matrix` is taken
+#: whole by Gauss-Legendre quadrature: its closed form subtracts nearly equal
+#: terms as x0 -> 0, on the diagonal (the recurrence from erf(sqrt(2) x0),
+#: 2e-12 relative at x0 = 0.01, 4e-4 at 1e-6) and between two odd levels
+#: (M[1, 3] 6e-6 relative at 1e-6), while 32 nodes agree with a 400-node
+#: rule to 7.4e-15 of the largest entry up to x0 = 0.1 at dims 60 to 401.
 NARROW_WINDOW = 0.1
 
 
@@ -56,30 +57,23 @@ def build_joint(psi_in: FockVector, reflectivity: float, squeezing: float) -> Tw
     return fock.interfere(psi_in, anc, reflectivity)
 
 
-def _project(joint: TwoModeState, xs) -> np.ndarray:
-    """Project the reflected mode onto the quadrature eigenstates |x_k>.
-
-    Column k is the unnormalized transmitted state ``<x_k|Psi>_r``; its
-    squared norm is the outcome density P1(x_k).  The wavefunctions are
-    real, so this is two real products (half the work of one complex one).
-    """
-    psis = fock.quadrature_wavefunctions(joint.dim - 1, xs)
-    re, im = (np.ascontiguousarray(half) @ psis for half in (joint.amplitudes.real, joint.amplitudes.imag))
-    return re + 1j * im
-
-
 def homodyne_project(joint: TwoModeState, x: float):
     """Project the reflected mode onto the quadrature eigenstate |x>.
 
-    Returns the unnormalized transmitted state ``<x|rho|x>_r`` and the
-    outcome density P1(x) = tr of that matrix (probability per Wigner-unit
-    x, since |x> is delta-normalized).
+    Returns the normalized transmitted state and the outcome density P1(x),
+    the squared norm of ``<x|Psi>_r`` (probability per Wigner-unit x, since
+    |x> is delta-normalized).  The wavefunctions are real, so the projection
+    is two real products (half the work of one complex one).
     """
     if not np.isfinite(x):
         raise ValueError("homodyne outcome must be finite")
-    phi = _project(joint, float(x))[:, 0]
-    density = float(np.real(np.vdot(phi, phi)))
-    return FockDensity(np.outer(phi, phi.conj()), joint.dim, validate=False), density
+    psi = fock.quadrature_wavefunctions(joint.dim - 1, [float(x)])
+    re, im = (np.ascontiguousarray(half) @ psi for half in (joint.amplitudes.real, joint.amplitudes.imag))
+    phi = (re + 1j * im)[:, 0]
+    p1 = float(np.real(np.vdot(phi, phi)))
+    if p1 <= 0.0:
+        raise ValueError(f"outcome density vanished at x={x}; state undefined there")
+    return FockDensity(np.outer(phi, phi.conj()) / p1, joint.dim, validate=False), p1
 
 
 def fidelity(rho: FockDensity, target: FockVector) -> float:
@@ -97,16 +91,6 @@ def fidelity(rho: FockDensity, target: FockVector) -> float:
     t = target.amplitudes
     val = float(np.real(t.conj() @ rho.matrix @ t))
     return min(max(val, 0.0), 1.0 + 1e-9)
-
-
-@dataclass(frozen=True)
-class ConditionalResult:
-    """Conditional state, outcome density and target fidelity at one x."""
-
-    state: FockDensity
-    density: float
-    fidelity: float
-    x: float
 
 
 @dataclass(frozen=True)
@@ -130,25 +114,27 @@ def window_matrix(dim: int, x0: float) -> np.ndarray:
     m + n odd, by parity.  The diagonal starts from ``M_00 = erf(sqrt(2) x0)``,
     and integrating ``(psi_n psi_{n-1})'`` gives each next entry from the
     entries two off the diagonal; these are taken on dim + 1 levels so the
-    last step has its own.  Below :data:`NARROW_WINDOW` the diagonal is the
-    32-node Gauss-Legendre rule instead.
+    last step has its own.  Below :data:`NARROW_WINDOW` all of M is the
+    32-node Gauss-Legendre rule instead, with the parity zeros set exactly.
     """
     if not x0 > 0.0:
         raise ValueError("the window needs x0 > 0; use homodyne_project for a single outcome")
-    psi = fock.quadrature_wavefunctions(dim + 1, np.append(x0, x0 * _GL_NODES))
-    edge = psi[:-1, 0]  # psi_n(x0), n = 0..dim
+    if x0 < NARROW_WINDOW:
+        psi = fock.quadrature_wavefunctions(dim - 1, x0 * _GL_NODES)
+        m = (psi * (x0 * _GL_WEIGHTS)) @ psi.T
+        m[np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 1] = 0.0
+        return 0.5 * (m + m.T)
+    psi = fock.quadrature_wavefunctions(dim + 1, x0)[:, 0]  # psi_n(x0), n = 0..dim + 1
+    edge = psi[:-1]
     root = np.sqrt(np.arange(dim + 2.0))
-    bracket = np.outer(edge, root[:-1] * np.append(0.0, psi[:-2, 0]) - root[1:] * psi[1:, 0])
+    bracket = np.outer(edge, root[:-1] * np.append(0.0, psi[:-2]) - root[1:] * psi[1:])
     bracket -= bracket.T
     gap = np.subtract.outer(np.arange(dim + 1), np.arange(dim + 1))
     m = np.where(gap % 2 == 0, bracket / (2 * gap + (gap == 0)), 0.0)  # the diagonal is set below
-    if x0 < NARROW_WINDOW:
-        diag = psi[:dim, 1:] ** 2 @ (x0 * _GL_WEIGHTS)
-    else:
-        two = np.diagonal(m, -2)  # m[j + 2, j]
-        steps = (2 * edge[1:dim] * edge[:dim - 1] + root[2:dim + 1] * two[:dim - 1]
-                 - root[:dim - 1] * np.append(0.0, two[:dim - 2])) / root[1:dim]
-        diag = math.erf(math.sqrt(2.0) * x0) - np.append(0.0, np.cumsum(steps))
+    two = np.diagonal(m, -2)  # m[j + 2, j]
+    steps = (2 * edge[1:dim] * edge[:dim - 1] + root[2:dim + 1] * two[:dim - 1]
+             - root[:dim - 1] * np.append(0.0, two[:dim - 2])) / root[1:dim]
+    diag = math.erf(math.sqrt(2.0) * x0) - np.append(0.0, np.cumsum(steps))
     m = m[:dim, :dim]
     np.fill_diagonal(m, diag)
     return m
@@ -178,19 +164,3 @@ def run_window(joint: TwoModeState, target: FockVector, x0: float) -> WindowResu
         avg_state=FockDensity(avg / p_s, joint.dim, validate=False),
     )
 
-
-def postselect_map(joint: TwoModeState, target: FockVector, x_grid) -> list:
-    """Conditional state, density and fidelity to target at every grid node."""
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if xs.size == 0 or not np.all(np.isfinite(xs)):
-        raise ValueError("x_grid must be a non-empty finite grid")
-    phis = _project(joint, xs)
-    results = []
-    for k, x in enumerate(xs):
-        phi = phis[:, k]
-        p1 = float(np.real(np.vdot(phi, phi)))
-        if p1 <= 0.0:
-            raise ValueError(f"outcome density vanished at x={x}; state undefined there")
-        state = FockDensity(np.outer(phi, phi.conj()) / p1, joint.dim, validate=False)
-        results.append(ConditionalResult(state, p1, fidelity(state, target), float(x)))
-    return results

@@ -309,12 +309,6 @@ def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float
         )
     fid, pnorm = _fidelity_purity(mean, cov, _references(params))
 
-    in_means = np.array([2.0 * params.gamma_plus, 2.0 * params.gamma_minus])
-    ig_p, ig_m = gaussian.ideal_gains(params.R)
-    g_plus = float(mean[0] / in_means[0]) if in_means[0] != 0 else float("nan")
-    g_minus = float(mean[1] / in_means[1]) if in_means[1] != 0 else float("nan")
-    gains = GainReport(g_plus, g_minus, float(ig_p), float(ig_m))
-
     fid_se, pur_se = _jackknife_se(rows, mean, params)
 
     notes = (
@@ -326,7 +320,7 @@ def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float
     )
     return EnsembleStats(
         v_out=(float(cov[0, 0]), float(cov[1, 1])),
-        gains=gains,
+        gains=gaussian.gains(mean, (2.0 * params.gamma_plus, 2.0 * params.gamma_minus), params.R),
         fidelity_est=float(fid),
         fidelity_se=fid_se,
         purity_norm=float(pnorm),
@@ -379,9 +373,7 @@ def predict_records(params: ExperimentParams):
         np.array([2.0 * p.gamma_plus, 2.0 * p.gamma_minus]), np.diag(list(p.v_in))
     )
     anc = GaussianState(np.zeros(2), _ancilla_record_cov(p))
-    joint = gaussian.apply_symplectic(
-        gaussian.tensor(inp, anc), gaussian.beam_splitter_symplectic(p.R)
-    )
+    joint = gaussian.interfere(inp, anc, p.R)
     # detected records: (t+, t-) rescaled homodyne, gate from r+
     sel = np.array(
         [

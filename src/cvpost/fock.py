@@ -30,13 +30,6 @@ import numpy as np
 
 from .errors import TruncationError
 
-# Unit system: Wigner-unit vacuum quadrature variance is 1/4, SNL-unit
-# vacuum variance is 1.  The conversion factor is exactly 4 for variances
-# and 2 for quadrature values.
-WIGNER_VACUUM_VAR = 0.25
-SNL_VACUUM_VAR = 1.0
-VAR_SNL_PER_WIGNER = 4.0
-
 #: Largest tail mass a preparer may silently discard.
 TAIL_TOLERANCE = 1e-8
 
@@ -81,8 +74,8 @@ class FockVector:
 class FockDensity:
     """Hermitian, positive-semidefinite density matrix of one mode.
 
-    The trace is 1 - tail for normalized states but conditioning returns
-    unnormalized instances, so the trace itself is not constrained here.
+    The trace is 1 - tail for a prepared state; it is not constrained here,
+    so a matrix of any trace may be wrapped.
     """
 
     matrix: np.ndarray
@@ -105,12 +98,6 @@ class FockDensity:
     @property
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
-
-    def normalized(self) -> "FockDensity":
-        tr = self.trace
-        if tr <= 0:
-            raise ValueError("cannot normalize a density matrix with trace <= 0")
-        return FockDensity(self.matrix / tr, self.dim, validate=False)
 
     def purity(self) -> float:
         return float(np.real(np.sum(self.matrix * self.matrix.conj().T)))

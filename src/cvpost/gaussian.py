@@ -73,63 +73,42 @@ def squeezed_gaussian(s: float) -> GaussianState:
     return GaussianState(np.zeros(2), np.diag([np.exp(2.0 * s), np.exp(-2.0 * s)]))
 
 
-def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    mean = np.concatenate([a.mean, b.mean])
-    cov = np.zeros((mean.size, mean.size))
-    na = a.mean.size
-    cov[:na, :na] = a.cov
-    cov[na:, na:] = b.cov
-    return GaussianState(mean, cov)
-
-
-def beam_splitter_symplectic(reflectivity: float) -> np.ndarray:
-    """(t, r) <- (in, anc): t = sqrt(T) in - sqrt(R) anc, r = sqrt(R) in + sqrt(T) anc."""
+def interfere(inp: GaussianState, anc: GaussianState, reflectivity: float) -> GaussianState:
+    """Two-mode state (t, r) after the beam splitter on single-mode inputs (in, anc):
+    t = sqrt(T) in - sqrt(R) anc, r = sqrt(R) in + sqrt(T) anc."""
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
     st = np.sqrt(1.0 - reflectivity)
     sr = np.sqrt(reflectivity)
     i2 = np.eye(2)
-    return np.block([[st * i2, -sr * i2], [sr * i2, st * i2]])
-
-
-def apply_symplectic(state: GaussianState, m: np.ndarray) -> GaussianState:
-    return GaussianState(m @ state.mean, m @ state.cov @ m.T)
+    m = np.block([[st * i2, -sr * i2], [sr * i2, st * i2]])
+    cov = np.zeros((4, 4))
+    cov[:2, :2] = inp.cov
+    cov[2:, 2:] = anc.cov
+    return GaussianState(m @ np.concatenate([inp.mean, anc.mean]), m @ cov @ m.T)
 
 
 def condition_xplus(state: GaussianState, x: float):
-    """Measure X+ of the last mode at outcome x; Schur-complement update.
+    """Measure X+ of the reflected mode of a two-mode state at outcome x;
+    Schur-complement update (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).
 
-    Returns the conditional state of the remaining mode(s) and the Gaussian
+    Returns the conditional state of the transmitted mode and the Gaussian
     outcome density evaluated at x (probability per SNL unit).  The
     conditional covariance does not depend on the outcome.
     """
-    if state.n_modes < 2:
-        raise ValueError("conditioning requires at least two modes")
-    meas = state.mean.size - 2  # X+ of the last mode
-    keep = [i for i in range(state.mean.size) if i not in (meas, meas + 1)]
-    v_meas = state.cov[meas, meas]
+    if state.n_modes != 2:
+        raise ValueError("conditioning requires a two-mode state")
+    v_meas = state.cov[2, 2]
     if v_meas <= 0:
         raise ValueError("measured quadrature has non-positive variance")
-    cross = state.cov[keep, meas]
-    mean_c = state.mean[keep] + cross * (x - state.mean[meas]) / v_meas
-    cov_c = state.cov[np.ix_(keep, keep)] - np.outer(cross, cross) / v_meas
+    cross = state.cov[:2, 2]
+    mean_c = state.mean[:2] + cross * (x - state.mean[2]) / v_meas
+    cov_c = state.cov[:2, :2] - np.outer(cross, cross) / v_meas
     cov_c = 0.5 * (cov_c + cov_c.T)
     density = float(
-        np.exp(-0.5 * (x - state.mean[meas]) ** 2 / v_meas) / np.sqrt(2.0 * np.pi * v_meas)
+        np.exp(-0.5 * (x - state.mean[2]) ** 2 / v_meas) / np.sqrt(2.0 * np.pi * v_meas)
     )
     return GaussianState(mean_c, cov_c), density
-
-
-def condition_through(
-    input_state: GaussianState,
-    ancilla: GaussianState,
-    reflectivity: float,
-    x: float,
-):
-    """Full protocol step: interfere with the ancilla, homodyne the
-    reflected X+ at outcome x, return (conditional state, outcome density)."""
-    joint = apply_symplectic(tensor(input_state, ancilla), beam_splitter_symplectic(reflectivity))
-    return condition_xplus(joint, x)
 
 
 def condition_coherent(gamma: complex, reflectivity: float, s_anc: float, x: float) -> GaussianState:
@@ -139,10 +118,8 @@ def condition_coherent(gamma: complex, reflectivity: float, s_anc: float, x: flo
     the result is the displaced squeezed state
     ``D(sqrt(T)[e^{2s'} g+ + i g-]) S(s')|0>`` with s' = s_prime(R, s_anc).
     """
-    state, _ = condition_through(
-        coherent_gaussian(gamma), squeezed_gaussian(s_anc), reflectivity, x
-    )
-    return state
+    joint = interfere(coherent_gaussian(gamma), squeezed_gaussian(s_anc), reflectivity)
+    return condition_xplus(joint, x)[0]
 
 
 def ideal_target(state: GaussianState, reflectivity: float) -> GaussianState:
@@ -173,6 +150,12 @@ class GainReport:
     g_minus: float
     ideal_g_plus: float
     ideal_g_minus: float
+
+
+def gains(out_mean, in_mean, reflectivity: float) -> GainReport:
+    """Gains of the (X+, X-) means, NaN where the input mean is 0, beside the ideal ones."""
+    measured = (float(o / i) if i != 0 else float("nan") for o, i in zip(out_mean, in_mean))
+    return GainReport(*measured, *map(float, ideal_gains(reflectivity)))
 
 
 def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:

@@ -27,17 +27,14 @@ class WignerGrid:
 
     ``values[i, j]`` is W(x_axis[i], p_axis[j]).  Integrals over the grid
     give each point the cell from halfway to its neighbours (the full step
-    at the ends), so they hold on non-uniform axes too.  ``spacing`` is
-    the step of each axis, or None for an axis that is not uniform.
-    ``norm_defect`` is the difference between the Riemann sum and the
-    state's trace; ``coarse`` flags grids whose defect exceeds the
-    normalization tolerance.
+    at the ends), so they hold on non-uniform axes too.  ``norm_defect`` is
+    the difference between the Riemann sum and the state's trace; ``coarse``
+    flags grids whose defect exceeds the normalization tolerance.
     """
 
     values: np.ndarray
     x_axis: np.ndarray
     p_axis: np.ndarray
-    spacing: tuple
     norm_defect: float
 
     @property
@@ -56,16 +53,14 @@ def _riemann_sum(x_axis: np.ndarray, p_axis: np.ndarray, values: np.ndarray) -> 
     return float(np.gradient(x_axis) @ values @ np.gradient(p_axis))
 
 
-def _grid_axis(axis, name: str) -> tuple[np.ndarray, float | None]:
-    """The axis as floats, and its step if the points are evenly spaced."""
+def _grid_axis(axis, name: str) -> np.ndarray:
+    """The axis as floats, checked to have at least two points in increasing order."""
     axis = np.asarray(axis, dtype=float)
     if axis.ndim != 1 or axis.size < 2:
         raise ValueError(f"{name} needs at least two points to span grid cells, got shape {axis.shape}")
-    steps = np.diff(axis)
-    if not steps.min() > 0:
+    if not np.diff(axis).min() > 0:
         raise ValueError(f"{name} must be strictly increasing")
-    uniform = steps.max() - steps.min() <= 1e-9 * steps.mean()
-    return axis, float(steps.mean()) if uniform else None
+    return axis
 
 
 def _wigner_values(rho: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -153,13 +148,13 @@ def wigner_from_density(
     at least two points, in increasing order.
     """
     default = np.linspace(-6.0, 6.0, 241)
-    x_axis, dx = _grid_axis(default if x_axis is None else x_axis, "x_axis")
-    p_axis, dp = _grid_axis(default.copy() if p_axis is None else p_axis, "p_axis")
+    x_axis = _grid_axis(default if x_axis is None else x_axis, "x_axis")
+    p_axis = _grid_axis(default.copy() if p_axis is None else p_axis, "p_axis")
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
     alphas = xg + 1j * pg
     vals = _wigner_values(rho.matrix, alphas.ravel()).reshape(alphas.shape)
     defect = abs(_riemann_sum(x_axis, p_axis, vals) - rho.trace)
-    return WignerGrid(vals, x_axis, p_axis, (dx, dp), defect)
+    return WignerGrid(vals, x_axis, p_axis, defect)
 
 
 # ---------------------------------------------------------------------------

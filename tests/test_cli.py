@@ -281,7 +281,7 @@ def test_wigner_csv_bytes_match_csv_writer(tmp_path):
         [np.pi, -1.2345678901234567e-05, 5e-324, -0.30000000000000004],
         [-0.0, 0.0, -2.0 / np.pi, -0.0],  # repeats, with -0.0 and 0.0 kept apart
     ])
-    grid = wigner.WignerGrid(values, x_axis, p_axis, (0.1, 0.1), 0.0)
+    grid = wigner.WignerGrid(values, x_axis, p_axis, 0.0)
     cli._write_wigner(tmp_path / "new.csv", grid)
     _write_wigner_with_csv_module(tmp_path / "old.csv", grid)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -11,7 +11,6 @@ from cvpost.conditioner import (
     density_norm,
     fidelity,
     homodyne_project,
-    postselect_map,
     run_window,
     s_prime,
 )
@@ -57,28 +56,30 @@ def test_two_mode_vacuum_projection():
     state, density = homodyne_project(joint, 0.0)
     # P1(0) is the N(0, 1/4) density at the origin
     np.testing.assert_allclose(density, np.sqrt(2 / np.pi), atol=1e-9)
-    np.testing.assert_allclose(
-        state.normalized().matrix, fock.fock_state(0, 12).density().matrix, atol=1e-9
-    )
+    np.testing.assert_allclose(state.matrix, fock.fock_state(0, 12).density().matrix, atol=1e-9)
 
 
 def test_zero_reflectivity_leaves_input_untouched():
     joint = fock.interfere(fock.fock_state(1, 12), fock.fock_state(0, 12), 0.0)
     for x in (-0.7, 0.0, 1.3):
         state, _ = homodyne_project(joint, x)
-        np.testing.assert_allclose(
-            state.normalized().matrix, fock.fock_state(1, 12).density().matrix, atol=1e-10
-        )
+        np.testing.assert_allclose(state.matrix, fock.fock_state(1, 12).density().matrix, atol=1e-10)
 
 
 def test_zero_outcome_yields_squeezed_photon(fig2_joint, fig2_target):
     state, _ = homodyne_project(fig2_joint, 0.0)
-    assert fidelity(state.normalized(), fig2_target) >= 1 - 1e-6
+    assert fidelity(state, fig2_target) >= 1 - 1e-6
 
 
 def test_homodyne_rejects_non_finite_outcome(fig2_joint):
     with pytest.raises(ValueError):
         homodyne_project(fig2_joint, np.nan)
+
+
+def test_homodyne_rejects_vanished_outcome_density(fig2_joint):
+    # every wavefunction underflows to 0 at x = 40, so no state is defined there
+    with pytest.raises(ValueError, match="vanished"):
+        homodyne_project(fig2_joint, 40.0)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +129,9 @@ def two_photon_cat():
 
 
 def zero_outcome(joint, target):
-    """postselect_map at x = 0."""
-    return postselect_map(joint, target, [0.0])[0]
+    """The conditional state at x = 0 and its fidelity to the target."""
+    state, _ = homodyne_project(joint, 0.0)
+    return state, fidelity(state, target)
 
 
 def test_window_single_photon_reference():
@@ -179,10 +181,9 @@ def _wavefunction_pair(m, n):
 @pytest.mark.parametrize("dim", [40, 120])
 @pytest.mark.parametrize("x0", [1e-6, 1e-4, 0.01, 0.09, 0.11, 1.0, 6.0])
 def test_window_matrix_entries_match_quad(dim, x0):
-    # x0 on both sides of NARROW_WINDOW, where the diagonal switches from
-    # Gauss-Legendre to the erf recurrence.  A diagonal entry is held to its
-    # own size: M_11 is all of P_s for a reflected |1>, and at x0 = 1e-6 it
-    # is 1e-12 of M_00.  An off-diagonal entry is held to the largest
+    # x0 on both sides of NARROW_WINDOW, where M switches from Gauss-Legendre
+    # to the closed form.  A diagonal entry is held to its own size: M_11 is
+    # all of P_s for a reflected |1>, and at x0 = 1e-6 it is 1e-12 of M_00.  An off-diagonal entry is held to the largest
     # diagonal one, the scale of the window's success probability.
     m = conditioner.window_matrix(dim, x0)
     top = dim - 1
@@ -193,6 +194,21 @@ def test_window_matrix_entries_match_quad(dim, x0):
         want, err = quad(_wavefunction_pair(i, j), -x0, x0, epsabs=1e-15 * scale, epsrel=1e-13, limit=400)
         assert err <= 1e-13 * scale, (i, j, err)
         assert abs(m[i, j] - want) <= 1e-13 * scale, (i, j, m[i, j], want)
+
+
+@pytest.mark.parametrize("dim", [40, 120])
+@pytest.mark.parametrize("x0", [1e-6, 1e-4, 0.01])
+def test_narrow_window_off_diagonal_entries_keep_their_own_digits(dim, x0):
+    # Between two odd levels the closed-form bracket cancels as x0 -> 0
+    # (M[1, 3] is 6e-6 relative off at x0 = 1e-6), which a reflected state
+    # with no even-parity part would read as all of its window.  Each entry
+    # here is held to its own size.
+    m = conditioner.window_matrix(dim, x0)
+    top = dim - 1
+    for i, j in [(1, 3), (5, 9), (top - 2, top), (0, 2), (4, 10), (top - 1, top - 3)]:
+        want, err = quad(_wavefunction_pair(i, j), -x0, x0, epsabs=0.0, epsrel=1e-13, limit=400)
+        assert err <= 1e-13 * abs(want), (i, j, err)
+        assert abs(m[i, j] - want) <= 1e-12 * abs(want), (i, j, m[i, j], want)
 
 
 @pytest.mark.parametrize("x0", [1e-6, 0.05, 0.1, 2.0])
@@ -207,8 +223,8 @@ def test_window_average_approaches_zero_outcome_fidelity():
     # F_ave converges quadratically in x0 to the zero-outcome fidelity
     joint, target = single_photon(0.9, 0.5, 40)
     win = run_window(joint, target, 1e-4)
-    zero = zero_outcome(joint, target)
-    np.testing.assert_allclose(win.avg_fidelity, zero.fidelity, atol=1e-6)
+    _, zero = zero_outcome(joint, target)
+    np.testing.assert_allclose(win.avg_fidelity, zero, atol=1e-6)
 
 
 def test_window_monotone_in_threshold():
@@ -228,28 +244,15 @@ def test_window_monotone_in_threshold():
 
 
 def test_map_symmetric_density():
-    xs = np.linspace(-1.5, 1.5, 21)
-    results = postselect_map(*single_photon(0.75, 0.4, 40), xs)
-    p1 = np.array([r.density for r in results])
+    joint, _ = single_photon(0.75, 0.4, 40)
+    p1 = np.array([homodyne_project(joint, x)[1] for x in np.linspace(-1.5, 1.5, 21)])
     np.testing.assert_allclose(p1, p1[::-1], atol=1e-9)
 
 
-def test_map_single_node_matches_direct_projection(fig2_joint, fig2_target):
-    result = postselect_map(fig2_joint, fig2_target, [0.3])[0]
-    raw, density = homodyne_project(fig2_joint, 0.3)
-    np.testing.assert_allclose(result.density, density, rtol=1e-12)
-    np.testing.assert_allclose(result.state.matrix, raw.matrix / density, atol=1e-12)
-
-
 def test_map_zero_entry_reproduces_exact_target(fig2_joint, fig2_target):
-    result = zero_outcome(fig2_joint, fig2_target)
-    assert result.fidelity >= 1 - 1e-6
-    np.testing.assert_allclose(result.state.trace, 1.0, atol=1e-9)
-
-
-def test_map_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        postselect_map(*single_photon(0.5, 0.3, 20), [])
+    state, fid = zero_outcome(fig2_joint, fig2_target)
+    assert fid >= 1 - 1e-6
+    np.testing.assert_allclose(state.trace, 1.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +278,7 @@ def test_outcome_density_normalizes(psi_in, reflectivity, s):
 @pytest.mark.parametrize("n_in", [1, 2])
 def test_parity_conservation_at_zero_outcome(n_in):
     joint = build_joint(fock.fock_state(n_in, 40), 0.6, 0.5)
-    state = zero_outcome(joint, fock.squeezed_number_state(n_in, s_prime(0.6, 0.5), 40)).state
+    state, _ = homodyne_project(joint, 0.0)
     wrong = np.arange(40) % 2 != n_in % 2
     assert np.abs(np.diag(state.matrix)[wrong]).max() < 1e-10
     assert np.abs(state.matrix[np.ix_(wrong, ~wrong)]).max() < 1e-10
@@ -286,15 +289,15 @@ def test_exactness_grid():
     dim = 60
     for r in np.linspace(0.5, 0.98, 5):
         for s in np.linspace(0.0, 0.7, 5):
-            result = zero_outcome(*single_photon(r, s, dim))
-            assert result.fidelity >= 1 - 1e-6, (r, s, result.fidelity)
+            _, fid = zero_outcome(*single_photon(r, s, dim))
+            assert fid >= 1 - 1e-6, (r, s, fid)
 
 
 def test_conditioned_coherent_target_is_exact():
     # coherent input at x = 0 produces exactly the displaced squeezed state
     gamma, r, s = 0.5 + 0.3j, 0.75, 0.52
     target = oracle.conditioned_coherent_target(gamma, r, s, 40)
-    state = zero_outcome(build_joint(fock.coherent_state(gamma, 40), r, s), target).state
+    state, _ = homodyne_project(build_joint(fock.coherent_state(gamma, 40), r, s), 0.0)
     assert fidelity(state, target) >= 1 - 1e-8
 
 
@@ -338,15 +341,13 @@ def test_pure_joint_agrees_with_dense_route(reflectivity, prepare):
 
     xs = [-0.4, 0.0, 0.13]
     target = target_state.amplitudes
-    for x, cond in zip(xs, postselect_map(joint, target_state, xs)):
+    for x in xs:
         want, want_p1 = oracle.homodyne_project(dense, x)
         got, got_p1 = homodyne_project(joint, x)
-        np.testing.assert_allclose(got.matrix, want, rtol=0, atol=AGREE_TOL)
         np.testing.assert_allclose(got_p1, want_p1, rtol=AGREE_TOL)
-        np.testing.assert_allclose(cond.density, want_p1, rtol=AGREE_TOL)
-        np.testing.assert_allclose(cond.state.matrix, want / want_p1, rtol=0, atol=AGREE_TOL)
+        np.testing.assert_allclose(got.matrix, want / want_p1, rtol=0, atol=AGREE_TOL)
         want_fid = np.real(target.conj() @ want @ target) / want_p1
-        np.testing.assert_allclose(cond.fidelity, want_fid, rtol=0, atol=AGREE_TOL)
+        np.testing.assert_allclose(fidelity(got, target_state), want_fid, rtol=0, atol=AGREE_TOL)
 
     win = run_window(joint, target_state, x0)
     # 1025 Simpson nodes bring the oracle within 3e-14 of the exact window

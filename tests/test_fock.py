@@ -11,18 +11,6 @@ RTOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# Unit conventions
-# ---------------------------------------------------------------------------
-
-
-def test_unit_conversion_constants():
-    assert fock.WIGNER_VACUUM_VAR == 0.25
-    assert fock.SNL_VACUUM_VAR == 1.0
-    assert fock.VAR_SNL_PER_WIGNER == 4.0
-    assert fock.SNL_VACUUM_VAR == fock.VAR_SNL_PER_WIGNER * fock.WIGNER_VACUUM_VAR
-
-
-# ---------------------------------------------------------------------------
 # Number states
 # ---------------------------------------------------------------------------
 
@@ -107,7 +95,7 @@ def test_squeezed_vacuum_quadrature_variances():
     _, cov = fock.quadrature_moments(psi.density())
     np.testing.assert_allclose(cov[1, 1], 0.25 * np.exp(-2 * s), atol=1e-10)
     np.testing.assert_allclose(cov[0, 0], 0.25 * np.exp(2 * s), atol=1e-10)
-    level_db = 10 * np.log10(cov[1, 1] / fock.WIGNER_VACUUM_VAR)
+    level_db = 10 * np.log10(cov[1, 1] / 0.25)
     assert abs(level_db - (-4.5)) < 0.2
 
 

@@ -8,7 +8,7 @@ from cvpost.gaussian import (
     classical_limit,
     coherent_gaussian,
     condition_coherent,
-    condition_through,
+    condition_xplus,
     gaussian_fidelity,
     ideal_gains,
     ideal_target,
@@ -76,7 +76,7 @@ def test_matches_fock_engine():
     g_state = condition_coherent(gamma, r, s, x_snl)
     joint = conditioner.build_joint(fock.coherent_state(gamma, 60), r, s)
     rho, _ = conditioner.homodyne_project(joint, x_snl / 2.0)  # x_wig = x_snl / 2
-    mean_w, cov_w = fock.quadrature_moments(rho.normalized())
+    mean_w, cov_w = fock.quadrature_moments(rho)
     np.testing.assert_allclose(2.0 * mean_w, g_state.mean, atol=1e-6)
     np.testing.assert_allclose(4.0 * cov_w, g_state.cov, atol=1e-6)
 
@@ -84,9 +84,7 @@ def test_matches_fock_engine():
 def test_outcome_density_units():
     # homodyne densities are per-unit-x: P_wig(x_wig) = 2 P_snl(2 x_wig)
     gamma, r, s = 0.2 - 0.1j, 0.6, 0.3
-    _, dens_snl = condition_through(
-        coherent_gaussian(gamma), squeezed_gaussian(s), r, 0.3
-    )
+    _, dens_snl = condition_xplus(gaussian.interfere(coherent_gaussian(gamma), squeezed_gaussian(s), r), 0.3)
     joint = conditioner.build_joint(fock.coherent_state(gamma, 40), r, s)
     _, dens_wig = conditioner.homodyne_project(joint, 0.15)
     np.testing.assert_allclose(dens_wig, 2.0 * dens_snl, atol=1e-8)
