@@ -182,7 +182,7 @@ _KEYS = {
             ("eta_vis", float, _eta), ("eta_det", float, _eta), ("eta_hom", float, _eta),
             ("gate_elec_db", float, None), ("hom_elec_db", float, None),
             ("gamma_plus", float, None), ("gamma_minus", float, None), ("x0_snl", float, lambda v: v > 0),
-            ("n_samples", int, lambda v: v >= 1), ("rng_seed", int, None),
+            ("n_samples", int, lambda v: v >= 1), ("rng_seed", int, lambda v: v >= 0),
             ("subtract_electronic", bool, None),
         )},
         "dump_samples_csv": (False, bool, None),
@@ -536,6 +536,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         print("--threads must be >= 1", file=sys.stderr)
+        return 2
+    if args.seed is not None and args.seed < 0:
+        print("--seed must be >= 0", file=sys.stderr)
         return 2
     if args.dim is not None and args.dim < 2:
         print("--dim must be >= 2", file=sys.stderr)

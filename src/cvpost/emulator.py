@@ -27,15 +27,14 @@ Model choices
   Gaussian quadrature records.
 
 Synthesis is chunked with sub-generators spawned deterministically from
-``rng_seed`` and reduced in fixed order, so results are bit-stable.  The gate
-record is one linear combination of input X+, ancilla X+ and gate noise, so
-each chunk draws it straight from its Gaussian marginal, one normal per row.
-The rows inside the window then draw input and ancilla X+ from their
-Gaussian conditional on the gate (two normals) and the four normals that
-only the transmitted records use (input X-, ancilla X-, two homodyne
-noises).  The full stream (:func:`dump_samples`) draws the same for the
-other rows after them, so the dump and :func:`run_experiment` share every
-kept row, to the bit.
+``rng_seed`` and reduced in fixed order, so results are bit-stable.  The
+record triple is jointly Gaussian, so each chunk draws the gate record
+straight from its marginal, one normal per row.  The rows inside the window
+then draw their transmitted pair from its Gaussian conditional on the gate
+(two normals): the Schur complement of :func:`predict_records`' covariance,
+the one :func:`predict_stats` integrates over the window.  The full stream
+(:func:`dump_samples`) draws the other rows' pairs the same way after them,
+so the dump and :func:`run_experiment` share every kept row, to the bit.
 """
 
 from __future__ import annotations
@@ -91,9 +90,12 @@ class ExperimentParams:
             raise ValueError("x0 must be > 0")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if len(self.v_in) != 2 or min(self.v_in) <= 0:
-            raise ValueError("v_in must be two positive variances")
-        for name in ("anc_sqz_db", "anc_antisqz_db", "gate_elec_db", "hom_elec_db"):
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
+        if len(self.v_in) != 2 or not all(0 < v < np.inf for v in self.v_in):
+            raise ValueError("v_in must be two positive finite variances")
+        for name in ("gamma_plus", "gamma_minus", "anc_sqz_db", "anc_antisqz_db",
+                     "gate_elec_db", "hom_elec_db"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
@@ -140,93 +142,59 @@ def _variance_correction(params: ExperimentParams) -> float:
     return sub
 
 
-def _gate_model(params: ExperimentParams):
-    """Mean and standard deviation of the gate record, and the regression
-    vector and a covariance root of (input X+, ancilla X+) given it.
-
-    Input and ancilla X+ are u = mu + L w for a standard normal pair w, and
-    the gate record is m_g + k.w + sqrt(v_noise) z, so v_g = k.k + v_noise.
-    Given the gate, w has mean k (g - m_g) / v_g and covariance
-    I - k k^T / v_g, with eigenvalue 1 across k and v_noise / v_g along it.
-    The root L [e_perp, sqrt(v_noise / v_g) e] (e = k / |k|) is exact when
-    the gate carries no noise and that covariance has rank 1.
-    """
-    p = params
-    scale = np.sqrt([p.v_in[0], _ancilla_record_cov(p)[0, 0]])
-    k = np.sqrt(p.eta_det) * np.sqrt([p.R, 1.0 - p.R]) * scale
-    v_noise = (1.0 - p.eta_det) + _db_to_var(p.gate_elec_db)
-    kk = float(k @ k)
-    v_g = kk + v_noise
-    e = k / np.sqrt(kk)
-    root = scale[:, None] * np.column_stack([[-e[1], e[0]], np.sqrt(v_noise / v_g) * e])
-    m_g = np.sqrt(p.eta_det * p.R) * 2.0 * p.gamma_plus
-    return m_g, np.sqrt(v_g), scale * k / v_g, root
-
-
-def _draw_chunk(rng: np.random.Generator, m: int, params: ExperimentParams, full: bool) -> np.ndarray:
+def _draw_chunk(rng: np.random.Generator, m: int, x0: float, model, full: bool) -> np.ndarray:
     """Records (X+_t, X-_t, gate) of m draws: every row when ``full``, else
-    only the rows inside the window, in draw order."""
-    model = _gate_model(params)
-    m_g, sd_g = model[:2]
+    only the rows inside the window, in draw order.  ``model`` is
+    :func:`_iter_chunks`' gate moments and transmitted-pair conditional."""
+    m_g, sd_g, mean_t, beta, (l00, l10, l11) = model
     z = rng.standard_normal(m)
     # Form the gate record only near the window: the bounds on z are padded
     # by far more than the rounding of sd_g z + m_g, and the window test is
     # then made on the gate record itself, as the full stream holds it.
-    lo, hi = (np.array([-params.x0, params.x0]) - m_g) / sd_g
+    lo, hi = (np.array([-x0, x0]) - m_g) / sd_g
     pad = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
     rows = np.flatnonzero((z > lo - pad) & (z < hi + pad))
     gate = z[rows] * sd_g + m_g
-    inside = np.abs(gate) < params.x0
+    inside = np.abs(gate) < x0
     rows, gate = rows[inside], gate[inside]
-    kept = _transmitted_given_gate(rng, gate, model, params)
+
+    def pair(g):  # transmitted records given these gate records, two normals each
+        n1, n2 = rng.standard_normal((2, g.size))
+        dev = g - m_g
+        # elementwise, not a 2 x 2 matmul, so no BLAS call runs per chunk
+        return mean_t[0] + beta[0] * dev + l00 * n1, mean_t[1] + beta[1] * dev + l10 * n1 + l11 * n2
+
     if not full:
-        return np.column_stack([kept, gate])
+        return np.column_stack([*pair(gate), gate])
     out = np.empty((m, 3))
     out[:, 2] = z * sd_g + m_g
-    out[rows, :2] = kept
+    out[rows, 0], out[rows, 1] = pair(gate)
     rest = np.ones(m, dtype=bool)
     rest[rows] = False
-    out[rest, :2] = _transmitted_given_gate(rng, out[rest, 2], model, params)
+    out[rest, 0], out[rest, 1] = pair(out[rest, 2])
     return out
 
 
-def _transmitted_given_gate(rng: np.random.Generator, gate: np.ndarray, model, params: ExperimentParams) -> np.ndarray:
-    """Transmitted records of the rows with these gate records: input and
-    ancilla X+ from their Gaussian conditional on the gate (``model`` is
-    :func:`_gate_model`; two normals per row), then :func:`_transmitted`."""
-    m_g, _, beta, root = model
-    n1, n2 = rng.standard_normal((2, gate.size))
-    dev = gate - m_g
-    # elementwise, not a 2 x 2 matmul, so no BLAS call runs per chunk
-    x_in_p = 2.0 * params.gamma_plus + beta[0] * dev + root[0, 0] * n1 + root[0, 1] * n2
-    anc_p = beta[1] * dev + root[1, 0] * n1 + root[1, 1] * n2
-    return _transmitted(rng, x_in_p, anc_p, params)
-
-
-def _transmitted(rng: np.random.Generator, x_in_p: np.ndarray, anc_p: np.ndarray, params: ExperimentParams) -> np.ndarray:
-    """Rescaled homodyne records (X+_t, X-_t) of the rows with these X+
-    values; draws the four normals only they use."""
-    p = params
-    st, sr = np.sqrt(1.0 - p.R), np.sqrt(p.R)
-    z_in_m, z_anc_m, z_hom_p, z_hom_m = rng.standard_normal((4, x_in_p.size))
-    x_in_m = 2.0 * p.gamma_minus + np.sqrt(p.v_in[1]) * z_in_m
-    anc_m = np.sqrt(_ancilla_record_cov(p)[1, 1]) * z_anc_m
-    t_p = st * x_in_p - sr * anc_p
-    t_m = st * x_in_m - sr * anc_m
-    hom_noise = (1.0 - p.eta_hom) + _db_to_var(p.hom_elec_db)
-    rt_p = (np.sqrt(p.eta_hom) * t_p + np.sqrt(hom_noise) * z_hom_p) / np.sqrt(p.eta_hom)
-    rt_m = (np.sqrt(p.eta_hom) * t_m + np.sqrt(hom_noise) * z_hom_m) / np.sqrt(p.eta_hom)
-    return np.column_stack([rt_p, rt_m])
-
-
 def _iter_chunks(params: ExperimentParams, full: bool):
-    n_chunks = (params.n_samples + _CHUNK - 1) // _CHUNK
-    seeds = np.random.SeedSequence(params.rng_seed).spawn(n_chunks)
-    remaining = params.n_samples
+    p = params
+    mean, _, beta, cond_cov = _gate_conditional(p)
+    # The gate moments straight from the parameters, which fix the seeded
+    # gate stream: predict_records' differ from them in the last bit.
+    scale = np.sqrt([p.v_in[0], _ancilla_record_cov(p)[0, 0]])
+    k = np.sqrt(p.eta_det) * np.sqrt([p.R, 1.0 - p.R]) * scale
+    sd_g = np.sqrt(float(k @ k) + ((1.0 - p.eta_det) + _db_to_var(p.gate_elec_db)))
+    m_g = np.sqrt(p.eta_det * p.R) * 2.0 * p.gamma_plus
+    # Cholesky factor of the conditional covariance
+    l00 = np.sqrt(cond_cov[0, 0])
+    l10 = cond_cov[1, 0] / l00
+    model = m_g, sd_g, mean[:2], beta, (l00, l10, np.sqrt(cond_cov[1, 1] - l10 * l10))
+    n_chunks = (p.n_samples + _CHUNK - 1) // _CHUNK
+    seeds = np.random.SeedSequence(p.rng_seed).spawn(n_chunks)
+    remaining = p.n_samples
     for seed in seeds:
         m = min(_CHUNK, remaining)
         remaining -= m
-        yield _draw_chunk(np.random.default_rng(seed), m, params, full)
+        yield _draw_chunk(np.random.default_rng(seed), m, p.x0, model, full)
 
 
 MIN_SELECTED = 10_000
@@ -390,6 +358,17 @@ def predict_records(params: ExperimentParams):
     return mean, cov
 
 
+def _gate_conditional(params: ExperimentParams):
+    """Record moments (:func:`predict_records`), and the regression vector
+    and covariance of the transmitted pair given the gate record: the Schur
+    complement (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012))."""
+    mean, cov = predict_records(params)
+    v_g = cov[2, 2]
+    beta = cov[:2, 2] / v_g
+    cond_cov = cov[:2, :2] - np.outer(cov[:2, 2], cov[:2, 2]) / v_g
+    return mean, cov, beta, cond_cov
+
+
 # Windows of half-width h up to this many standard deviations take their
 # moments by Gauss-Legendre quadrature about the window centre: the closed
 # form gets a variance near h^2/3 as 1 minus a term near 1, losing about
@@ -429,14 +408,11 @@ def predict_stats(params: ExperimentParams) -> PredictedStats:
     is P_s; the selected transmitted moments follow from the Schur
     conditional plus the within-window gate spread.
     """
-    mean, cov = predict_records(params)
+    mean, cov, beta, cond_cov = _gate_conditional(params)
     m_g, v_g = mean[2], cov[2, 2]
     sig = np.sqrt(v_g)
     a, b = (-params.x0 - m_g) / sig, (params.x0 - m_g) / sig
     p_s, mu, var = _truncated_normal(a, b)
-
-    beta = cov[:2, 2] / v_g
-    cond_cov = cov[:2, :2] - np.outer(cov[:2, 2], cov[:2, 2]) / v_g
     sel_mean = mean[:2] + beta * (sig * mu)
     sel_cov = cond_cov + np.outer(beta, beta) * (v_g * var)
 

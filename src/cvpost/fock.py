@@ -185,17 +185,21 @@ def _coherent_amplitudes(gamma: complex, dim: int) -> np.ndarray:
     return np.cumprod(steps)
 
 
-def _min_dim_for_coherent(gamma: complex, tol: float) -> int:
+def _min_dim_for_coherent(gamma: complex, tol: float) -> int | None:
+    """Smallest dim that holds all but ``tol`` of |gamma>'s Poisson photon
+    numbers, summed in log space since e^{-|gamma|^2} underflows past
+    |gamma|^2 ~ 745; None past |gamma|^2 = 1e6, far over any allowed dim.
+    The answer lies above the median, which is at least floor(|gamma|^2), and
+    below 12 standard deviations past the mean."""
     mean = abs(gamma) ** 2
-    # Poisson tail: extend until the retained mass is within tol of 1.
-    term = np.exp(-mean)
-    cum = term
-    k = 0
-    while 1.0 - cum > tol and k < 100_000:
-        k += 1
-        term *= mean / k
-        cum += term
-    return k + 1
+    if mean == 0.0:
+        return 1
+    if mean > 1e6:
+        return None
+    k = np.arange(math.floor(mean), math.ceil(mean + 12.0 * math.sqrt(mean)) + 40)
+    log_pmf = k * math.log(mean) - mean - np.array([math.lgamma(j + 1.0) for j in k])
+    tail = np.cumsum(np.exp(log_pmf)[::-1])[::-1]  # P(N >= k), smallest terms first
+    return int(k[np.argmax(tail <= tol)])
 
 
 def _checked(amps: np.ndarray, what: str, need=None) -> FockVector:
@@ -206,9 +210,11 @@ def _checked(amps: np.ndarray, what: str, need=None) -> FockVector:
     tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
     if tail > TAIL_TOLERANCE:
         suggested = need() if need else None
+        hint = f"use dim >= {suggested}" if suggested else "increase dim"
+        if suggested and suggested > _largest_dim():
+            hint = f"it needs dim >= {suggested}, over the largest dim the memory budget allows ({_largest_dim()})"
         raise TruncationError(
-            f"{what} tail mass {tail:.3e} exceeds {TAIL_TOLERANCE:.0e} at dim={amps.size}; "
-            + (f"use dim >= {suggested}" if suggested else "increase dim"),
+            f"{what} tail mass {tail:.3e} exceeds {TAIL_TOLERANCE:.0e} at dim={amps.size}; {hint}",
             suggested_dim=suggested,
         )
     return FockVector(amps, amps.size)
@@ -310,17 +316,22 @@ def _dim_bytes(dim: int) -> int:
     return 8 * dim**3 + 128 * dim**2
 
 
+def _largest_dim() -> int:
+    """Largest dim that :func:`check_dim` allows."""
+    fits = int((MEMORY_BUDGET / 8) ** (1 / 3))
+    while _dim_bytes(fits) > MEMORY_BUDGET:
+        fits -= 1
+    return fits
+
+
 def check_dim(dim: int) -> None:
     """Raise ValueError, before anything is allocated, if ``dim`` is over :data:`MEMORY_BUDGET`."""
     need = _dim_bytes(dim)
     if need <= MEMORY_BUDGET:
         return
-    fits = int((MEMORY_BUDGET / 8) ** (1 / 3))
-    while _dim_bytes(fits) > MEMORY_BUDGET:
-        fits -= 1
     raise ValueError(
         f"dim={dim} needs about {need / 2**20:.0f} MiB for the beam-splitter eigenbasis and the "
-        f"joint, over the {MEMORY_BUDGET >> 20} MiB budget; the largest dim that fits is {fits}"
+        f"joint, over the {MEMORY_BUDGET >> 20} MiB budget; the largest dim that fits is {_largest_dim()}"
     )
 
 

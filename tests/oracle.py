@@ -23,9 +23,11 @@ recurrence at every point and raises the phase to each power explicitly.
 resamples of the selected rows, kept as the reference for the grouped
 jackknife.
 
-:func:`three_normal_chunk` is the emulator's earlier sampler, which drew
-three normals for every row to form the gate record; it is the reference
-for the sampler that draws the gate record from its marginal.
+:func:`three_normal_chunk` is the emulator's earlier sampler.  It draws
+every physical quadrature (input and ancilla X+ and X-, gate and homodyne
+noise) and propagates them through the beam splitter and the detectors, so
+it is the independent reference for the sampler that draws the gate record
+from its marginal and the transmitted pair from its Gaussian conditional.
 :func:`synthesize` and :func:`postselect` build the emulator's full sample
 stream in memory and select from it, the route ``run_experiment`` and the
 streamed sample dump must agree with.
@@ -279,11 +281,29 @@ def bootstrap_se(rows: np.ndarray, params) -> tuple[float, float]:
     return float(np.nanstd(fids, ddof=1)), float(np.nanstd(purs, ddof=1))
 
 
+def _transmitted(rng: np.random.Generator, x_in_p: np.ndarray, anc_p: np.ndarray, params) -> np.ndarray:
+    """Rescaled homodyne records (X+_t, X-_t) of the rows with these X+
+    values, propagated through the beam splitter, homodyne loss and
+    electronic noise; draws the four normals only they use."""
+    p = params
+    st, sr = np.sqrt(1.0 - p.R), np.sqrt(p.R)
+    z_in_m, z_anc_m, z_hom_p, z_hom_m = rng.standard_normal((4, x_in_p.size))
+    x_in_m = 2.0 * p.gamma_minus + np.sqrt(p.v_in[1]) * z_in_m
+    anc_m = np.sqrt(emulator._ancilla_record_cov(p)[1, 1]) * z_anc_m
+    t_p = st * x_in_p - sr * anc_p
+    t_m = st * x_in_m - sr * anc_m
+    hom_noise = (1.0 - p.eta_hom) + emulator._db_to_var(p.hom_elec_db)
+    rt_p = (np.sqrt(p.eta_hom) * t_p + np.sqrt(hom_noise) * z_hom_p) / np.sqrt(p.eta_hom)
+    rt_m = (np.sqrt(p.eta_hom) * t_m + np.sqrt(hom_noise) * z_hom_m) / np.sqrt(p.eta_hom)
+    return np.column_stack([rt_p, rt_m])
+
+
 def three_normal_chunk(rng: np.random.Generator, m: int, params, full: bool) -> np.ndarray:
-    """``emulator._draw_chunk`` as it was before it drew the gate record
-    from its marginal: three normals for every row (input X+, ancilla X+,
-    gate noise) form the gate record, then the transmitted records of the
-    rows inside the window, and when ``full`` of the other rows after them."""
+    """Records (X+_t, X-_t, gate) of m draws, propagated quadrature by
+    quadrature: three normals for every row (input X+, ancilla X+, gate
+    noise) form the gate record, then :func:`_transmitted` the transmitted
+    records of the rows inside the window, and when ``full`` of the other
+    rows after them."""
     p = params
     st, sr = np.sqrt(1.0 - p.R), np.sqrt(p.R)
     x_in_p, anc_p, gate = rng.standard_normal((3, m))
@@ -293,26 +313,26 @@ def three_normal_chunk(rng: np.random.Generator, m: int, params, full: bool) -> 
     gate *= np.sqrt((1.0 - p.eta_det) + emulator._db_to_var(p.gate_elec_db))
     gate += np.sqrt(p.eta_det) * (sr * x_in_p + st * anc_p)
     inside = np.abs(gate) < p.x0
-    kept = emulator._transmitted(rng, x_in_p[inside], anc_p[inside], p)
+    kept = _transmitted(rng, x_in_p[inside], anc_p[inside], p)
     if not full:
         return np.column_stack([kept, gate[inside]])
     out = np.empty((m, 3))
     out[:, 2] = gate
     out[inside, :2] = kept
-    out[~inside, :2] = emulator._transmitted(rng, x_in_p[~inside], anc_p[~inside], p)
+    out[~inside, :2] = _transmitted(rng, x_in_p[~inside], anc_p[~inside], p)
     return out
 
 
-def three_normal_selected(params) -> np.ndarray:
+def three_normal_selected(params, full: bool = False) -> np.ndarray:
     """The rows :func:`three_normal_chunk` keeps, over the chunks and
-    chunk seeds ``emulator.run_experiment`` uses."""
+    chunk seeds ``emulator.run_experiment`` uses; every row when ``full``."""
     n_chunks = (params.n_samples + emulator._CHUNK - 1) // emulator._CHUNK
     seeds = np.random.SeedSequence(params.rng_seed).spawn(n_chunks)
     chunks, remaining = [], params.n_samples
     for seed in seeds:
         m = min(emulator._CHUNK, remaining)
         remaining -= m
-        chunks.append(three_normal_chunk(np.random.default_rng(seed), m, params, full=False))
+        chunks.append(three_normal_chunk(np.random.default_rng(seed), m, params, full))
     return np.concatenate(chunks, axis=0)
 
 

@@ -358,6 +358,18 @@ def test_bad_field_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "payload, extra, name",
+    [({"mode": "emulate", "rng_seed": -1}, [], "rng_seed"), ({"mode": "emulate"}, ["--seed", "-5"], "--seed")],
+    ids=["rng_seed", "--seed"],
+)
+def test_negative_seed_exits_2_naming_it(tmp_path, capsys, payload, extra, name):
+    code, out = run_cli(tmp_path, payload, *extra)
+    assert code == 2
+    assert name in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize(
     "payload, field",
     [
         ({"mode": "emulate", "n_samples": 20_000, "subtract_electronic": "false"}, "subtract_electronic"),

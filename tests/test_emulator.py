@@ -72,11 +72,18 @@ def test_stream_is_seeded_and_deterministic():
     assert not np.array_equal(synthesize(other), synthesize(params))
 
 
-def test_gate_record_matches_closed_form_moments():
-    # oracle: Gaussian propagation of the same loss model
+@pytest.mark.parametrize(
+    "sampler",
+    [synthesize, lambda params: oracle.three_normal_selected(params, full=True)],
+    ids=["emulator", "three-normal"],
+)
+def test_gate_record_matches_closed_form_moments(sampler):
+    # oracle: Gaussian propagation of the same loss model.  The emulator
+    # samples from that model's conditional, so only its sampling is tested
+    # here; the three-normal stream propagates each quadrature on its own.
     params = bench_params(n_samples=400_000)
     mean_pred, cov_pred = predict_records(params)
-    stream = synthesize(params)
+    stream = sampler(params)
     n = stream.shape[0]
     for col in range(3):
         v = cov_pred[col, col]
@@ -94,9 +101,11 @@ def test_gate_record_matches_closed_form_moments():
     ids=["quiet", "R=0", "R=1", "zero-gate-noise"],
 )
 def test_noiseless_gate_draws_finite_rows(overrides):
-    # eta_det = 1 and no gate noise: input and ancilla X+ given the gate
-    # have a rank-1 covariance (no Cholesky factor); -4000 dB is exactly 0.
-    # Any RuntimeWarning fails the test; the stream keeps its moments.
+    # eta_det = 1 and no gate noise (-4000 dB is exactly 0): the gate is an
+    # exact linear combination of input and ancilla X+, and at R = 0 or 1 of
+    # one of them alone; the transmitted pair given it keeps a full-rank
+    # covariance.  Any RuntimeWarning fails the test; the stream keeps its
+    # moments.
     params = quiet_params(x0=0.5, n_samples=100_000, **overrides)
     stream = synthesize(params)
     assert np.isfinite(stream).all()
@@ -148,6 +157,19 @@ def test_parameter_validation():
             ExperimentParams(x0=x0)
     with pytest.raises(ValueError):
         ExperimentParams(v_in=(1.0, -0.5))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rng_seed", -1), ("gamma_plus", np.nan), ("gamma_minus", np.inf),
+     ("v_in", (np.inf, 1.0)), ("v_in", (1.0, np.nan))],
+    ids=["rng_seed", "gamma_plus-nan", "gamma_minus-inf", "v_in-inf", "v_in-nan"],
+)
+def test_bad_parameter_is_named(field, value):
+    # unchecked, a NaN gamma_plus ends in an empty selection and an infinite
+    # v_in in a LinAlgError, neither naming the field
+    with pytest.raises(ValueError, match=field):
+        ExperimentParams(**{field: value})
 
 
 # ---------------------------------------------------------------------------

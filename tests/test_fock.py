@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import eval_hermite, factorial
+from scipy.stats import poisson
 
 import oracle
 from cvpost import fock
@@ -68,6 +69,23 @@ def test_coherent_truncation_error_names_adequate_dim():
     # the suggested dimension really is adequate
     psi = fock.coherent_state(3.0, need)
     assert psi.tail_mass <= fock.TAIL_TOLERANCE
+
+
+@pytest.mark.parametrize("modulus", [0.5, 5.0, 20.0, 30.0])
+def test_coherent_min_dim_matches_poisson_tail(modulus):
+    # past |gamma|^2 ~ 745, e^{-|gamma|^2} underflows to 0
+    mean = modulus**2
+    for tol in (fock.TAIL_TOLERANCE, fock.TAIL_TOLERANCE / 4.0):
+        dim = fock._min_dim_for_coherent(modulus * np.exp(0.3j), tol)
+        # dim levels keep photon numbers 0 .. dim - 1, and one level fewer is not enough
+        assert poisson.sf(dim - 1, mean) <= tol < poisson.sf(dim - 2, mean)
+
+
+def test_truncation_error_says_when_no_dim_fits():
+    with pytest.raises(TruncationError) as err:
+        fock.scs_state(20.0, "even", 40)
+    assert err.value.suggested_dim == 523
+    assert f"largest dim the memory budget allows ({fock._largest_dim()})" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
