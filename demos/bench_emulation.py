@@ -44,6 +44,6 @@ print("\nfidelity versus success probability (|gamma+| = 1.07):")
 print("  x0 (snl)   P_s        fidelity")
 for x0 in (2.0, 1.0, 0.5, 0.2, 0.1, 0.05):
     run = run_experiment(bench_params(gamma_plus=1.07, x0=x0, n_samples=2_000_000))
-    print(f"  {x0:>5.2f}     {run.success_prob:.4f}    {run.fidelity_est:.3f}")
+    print(f"  {x0:>5.2f}     {run.success_prob:.4f}    {run.fidelity_est:.4f} +- {run.fidelity_se:.4f}")
 print(f"\n(classical bound {classical_limit(base.R)}; tightening the window raises "
-      "the fidelity monotonically at the cost of throughput)")
+      "the fidelity until it levels off within its error bars, at the cost of throughput)")

@@ -28,12 +28,15 @@ Model choices
 
 Synthesis is chunked with sub-generators spawned deterministically from
 ``rng_seed`` and reduced in fixed order, so results are bit-stable.  The
-record triple is jointly Gaussian, so each chunk draws the gate record
-straight from its marginal, one normal per row.  The rows inside the window
-then draw their transmitted pair from its Gaussian conditional on the gate
-(two normals): the Schur complement of :func:`predict_records`' covariance,
-the one :func:`predict_stats` integrates over the window.  The full stream
-(:func:`dump_samples`) draws the other rows' pairs the same way after them,
+record triple is jointly Gaussian, so a chunk of m rows keeps
+K ~ Binomial(m, P_s) of them, P_s the gate marginal's mass in the window,
+and draws only those: each gate from the gate marginal restricted to the
+window, by rejection, then its transmitted pair from the Gaussian
+conditional on the gate (two normals): the Schur complement of
+:func:`predict_records`' covariance, the one :func:`predict_stats`
+integrates over the window.  No rejected row is drawn.  The full stream
+(:func:`dump_samples`) goes on from there: it puts the kept rows at K random
+positions, in order, and draws the other rows from the window's complement,
 so the dump and :func:`run_experiment` share every kept row, to the bit.
 """
 
@@ -98,6 +101,19 @@ class ExperimentParams:
                      "gate_elec_db", "hom_elec_db"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        # The slack of 1e-9 absorbs the rounding of exactly conjugate levels
+        # (-30 and +30 dB); GaussianState would reject these states later
+        # without naming a field.
+        if self.v_in[0] * self.v_in[1] < 1.0 - 1e-9:
+            raise ValueError(f"v_in={tuple(self.v_in)} violates the uncertainty relation: "
+                             "v_in[0] * v_in[1] must be >= 1")
+        v_plus, v_minus = np.diag(_ancilla_record_cov(self))
+        if v_plus * v_minus < 1.0 - 1e-9:
+            raise ValueError(
+                f"anc_sqz_db={self.anc_sqz_db} and anc_antisqz_db={self.anc_antisqz_db} at "
+                f"eta_vis={self.eta_vis} give ancilla record variances whose product "
+                f"{v_plus * v_minus:.6g} is below 1, violating the uncertainty relation"
+            )
 
 
 def bench_params(**overrides) -> ExperimentParams:
@@ -142,21 +158,48 @@ def _variance_correction(params: ExperimentParams) -> float:
     return sub
 
 
-def _draw_chunk(rng: np.random.Generator, m: int, x0: float, model, full: bool) -> np.ndarray:
+def _draw_gates(rng: np.random.Generator, n: int, window, inside: bool) -> np.ndarray:
+    """n gate records from the gate marginal restricted to the window
+    |gate| < x0 (``inside``) or to its complement, by rejection in z-units
+    (Devroye 1986, ch. II).  Inside, the proposal is uniform on [lo, hi],
+    accepted with probability exp(-(z^2 - z*^2)/2) for z* the window point
+    nearest 0, when that envelope's mass (hi - lo) phi(z*) is below 1, and
+    else a standard normal: a proposal is accepted with probability at
+    least P_s either way.  The complement takes normal proposals.  The test
+    is made on the gate record itself, so rounding at the edges cannot put
+    a row on the wrong side."""
+    if n == 0:  # as when P_s, or 1 - P_s, is 0 and the rate below is too
+        return np.empty(0)
+    m_g, sd_g, x0, lo, hi, p_s = window
+    z_near = min(max(lo, 0.0), hi)
+    envelope = (hi - lo) * math.exp(-0.5 * z_near * z_near) / _SQRT_2PI
+    uniform = inside and envelope < 1.0
+    rate = p_s / envelope if uniform else p_s if inside else 1.0 - p_s
+    parts, got = [], 0
+    while got < n:
+        # proposals for the rows still needed plus three binomial sigma, so
+        # one batch nearly always suffices; capped to bound the memory
+        need = n - got
+        size = math.ceil(min(_CHUNK, (need + 3.0 * math.sqrt(need) + 1.0) / rate))
+        if uniform:
+            z = rng.uniform(lo, hi, size)
+            z = z[rng.random(size) < np.exp(0.5 * (z_near - z) * (z_near + z))]
+        else:
+            z = rng.standard_normal(size)
+        gate = z * sd_g + m_g
+        parts.append(gate[(np.abs(gate) < x0) == inside])
+        got += parts[-1].size
+    return np.concatenate(parts)[:n]
+
+
+def _draw_chunk(rng: np.random.Generator, m: int, window, conditional, full: bool) -> np.ndarray:
     """Records (X+_t, X-_t, gate) of m draws: every row when ``full``, else
-    only the rows inside the window, in draw order.  ``model`` is
-    :func:`_iter_chunks`' gate moments and transmitted-pair conditional."""
-    m_g, sd_g, mean_t, beta, (l00, l10, l11) = model
-    z = rng.standard_normal(m)
-    # Form the gate record only near the window: the bounds on z are padded
-    # by far more than the rounding of sd_g z + m_g, and the window test is
-    # then made on the gate record itself, as the full stream holds it.
-    lo, hi = (np.array([-x0, x0]) - m_g) / sd_g
-    pad = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
-    rows = np.flatnonzero((z > lo - pad) & (z < hi + pad))
-    gate = z[rows] * sd_g + m_g
-    inside = np.abs(gate) < x0
-    rows, gate = rows[inside], gate[inside]
+    only the rows inside the window, in draw order.  ``window`` is
+    :func:`_gate_window`, ``conditional`` the transmitted pair's given the
+    gate.  The full stream goes on after the kept rows, so it holds them to
+    the bit, at K random positions in order."""
+    mean_t, beta, (l00, l10, l11) = conditional
+    m_g = window[0]
 
     def pair(g):  # transmitted records given these gate records, two normals each
         n1, n2 = rng.standard_normal((2, g.size))
@@ -164,37 +207,51 @@ def _draw_chunk(rng: np.random.Generator, m: int, x0: float, model, full: bool) 
         # elementwise, not a 2 x 2 matmul, so no BLAS call runs per chunk
         return mean_t[0] + beta[0] * dev + l00 * n1, mean_t[1] + beta[1] * dev + l10 * n1 + l11 * n2
 
+    k = int(rng.binomial(m, window[-1]))
+    gate = _draw_gates(rng, k, window, inside=True)
+    kept = np.column_stack([*pair(gate), gate])
     if not full:
-        return np.column_stack([*pair(gate), gate])
+        return kept
     out = np.empty((m, 3))
-    out[:, 2] = z * sd_g + m_g
-    out[rows, 0], out[rows, 1] = pair(gate)
     rest = np.ones(m, dtype=bool)
+    rows = np.sort(rng.choice(m, k, replace=False))
+    out[rows] = kept
     rest[rows] = False
-    out[rest, 0], out[rest, 1] = pair(out[rest, 2])
+    gate = _draw_gates(rng, m - k, window, inside=False)
+    out[rest, 2] = gate
+    out[rest, 0], out[rest, 1] = pair(gate)
     return out
+
+
+def _gate_window(params: ExperimentParams):
+    """(m_g, sd_g, x0, lo, hi, P_s): the gate record's mean and deviation,
+    the window |gate| < x0 as [lo, hi] in z-units, and its mass.  The gate
+    moments come straight from the parameters and fix the seeded stream:
+    predict_records' differ from them in the last bit."""
+    p = params
+    scale = np.sqrt([p.v_in[0], _ancilla_record_cov(p)[0, 0]])
+    k = np.sqrt(p.eta_det) * np.sqrt([p.R, 1.0 - p.R]) * scale
+    sd_g = np.sqrt(float(k @ k) + ((1.0 - p.eta_det) + _db_to_var(p.gate_elec_db)))
+    m_g = np.sqrt(p.eta_det * p.R) * 2.0 * p.gamma_plus
+    lo, hi = (-p.x0 - m_g) / sd_g, (p.x0 - m_g) / sd_g
+    return m_g, sd_g, p.x0, lo, hi, _truncated_normal(lo, hi)[0]
 
 
 def _iter_chunks(params: ExperimentParams, full: bool):
     p = params
     mean, _, beta, cond_cov = _gate_conditional(p)
-    # The gate moments straight from the parameters, which fix the seeded
-    # gate stream: predict_records' differ from them in the last bit.
-    scale = np.sqrt([p.v_in[0], _ancilla_record_cov(p)[0, 0]])
-    k = np.sqrt(p.eta_det) * np.sqrt([p.R, 1.0 - p.R]) * scale
-    sd_g = np.sqrt(float(k @ k) + ((1.0 - p.eta_det) + _db_to_var(p.gate_elec_db)))
-    m_g = np.sqrt(p.eta_det * p.R) * 2.0 * p.gamma_plus
+    window = _gate_window(p)
     # Cholesky factor of the conditional covariance
     l00 = np.sqrt(cond_cov[0, 0])
     l10 = cond_cov[1, 0] / l00
-    model = m_g, sd_g, mean[:2], beta, (l00, l10, np.sqrt(cond_cov[1, 1] - l10 * l10))
+    conditional = mean[:2], beta, (l00, l10, np.sqrt(cond_cov[1, 1] - l10 * l10))
     n_chunks = (p.n_samples + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(p.rng_seed).spawn(n_chunks)
     remaining = p.n_samples
     for seed in seeds:
         m = min(_CHUNK, remaining)
         remaining -= m
-        yield _draw_chunk(np.random.default_rng(seed), m, p.x0, model, full)
+        yield _draw_chunk(np.random.default_rng(seed), m, window, conditional, full)
 
 
 MIN_SELECTED = 10_000
@@ -302,9 +359,8 @@ def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float
 def run_experiment(params: ExperimentParams) -> EnsembleStats:
     """Synthesize, post-select, and estimate in one streamed pass.
 
-    Only the rows inside the window get their transmitted records drawn;
-    they are the rows inside the window of the stream :func:`dump_samples`
-    writes.
+    Only the rows inside the window are drawn; they are the rows inside the
+    window of the stream :func:`dump_samples` writes.
     """
     selected = np.concatenate(list(_iter_chunks(params, full=False)), axis=0)
     if selected.shape[0] == 0:
@@ -437,5 +493,9 @@ def dump_samples(params: ExperimentParams, path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(SAMPLE_COLUMNS) + "\n")
         for chunk in _iter_chunks(params, full=True):
-            # %.17g round-trips every double exactly, in fewer bytes than %.18e.
-            np.savetxt(fh, chunk, fmt="%.17g", delimiter=",")
+            # %.17g round-trips every double exactly, in fewer bytes than
+            # %.18e.  One format call per block of rows, where np.savetxt
+            # makes one per row; the bytes are savetxt's.
+            for start in range(0, chunk.shape[0], 1 << 16):
+                block = chunk[start:start + (1 << 16)]
+                fh.write(("%.17g,%.17g,%.17g\n" * block.shape[0]) % tuple(block.ravel().tolist()))

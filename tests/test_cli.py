@@ -415,6 +415,22 @@ def test_numbers_must_be_json_numbers(tmp_path, capsys, payload, field):
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize(
+    "payload, names",
+    [({"mode": "emulate", "anc_sqz_db": -4.5, "anc_antisqz_db": 2.0}, ("anc_sqz_db", "anc_antisqz_db", "eta_vis")),
+     ({"mode": "emulate", "v_in_snl": [0.5, 1.0]}, ("v_in",))],
+    ids=["ancilla", "input"],
+)
+def test_unphysical_emulator_state_exits_2_naming_it(tmp_path, capsys, payload, names):
+    # below the uncertainty relation; unchecked, GaussianState rejects the
+    # state deep inside the run without naming a key
+    code, out = run_cli(tmp_path, payload)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names) and "uncertainty relation" in err
+    assert not (out / "result.json").exists()
+
+
 def test_empty_emulator_selection_exits_2(tmp_path, capsys):
     code, out = run_cli(tmp_path, {"mode": "emulate", "n_samples": 1000, "x0_snl": 1e-7})
     assert code == 2

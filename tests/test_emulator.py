@@ -145,6 +145,71 @@ def test_marginal_sampler_matches_three_normal_sampler():
     assert abs(new[:, -1].mean() - old[:, -1].mean()) < 5 * sigma
 
 
+class _ProposalCounter:
+    """A generator that counts the window proposals drawn through it."""
+
+    def __init__(self, rng):
+        self.rng, self.proposals = rng, 0
+
+    def uniform(self, lo, hi, size):
+        self.proposals += size
+        return self.rng.uniform(lo, hi, size)
+
+    def standard_normal(self, size):
+        self.proposals += size
+        return self.rng.standard_normal(size)
+
+    def random(self, size):  # acceptance tests, not proposals
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("gamma_plus", [-2.03, 0.0, 0.18, 2.03])
+@pytest.mark.parametrize("x0", [1e-4, 0.01, 0.3, 1.0, 5.0])
+def test_windowed_gate_draw_matches_closed_form(x0, gamma_plus):
+    # The kept gates follow the gate marginal truncated to the window, and
+    # the proposal is picked so that no window takes more proposals per kept
+    # row than 1/P_s, the one normal per row of drawing every row.  Batches
+    # carry a margin of three binomial sigma, within the slack allowed.
+    window = emulator._gate_window(bench_params(gamma_plus=gamma_plus, x0=x0))
+    m_g, sd_g, _, lo, hi, p_s = window
+    rng, n = _ProposalCounter(np.random.default_rng(5)), 20_000
+    gate = emulator._draw_gates(rng, n, window, inside=True)
+    assert gate.shape == (n,) and np.all(np.abs(gate) < x0)
+    assert rng.proposals / n <= (1.0 + 5.0 / np.sqrt(n)) / p_s
+    _, mu, var = emulator._truncated_normal(lo, hi)
+    z = (gate - m_g) / sd_g
+    assert abs(z.mean() - mu) < 5 * np.sqrt(var / n)
+    fourth = np.mean((z - z.mean()) ** 4)
+    assert abs(z.var(ddof=1) - var) < 5 * np.sqrt((fourth - var**2) / n)
+
+
+def test_infinite_window_draws_every_row():
+    params = quiet_params(x0=np.inf, n_samples=10_000)
+    kept = np.concatenate(list(emulator._iter_chunks(params, full=False)))
+    assert kept.shape == (10_000, 3)
+    np.testing.assert_array_equal(synthesize(params), kept)
+
+
+def test_window_with_almost_all_mass_splits_a_full_chunk():
+    # 1 - P_s is about 1e-6: the few rejected rows of a full chunk come from
+    # the window's complement, and the rows inside the window are exactly
+    # the kept rows, in order
+    params = bench_params(x0=8.0, n_samples=emulator._CHUNK)
+    assert 1e-7 < 1.0 - emulator._gate_window(params)[-1] < 1e-5
+    stream = synthesize(params)
+    assert stream.shape == (emulator._CHUNK, 3)
+    kept = np.concatenate(list(emulator._iter_chunks(params, full=False)))
+    np.testing.assert_array_equal(stream[np.abs(stream[:, 2]) < params.x0], kept)
+
+
+@pytest.mark.parametrize("gamma_plus", [5.0, 50.0])
+def test_window_far_in_the_tail_selects_nothing(gamma_plus):
+    # P_s about 1e-10, or 0 with a proposal envelope of mass 0: the
+    # Binomial count is 0 and the run says so
+    with pytest.raises(EmptySelectionError):
+        run_experiment(bench_params(gamma_plus=gamma_plus, x0=1e-4))
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         ExperimentParams(R=1.2)
@@ -162,8 +227,8 @@ def test_parameter_validation():
 @pytest.mark.parametrize(
     "field, value",
     [("rng_seed", -1), ("gamma_plus", np.nan), ("gamma_minus", np.inf),
-     ("v_in", (np.inf, 1.0)), ("v_in", (1.0, np.nan))],
-    ids=["rng_seed", "gamma_plus-nan", "gamma_minus-inf", "v_in-inf", "v_in-nan"],
+     ("v_in", (np.inf, 1.0)), ("v_in", (1.0, np.nan)), ("v_in", (0.5, 1.0))],
+    ids=["rng_seed", "gamma_plus-nan", "gamma_minus-inf", "v_in-inf", "v_in-nan", "v_in-unphysical"],
 )
 def test_bad_parameter_is_named(field, value):
     # unchecked, a NaN gamma_plus ends in an empty selection and an infinite
