@@ -43,7 +43,7 @@ inp = coherent_gaussian(GAMMA)
 target = ideal_target(inp, R)
 for s in (0.0, 0.35, 0.52, 0.69, 1.03, 2.0):
     out = condition_coherent(GAMMA, R, s, x=0.0)
-    fid = gaussian_fidelity(out, target)
-    print(f"  s = {s:>4.2f}:  F = {fid:.4f}   (purity {purity(out):.4f})")
+    fid = gaussian_fidelity(out.mean, out.cov, target.mean, target.cov)
+    print(f"  s = {s:>4.2f}:  F = {fid:.4f}   (purity {purity(out.cov):.4f})")
 print(f"\nclassical fidelity bound at R = {R}: {classical_limit(R)}")
 print(f"classical fidelity bound at R = 0.5:  {classical_limit(0.5):.6f}")

@@ -51,7 +51,6 @@ from .gaussian import (
     ideal_gains,
     ideal_target,
     purity,
-    purity_norm,
     squeezed_gaussian,
 )
 from .wigner import (

@@ -262,13 +262,14 @@ def _run_coherent(resolved, axis=None, values=(None,)):
             gamma = complex(value, gamma.imag)
         out = gaussian.condition_coherent(gamma, r, s, x_snl)
         inp = gaussian.coherent_gaussian(gamma)
+        target = gaussian.ideal_target(inp, r)
         scalars = {
             "s_prime": sp,
             "mean_out_snl": [float(out.mean[0]), float(out.mean[1])],
             "v_out_snl": [float(out.cov[0, 0]), float(out.cov[1, 1])],
             **dataclasses.asdict(gaussian.gains(out.mean, inp.mean, r)),
-            "purity": gaussian.purity(out),
-            "fidelity_to_ideal_target": gaussian.gaussian_fidelity(out, gaussian.ideal_target(inp, r)),
+            "purity": gaussian.purity(out.cov),
+            "fidelity_to_ideal_target": gaussian.gaussian_fidelity(out.mean, out.cov, target.mean, target.cov),
             "classical_limit": clim,
         }
         yield scalars, None

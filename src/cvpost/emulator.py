@@ -99,8 +99,14 @@ class ExperimentParams:
             raise ValueError("v_in must be two positive finite variances")
         for name in ("gamma_plus", "gamma_minus", "anc_sqz_db", "anc_antisqz_db",
                      "gate_elec_db", "hom_elec_db"):
-            if not np.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            if name.endswith("_db"):
+                try:
+                    _db_to_var(value)
+                except OverflowError:  # above about 3082 dB
+                    raise ValueError(f"{name}={value} dB is too large: its variance overflows a float") from None
         # The slack of 1e-9 absorbs the rounding of exactly conjugate levels
         # (-30 and +30 dB); GaussianState would reject these states later
         # without naming a field.
@@ -276,37 +282,34 @@ def _references(params: ExperimentParams):
 
 
 def _fidelity_purity(mean, cov, refs):
-    """Fidelity to the target and normalised purity of the output with these
-    moments; ``refs`` is :func:`_references`."""
+    """Fidelity to the target and normalised purity of outputs with these
+    moments, (..., 2) and (..., 2, 2); ``refs`` is :func:`_references`."""
     inp, target = refs
-    out = GaussianState(mean, 0.5 * (cov + cov.T), physical=False)
-    fid = gaussian.gaussian_fidelity(out, target)
-    pnorm = gaussian.purity_norm(out, inp)
-    return fid, pnorm
+    fid = gaussian.gaussian_fidelity(mean, cov, target.mean, target.cov)
+    return fid, gaussian.purity(cov) / gaussian.purity(inp.cov)
 
 
 def _jackknife_se(rows: np.ndarray, mean: np.ndarray, params: ExperimentParams):
     """Delete-one-group jackknife standard errors of (fidelity, purity_norm)
     over contiguous groups of rows (Efron 1982), from one pass of per-group
-    sums of the centred transmitted records."""
+    sums of the centred transmitted records.  A leave-one-out covariance
+    that is not positive definite is left out."""
     n, g = rows.shape[0], _JACKKNIFE_GROUPS
-    group = np.arange(n) * g // n
+    # first rows of the groups arange(n) * g // n
+    starts = -(-np.arange(g) * n // g)
     dx, dy = rows[:, 0] - mean[0], rows[:, 1] - mean[1]
-    sums = np.stack([np.bincount(group, w, minlength=g) for w in (None, dx, dy, dx * dx, dx * dy, dy * dy)])
-    cnt, sx, sy, sxx, sxy, syy = sums.sum(axis=1, keepdims=True) - sums
+    # group sums of each n-length product in turn: one temporary at a time
+    sums = (np.diff(starts, append=n), np.add.reduceat(dx, starts), np.add.reduceat(dy, starts),
+            np.add.reduceat(dx * dx, starts), np.add.reduceat(dx * dy, starts), np.add.reduceat(dy * dy, starts))
+    cnt, sx, sy, sxx, sxy, syy = (s.sum() - s for s in sums)
     means = mean + np.column_stack([sx, sy]) / cnt[:, None]
     outer = np.column_stack([sxx - sx * sx / cnt, sxy - sx * sy / cnt, sxy - sx * sy / cnt, syy - sy * sy / cnt])
     covs = (outer / (cnt - 1)[:, None]).reshape(g, 2, 2) - _variance_correction(params) * np.eye(2)
-    estimates = np.full((g, 2), np.nan)
-    refs = _references(params)
-    for k in range(g):
-        try:
-            estimates[k] = _fidelity_purity(means[k], covs[k], refs)
-        except ValueError:  # degenerate leave-one-out covariance: left out
-            pass
+    c00 = covs[:, 0, 0]
+    usable = (c00 > 0) & (c00 * covs[:, 1, 1] - covs[:, 0, 1] * covs[:, 1, 0] > 0)
+    estimates = _fidelity_purity(means[usable], covs[usable], _references(params))
     # sqrt((G-1)/G * sum (v - mean v)^2) over the usable estimates
-    usable = (col[~np.isnan(col)] for col in estimates.T)
-    return tuple(float(np.sqrt((v.size - 1) * np.var(v))) for v in usable)
+    return tuple(float(np.sqrt((v.size - 1) * np.var(v))) for v in estimates)
 
 
 def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float | None = None) -> EnsembleStats:

@@ -12,7 +12,7 @@ Quadrature ordering is (X+, X-) per mode; for two modes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +27,10 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean vector and covariance matrix in SNL units (vacuum = identity).
-
-    ``physical=False`` skips the uncertainty-relation check; estimated
-    moments of measured records may sit slightly below the quantum bound
-    after noise subtraction and finite sampling.
-    """
+    """Mean vector and covariance matrix in SNL units (vacuum = identity)."""
 
     mean: np.ndarray
     cov: np.ndarray
-    physical: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -46,13 +40,12 @@ class GaussianState:
         scale = max(1.0, float(np.abs(cov).max()))
         if np.abs(cov - cov.T).max() > 1e-10 * scale:
             raise ValueError("covariance matrix must be symmetric")
-        if self.physical:
-            omega = symplectic_form(mean.size // 2)
-            evals = np.linalg.eigvalsh(cov + 1j * omega)
-            # tolerance scales with the matrix norm: eigenvalues of strongly
-            # squeezed states carry absolute roundoff of order eps * |cov|
-            if evals.min() < -1e-9 * scale:
-                raise ValueError("covariance violates the uncertainty relation")
+        omega = symplectic_form(mean.size // 2)
+        evals = np.linalg.eigvalsh(cov + 1j * omega)
+        # tolerance scales with the matrix norm: eigenvalues of strongly
+        # squeezed states carry absolute roundoff of order eps * |cov|
+        if evals.min() < -1e-9 * scale:
+            raise ValueError("covariance violates the uncertainty relation")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -158,42 +151,44 @@ def gains(out_mean, in_mean, reflectivity: float) -> GainReport:
     return GainReport(*measured, *map(float, ideal_gains(reflectivity)))
 
 
-def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
-    """Fidelity of two single-mode Gaussian states.
+def _det(cov) -> np.ndarray:
+    """Determinants of a stack of 2 x 2 covariances, after checking that each
+    is positive definite (c00 > 0 and det > 0, the test for a symmetric 2 x 2)."""
+    if cov.shape[-2:] != (2, 2):
+        raise ValueError("covariances must be (..., 2, 2): single-mode states")
+    det = cov[..., 0, 0] * cov[..., 1, 1] - cov[..., 0, 1] * cov[..., 1, 0]
+    if not np.all((cov[..., 0, 0] > 0) & (det > 0)):
+        raise ValueError("covariance must be positive definite")
+    return det
 
-    Closed form in SNL units: with D = det(Va + Vb) and
-    L = (det Va - 1)(det Vb - 1),
+
+def gaussian_fidelity(mean_a, cov_a, mean_b, cov_b):
+    """Fidelity of single-mode Gaussian states with these moments: means
+    (..., 2) and covariances (..., 2, 2), broadcast over the leading axes.
+
+    Closed form in SNL units (Weedbrook et al., Rev. Mod. Phys. 84, 621
+    (2012)): with D = det(Va + Vb) and L = (det Va - 1)(det Vb - 1),
 
         F = 2 exp[-du^T (Va+Vb)^{-1} du / 2] / (sqrt(D + L) - sqrt(L)).
 
     For pure states (L = 0) this reduces to the pi-weighted Wigner overlap
     pi * int W_a W_b; it equals 1 for identical states, mixed or pure.
     """
-    if a.n_modes != 1 or b.n_modes != 1:
-        raise ValueError("gaussian_fidelity is defined for single-mode states")
-    for st in (a, b):
-        if np.linalg.eigvalsh(st.cov).min() <= 0:
-            raise ValueError("covariance must be positive definite")
-    total = a.cov + b.cov
-    delta = np.linalg.det(total)
-    lam = (np.linalg.det(a.cov) - 1.0) * (np.linalg.det(b.cov) - 1.0)
-    lam = max(lam, 0.0)
-    du = b.mean - a.mean
-    expo = float(np.exp(-0.5 * du @ np.linalg.solve(total, du)))
-    return 2.0 * expo / (np.sqrt(delta + lam) - np.sqrt(lam))
+    cov_a, cov_b = np.asarray(cov_a, dtype=float), np.asarray(cov_b, dtype=float)
+    lam = np.maximum((_det(cov_a) - 1.0) * (_det(cov_b) - 1.0), 0.0)
+    t = cov_a + cov_b
+    delta = t[..., 0, 0] * t[..., 1, 1] - t[..., 0, 1] * t[..., 1, 0]
+    du = np.asarray(mean_b, dtype=float) - np.asarray(mean_a, dtype=float)
+    dx, dy = du[..., 0], du[..., 1]
+    # du^T (Va+Vb)^{-1} du through the adjugate of the 2 x 2 sum
+    quad = (t[..., 1, 1] * dx * dx - (t[..., 0, 1] + t[..., 1, 0]) * dx * dy + t[..., 0, 0] * dy * dy) / delta
+    return 2.0 * np.exp(-0.5 * quad) / (np.sqrt(delta + lam) - np.sqrt(lam))
 
 
-def purity(state: GaussianState) -> float:
-    """tr(rho^2) of a Gaussian state: 1/sqrt(det V) in SNL units."""
-    det = np.linalg.det(state.cov)
-    if det <= 0:
-        raise ValueError("covariance must be positive definite")
-    return float(1.0 / np.sqrt(det))
-
-
-def purity_norm(out: GaussianState, inp: GaussianState) -> float:
-    """Output purity normalized to the input purity."""
-    return purity(out) / purity(inp)
+def purity(cov):
+    """tr(rho^2) of single-mode Gaussian states with covariances (..., 2, 2):
+    1/sqrt(det V) in SNL units."""
+    return 1.0 / np.sqrt(_det(np.asarray(cov, dtype=float)))
 
 
 #: The only reflectivities with a quoted classical fidelity bound.

@@ -91,7 +91,7 @@ def test_criterion_6_ideal_squeezer_limit():
             np.array([2 * st * np.exp(2 * sp) * gamma.real, 2 * st * gamma.imag]),
             np.diag([np.exp(2 * sp), np.exp(-2 * sp)]),
         )
-        fid = gaussian.gaussian_fidelity(out, target)
+        fid = gaussian.gaussian_fidelity(out.mean, out.cov, target.mean, target.cov)
         inp = gaussian.coherent_gaussian(gamma)
         g_plus = out.mean[0] / inp.mean[0]
         g_minus = out.mean[1] / inp.mean[1]

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -227,12 +228,15 @@ def test_parameter_validation():
 @pytest.mark.parametrize(
     "field, value",
     [("rng_seed", -1), ("gamma_plus", np.nan), ("gamma_minus", np.inf),
-     ("v_in", (np.inf, 1.0)), ("v_in", (1.0, np.nan)), ("v_in", (0.5, 1.0))],
-    ids=["rng_seed", "gamma_plus-nan", "gamma_minus-inf", "v_in-inf", "v_in-nan", "v_in-unphysical"],
+     ("v_in", (np.inf, 1.0)), ("v_in", (1.0, np.nan)), ("v_in", (0.5, 1.0)),
+     ("anc_sqz_db", 4000.0), ("anc_antisqz_db", 4000.0), ("gate_elec_db", 4000.0), ("hom_elec_db", 4000.0)],
+    ids=["rng_seed", "gamma_plus-nan", "gamma_minus-inf", "v_in-inf", "v_in-nan", "v_in-unphysical",
+         "anc_sqz_db-overflow", "anc_antisqz_db-overflow", "gate_elec_db-overflow", "hom_elec_db-overflow"],
 )
 def test_bad_parameter_is_named(field, value):
-    # unchecked, a NaN gamma_plus ends in an empty selection and an infinite
-    # v_in in a LinAlgError, neither naming the field
+    # unchecked, a NaN gamma_plus ends in an empty selection, an infinite
+    # v_in in a LinAlgError and a 4000 dB level in an OverflowError, none
+    # naming the field
     with pytest.raises(ValueError, match=field):
         ExperimentParams(**{field: value})
 
@@ -338,6 +342,30 @@ def test_jackknife_agrees_with_bootstrap(seed, window):
     fid_se, pur_se = oracle.bootstrap_se(selected, params)
     assert 0.75 <= stats.fidelity_se / fid_se <= 1.25
     assert 0.75 <= stats.purity_norm_se / pur_se <= 1.25
+
+
+def test_jackknife_leaves_out_a_degenerate_group():
+    # groups 1-63 spread less than the variance correction subtracts, so the
+    # covariance left without group 0 is not positive definite and every
+    # other leave-one-out covariance is
+    params = bench_params()
+    n, g = 12_837, emulator._JACKKNIFE_GROUPS
+    group = np.arange(n) * g // n
+    rows = np.zeros((n, 3))
+    rows[:, :2] = np.random.default_rng(5).standard_normal((n, 2)) * np.where(group == 0, 10.0, 0.2)[:, None]
+    assert 0.2**2 < emulator._variance_correction(params)
+    refs = emulator._references(params)
+    estimates = []
+    for k in range(g):
+        mean_k, cov_k = emulator._stats_from_rows(rows[group != k], params)
+        assert (np.linalg.eigvalsh(cov_k).min() > 0) == (k != 0)
+        if k != 0:
+            estimates.append(emulator._fidelity_purity(mean_k, cov_k, refs))
+    expected = [np.sqrt((g - 2) * np.var(v)) for v in np.transpose(estimates)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = emulator._jackknife_se(rows, rows[:, :2].mean(axis=0), params)
+    np.testing.assert_allclose(got, expected, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------

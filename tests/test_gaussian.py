@@ -13,7 +13,6 @@ from cvpost.gaussian import (
     ideal_gains,
     ideal_target,
     purity,
-    purity_norm,
     squeezed_gaussian,
 )
 
@@ -119,18 +118,34 @@ def test_ideal_target_mean_gains():
 # ---------------------------------------------------------------------------
 
 
+def fid(a: GaussianState, b: GaussianState):
+    return gaussian_fidelity(a.mean, a.cov, b.mean, b.cov)
+
+
 def test_fidelity_identical_states():
     pure = squeezed_gaussian(0.4)
-    np.testing.assert_allclose(gaussian_fidelity(pure, pure), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(fid(pure, pure), 1.0, rtol=1e-12)
     mixed = oracle.gaussian_from_variances(1.3, 1.1, mean=(0.5, -0.2))
-    np.testing.assert_allclose(gaussian_fidelity(mixed, mixed), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(fid(mixed, mixed), 1.0, rtol=1e-12)
+    # stacked moments: one call gives each pair's fidelity, and a single
+    # state broadcasts against the stack
+    states = [pure, mixed, coherent_gaussian(0.3 - 0.4j), ideal_target(mixed, 0.75)]
+    means, covs = np.stack([st.mean for st in states]), np.stack([st.cov for st in states])
+    stacked = gaussian_fidelity(means, covs, means[::-1], covs[::-1])
+    assert stacked.shape == (4,)
+    one_at_a_time = [fid(a, b) for a, b in zip(states, states[::-1])]
+    np.testing.assert_allclose(stacked, one_at_a_time, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(gaussian_fidelity(means, covs, mixed.mean, mixed.cov),
+                               [fid(st, mixed) for st in states], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(np.diag(gaussian_fidelity(means, covs, means[:, None], covs[:, None])), 1.0,
+                               rtol=1e-12)
 
 
 def test_fidelity_vacuum_vs_ideal_squeezed_vacuum():
     # oracle: numerical pi-weighted Wigner overlap (both states pure)
     vac = oracle.vacuum_state()
     target = ideal_target(vac, 0.75)
-    got = gaussian_fidelity(vac, target)
+    got = fid(vac, target)
     np.testing.assert_allclose(got, 0.8, rtol=1e-12)
     np.testing.assert_allclose(got, wigner_overlap_quadrature(vac, target), atol=1e-6)
 
@@ -139,18 +154,22 @@ def test_fidelity_displacement_decay():
     # oracle: numerical quadrature; e^{-|g|^2} for a unit displacement
     vac = oracle.vacuum_state()
     disp = coherent_gaussian(1.0)
-    got = gaussian_fidelity(vac, disp)
+    got = fid(vac, disp)
     np.testing.assert_allclose(got, np.exp(-1.0), rtol=1e-12)
     np.testing.assert_allclose(got, wigner_overlap_quadrature(vac, disp), atol=1e-6)
 
 
 def test_fidelity_rejects_bad_covariance():
     vac = oracle.vacuum_state()
-    bad = GaussianState.__new__(GaussianState)
-    object.__setattr__(bad, "mean", np.zeros(2))
-    object.__setattr__(bad, "cov", np.diag([1.0, -0.5]))
+    bad = np.diag([1.0, -0.5])
     with pytest.raises(ValueError):
-        gaussian_fidelity(vac, bad)
+        gaussian_fidelity(vac.mean, vac.cov, np.zeros(2), bad)
+    # a stack in which one entry alone is bad
+    covs = np.stack([np.eye(2), 2.0 * np.eye(2), bad])
+    with pytest.raises(ValueError):
+        gaussian_fidelity(np.zeros((3, 2)), covs, vac.mean, vac.cov)
+    with pytest.raises(ValueError):
+        purity(covs)
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +178,20 @@ def test_fidelity_rejects_bad_covariance():
 
 
 def test_purity_values():
-    np.testing.assert_allclose(purity(oracle.vacuum_state()), 1.0, rtol=1e-12)
-    np.testing.assert_allclose(purity(squeezed_gaussian(0.83)), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(purity(oracle.vacuum_state().cov), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(purity(squeezed_gaussian(0.83).cov), 1.0, rtol=1e-12)
     out = oracle.gaussian_from_variances(4.70, 0.51)
     inp = oracle.gaussian_from_variances(1.13, 1.05)
     # arithmetic from the quoted bench variances
     np.testing.assert_allclose(
-        purity_norm(out, inp), np.sqrt(1.13 * 1.05 / (4.70 * 0.51)), rtol=1e-12
+        purity(out.cov) / purity(inp.cov), np.sqrt(1.13 * 1.05 / (4.70 * 0.51)), rtol=1e-12
     )
-    np.testing.assert_allclose(purity_norm(out, inp), 0.704, atol=5e-4)
+    np.testing.assert_allclose(purity(out.cov) / purity(inp.cov), 0.704, atol=5e-4)
+    # a stack gives each covariance's purity
+    states = [out, inp, squeezed_gaussian(0.83), oracle.gaussian_from_variances(1.3, 1.1)]
+    stacked = purity(np.stack([st.cov for st in states]))
+    assert stacked.shape == (4,)
+    np.testing.assert_allclose(stacked, [purity(st.cov) for st in states], rtol=1e-15, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +230,7 @@ def test_conditional_covariance_is_outcome_independent():
 @pytest.mark.parametrize("s", [-0.5, 0.0, 0.35, 0.69, 1.03, 2.0])
 def test_purity_preserving_for_pure_inputs(s):
     out = condition_coherent(0.7 - 0.1j, 0.6, s, 0.4)
-    np.testing.assert_allclose(purity(out), 1.0, atol=1e-9)
+    np.testing.assert_allclose(purity(out.cov), 1.0, atol=1e-9)
 
 
 def test_zero_outcome_mean_matches_conditional_transform():
