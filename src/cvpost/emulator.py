@@ -26,18 +26,24 @@ Model choices
 * The RF chain is not modelled; samples are drawn directly as white
   Gaussian quadrature records.
 
+* dB levels above ``MAX_DB`` (100 dB) are rejected: conditioning on a
+  variance that large loses the conditional to rounding.
+
 Synthesis is chunked with sub-generators spawned deterministically from
 ``rng_seed`` and reduced in fixed order, so results are bit-stable.  The
-record triple is jointly Gaussian, so a chunk of m rows keeps
-K ~ Binomial(m, P_s) of them, P_s the gate marginal's mass in the window,
-and draws only those: each gate from the gate marginal restricted to the
-window, by rejection, then its transmitted pair from the Gaussian
-conditional on the gate (two normals): the Schur complement of
-:func:`predict_records`' covariance, the one :func:`predict_stats`
-integrates over the window.  No rejected row is drawn.  The full stream
-(:func:`dump_samples`) goes on from there: it puts the kept rows at K random
-positions, in order, and draws the other rows from the window's complement,
-so the dump and :func:`run_experiment` share every kept row, to the bit.
+record triple is jointly Gaussian, and one gate model, built from
+:func:`predict_records` alone, serves both the sampler and
+:func:`predict_stats`: the gate's moments, the window's mass P_s, and the
+Schur complement of the transmitted pair given the gate.  A chunk of m rows
+keeps K ~ Binomial(m, P_s) of them and draws only those: each gate from the
+gate marginal restricted to the window, by rejection, then its transmitted
+pair from the conditional on the gate (two normals), the one
+:func:`predict_stats` integrates over the window.  No rejected row is
+drawn.  The full stream (:func:`dump_samples`) goes on from there: it puts
+the kept rows at K random positions, in order, and draws the other rows
+from the window's complement, so the dump and :func:`run_experiment` share
+every kept row, to the bit.  :func:`estimate` takes the estimates and their
+jackknife errors from one pass of per-group sums over the kept rows.
 """
 
 from __future__ import annotations
@@ -56,6 +62,13 @@ _JACKKNIFE_GROUPS = 64
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 SAMPLE_COLUMNS = ("x_t_plus", "x_t_minus", "x_r_plus")
+
+
+# Highest dB level a noise or ancilla variance may take.  The gate
+# conditional is a Schur complement, a difference of terms as large as the
+# largest record variance, so its rounding error is about eps times that
+# variance: 2e-6 SNL at 100 dB, the whole conditional variance by 160 dB.
+MAX_DB = 100.0
 
 
 def _db_to_var(db: float) -> float:
@@ -102,11 +115,9 @@ class ExperimentParams:
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-            if name.endswith("_db"):
-                try:
-                    _db_to_var(value)
-                except OverflowError:  # above about 3082 dB
-                    raise ValueError(f"{name}={value} dB is too large: its variance overflows a float") from None
+            if name.endswith("_db") and value > MAX_DB:
+                raise ValueError(f"{name}={value} dB is above {MAX_DB:g} dB: the record model cannot "
+                                 "condition on so large a variance without losing it to rounding")
         # The slack of 1e-9 absorbs the rounding of exactly conjugate levels
         # (-30 and +30 dB); GaussianState would reject these states later
         # without naming a field.
@@ -164,19 +175,20 @@ def _variance_correction(params: ExperimentParams) -> float:
     return sub
 
 
-def _draw_gates(rng: np.random.Generator, n: int, window, inside: bool) -> np.ndarray:
-    """n gate records from the gate marginal restricted to the window
-    |gate| < x0 (``inside``) or to its complement, by rejection in z-units
-    (Devroye 1986, ch. II).  Inside, the proposal is uniform on [lo, hi],
-    accepted with probability exp(-(z^2 - z*^2)/2) for z* the window point
-    nearest 0, when that envelope's mass (hi - lo) phi(z*) is below 1, and
-    else a standard normal: a proposal is accepted with probability at
-    least P_s either way.  The complement takes normal proposals.  The test
-    is made on the gate record itself, so rounding at the edges cannot put
-    a row on the wrong side."""
+def _draw_gates(rng: np.random.Generator, n: int, model, x0: float, inside: bool) -> np.ndarray:
+    """n gate records from the gate marginal of ``model`` (:func:`_gate_model`)
+    restricted to the window |gate| < x0 (``inside``) or to its complement,
+    by rejection in z-units (Devroye 1986, ch. II).  Inside, the proposal is
+    uniform on [lo, hi], accepted with probability exp(-(z^2 - z*^2)/2) for
+    z* the window point nearest 0, when that envelope's mass
+    (hi - lo) phi(z*) is below 1, and else a standard normal: a proposal is
+    accepted with probability at least P_s either way.  The complement takes
+    normal proposals.  The test is made on the gate record itself, so
+    rounding at the edges cannot put a row on the wrong side."""
     if n == 0:  # as when P_s, or 1 - P_s, is 0 and the rate below is too
         return np.empty(0)
-    m_g, sd_g, x0, lo, hi, p_s = window
+    mean, cov, (lo, hi), (p_s, _, _), _, _ = model
+    m_g, sd_g = mean[2], np.sqrt(cov[2, 2])
     z_near = min(max(lo, 0.0), hi)
     envelope = (hi - lo) * math.exp(-0.5 * z_near * z_near) / _SQRT_2PI
     uniform = inside and envelope < 1.0
@@ -198,23 +210,27 @@ def _draw_gates(rng: np.random.Generator, n: int, window, inside: bool) -> np.nd
     return np.concatenate(parts)[:n]
 
 
-def _draw_chunk(rng: np.random.Generator, m: int, window, conditional, full: bool) -> np.ndarray:
+def _draw_chunk(rng: np.random.Generator, m: int, model, x0: float, full: bool) -> np.ndarray:
     """Records (X+_t, X-_t, gate) of m draws: every row when ``full``, else
-    only the rows inside the window, in draw order.  ``window`` is
-    :func:`_gate_window`, ``conditional`` the transmitted pair's given the
-    gate.  The full stream goes on after the kept rows, so it holds them to
-    the bit, at K random positions in order."""
-    mean_t, beta, (l00, l10, l11) = conditional
-    m_g = window[0]
+    only the rows inside the window |gate| < x0, in draw order.  ``model`` is
+    :func:`_gate_model`: K ~ Binomial(m, P_s) gates come from its windowed
+    gate marginal, then each one's transmitted pair from its conditional on
+    the gate.  The full stream goes on after the kept rows, so it holds them
+    to the bit, at K random positions in order."""
+    mean, _, _, (p_s, _, _), beta, cond_cov = model
+    # Cholesky factor of the conditional covariance
+    l00 = np.sqrt(cond_cov[0, 0])
+    l10 = cond_cov[1, 0] / l00
+    l11 = np.sqrt(cond_cov[1, 1] - l10 * l10)
 
     def pair(g):  # transmitted records given these gate records, two normals each
         n1, n2 = rng.standard_normal((2, g.size))
-        dev = g - m_g
+        dev = g - mean[2]
         # elementwise, not a 2 x 2 matmul, so no BLAS call runs per chunk
-        return mean_t[0] + beta[0] * dev + l00 * n1, mean_t[1] + beta[1] * dev + l10 * n1 + l11 * n2
+        return mean[0] + beta[0] * dev + l00 * n1, mean[1] + beta[1] * dev + l10 * n1 + l11 * n2
 
-    k = int(rng.binomial(m, window[-1]))
-    gate = _draw_gates(rng, k, window, inside=True)
+    k = int(rng.binomial(m, p_s))
+    gate = _draw_gates(rng, k, model, x0, inside=True)
     kept = np.column_stack([*pair(gate), gate])
     if not full:
         return kept
@@ -223,61 +239,37 @@ def _draw_chunk(rng: np.random.Generator, m: int, window, conditional, full: boo
     rows = np.sort(rng.choice(m, k, replace=False))
     out[rows] = kept
     rest[rows] = False
-    gate = _draw_gates(rng, m - k, window, inside=False)
+    gate = _draw_gates(rng, m - k, model, x0, inside=False)
     out[rest, 2] = gate
     out[rest, 0], out[rest, 1] = pair(gate)
     return out
 
 
-def _gate_window(params: ExperimentParams):
-    """(m_g, sd_g, x0, lo, hi, P_s): the gate record's mean and deviation,
-    the window |gate| < x0 as [lo, hi] in z-units, and its mass.  The gate
-    moments come straight from the parameters and fix the seeded stream:
-    predict_records' differ from them in the last bit."""
-    p = params
-    scale = np.sqrt([p.v_in[0], _ancilla_record_cov(p)[0, 0]])
-    k = np.sqrt(p.eta_det) * np.sqrt([p.R, 1.0 - p.R]) * scale
-    sd_g = np.sqrt(float(k @ k) + ((1.0 - p.eta_det) + _db_to_var(p.gate_elec_db)))
-    m_g = np.sqrt(p.eta_det * p.R) * 2.0 * p.gamma_plus
-    lo, hi = (-p.x0 - m_g) / sd_g, (p.x0 - m_g) / sd_g
-    return m_g, sd_g, p.x0, lo, hi, _truncated_normal(lo, hi)[0]
-
-
 def _iter_chunks(params: ExperimentParams, full: bool):
     p = params
-    mean, _, beta, cond_cov = _gate_conditional(p)
-    window = _gate_window(p)
-    # Cholesky factor of the conditional covariance
-    l00 = np.sqrt(cond_cov[0, 0])
-    l10 = cond_cov[1, 0] / l00
-    conditional = mean[:2], beta, (l00, l10, np.sqrt(cond_cov[1, 1] - l10 * l10))
+    model = _gate_model(p)
     n_chunks = (p.n_samples + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(p.rng_seed).spawn(n_chunks)
     remaining = p.n_samples
     for seed in seeds:
         m = min(_CHUNK, remaining)
         remaining -= m
-        yield _draw_chunk(np.random.default_rng(seed), m, window, conditional, full)
+        yield _draw_chunk(np.random.default_rng(seed), m, model, p.x0, full)
 
 
 MIN_SELECTED = 10_000
 
 
-def _stats_from_rows(rows: np.ndarray, params: ExperimentParams):
-    sub = _variance_correction(params)
-    mean = rows[:, :2].mean(axis=0)
-    cov = np.cov(rows[:, 0], rows[:, 1], bias=False)
-    cov = cov - np.diag([sub, sub])
-    return mean, cov
+def _input_state(params: ExperimentParams) -> GaussianState:
+    return GaussianState(
+        np.array([2.0 * params.gamma_plus, 2.0 * params.gamma_minus]), np.diag(list(params.v_in))
+    )
 
 
 def _references(params: ExperimentParams):
     """The input state and the ideal squeezed transform of it, the states
     the output estimates are compared with."""
-    inp = GaussianState(
-        np.array([2.0 * params.gamma_plus, 2.0 * params.gamma_minus]),
-        np.diag(list(params.v_in)),
-    )
+    inp = _input_state(params)
     return inp, gaussian.ideal_target(inp, params.R)
 
 
@@ -289,37 +281,35 @@ def _fidelity_purity(mean, cov, refs):
     return fid, gaussian.purity(cov) / gaussian.purity(inp.cov)
 
 
-def _jackknife_se(rows: np.ndarray, mean: np.ndarray, params: ExperimentParams):
-    """Delete-one-group jackknife standard errors of (fidelity, purity_norm)
-    over contiguous groups of rows (Efron 1982), from one pass of per-group
-    sums of the centred transmitted records.  A leave-one-out covariance
-    that is not positive definite is left out."""
+def _moments(rows: np.ndarray, params: ExperimentParams):
+    """Means (G + 1, 2) and covariances (G + 1, 2, 2), less the variance
+    correction, of the transmitted records: row 0 of all the rows, row k of
+    all but the k-th of G = 64 contiguous groups, for the delete-one-group
+    jackknife (Efron 1982).  One pass of per-group sums of the records,
+    centred on their mean, gives them all."""
     n, g = rows.shape[0], _JACKKNIFE_GROUPS
     # first rows of the groups arange(n) * g // n
     starts = -(-np.arange(g) * n // g)
+    mean = rows[:, :2].mean(axis=0)
     dx, dy = rows[:, 0] - mean[0], rows[:, 1] - mean[1]
     # group sums of each n-length product in turn: one temporary at a time
     sums = (np.diff(starts, append=n), np.add.reduceat(dx, starts), np.add.reduceat(dy, starts),
             np.add.reduceat(dx * dx, starts), np.add.reduceat(dx * dy, starts), np.add.reduceat(dy * dy, starts))
-    cnt, sx, sy, sxx, sxy, syy = (s.sum() - s for s in sums)
+    cnt, sx, sy, sxx, sxy, syy = (np.concatenate([[s.sum()], s.sum() - s]) for s in sums)
     means = mean + np.column_stack([sx, sy]) / cnt[:, None]
     outer = np.column_stack([sxx - sx * sx / cnt, sxy - sx * sy / cnt, sxy - sx * sy / cnt, syy - sy * sy / cnt])
-    covs = (outer / (cnt - 1)[:, None]).reshape(g, 2, 2) - _variance_correction(params) * np.eye(2)
-    c00 = covs[:, 0, 0]
-    usable = (c00 > 0) & (c00 * covs[:, 1, 1] - covs[:, 0, 1] * covs[:, 1, 0] > 0)
-    estimates = _fidelity_purity(means[usable], covs[usable], _references(params))
-    # sqrt((G-1)/G * sum (v - mean v)^2) over the usable estimates
-    return tuple(float(np.sqrt((v.size - 1) * np.var(v))) for v in estimates)
+    return means, (outer / (cnt - 1)[:, None]).reshape(g + 1, 2, 2) - _variance_correction(params) * np.eye(2)
 
 
 def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float | None = None) -> EnsembleStats:
     """Sample means/variances, gains, Gaussian fidelity against the ideal
     squeezed transform of the input, and normalized purity.
 
-    Standard errors come from a delete-one-group jackknife over 64
+    The estimates and their standard errors come from one pass of
+    :func:`_moments`: the errors from a delete-one-group jackknife over 64
     contiguous groups of the selected samples, so they depend only on the
-    rows and their order.  A group whose removal leaves a degenerate
-    covariance is skipped.
+    rows and their order.  A group whose removal leaves a covariance that
+    is not positive definite is skipped.
     """
     rows = np.asarray(selected, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 3:
@@ -329,15 +319,18 @@ def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float
         raise ValueError(
             f"too few selected samples for variance estimates: {n} < {MIN_SELECTED}"
         )
-    mean, cov = _stats_from_rows(rows, params)
-    if min(cov[0, 0], cov[1, 1]) <= 0:
+    means, covs = _moments(rows, params)
+    if min(covs[0, 0, 0], covs[0, 1, 1]) <= 0:
         raise ValueError(
             "variance correction exceeded the estimated record variance; "
             "check the electronic-noise and efficiency settings"
         )
-    fid, pnorm = _fidelity_purity(mean, cov, _references(params))
-
-    fid_se, pur_se = _jackknife_se(rows, mean, params)
+    c00 = covs[:, 0, 0]
+    usable = (c00 > 0) & (c00 * covs[:, 1, 1] - covs[:, 0, 1] * covs[:, 1, 0] > 0)
+    usable[0] = True  # all the rows: the fidelity raises if this one is degenerate
+    fid, pnorm = _fidelity_purity(means[usable], covs[usable], _references(params))
+    # sqrt((G-1)/G * sum (v - mean v)^2) over the usable leave-one-out estimates v[1:]
+    fid_se, pur_se = (float(np.sqrt((v.size - 2) * np.var(v[1:]))) for v in (fid, pnorm))
 
     notes = (
         f"anc_antisqz_db={params.anc_antisqz_db:+.1f} dB is an assumed device "
@@ -347,11 +340,11 @@ def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float
         "from variance estimates",
     )
     return EnsembleStats(
-        v_out=(float(cov[0, 0]), float(cov[1, 1])),
-        gains=gaussian.gains(mean, (2.0 * params.gamma_plus, 2.0 * params.gamma_minus), params.R),
-        fidelity_est=float(fid),
+        v_out=(float(covs[0, 0, 0]), float(covs[0, 1, 1])),
+        gains=gaussian.gains(means[0], (2.0 * params.gamma_plus, 2.0 * params.gamma_minus), params.R),
+        fidelity_est=float(fid[0]),
         fidelity_se=fid_se,
-        purity_norm=float(pnorm),
+        purity_norm=float(pnorm[0]),
         purity_norm_se=pur_se,
         success_prob=success_prob,
         n_selected=n,
@@ -396,11 +389,8 @@ class PredictedStats:
 def predict_records(params: ExperimentParams):
     """Mean and covariance of the (X+_t, X-_t, gate) record triple."""
     p = params
-    inp = GaussianState(
-        np.array([2.0 * p.gamma_plus, 2.0 * p.gamma_minus]), np.diag(list(p.v_in))
-    )
     anc = GaussianState(np.zeros(2), _ancilla_record_cov(p))
-    joint = gaussian.interfere(inp, anc, p.R)
+    joint = gaussian.interfere(_input_state(p), anc, p.R)
     # detected records: (t+, t-) rescaled homodyne, gate from r+
     sel = np.array(
         [
@@ -417,15 +407,22 @@ def predict_records(params: ExperimentParams):
     return mean, cov
 
 
-def _gate_conditional(params: ExperimentParams):
-    """Record moments (:func:`predict_records`), and the regression vector
-    and covariance of the transmitted pair given the gate record: the Schur
-    complement (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012))."""
+def _gate_model(params: ExperimentParams):
+    """(mean, cov, (lo, hi), (P_s, mu, var), beta, cond_cov): the record
+    moments (:func:`predict_records`); the window |gate| < x0 as [lo, hi]
+    in z-units of the gate, with its mass P_s and the z-mean and variance
+    of the gate inside it (:func:`_truncated_normal`); and the regression
+    vector and covariance of the transmitted pair given the gate record,
+    the Schur complement (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).
+    The sampler draws from it and :func:`predict_stats` integrates it, so
+    the two share one P_s."""
     mean, cov = predict_records(params)
-    v_g = cov[2, 2]
+    m_g, v_g = mean[2], cov[2, 2]
+    sd_g = np.sqrt(v_g)
+    lo, hi = (-params.x0 - m_g) / sd_g, (params.x0 - m_g) / sd_g
     beta = cov[:2, 2] / v_g
     cond_cov = cov[:2, :2] - np.outer(cov[:2, 2], cov[:2, 2]) / v_g
-    return mean, cov, beta, cond_cov
+    return mean, cov, (lo, hi), _truncated_normal(lo, hi), beta, cond_cov
 
 
 # Windows of half-width h up to this many standard deviations take their
@@ -467,12 +464,9 @@ def predict_stats(params: ExperimentParams) -> PredictedStats:
     is P_s; the selected transmitted moments follow from the Schur
     conditional plus the within-window gate spread.
     """
-    mean, cov, beta, cond_cov = _gate_conditional(params)
-    m_g, v_g = mean[2], cov[2, 2]
-    sig = np.sqrt(v_g)
-    a, b = (-params.x0 - m_g) / sig, (params.x0 - m_g) / sig
-    p_s, mu, var = _truncated_normal(a, b)
-    sel_mean = mean[:2] + beta * (sig * mu)
+    mean, cov, _, (p_s, mu, var), beta, cond_cov = _gate_model(params)
+    v_g = cov[2, 2]
+    sel_mean = mean[:2] + beta * (np.sqrt(v_g) * mu)
     sel_cov = cond_cov + np.outer(beta, beta) * (v_g * var)
 
     sub = _variance_correction(params)

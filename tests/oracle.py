@@ -53,7 +53,7 @@ from scipy.special import gammaln
 
 from cvpost import emulator, fock
 from cvpost.conditioner import s_prime
-from cvpost.emulator import _fidelity_purity, _references, _stats_from_rows
+from cvpost.emulator import _fidelity_purity, _references, _variance_correction
 from cvpost.errors import EmptySelectionError, TruncationError
 from cvpost.fock import FockDensity, FockVector, _checked
 from cvpost.gaussian import GaussianState
@@ -262,6 +262,13 @@ def wigner_values(rho: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return (2.0 / np.pi) * np.real(acc)
 
 
+def sample_moments(rows: np.ndarray, params):
+    """Mean and covariance of the transmitted records (X+_t, X-_t), less the
+    emulator's variance correction, by np.cov on the rows as given."""
+    sub = _variance_correction(params)
+    return rows[:, :2].mean(axis=0), np.cov(rows[:, 0], rows[:, 1], bias=False) - np.diag([sub, sub])
+
+
 def bootstrap_se(rows: np.ndarray, params) -> tuple[float, float]:
     """Bootstrap standard errors of (fidelity, purity_norm): 200 resamples
     of the rows, seeded deterministically from the params."""
@@ -273,7 +280,7 @@ def bootstrap_se(rows: np.ndarray, params) -> tuple[float, float]:
     refs = _references(params)
     for b in range(resamples):
         idx = rng.integers(0, n, size=n)
-        m_b, c_b = _stats_from_rows(rows[idx], params)
+        m_b, c_b = sample_moments(rows[idx], params)
         try:
             fids[b], purs[b] = _fidelity_purity(m_b, c_b, refs)
         except ValueError:  # degenerate resample covariance

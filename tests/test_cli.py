@@ -361,8 +361,10 @@ def test_bad_field_exits_2(tmp_path, capsys):
     "payload, extra, name",
     [({"mode": "emulate", "rng_seed": -1}, [], "rng_seed"), ({"mode": "emulate"}, ["--seed", "-5"], "--seed"),
      # 10^(4000/10) overflows a float; unchecked, the run ends in a traceback
-     ({"mode": "emulate", "anc_antisqz_db": 4000.0}, [], "anc_antisqz_db")],
-    ids=["rng_seed", "--seed", "anc_antisqz_db-overflow"],
+     ({"mode": "emulate", "anc_antisqz_db": 4000.0}, [], "anc_antisqz_db"),
+     # unchecked, 10^300 swamps the gate conditional and the run keeps no samples
+     ({"mode": "emulate", "anc_antisqz_db": 3000.0, "n_samples": 20_000}, [], "anc_antisqz_db")],
+    ids=["rng_seed", "--seed", "anc_antisqz_db-overflow", "anc_antisqz_db-3000dB"],
 )
 def test_negative_seed_exits_2_naming_it(tmp_path, capsys, payload, extra, name):
     code, out = run_cli(tmp_path, payload, *extra)

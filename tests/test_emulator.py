@@ -171,17 +171,42 @@ def test_windowed_gate_draw_matches_closed_form(x0, gamma_plus):
     # the proposal is picked so that no window takes more proposals per kept
     # row than 1/P_s, the one normal per row of drawing every row.  Batches
     # carry a margin of three binomial sigma, within the slack allowed.
-    window = emulator._gate_window(bench_params(gamma_plus=gamma_plus, x0=x0))
-    m_g, sd_g, _, lo, hi, p_s = window
+    model = emulator._gate_model(bench_params(gamma_plus=gamma_plus, x0=x0))
+    mean, cov, _, (p_s, mu, var), _, _ = model
     rng, n = _ProposalCounter(np.random.default_rng(5)), 20_000
-    gate = emulator._draw_gates(rng, n, window, inside=True)
+    gate = emulator._draw_gates(rng, n, model, x0, inside=True)
     assert gate.shape == (n,) and np.all(np.abs(gate) < x0)
     assert rng.proposals / n <= (1.0 + 5.0 / np.sqrt(n)) / p_s
-    _, mu, var = emulator._truncated_normal(lo, hi)
-    z = (gate - m_g) / sd_g
+    z = (gate - mean[2]) / np.sqrt(cov[2, 2])
     assert abs(z.mean() - mu) < 5 * np.sqrt(var / n)
     fourth = np.mean((z - z.mean()) ** 4)
     assert abs(z.var(ddof=1) - var) < 5 * np.sqrt((fourth - var**2) / n)
+
+
+@pytest.mark.parametrize("x0", [1e-4, 0.01, 0.3, 1.0])
+def test_sampler_keeps_rows_with_the_predicted_success_probability(x0, monkeypatch):
+    # The Binomial count of kept rows is drawn with P_s from the one gate
+    # model predict_stats integrates, to the bit.
+    masses = []
+
+    class Recorder:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def binomial(self, n, p):
+            masses.append(p)
+            return self.rng.binomial(n, p)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Recorder(default_rng(seed)))
+    gammas = np.linspace(-2.0, 2.0, 21)
+    for gamma_plus in gammas:
+        next(emulator._iter_chunks(bench_params(gamma_plus=gamma_plus, x0=x0, n_samples=1000), full=False))
+    monkeypatch.undo()
+    assert masses == [predict_stats(bench_params(gamma_plus=g, x0=x0)).success_prob for g in gammas]
 
 
 def test_infinite_window_draws_every_row():
@@ -196,7 +221,7 @@ def test_window_with_almost_all_mass_splits_a_full_chunk():
     # the window's complement, and the rows inside the window are exactly
     # the kept rows, in order
     params = bench_params(x0=8.0, n_samples=emulator._CHUNK)
-    assert 1e-7 < 1.0 - emulator._gate_window(params)[-1] < 1e-5
+    assert 1e-7 < 1.0 - predict_stats(params).success_prob < 1e-5
     stream = synthesize(params)
     assert stream.shape == (emulator._CHUNK, 3)
     kept = np.concatenate(list(emulator._iter_chunks(params, full=False)))
@@ -229,14 +254,18 @@ def test_parameter_validation():
     "field, value",
     [("rng_seed", -1), ("gamma_plus", np.nan), ("gamma_minus", np.inf),
      ("v_in", (np.inf, 1.0)), ("v_in", (1.0, np.nan)), ("v_in", (0.5, 1.0)),
-     ("anc_sqz_db", 4000.0), ("anc_antisqz_db", 4000.0), ("gate_elec_db", 4000.0), ("hom_elec_db", 4000.0)],
+     ("anc_sqz_db", 4000.0), ("anc_antisqz_db", 4000.0), ("gate_elec_db", 4000.0), ("hom_elec_db", 4000.0),
+     ("anc_antisqz_db", 200.0), ("gate_elec_db", 200.0), ("anc_antisqz_db", 3000.0), ("hom_elec_db", 3000.0)],
     ids=["rng_seed", "gamma_plus-nan", "gamma_minus-inf", "v_in-inf", "v_in-nan", "v_in-unphysical",
-         "anc_sqz_db-overflow", "anc_antisqz_db-overflow", "gate_elec_db-overflow", "hom_elec_db-overflow"],
+         "anc_sqz_db-overflow", "anc_antisqz_db-overflow", "gate_elec_db-overflow", "hom_elec_db-overflow",
+         "anc_antisqz_db-200dB", "gate_elec_db-200dB", "anc_antisqz_db-3000dB", "hom_elec_db-3000dB"],
 )
 def test_bad_parameter_is_named(field, value):
     # unchecked, a NaN gamma_plus ends in an empty selection, an infinite
     # v_in in a LinAlgError and a 4000 dB level in an OverflowError, none
-    # naming the field
+    # naming the field.  Above MAX_DB the gate conditional is lost to
+    # rounding: at 200 dB predict_stats reports an output variance near
+    # 8192 and a fidelity of 0.03, at 3000 dB the run keeps no samples.
     with pytest.raises(ValueError, match=field):
         ExperimentParams(**{field: value})
 
@@ -357,15 +386,30 @@ def test_jackknife_leaves_out_a_degenerate_group():
     refs = emulator._references(params)
     estimates = []
     for k in range(g):
-        mean_k, cov_k = emulator._stats_from_rows(rows[group != k], params)
+        mean_k, cov_k = oracle.sample_moments(rows[group != k], params)
         assert (np.linalg.eigvalsh(cov_k).min() > 0) == (k != 0)
         if k != 0:
             estimates.append(emulator._fidelity_purity(mean_k, cov_k, refs))
     expected = [np.sqrt((g - 2) * np.var(v)) for v in np.transpose(estimates)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = emulator._jackknife_se(rows, rows[:, :2].mean(axis=0), params)
-    np.testing.assert_allclose(got, expected, rtol=1e-9)
+        stats = estimate(rows, params)
+    np.testing.assert_allclose((stats.fidelity_se, stats.purity_norm_se), expected, rtol=1e-9)
+
+
+@pytest.mark.parametrize("window", sorted(BENCH_WINDOWS))
+def test_estimate_matches_sample_moments(window):
+    # the one moment pass against np.cov on the same rows
+    params = bench_params(**BENCH_WINDOWS[window])
+    rows = np.concatenate(list(emulator._iter_chunks(params, full=False)))
+    stats = estimate(rows, params)
+    mean, cov = oracle.sample_moments(rows, params)
+    np.testing.assert_allclose(stats.v_out, np.diag(cov), rtol=1e-13, atol=0)
+    in_mean = (2.0 * params.gamma_plus, 2.0 * params.gamma_minus)
+    np.testing.assert_allclose(dataclasses.astuple(stats.gains),
+                               dataclasses.astuple(cvpost.gaussian.gains(mean, in_mean, params.R)), rtol=1e-13, atol=0)
+    fid, pnorm = emulator._fidelity_purity(mean, cov, emulator._references(params))
+    np.testing.assert_allclose((stats.fidelity_est, stats.purity_norm), (fid, pnorm), rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------
