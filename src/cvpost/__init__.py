@@ -6,8 +6,8 @@ transmitted state is kept when the outcome falls inside a window.
 Subpackages: :mod:`cvpost.fock` (truncated number-basis engine),
 :mod:`cvpost.conditioner` (homodyne post-selection), :mod:`cvpost.wigner`
 (phase-space evaluation), :mod:`cvpost.gaussian` (closed-form covariance
-engine), :mod:`cvpost.emulator` (Monte Carlo bench emulation),
-:mod:`cvpost.cli` (scenario runner).
+engine and the output squeezing s'), :mod:`cvpost.emulator` (Monte Carlo
+bench emulation), :mod:`cvpost.cli` (scenario runner).
 """
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ from .conditioner import (
     fidelity,
     homodyne_project,
     run_window,
-    s_prime,
 )
 from .emulator import (
     EnsembleStats,
@@ -51,7 +50,7 @@ from .gaussian import (
     ideal_gains,
     ideal_target,
     purity,
-    squeezed_gaussian,
+    s_prime,
 )
 from .wigner import (
     WignerGrid,

@@ -140,6 +140,18 @@ def _sweep_points(count):
     return count >= 1
 
 
+#: Largest |squeezing| of the coherent mode: the emulator's ``MAX_DB`` (100 dB)
+#: as 10 log10(e^{2s}), so both Gaussian modes share one limit.  The closed
+#: form is exact up to it; s' overflows only below s = -177.
+MAX_COHERENT_SQUEEZING = emulator.MAX_DB * math.log(10.0) / 20.0
+
+
+def _coherent_squeezing(s):
+    if abs(s) > MAX_COHERENT_SQUEEZING:
+        raise ValueError(f"|{s}| is above {MAX_COHERENT_SQUEEZING:.4f}, a squeezing of {emulator.MAX_DB:g} dB")
+    return True
+
+
 def _eta(val):
     return 0 < val <= 1
 
@@ -170,14 +182,14 @@ _KEYS = {
     "coherent": {
         "mode": (_REQUIRED, str, None),
         "reflectivity": (0.75, float, lambda v: 0 <= v < 1),
-        "squeezing": (0.52, float, None),
+        "squeezing": (0.52, float, _coherent_squeezing),
         "gamma": ([0.18, 0.0], complex, None),
         "x_snl": (0.0, float, None),
     },
     "emulate": {
         "mode": (_REQUIRED, str, None),
         **{key: (getattr(_BENCH, _FIELDS.get(key, key)), kind, check) for key, kind, check in (
-            ("reflectivity", float, lambda v: 0 <= v <= 1), ("v_in_snl", tuple, None),
+            ("reflectivity", float, lambda v: 0 <= v < 1), ("v_in_snl", tuple, None),
             ("anc_sqz_db", float, None), ("anc_antisqz_db", float, None),
             ("eta_vis", float, _eta), ("eta_det", float, _eta), ("eta_hom", float, _eta),
             ("gate_elec_db", float, None), ("hom_elec_db", float, None),
@@ -222,7 +234,7 @@ def _photon_setup(resolved):
     n = 1 if resolved["mode"] == "single-photon" else 2
     joint = conditioner.build_joint(fock.fock_state(n, dim), r, s)
     if n == 1:
-        return joint, fock.squeezed_number_state(1, conditioner.s_prime(r, s), dim)
+        return joint, fock.squeezed_number_state(1, gaussian.s_prime(r, s), dim)
     return joint, fock.scs_state(complex(*resolved["scs_gamma"]), "even", dim)
 
 
@@ -232,7 +244,7 @@ def _run_photon(resolved, axis=None, values=(None,)):
     head, tail = {}, {}
     if resolved["mode"] == "single-photon":
         # s' leads and the density check trails, as curve.csv's columns expect.
-        head = {"s_prime": conditioner.s_prime(resolved["reflectivity"], resolved["squeezing"])}
+        head = {"s_prime": gaussian.s_prime(resolved["reflectivity"], resolved["squeezing"])}
         tail = {"density_norm": conditioner.density_norm(joint)}
     ps_of = _ps_of(resolved["mode"], joint)
     for value in values:
@@ -252,7 +264,7 @@ def _run_photon(resolved, axis=None, values=(None,)):
 def _run_coherent(resolved, axis=None, values=(None,)):
     r, s, x_snl = resolved["reflectivity"], resolved["squeezing"], resolved["x_snl"]
     gamma = complex(*resolved["gamma"])
-    sp = conditioner.s_prime(r, s)
+    sp = gaussian.s_prime(r, s)
     try:
         clim = gaussian.classical_limit(r)
     except ValueError:
@@ -420,9 +432,10 @@ def _cmd_run(args) -> int:
             _write_curve(out_dir / "curve.csv", resolved["axis"], values, rows)
             scalars = {"points": len(values), "first": rows[0], "last": rows[-1]}
         else:
+            [(scalars, window)] = _MODE_RUNNERS[resolved["mode"]](resolved)
+            # after the run, so a run that fails leaves no dump
             if resolved.get("dump_samples_csv"):
                 emulator.dump_samples(_experiment_params(resolved), out_dir / "samples.csv")
-            [(scalars, window)] = _MODE_RUNNERS[resolved["mode"]](resolved)
         export = resolved.get("wigner_export")
         if export is not None:
             axis = np.linspace(-export["extent"], export["extent"], export["points"])

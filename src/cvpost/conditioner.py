@@ -8,7 +8,9 @@ mode is homodyned with outcome x, and the transmitted state is kept when
 
 The conditioning functions take the joint state after the beam splitter
 (:func:`build_joint`) and the target state as arguments, so a caller builds
-each once and conditions on it as often as it needs.
+each once and conditions on it as often as it needs.  The single-photon
+target S(s')|1> takes its s' from :func:`cvpost.gaussian.s_prime`, the
+squeezing of the Gaussian engine's closed-form conditional.
 """
 
 from __future__ import annotations
@@ -34,21 +36,6 @@ NARROW_WINDOW = 0.1
 # ---------------------------------------------------------------------------
 # Core operations
 # ---------------------------------------------------------------------------
-
-
-def s_prime(reflectivity: float, s: float) -> float:
-    """Output squeezing of the zero-outcome conditional state.
-
-    ``s' = -ln[(T + e^{-2s} R)^2] / 4`` with T = 1 - R.  Monotone in s for
-    fixed R; s' -> s as R -> 1 and s' -> -ln(T)/2 as s -> infinity.
-    """
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError("reflectivity must be in [0, 1]")
-    t = 1.0 - reflectivity
-    arg = t + np.exp(-2.0 * s) * reflectivity
-    if arg <= 0.0:
-        raise ValueError("degenerate configuration: log argument is not positive")
-    return float(-np.log(arg**2) / 4.0)
 
 
 def build_joint(psi_in: FockVector, reflectivity: float, squeezing: float) -> TwoModeState:

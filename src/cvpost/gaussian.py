@@ -7,7 +7,9 @@ values by 2: ``x_snl = 2 x_wig``.  A coherent amplitude ``gamma``
 contributes an SNL-unit mean of ``2 gamma`` to (X+, X-).
 
 Quadrature ordering is (X+, X-) per mode; for two modes
-(X+_t, X-_t, X+_r, X-_r).
+(X+_t, X-_t, X+_r, X-_r).  The output for a coherent input is one closed
+form, and :func:`s_prime` is the one definition of its squeezing s', which
+the photon target S(s')|1> uses too.
 """
 
 from __future__ import annotations
@@ -51,19 +53,10 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    @property
-    def n_modes(self) -> int:
-        return self.mean.size // 2
-
 
 def coherent_gaussian(gamma: complex) -> GaussianState:
     g = complex(gamma)
     return GaussianState(np.array([2.0 * g.real, 2.0 * g.imag]), np.eye(2))
-
-
-def squeezed_gaussian(s: float) -> GaussianState:
-    """S(s)|0>: V(X+) = e^{2s}, V(X-) = e^{-2s} (phase squeezed for s > 0)."""
-    return GaussianState(np.zeros(2), np.diag([np.exp(2.0 * s), np.exp(-2.0 * s)]))
 
 
 def interfere(inp: GaussianState, anc: GaussianState, reflectivity: float) -> GaussianState:
@@ -81,38 +74,39 @@ def interfere(inp: GaussianState, anc: GaussianState, reflectivity: float) -> Ga
     return GaussianState(m @ np.concatenate([inp.mean, anc.mean]), m @ cov @ m.T)
 
 
-def condition_xplus(state: GaussianState, x: float):
-    """Measure X+ of the reflected mode of a two-mode state at outcome x;
-    Schur-complement update (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).
+def s_prime(reflectivity: float, s: float) -> float:
+    """Output squeezing ``s' = -ln[(T + e^{-2s} R)^2] / 4`` (T = 1 - R) of the
+    zero-outcome conditional state, so e^{-2s'} is :func:`condition_coherent`'s
+    v.  Monotone in s for fixed R; s' -> s as R -> 1, -ln(T)/2 as s -> infinity."""
+    return float(-np.log(_conditional_variance(reflectivity, s) ** 2) / 4.0)
 
-    Returns the conditional state of the transmitted mode and the Gaussian
-    outcome density evaluated at x (probability per SNL unit).  The
-    conditional covariance does not depend on the outcome.
-    """
-    if state.n_modes != 2:
-        raise ValueError("conditioning requires a two-mode state")
-    v_meas = state.cov[2, 2]
-    if v_meas <= 0:
-        raise ValueError("measured quadrature has non-positive variance")
-    cross = state.cov[:2, 2]
-    mean_c = state.mean[:2] + cross * (x - state.mean[2]) / v_meas
-    cov_c = state.cov[:2, :2] - np.outer(cross, cross) / v_meas
-    cov_c = 0.5 * (cov_c + cov_c.T)
-    density = float(
-        np.exp(-0.5 * (x - state.mean[2]) ** 2 / v_meas) / np.sqrt(2.0 * np.pi * v_meas)
-    )
-    return GaussianState(mean_c, cov_c), density
+
+def _conditional_variance(reflectivity: float, s: float) -> float:
+    if not 0.0 <= reflectivity <= 1.0:
+        raise ValueError("reflectivity must be in [0, 1]")
+    v = 1.0 - reflectivity + np.exp(-2.0 * s) * reflectivity
+    if v <= 0.0:
+        raise ValueError("degenerate configuration: T + e^{-2s} R is not positive")
+    return v
 
 
 def condition_coherent(gamma: complex, reflectivity: float, s_anc: float, x: float) -> GaussianState:
-    """Conditional output for a coherent input and squeezed-vacuum ancilla.
+    """Transmitted state for a coherent input and ancilla S(s_anc)|0> (X+
+    variance e^{2 s_anc}) at reflected-X+ outcome ``x`` (SNL units, 2 x_wig).
 
-    ``x`` is the homodyne outcome in SNL units (x_snl = 2 x_wig).  At x = 0
-    the result is the displaced squeezed state
-    ``D(sqrt(T)[e^{2s'} g+ + i g-]) S(s')|0>`` with s' = s_prime(R, s_anc).
+    With s = s_anc, v = T + R e^{-2s} = e^{-2s'} and beta = sqrt(TR) (e^{-2s} - 1) / v:
+    covariance diag(1/v, v), mean (2 sqrt(T) g+ + beta (x - 2 sqrt(R) g+),
+    2 sqrt(T) g-).  This is the Schur complement of the joint from
+    :func:`interfere` (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)) with
+    its cancelling e^{4s} terms summed by hand, so every term is positive and
+    no precision is lost at large |s|.  At x = 0 it is D(sqrt(T)[e^{2s'} g+ +
+    i g-]) S(s')|0>.
     """
-    joint = interfere(coherent_gaussian(gamma), squeezed_gaussian(s_anc), reflectivity)
-    return condition_xplus(joint, x)[0]
+    v = _conditional_variance(reflectivity, s_anc)
+    st, sr, g = np.sqrt(1.0 - reflectivity), np.sqrt(reflectivity), complex(gamma)
+    beta = st * sr * (np.exp(-2.0 * s_anc) - 1.0) / v
+    mean = [st * (2.0 * g.real) + beta * (x - sr * (2.0 * g.real)), st * (2.0 * g.imag)]
+    return GaussianState(np.array(mean), np.diag([1.0 / v, v]))
 
 
 def ideal_target(state: GaussianState, reflectivity: float) -> GaussianState:

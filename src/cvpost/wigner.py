@@ -50,7 +50,10 @@ class WignerGrid:
 
 
 def _riemann_sum(x_axis: np.ndarray, p_axis: np.ndarray, values: np.ndarray) -> float:
-    return float(np.gradient(x_axis) @ values @ np.gradient(p_axis))
+    # a grid whose cell areas pass the float range (steps near 1e154) sums to
+    # inf, so it is flagged coarse
+    with np.errstate(over="ignore"):
+        return float(np.gradient(x_axis) @ values @ np.gradient(p_axis))
 
 
 def _grid_axis(axis, name: str) -> np.ndarray:
@@ -84,7 +87,9 @@ def _wigner_values(rho: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     mag = np.abs(a)
     safe = np.where(mag > 0, mag, 1.0)
     unit = np.where(mag > 0, np.conj(a) / safe, 1.0)
-    z, inv = np.unique(4.0 * mag**2, return_inverse=True)
+    # W is 0 past |alpha| = 1e150, where e^{-z/2} has underflowed; the cap keeps
+    # z finite (4|alpha|^2 overflows past 1e154, and 0 * inf is NaN).
+    z, inv = np.unique(4.0 * np.minimum(mag, 1e150) ** 2, return_inverse=True)
     logz = np.log(np.where(z > 0, z, 1.0))
     cutoff = 1e-16 * np.abs(rho).max(initial=0.0)
     # After step d, horner = sum over d' >= d of part_d' * unit**(d' - d + 1).

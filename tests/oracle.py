@@ -32,6 +32,12 @@ from its marginal and the transmitted pair from its Gaussian conditional.
 stream in memory and select from it, the route ``run_experiment`` and the
 streamed sample dump must agree with.
 
+:func:`condition_xplus` conditions any two-mode Gaussian state on the
+reflected X+ by the general Schur complement, the route the package took
+to ``gaussian.condition_coherent`` before that became one closed form;
+with :func:`squeezed_gaussian` and ``gaussian.interfere`` it is the
+reference for the closed form.
+
 :func:`window` and :func:`density_norm` integrate the outcome density by
 composite Simpson on uniform nodes, the rule the package used before its
 window became the exact matrix ``conditioner.window_matrix``.
@@ -52,11 +58,10 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from cvpost import emulator, fock
-from cvpost.conditioner import s_prime
 from cvpost.emulator import _fidelity_purity, _references, _variance_correction
 from cvpost.errors import EmptySelectionError, TruncationError
 from cvpost.fock import FockDensity, FockVector, _checked
-from cvpost.gaussian import GaussianState
+from cvpost.gaussian import GaussianState, s_prime
 from cvpost.wigner import WignerGrid
 
 
@@ -410,6 +415,34 @@ def conditioned_coherent_target(gamma: complex, reflectivity: float, s: float, d
     g = complex(gamma)
     shifted = np.sqrt(t) * (np.exp(2.0 * sp) * g.real + 1j * g.imag)
     return displaced_squeezed_vacuum(shifted, sp, dim)
+
+
+def squeezed_gaussian(s: float) -> GaussianState:
+    """S(s)|0>: V(X+) = e^{2s}, V(X-) = e^{-2s} (phase squeezed for s > 0)."""
+    return GaussianState(np.zeros(2), np.diag([np.exp(2.0 * s), np.exp(-2.0 * s)]))
+
+
+def condition_xplus(state: GaussianState, x: float):
+    """Measure X+ of the reflected mode of a two-mode state at outcome x;
+    Schur-complement update (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).
+
+    Returns the conditional state of the transmitted mode and the Gaussian
+    outcome density evaluated at x (probability per SNL unit).  The
+    conditional covariance does not depend on the outcome.
+    """
+    if state.mean.size != 4:
+        raise ValueError("conditioning requires a two-mode state")
+    v_meas = state.cov[2, 2]
+    if v_meas <= 0:
+        raise ValueError("measured quadrature has non-positive variance")
+    cross = state.cov[:2, 2]
+    mean_c = state.mean[:2] + cross * (x - state.mean[2]) / v_meas
+    cov_c = state.cov[:2, :2] - np.outer(cross, cross) / v_meas
+    cov_c = 0.5 * (cov_c + cov_c.T)
+    density = float(
+        np.exp(-0.5 * (x - state.mean[2]) ** 2 / v_meas) / np.sqrt(2.0 * np.pi * v_meas)
+    )
+    return GaussianState(mean_c, cov_c), density
 
 
 def vacuum_state(n_modes: int = 1) -> GaussianState:

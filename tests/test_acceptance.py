@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from cvpost import conditioner, emulator, fock, gaussian
-from cvpost.conditioner import build_joint, density_norm, fidelity, homodyne_project, run_window, s_prime
+from cvpost.conditioner import build_joint, density_norm, fidelity, homodyne_project, run_window
+from cvpost.gaussian import s_prime
 
 
 class timer:

@@ -263,6 +263,16 @@ def test_wigner_export(tmp_path):
     np.testing.assert_allclose(float(rows[1][0]), -4.0)
 
 
+def test_wigner_export_far_from_the_origin_has_no_nan(tmp_path):
+    # 4|alpha|^2 overflows on this grid; W there is 0, not NaN
+    payload = {"mode": "two-photon", "dim": 40, "wigner_export": {"points": 241, "extent": 1e300}}
+    code, out = run_cli(tmp_path, payload)
+    assert code == 0
+    values = np.loadtxt(out / "wigner.csv", delimiter=",", skiprows=1)[:, 1:]
+    assert values.shape == (241, 241) and np.all(np.isfinite(values))
+    assert np.count_nonzero(values) == 1  # the origin alone
+
+
 def _write_wigner_with_csv_module(path, grid):
     """wigner.csv as csv.writer writes it: the format _write_wigner must keep."""
     with open(path, "w", newline="") as fh:
@@ -357,14 +367,43 @@ def test_bad_field_exits_2(tmp_path, capsys):
     assert "reflectivity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_coherent_squeezing_at_the_limit_runs(tmp_path, sign):
+    code, out = run_cli(tmp_path, {"mode": "coherent", "squeezing": sign * cli.MAX_COHERENT_SQUEEZING})
+    assert code == 0
+    res = read_result(out)["results"]
+    assert abs(res["purity"] - 1.0) <= 1e-15
+    assert res["fidelity_to_ideal_target"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [({"mode": "emulate", "n_samples": 20_000, "dump_samples_csv": True}, "too few selected samples"),
+     ({"mode": "emulate", "n_samples": 20_000, "x0_snl": 0.1, "reflectivity": 1.0, "dump_samples_csv": True},
+      "'reflectivity'")],
+    ids=["too-few-selected", "reflectivity-1"],
+)
+def test_failed_emulate_run_leaves_no_sample_dump(tmp_path, capsys, payload, message):
+    code, out = run_cli(tmp_path, payload)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "samples.csv").exists() and not (out / "result.json").exists()
+
+
 @pytest.mark.parametrize(
     "payload, extra, name",
     [({"mode": "emulate", "rng_seed": -1}, [], "rng_seed"), ({"mode": "emulate"}, ["--seed", "-5"], "--seed"),
      # 10^(4000/10) overflows a float; unchecked, the run ends in a traceback
      ({"mode": "emulate", "anc_antisqz_db": 4000.0}, [], "anc_antisqz_db"),
      # unchecked, 10^300 swamps the gate conditional and the run keeps no samples
-     ({"mode": "emulate", "anc_antisqz_db": 3000.0, "n_samples": 20_000}, [], "anc_antisqz_db")],
-    ids=["rng_seed", "--seed", "anc_antisqz_db-overflow", "anc_antisqz_db-3000dB"],
+     ({"mode": "emulate", "anc_antisqz_db": 3000.0, "n_samples": 20_000}, [], "anc_antisqz_db"),
+     # past the 100 dB limit the coherent mode shares with the emulator's dB
+     # keys; far past it (-200, 1e3) the moments overflow
+     ({"mode": "coherent", "squeezing": 12.0}, [], "'squeezing'"),
+     ({"mode": "coherent", "squeezing": -200.0}, [], "'squeezing'"),
+     ({"mode": "coherent", "squeezing": 1e3}, [], "'squeezing'")],
+    ids=["rng_seed", "--seed", "anc_antisqz_db-overflow", "anc_antisqz_db-3000dB",
+         "squeezing-12", "squeezing--200", "squeezing-1e3"],
 )
 def test_negative_seed_exits_2_naming_it(tmp_path, capsys, payload, extra, name):
     code, out = run_cli(tmp_path, payload, *extra)

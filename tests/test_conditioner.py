@@ -12,8 +12,8 @@ from cvpost.conditioner import (
     fidelity,
     homodyne_project,
     run_window,
-    s_prime,
 )
+from cvpost.gaussian import s_prime
 
 
 # ---------------------------------------------------------------------------

@@ -468,3 +468,10 @@ def test_partial_traces_are_valid_densities():
         # re-validate explicitly: Hermitian, positive, unit trace
         fock.FockDensity(red.matrix, red.dim, validate=True)
         np.testing.assert_allclose(red.trace, 1.0, atol=1e-9)
+
+
+def test_density_validation_rejects_bad_matrices():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        fock.FockDensity(np.array([[0.5, 0.1], [0.3, 0.5]]), 2)
+    with pytest.raises(ValueError, match="negative eigenvalues"):
+        fock.FockDensity(np.array([[0.5, 0.8], [0.8, 0.5]]), 2)  # eigenvalues 1.3, -0.3

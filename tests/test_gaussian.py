@@ -8,12 +8,11 @@ from cvpost.gaussian import (
     classical_limit,
     coherent_gaussian,
     condition_coherent,
-    condition_xplus,
     gaussian_fidelity,
     ideal_gains,
     ideal_target,
     purity,
-    squeezed_gaussian,
+    s_prime,
 )
 
 
@@ -50,6 +49,33 @@ def test_vacuum_passthrough():
     np.testing.assert_allclose(out.cov, np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.18, 0.5 + 0.3j, -0.7 - 1.2j])
+def test_closed_form_matches_the_general_schur_complement(gamma):
+    # oracle: the validated 4 x 4 joint from interfere, conditioned by the
+    # general Schur-complement update.  A mean can cancel to 0 (at s = 0 the
+    # outcome carries no information), so it is compared relative to the
+    # size of its terms, 2|gamma| and |x|.
+    for r in (0.0, 0.25, 0.5, 0.75, 0.98):
+        for s in (-1.0, -0.4, 0.0, 0.52, 1.2, 3.0):
+            for x in (-1.3, 0.0, 0.2, 2.5):
+                got = condition_coherent(gamma, r, s, x)
+                joint = gaussian.interfere(coherent_gaussian(gamma), oracle.squeezed_gaussian(s), r)
+                want, _ = oracle.condition_xplus(joint, x)
+                np.testing.assert_allclose(got.cov, want.cov, rtol=1e-12, atol=0)
+                scale = 2.0 * abs(gamma) + abs(x)
+                np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("s", [9.0, 10.0, 12.0, 20.0])
+def test_strongly_squeezed_output_stays_pure(s):
+    # the Schur complement of the joint cancels terms of order e^{4s}, which
+    # put purity 4e-9 above 1 at s = 10; the closed form keeps every term positive
+    out = condition_coherent(0.18, 0.75, s, 0.3)
+    assert abs(purity(out.cov) - 1.0) <= 1e-15
+    target = ideal_target(coherent_gaussian(0.18), 0.75)
+    assert gaussian_fidelity(out.mean, out.cov, target.mean, target.cov) <= 1.0
+
+
 def test_strong_squeezing_reaches_ideal_gains():
     # s -> infinity: gains (2, 1/2) at R = 0.75 and variances e^{+/-2s'}
     gamma = 0.18
@@ -83,7 +109,8 @@ def test_matches_fock_engine():
 def test_outcome_density_units():
     # homodyne densities are per-unit-x: P_wig(x_wig) = 2 P_snl(2 x_wig)
     gamma, r, s = 0.2 - 0.1j, 0.6, 0.3
-    _, dens_snl = condition_xplus(gaussian.interfere(coherent_gaussian(gamma), squeezed_gaussian(s), r), 0.3)
+    joint_snl = gaussian.interfere(coherent_gaussian(gamma), oracle.squeezed_gaussian(s), r)
+    _, dens_snl = oracle.condition_xplus(joint_snl, 0.3)
     joint = conditioner.build_joint(fock.coherent_state(gamma, 40), r, s)
     _, dens_wig = conditioner.homodyne_project(joint, 0.15)
     np.testing.assert_allclose(dens_wig, 2.0 * dens_snl, atol=1e-8)
@@ -123,7 +150,7 @@ def fid(a: GaussianState, b: GaussianState):
 
 
 def test_fidelity_identical_states():
-    pure = squeezed_gaussian(0.4)
+    pure = oracle.squeezed_gaussian(0.4)
     np.testing.assert_allclose(fid(pure, pure), 1.0, rtol=1e-12)
     mixed = oracle.gaussian_from_variances(1.3, 1.1, mean=(0.5, -0.2))
     np.testing.assert_allclose(fid(mixed, mixed), 1.0, rtol=1e-12)
@@ -179,7 +206,7 @@ def test_fidelity_rejects_bad_covariance():
 
 def test_purity_values():
     np.testing.assert_allclose(purity(oracle.vacuum_state().cov), 1.0, rtol=1e-12)
-    np.testing.assert_allclose(purity(squeezed_gaussian(0.83).cov), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(purity(oracle.squeezed_gaussian(0.83).cov), 1.0, rtol=1e-12)
     out = oracle.gaussian_from_variances(4.70, 0.51)
     inp = oracle.gaussian_from_variances(1.13, 1.05)
     # arithmetic from the quoted bench variances
@@ -188,7 +215,7 @@ def test_purity_values():
     )
     np.testing.assert_allclose(purity(out.cov) / purity(inp.cov), 0.704, atol=5e-4)
     # a stack gives each covariance's purity
-    states = [out, inp, squeezed_gaussian(0.83), oracle.gaussian_from_variances(1.3, 1.1)]
+    states = [out, inp, oracle.squeezed_gaussian(0.83), oracle.gaussian_from_variances(1.3, 1.1)]
     stacked = purity(np.stack([st.cov for st in states]))
     assert stacked.shape == (4,)
     np.testing.assert_allclose(stacked, [purity(st.cov) for st in states], rtol=1e-15, atol=0)
@@ -239,7 +266,7 @@ def test_zero_outcome_mean_matches_conditional_transform():
         for r in (0.3, 0.75, 0.9):
             for s in (0.0, 0.3, 0.8):
                 out = condition_coherent(gamma, r, s, 0.0)
-                sp = conditioner.s_prime(r, s)
+                sp = s_prime(r, s)
                 t = 1.0 - r
                 g = complex(gamma)
                 expected = 2.0 * np.sqrt(t) * np.array([np.exp(2 * sp) * g.real, g.imag])
@@ -264,3 +291,5 @@ def test_state_validation():
         GaussianState(np.zeros(2), np.diag([0.1, 0.1]))  # below vacuum noise
     with pytest.raises(ValueError):
         GaussianState(np.zeros(3), np.eye(3))  # odd size
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussianState(np.zeros(2), np.array([[2.0, 0.5], [0.4, 2.0]]))

@@ -147,6 +147,16 @@ def test_tiny_trace_photon_is_not_zeroed():
     np.testing.assert_allclose(got, -1e-20 * 2 / np.pi, rtol=1e-12)
 
 
+def test_far_points_are_zero_not_nan():
+    # 4|alpha|^2 overflows past |alpha| = 1e154; W is 0 there, as it is at 1e150
+    rho = random_mixed_density(20)
+    pts = np.array([1e150, 1e154, -3e200j, 1e300 + 1e300j, 1.5e308])
+    np.testing.assert_array_equal(wigner.wigner_point(rho, pts), 0.0)
+    axis = np.linspace(-1e300, 1e300, 9)
+    grid = wigner.wigner_from_density(rho, axis, axis.copy())
+    assert np.all(np.isfinite(grid.values)) and grid.coarse
+
+
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
