@@ -140,15 +140,15 @@ def _sweep_points(count):
     return count >= 1
 
 
-#: Largest |squeezing| of the coherent mode: the emulator's ``MAX_DB`` (100 dB)
-#: as 10 log10(e^{2s}), so both Gaussian modes share one limit.  The closed
-#: form is exact up to it; s' overflows only below s = -177.
-MAX_COHERENT_SQUEEZING = emulator.MAX_DB * math.log(10.0) / 20.0
+#: Largest |squeezing| of every mode: the emulator's ``MAX_DB`` (100 dB) as
+#: 10 log10(e^{2s}), so all modes share one limit.  The coherent closed form
+#: is exact up to it, and the Fock ancilla's cosh(s) overflows only past 710.
+MAX_SQUEEZING = emulator.MAX_DB * math.log(10.0) / 20.0
 
 
-def _coherent_squeezing(s):
-    if abs(s) > MAX_COHERENT_SQUEEZING:
-        raise ValueError(f"|{s}| is above {MAX_COHERENT_SQUEEZING:.4f}, a squeezing of {emulator.MAX_DB:g} dB")
+def _squeezing(s):
+    if abs(s) > MAX_SQUEEZING:
+        raise ValueError(f"|{s}| is above {MAX_SQUEEZING:.4f}, a squeezing of {emulator.MAX_DB:g} dB")
     return True
 
 
@@ -162,7 +162,7 @@ def _photon_keys(reflectivity, squeezing, x0_wig, dim, **extra):
         "mode": (_REQUIRED, str, None),
         "dim": (dim, int, lambda v: v >= 2 and fock.check_dim(v) is None),
         "reflectivity": (reflectivity, float, lambda v: 0 <= v <= 1),
-        "squeezing": (squeezing, float, None),
+        "squeezing": (squeezing, float, _squeezing),
         "x0_wig": (x0_wig, float, lambda v: v > 0),
         **extra,
         "wigner_export": (None, {"points": (241, int, _wigner_points),
@@ -182,7 +182,7 @@ _KEYS = {
     "coherent": {
         "mode": (_REQUIRED, str, None),
         "reflectivity": (0.75, float, lambda v: 0 <= v < 1),
-        "squeezing": (0.52, float, _coherent_squeezing),
+        "squeezing": (0.52, float, _squeezing),
         "gamma": ([0.18, 0.0], complex, None),
         "x_snl": (0.0, float, None),
     },
@@ -497,8 +497,8 @@ def _selfcheck_checks(dim: int):
         gamma, r, s, x_snl = 0.5 + 0.3j, 0.75, 0.52, 0.1
         g_state = gaussian.condition_coherent(gamma, r, s, x_snl)
         joint = conditioner.build_joint(fock.coherent_state(gamma, dim), r, s)
-        rho, _ = conditioner.homodyne_project(joint, x_snl / 2.0)
-        mean_w, cov_w = fock.quadrature_moments(rho)
+        state, _ = conditioner.homodyne_project(joint, x_snl / 2.0)
+        mean_w, cov_w = fock.quadrature_moments(state)
         dmean = np.max(np.abs(2.0 * mean_w - g_state.mean))
         dcov = np.max(np.abs(4.0 * cov_w - g_state.cov))
         ok = max(dmean, dcov) < 1e-6

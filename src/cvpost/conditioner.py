@@ -47,10 +47,11 @@ def build_joint(psi_in: FockVector, reflectivity: float, squeezing: float) -> Tw
 def homodyne_project(joint: TwoModeState, x: float):
     """Project the reflected mode onto the quadrature eigenstate |x>.
 
-    Returns the normalized transmitted state and the outcome density P1(x),
-    the squared norm of ``<x|Psi>_r`` (probability per Wigner-unit x, since
-    |x> is delta-normalized).  The wavefunctions are real, so the projection
-    is two real products (half the work of one complex one).
+    Returns the normalized transmitted state, a pure :class:`FockVector`
+    since the joint is pure, and the outcome density P1(x), the squared norm
+    of ``<x|Psi>_r`` (probability per Wigner-unit x, since |x> is
+    delta-normalized).  The wavefunctions are real, so the projection is two
+    real products (half the work of one complex one).
     """
     if not np.isfinite(x):
         raise ValueError("homodyne outcome must be finite")
@@ -60,24 +61,21 @@ def homodyne_project(joint: TwoModeState, x: float):
     p1 = float(np.real(np.vdot(phi, phi)))
     if p1 <= 0.0:
         raise ValueError(f"outcome density vanished at x={x}; state undefined there")
-    return FockDensity(np.outer(phi, phi.conj()) / p1, joint.dim, validate=False), p1
+    return FockVector(phi / math.sqrt(p1), joint.dim), p1
 
 
-def fidelity(rho: FockDensity, target: FockVector) -> float:
-    """<target|rho|target> for a normalized state and pure target.
+def fidelity(state: FockVector, target: FockVector) -> float:
+    """|<target|state>|^2 of two normalized pure states.
 
-    Equals the pi-weighted Wigner overlap of the two states when the
-    target is pure.
+    Equals the pi-weighted Wigner overlap of the two states.
     """
-    if rho.dim != target.dim:
+    if state.dim != target.dim:
         raise ValueError("state and target dimensions differ")
-    if abs(rho.trace - 1.0) > 1e-6:
-        raise ValueError("state must be normalized (trace 1)")
+    if abs(state.norm**2 - 1.0) > 1e-6:
+        raise ValueError("state must be normalized (squared norm 1)")
     if abs(target.norm - 1.0) > 1e-6:
         raise ValueError("target must be normalized")
-    t = target.amplitudes
-    val = float(np.real(t.conj() @ rho.matrix @ t))
-    return min(max(val, 0.0), 1.0 + 1e-9)
+    return min(float(abs(np.vdot(target.amplitudes, state.amplitudes))) ** 2, 1.0 + 1e-9)
 
 
 @dataclass(frozen=True)

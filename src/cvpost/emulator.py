@@ -390,7 +390,7 @@ def predict_records(params: ExperimentParams):
     """Mean and covariance of the (X+_t, X-_t, gate) record triple."""
     p = params
     anc = GaussianState(np.zeros(2), _ancilla_record_cov(p))
-    joint = gaussian.interfere(_input_state(p), anc, p.R)
+    joint_mean, joint_cov = gaussian.interfere(_input_state(p), anc, p.R)
     # detected records: (t+, t-) rescaled homodyne, gate from r+
     sel = np.array(
         [
@@ -399,8 +399,8 @@ def predict_records(params: ExperimentParams):
             [0.0, 0.0, np.sqrt(p.eta_det), 0.0],
         ]
     )
-    mean = sel @ joint.mean
-    cov = sel @ joint.cov @ sel.T
+    mean = sel @ joint_mean
+    cov = sel @ joint_cov @ sel.T
     cov[0, 0] += _hom_extra_var(p)
     cov[1, 1] += _hom_extra_var(p)
     cov[2, 2] += (1.0 - p.eta_det) + _db_to_var(p.gate_elec_db)

@@ -121,36 +121,23 @@ class TwoModeState:
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
 
-def annihilation(dim: int) -> np.ndarray:
-    """Matrix of the annihilation operator, <n-1|a|n> = sqrt(n)."""
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+def quadrature_moments(psi: FockVector):
+    """Mean vector and 2x2 covariance of (x, p) in Wigner units.
 
-
-def quadrature_ops(dim: int):
-    """Amplitude and phase quadrature matrices in Wigner units."""
-    a = annihilation(dim)
-    x = 0.5 * (a + a.T)
-    p = (a - a.T) / 2j
-    return x, p
-
-
-def quadrature_moments(rho: FockDensity | np.ndarray):
-    """Mean vector and 2x2 covariance of (x, p) in Wigner units."""
-    mat = rho.matrix if isinstance(rho, FockDensity) else np.asarray(rho)
-    dim = mat.shape[0]
-    tr = np.real(np.trace(mat))
-    x, p = quadrature_ops(dim)
-    mean = np.array([np.real(np.trace(mat @ x)), np.real(np.trace(mat @ p))]) / tr
-    xx = np.real(np.trace(mat @ x @ x)) / tr
-    pp = np.real(np.trace(mat @ p @ p)) / tr
-    xp = np.real(np.trace(mat @ (x @ p + p @ x))) / (2 * tr)
-    cov = np.array(
-        [
-            [xx - mean[0] ** 2, xp - mean[0] * mean[1]],
-            [xp - mean[0] * mean[1], pp - mean[1] ** 2],
-        ]
-    )
-    return mean, cov
+    x|psi> and p|psi> come from a|psi> and a^dag|psi>, the amplitudes shifted
+    one level down and up and truncated at dim, as the operators
+    ``x = (a + a^dag)/2`` and ``p = (a - a^dag)/(2i)`` are; each moment is
+    then an inner product, such as <(xp + px)/2> = Re <x psi|p psi>.
+    """
+    amps = psi.amplitudes
+    root = np.sqrt(np.arange(1.0, psi.dim))
+    lowered, raised = np.append(root * amps[1:], 0.0), np.append(0.0, root * amps[:-1])
+    x_psi, p_psi = 0.5 * (lowered + raised), (lowered - raised) / 2j
+    tr = np.vdot(amps, amps).real
+    mean = np.array([np.vdot(amps, x_psi).real, np.vdot(amps, p_psi).real]) / tr
+    xp = np.vdot(x_psi, p_psi).real
+    second = np.array([[np.vdot(x_psi, x_psi).real, xp], [xp, np.vdot(p_psi, p_psi).real]]) / tr
+    return mean, second - np.outer(mean, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +175,7 @@ def _coherent_amplitudes(gamma: complex, dim: int) -> np.ndarray:
 def _min_dim_for_coherent(gamma: complex, tol: float) -> int | None:
     """Smallest dim that holds all but ``tol`` of |gamma>'s Poisson photon
     numbers, summed in log space since e^{-|gamma|^2} underflows past
-    |gamma|^2 ~ 745; None past |gamma|^2 = 1e6, far over any allowed dim.
+    |gamma|^2 ~ 745; None, no dim within the budget, past |gamma|^2 = 1e6.
     The answer lies above the median, which is at least floor(|gamma|^2), and
     below 12 standard deviations past the mean."""
     mean = abs(gamma) ** 2
@@ -204,15 +191,21 @@ def _min_dim_for_coherent(gamma: complex, tol: float) -> int | None:
 
 def _checked(amps: np.ndarray, what: str, need=None) -> FockVector:
     """The state with these amplitudes, unless they are not finite or discard
-    more than the tail budget; ``need()``, if given, is the smallest adequate dim."""
+    more than the tail budget; ``need()``, if given, is the smallest adequate
+    dim, or None when no dim within the memory budget is adequate."""
     if not np.all(np.isfinite(amps)):
         raise ValueError(f"{what} has non-finite amplitudes; its parameters must be finite")
     tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
     if tail > TAIL_TOLERANCE:
-        suggested = need() if need else None
-        hint = f"use dim >= {suggested}" if suggested else "increase dim"
-        if suggested and suggested > _largest_dim():
-            hint = f"it needs dim >= {suggested}, over the largest dim the memory budget allows ({_largest_dim()})"
+        suggested, largest = need() if need else None, _largest_dim()
+        if need is None:
+            hint = "increase dim"
+        elif suggested is None:
+            hint = f"no dim up to {largest}, the largest the memory budget allows, holds it"
+        elif suggested > largest:
+            hint = f"it needs dim >= {suggested}, over the largest dim the memory budget allows ({largest})"
+        else:
+            hint = f"use dim >= {suggested}"
         raise TruncationError(
             f"{what} tail mass {tail:.3e} exceeds {TAIL_TOLERANCE:.0e} at dim={amps.size}; {hint}",
             suggested_dim=suggested,
@@ -251,10 +244,21 @@ def squeezed_number_state(n: int, s: float, dim: int) -> FockVector:
     ``S(s)|n> = (cosh(s) a^dag - sinh(s) a)^n S(s)|0> / sqrt(n!)``.  One
     application of that operator to a vector kept on L levels is exact on
     the first L - 1, so starting from the squeezed vacuum on dim + n levels
-    leaves the first dim levels exact.
+    leaves the first dim levels exact.  The state on a smaller dim is
+    therefore a prefix of the state on a larger one, and the truncation hint
+    is the shortest prefix of the state on the largest dim that holds it.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+
+    def need():
+        tails = 1.0 - np.cumsum(np.abs(_squeezed_number_amplitudes(n, s, _largest_dim())) ** 2)
+        return next((int(k) + 1 for k in np.flatnonzero(tails <= TAIL_TOLERANCE)), None)
+
+    return _checked(_squeezed_number_amplitudes(n, s, dim), f"S(s={s})|{n}>", need)
+
+
+def _squeezed_number_amplitudes(n: int, s: float, dim: int) -> np.ndarray:
     amps = np.zeros(dim + n, dtype=complex)
     t, c = np.tanh(s), 1.0 / np.sqrt(np.cosh(s))
     for k in range(0, dim + n, 2):
@@ -267,7 +271,7 @@ def squeezed_number_state(n: int, s: float, dim: int) -> FockVector:
         raised[1:] = ch * root * amps[:-1]
         raised[:-1] -= sh * root * amps[1:]
         amps = raised[:-1] / np.sqrt(j)
-    return _checked(amps, f"S(s={s})|{n}>")
+    return amps
 
 
 def scs_state(gamma: complex, parity: str, dim: int) -> FockVector:

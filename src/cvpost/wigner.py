@@ -134,10 +134,9 @@ def _radial_part(rho: np.ndarray, d: int, cutoff: float, z: np.ndarray, logz: np
     return part
 
 
-def wigner_point(rho: FockDensity | np.ndarray, alpha) -> np.ndarray | float:
+def wigner_point(rho: FockDensity, alpha) -> np.ndarray | float:
     """Wigner function of a single-mode state at arbitrary points."""
-    mat = rho.matrix if isinstance(rho, FockDensity) else np.asarray(rho)
-    vals = _wigner_values(mat, np.atleast_1d(alpha))
+    vals = _wigner_values(rho.matrix, np.atleast_1d(alpha))
     return float(vals[0]) if np.isscalar(alpha) else vals
 
 

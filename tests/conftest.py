@@ -1,6 +1,19 @@
+import tempfile
+
 import pytest
+from hypothesis import configuration
 
 from cvpost import build_joint, fock_state, s_prime, squeezed_number_state
+
+
+def pytest_configure(config):
+    """Even with database=None, hypothesis caches the constants it reads from
+    the local source under its storage directory, ./.hypothesis by default,
+    as the tests are collected; keep that cache in a directory removed when
+    the session ends."""
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    configuration.set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture(scope="session")

@@ -32,11 +32,16 @@ from its marginal and the transmitted pair from its Gaussian conditional.
 stream in memory and select from it, the route ``run_experiment`` and the
 streamed sample dump must agree with.
 
-:func:`condition_xplus` conditions any two-mode Gaussian state on the
-reflected X+ by the general Schur complement, the route the package took
-to ``gaussian.condition_coherent`` before that became one closed form;
-with :func:`squeezed_gaussian` and ``gaussian.interfere`` it is the
-reference for the closed form.
+:func:`condition_xplus` conditions the moments of any two-mode Gaussian
+state on the reflected X+ by the general Schur complement, the route the
+package took to ``gaussian.condition_coherent`` before that became one
+closed form; with :func:`squeezed_gaussian` and ``gaussian.interfere`` it
+is the reference for the closed form.
+
+:func:`quadrature_moments` takes the moments of a density matrix through
+the dim x dim matrices of the truncated quadrature operators, the route
+the package took before ``fock.quadrature_moments`` read them off the
+shifted amplitudes of a pure state.
 
 :func:`window` and :func:`density_norm` integrate the outcome density by
 composite Simpson on uniform nodes, the rule the package used before its
@@ -101,10 +106,36 @@ def dense_unitary(dim: int, reflectivity: float) -> np.ndarray:
     return u
 
 
+def annihilation(dim: int) -> np.ndarray:
+    """Matrix of the annihilation operator, <n-1|a|n> = sqrt(n)."""
+    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+
+
+def quadrature_moments(rho: np.ndarray):
+    """Mean vector and 2x2 covariance of (x, p) in Wigner units, from the
+    density matrix ``rho`` and the operator matrices x = (a + a^dag)/2 and
+    p = (a - a^dag)/(2i) of the truncated ``a``: the reference for
+    ``fock.quadrature_moments``."""
+    a = annihilation(rho.shape[0])
+    x, p = 0.5 * (a + a.T), (a - a.T) / 2j
+    tr = np.real(np.trace(rho))
+    mean = np.array([np.real(np.trace(rho @ x)), np.real(np.trace(rho @ p))]) / tr
+    xx = np.real(np.trace(rho @ x @ x)) / tr
+    pp = np.real(np.trace(rho @ p @ p)) / tr
+    xp = np.real(np.trace(rho @ (x @ p + p @ x))) / (2 * tr)
+    cov = np.array(
+        [
+            [xx - mean[0] ** 2, xp - mean[0] * mean[1]],
+            [xp - mean[0] * mean[1], pp - mean[1] ** 2],
+        ]
+    )
+    return mean, cov
+
+
 def generator_unitary(dim: int, reflectivity: float) -> np.ndarray:
     """exp[(theta/2)(a_in a_anc^dag - a_in^dag a_anc)] by one dense ``expm``."""
     theta = 2.0 * np.arcsin(np.sqrt(reflectivity))
-    a = fock.annihilation(dim)
+    a = annihilation(dim)
     return expm((theta / 2.0) * (np.kron(a, a.T) - np.kron(a.T, a)))
 
 
@@ -177,7 +208,7 @@ def apply_squeeze(state: FockVector, s: float, buffer: int = 20) -> FockVector:
     """S(s) = exp[-(s/2)(a^2 - a^dag^2)] applied to a state."""
 
     def gen(d):
-        a = fock.annihilation(d)
+        a = annihilation(d)
         aa = a @ a
         return -(s / 2.0) * (aa - aa.T)
 
@@ -188,7 +219,7 @@ def apply_displace(state: FockVector, gamma: complex, buffer: int = 20) -> FockV
     """D(gamma) = exp[gamma a^dag - gamma* a] applied to a state."""
 
     def gen(d):
-        a = fock.annihilation(d)
+        a = annihilation(d)
         return gamma * a.T - np.conj(gamma) * a
 
     return _apply_buffered(state, gen, buffer)
@@ -422,31 +453,33 @@ def squeezed_gaussian(s: float) -> GaussianState:
     return GaussianState(np.zeros(2), np.diag([np.exp(2.0 * s), np.exp(-2.0 * s)]))
 
 
-def condition_xplus(state: GaussianState, x: float):
-    """Measure X+ of the reflected mode of a two-mode state at outcome x;
+def condition_xplus(joint, x: float):
+    """Measure X+ of the reflected mode of a two-mode state, given as the
+    moments (mean, cov) that ``gaussian.interfere`` returns, at outcome x;
     Schur-complement update (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).
 
     Returns the conditional state of the transmitted mode and the Gaussian
     outcome density evaluated at x (probability per SNL unit).  The
     conditional covariance does not depend on the outcome.
     """
-    if state.mean.size != 4:
+    mean, cov = (np.asarray(m, dtype=float) for m in joint)
+    if mean.shape != (4,) or cov.shape != (4, 4):
         raise ValueError("conditioning requires a two-mode state")
-    v_meas = state.cov[2, 2]
+    v_meas = cov[2, 2]
     if v_meas <= 0:
         raise ValueError("measured quadrature has non-positive variance")
-    cross = state.cov[:2, 2]
-    mean_c = state.mean[:2] + cross * (x - state.mean[2]) / v_meas
-    cov_c = state.cov[:2, :2] - np.outer(cross, cross) / v_meas
+    cross = cov[:2, 2]
+    mean_c = mean[:2] + cross * (x - mean[2]) / v_meas
+    cov_c = cov[:2, :2] - np.outer(cross, cross) / v_meas
     cov_c = 0.5 * (cov_c + cov_c.T)
     density = float(
-        np.exp(-0.5 * (x - state.mean[2]) ** 2 / v_meas) / np.sqrt(2.0 * np.pi * v_meas)
+        np.exp(-0.5 * (x - mean[2]) ** 2 / v_meas) / np.sqrt(2.0 * np.pi * v_meas)
     )
     return GaussianState(mean_c, cov_c), density
 
 
-def vacuum_state(n_modes: int = 1) -> GaussianState:
-    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
+def vacuum_state() -> GaussianState:
+    return GaussianState(np.zeros(2), np.eye(2))
 
 
 def gaussian_from_variances(v_plus: float, v_minus: float, mean=(0.0, 0.0)) -> GaussianState:

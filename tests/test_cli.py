@@ -369,7 +369,7 @@ def test_bad_field_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_coherent_squeezing_at_the_limit_runs(tmp_path, sign):
-    code, out = run_cli(tmp_path, {"mode": "coherent", "squeezing": sign * cli.MAX_COHERENT_SQUEEZING})
+    code, out = run_cli(tmp_path, {"mode": "coherent", "squeezing": sign * cli.MAX_SQUEEZING})
     assert code == 0
     res = read_result(out)["results"]
     assert abs(res["purity"] - 1.0) <= 1e-15
@@ -401,9 +401,19 @@ def test_failed_emulate_run_leaves_no_sample_dump(tmp_path, capsys, payload, mes
      # keys; far past it (-200, 1e3) the moments overflow
      ({"mode": "coherent", "squeezing": 12.0}, [], "'squeezing'"),
      ({"mode": "coherent", "squeezing": -200.0}, [], "'squeezing'"),
-     ({"mode": "coherent", "squeezing": 1e3}, [], "'squeezing'")],
+     ({"mode": "coherent", "squeezing": 1e3}, [], "'squeezing'"),
+     # the photon modes share that limit; unchecked, s = 1000 overflows cosh(s)
+     # and both it and s = 30 end in a truncation error that names no key
+     ({"mode": "single-photon", "squeezing": 1000.0, "dim": 40}, [], "'squeezing'"),
+     ({"mode": "single-photon", "squeezing": 30.0}, [], "'squeezing'"),
+     ({"mode": "two-photon", "squeezing": -30.0}, [], "'squeezing'"),
+     # S(4)|0> fits in no dim the memory budget allows, and the error says so;
+     # the ancilla fails before the largest dim's beam-splitter eigenbasis is built
+     ({"mode": "single-photon", "squeezing": 4.0, "dim": fock._largest_dim()}, [],
+      f"no dim up to {fock._largest_dim()},")],
     ids=["rng_seed", "--seed", "anc_antisqz_db-overflow", "anc_antisqz_db-3000dB",
-         "squeezing-12", "squeezing--200", "squeezing-1e3"],
+         "squeezing-12", "squeezing--200", "squeezing-1e3", "single-photon-squeezing-1e3",
+         "single-photon-squeezing-30", "two-photon-squeezing--30", "single-photon-squeezing-4-largest-dim"],
 )
 def test_negative_seed_exits_2_naming_it(tmp_path, capsys, payload, extra, name):
     code, out = run_cli(tmp_path, payload, *extra)

@@ -56,14 +56,14 @@ def test_two_mode_vacuum_projection():
     state, density = homodyne_project(joint, 0.0)
     # P1(0) is the N(0, 1/4) density at the origin
     np.testing.assert_allclose(density, np.sqrt(2 / np.pi), atol=1e-9)
-    np.testing.assert_allclose(state.matrix, fock.fock_state(0, 12).density().matrix, atol=1e-9)
+    np.testing.assert_allclose(state.density().matrix, fock.fock_state(0, 12).density().matrix, atol=1e-9)
 
 
 def test_zero_reflectivity_leaves_input_untouched():
     joint = fock.interfere(fock.fock_state(1, 12), fock.fock_state(0, 12), 0.0)
     for x in (-0.7, 0.0, 1.3):
         state, _ = homodyne_project(joint, x)
-        np.testing.assert_allclose(state.matrix, fock.fock_state(1, 12).density().matrix, atol=1e-10)
+        np.testing.assert_allclose(state.density().matrix, fock.fock_state(1, 12).density().matrix, atol=1e-10)
 
 
 def test_zero_outcome_yields_squeezed_photon(fig2_joint, fig2_target):
@@ -89,28 +89,28 @@ def test_homodyne_rejects_vanished_outcome_density(fig2_joint):
 
 def test_fidelity_pure_self():
     psi = fock.coherent_state(0.4 + 0.3j, 30)
-    np.testing.assert_allclose(fidelity(psi.density(), psi), 1.0, atol=1e-12)
+    np.testing.assert_allclose(fidelity(psi, psi), 1.0, atol=1e-12)
 
 
 def test_fidelity_opposite_parity_is_zero():
     vac = fock.fock_state(0, 40)
     target = fock.squeezed_number_state(1, 0.5, 40)
-    np.testing.assert_allclose(fidelity(vac.density(), target), 0.0, atol=1e-12)
+    np.testing.assert_allclose(fidelity(vac, target), 0.0, atol=1e-12)
 
 
 def test_fidelity_coherent_vs_vacuum():
     gamma = 0.9 - 0.2j
-    rho = fock.coherent_state(gamma, 40).density()
+    psi = fock.coherent_state(gamma, 40)
     np.testing.assert_allclose(
-        fidelity(rho, fock.fock_state(0, 40)), np.exp(-abs(gamma) ** 2), rtol=1e-8
+        fidelity(psi, fock.fock_state(0, 40)), np.exp(-abs(gamma) ** 2), rtol=1e-8
     )
 
 
 def test_fidelity_rejects_unnormalized():
     psi = fock.fock_state(0, 10)
-    rho = fock.FockDensity(0.5 * psi.density().matrix, 10, validate=False)
+    half = fock.FockVector(np.sqrt(0.5) * psi.amplitudes, 10)
     with pytest.raises(ValueError):
-        fidelity(rho, psi)
+        fidelity(half, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def test_map_symmetric_density():
 def test_map_zero_entry_reproduces_exact_target(fig2_joint, fig2_target):
     state, fid = zero_outcome(fig2_joint, fig2_target)
     assert fid >= 1 - 1e-6
-    np.testing.assert_allclose(state.trace, 1.0, atol=1e-9)
+    np.testing.assert_allclose(state.norm ** 2, 1.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +280,8 @@ def test_parity_conservation_at_zero_outcome(n_in):
     joint = build_joint(fock.fock_state(n_in, 40), 0.6, 0.5)
     state, _ = homodyne_project(joint, 0.0)
     wrong = np.arange(40) % 2 != n_in % 2
-    assert np.abs(np.diag(state.matrix)[wrong]).max() < 1e-10
-    assert np.abs(state.matrix[np.ix_(wrong, ~wrong)]).max() < 1e-10
+    assert np.abs(np.diag(state.density().matrix)[wrong]).max() < 1e-10
+    assert np.abs(state.density().matrix[np.ix_(wrong, ~wrong)]).max() < 1e-10
 
 
 def test_exactness_grid():
@@ -345,7 +345,7 @@ def test_pure_joint_agrees_with_dense_route(reflectivity, prepare):
         want, want_p1 = oracle.homodyne_project(dense, x)
         got, got_p1 = homodyne_project(joint, x)
         np.testing.assert_allclose(got_p1, want_p1, rtol=AGREE_TOL)
-        np.testing.assert_allclose(got.matrix, want / want_p1, rtol=0, atol=AGREE_TOL)
+        np.testing.assert_allclose(got.density().matrix, want / want_p1, rtol=0, atol=AGREE_TOL)
         want_fid = np.real(target.conj() @ want @ target) / want_p1
         np.testing.assert_allclose(fidelity(got, target_state), want_fid, rtol=0, atol=AGREE_TOL)
 

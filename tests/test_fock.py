@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_hermite, factorial
 from scipy.stats import poisson
@@ -88,6 +90,24 @@ def test_truncation_error_says_when_no_dim_fits():
     assert f"largest dim the memory budget allows ({fock._largest_dim()})" in str(err.value)
 
 
+@pytest.mark.parametrize("n, s, dim", [(0, 1.5, 40), (1, 1.2, 60), (2, -1.0, 40)])
+def test_squeezed_truncation_error_names_smallest_adequate_dim(n, s, dim):
+    with pytest.raises(TruncationError) as err:
+        fock.squeezed_number_state(n, s, dim)
+    need = err.value.suggested_dim
+    assert f"use dim >= {need}" in str(err.value)
+    assert fock.squeezed_number_state(n, s, need).tail_mass <= fock.TAIL_TOLERANCE
+    with pytest.raises(TruncationError):
+        fock.squeezed_number_state(n, s, need - 1)
+
+
+def test_squeezed_truncation_error_says_when_no_dim_fits():
+    # S(s)|0> fits in the largest dim only below |s| ~ 1.94
+    with pytest.raises(TruncationError, match=f"no dim up to {fock._largest_dim()},") as err:
+        fock.squeezed_vacuum(4.0, 40)
+    assert err.value.suggested_dim is None
+
+
 # ---------------------------------------------------------------------------
 # Squeezed vacuum
 # ---------------------------------------------------------------------------
@@ -105,12 +125,25 @@ def test_squeezed_vacuum_ground_amplitude():
     np.testing.assert_allclose(abs(psi.amplitudes[0]), np.cosh(0.5) ** -0.5, rtol=1e-12)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(dim=st.integers(2, 80), seed=st.integers(0, 2**32 - 1), decay=st.floats(0.0, 0.5))
+def test_quadrature_moments_match_operator_matrices(dim, seed, decay):
+    # oracle: traces against the dim x dim x and p matrices of the truncated a
+    rng = np.random.default_rng(seed)
+    amps = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * np.exp(-decay * np.arange(dim))
+    mean, cov = fock.quadrature_moments(fock.FockVector(amps, dim))
+    want_mean, want_cov = oracle.quadrature_moments(np.outer(amps, amps.conj()))
+    scale = max(1.0, *(np.diag(want_cov) + want_mean**2))  # the larger second moment
+    np.testing.assert_allclose(mean, want_mean, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(cov, want_cov, rtol=0, atol=1e-13 * scale)
+
+
 def test_squeezed_vacuum_quadrature_variances():
     # s > 0 squeezes the phase quadrature: V- = e^{-2s}/4, V+ = e^{+2s}/4.
     # At s = 0.52 the squeezed level is -4.5 dB relative to SNL.
     s = 0.52
     psi = fock.squeezed_vacuum(s, 60)
-    _, cov = fock.quadrature_moments(psi.density())
+    _, cov = fock.quadrature_moments(psi)
     np.testing.assert_allclose(cov[1, 1], 0.25 * np.exp(-2 * s), atol=1e-10)
     np.testing.assert_allclose(cov[0, 0], 0.25 * np.exp(2 * s), atol=1e-10)
     level_db = 10 * np.log10(cov[1, 1] / 0.25)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from cvpost import conditioner, fock, gaussian
@@ -14,6 +16,9 @@ from cvpost.gaussian import (
     purity,
     s_prime,
 )
+
+#: The symplectic form of one mode.
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def wigner_overlap_quadrature(a: GaussianState, b: GaussianState) -> float:
@@ -100,8 +105,8 @@ def test_matches_fock_engine():
     gamma, r, s, x_snl = 0.5 + 0.3j, 0.75, 0.52, 0.1
     g_state = condition_coherent(gamma, r, s, x_snl)
     joint = conditioner.build_joint(fock.coherent_state(gamma, 60), r, s)
-    rho, _ = conditioner.homodyne_project(joint, x_snl / 2.0)  # x_wig = x_snl / 2
-    mean_w, cov_w = fock.quadrature_moments(rho)
+    state, _ = conditioner.homodyne_project(joint, x_snl / 2.0)  # x_wig = x_snl / 2
+    mean_w, cov_w = fock.quadrature_moments(state)
     np.testing.assert_allclose(2.0 * mean_w, g_state.mean, atol=1e-6)
     np.testing.assert_allclose(4.0 * cov_w, g_state.cov, atol=1e-6)
 
@@ -243,8 +248,7 @@ def test_classical_limit_values():
 def test_conditioning_respects_uncertainty(r, s):
     for x in (-1.0, 0.0, 2.0):
         out = condition_coherent(0.4 + 0.2j, r, s, x)
-        omega = gaussian.symplectic_form(1)
-        evals = np.linalg.eigvalsh(out.cov + 1j * omega)
+        evals = np.linalg.eigvalsh(out.cov + 1j * _J)
         assert evals.min() >= -1e-9
 
 
@@ -293,3 +297,43 @@ def test_state_validation():
         GaussianState(np.zeros(3), np.eye(3))  # odd size
     with pytest.raises(ValueError, match="symmetric"):
         GaussianState(np.zeros(2), np.array([[2.0, 0.5], [0.4, 2.0]]))
+    with pytest.raises(ValueError, match="one mode"):
+        GaussianState(np.zeros(4), np.eye(4))  # two modes
+
+
+def _pure_cov(r, theta):
+    """R(theta) diag(e^{2r}, e^{-2r}) R(theta)^T, exactly symmetric: det 1, on the boundary."""
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    cov = rot @ np.diag([np.exp(2.0 * r), np.exp(-2.0 * r)]) @ rot.T
+    cov[1, 0] = cov[0, 1]
+    return cov
+
+
+_log_entry = st.floats(-12.0, 12.0)
+_random_cov = st.builds(
+    lambda a, b, rho, sa, sb: np.array([[sa * np.exp(a), rho * np.exp((a + b) / 2.0)],
+                                        [rho * np.exp((a + b) / 2.0), sb * np.exp(b)]]),
+    _log_entry, _log_entry, st.floats(-1.0, 1.0), st.sampled_from([1.0, 1.0, 1.0, -1.0]), st.sampled_from([1.0, -1.0]),
+)
+# (1 + delta) times a pure covariance, with |delta| from 1e-16 to 1 either side of 1
+_near_boundary_cov = st.builds(
+    lambda r, theta, sign, k: (1.0 + sign * 10.0**k) * _pure_cov(r, theta),
+    st.floats(-6.0, 6.0), st.floats(0.0, np.pi), st.sampled_from([1.0, -1.0]), st.floats(-16.0, 0.0),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(cov=st.one_of(_random_cov, _near_boundary_cov))
+def test_uncertainty_check_matches_eigvalsh(cov):
+    # oracle: the smallest eigenvalue of cov + iJ by LAPACK, against the same
+    # tolerance; a value within roundoff of the threshold is a tie either way
+    scale = max(1.0, float(np.abs(cov).max()))
+    lowest = np.linalg.eigvalsh(cov + 1j * _J).min()
+    assume(abs(lowest + 1e-9 * scale) > 1e-12 * scale)
+    rejected = lowest < -1e-9 * scale
+    if rejected:
+        with pytest.raises(ValueError, match="uncertainty relation"):
+            GaussianState(np.zeros(2), cov)
+    else:
+        GaussianState(np.zeros(2), cov)

@@ -213,7 +213,7 @@ def test_overlap_matches_fock_fidelity_for_conditional_cat():
     target = fock.scs_state(1.1j, "even", 40)
     joint = conditioner.build_joint(fock.fock_state(2, 40), 0.5, -0.37)
     state, _ = conditioner.homodyne_project(joint, 0.0)
-    grid_state = wigner.wigner_from_density(state)
+    grid_state = wigner.state_grid(state)
     grid_target = wigner.state_grid(target)
     np.testing.assert_allclose(
         oracle.overlap(grid_state, grid_target), conditioner.fidelity(state, target), atol=GRID_TOL
@@ -291,6 +291,6 @@ def test_conditional_coherent_output_is_minimum_uncertainty():
     # pure-state config at x = 0: det of the quadrature covariance is 1/16
     joint = conditioner.build_joint(fock.coherent_state(0.3 + 0.2j, 40), 0.75, 0.52)
     state, _ = conditioner.homodyne_project(joint, 0.0)
-    grid = wigner.wigner_from_density(state)
+    grid = wigner.state_grid(state)
     _, cov = oracle.grid_moments(grid)
     np.testing.assert_allclose(np.linalg.det(cov), 1.0 / 16.0, atol=GRID_TOL)
