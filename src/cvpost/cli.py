@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__, conditioner, emulator, fock, gaussian, wigner
 from .errors import EmptySelectionError
+from .gaussian import MAX_DB, MAX_SQUEEZING
 
 
 class ConfigError(Exception):
@@ -140,15 +141,9 @@ def _sweep_points(count):
     return count >= 1
 
 
-#: Largest |squeezing| of every mode: the emulator's ``MAX_DB`` (100 dB) as
-#: 10 log10(e^{2s}), so all modes share one limit.  The coherent closed form
-#: is exact up to it, and the Fock ancilla's cosh(s) overflows only past 710.
-MAX_SQUEEZING = emulator.MAX_DB * math.log(10.0) / 20.0
-
-
 def _squeezing(s):
     if abs(s) > MAX_SQUEEZING:
-        raise ValueError(f"|{s}| is above {MAX_SQUEEZING:.4f}, a squeezing of {emulator.MAX_DB:g} dB")
+        raise ValueError(f"|{s}| is above {MAX_SQUEEZING:.4f}, a squeezing of {MAX_DB:g} dB")
     return True
 
 

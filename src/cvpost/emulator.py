@@ -55,20 +55,13 @@ import numpy as np
 
 from . import gaussian
 from .errors import EmptySelectionError
-from .gaussian import GainReport, GaussianState
+from .gaussian import MAX_DB, GainReport, GaussianState
 
 _CHUNK = 1 << 20
 _JACKKNIFE_GROUPS = 64
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 SAMPLE_COLUMNS = ("x_t_plus", "x_t_minus", "x_r_plus")
-
-
-# Highest dB level a noise or ancilla variance may take.  The gate
-# conditional is a Schur complement, a difference of terms as large as the
-# largest record variance, so its rounding error is about eps times that
-# variance: 2e-6 SNL at 100 dB, the whole conditional variance by 160 dB.
-MAX_DB = 100.0
 
 
 def _db_to_var(db: float) -> float:

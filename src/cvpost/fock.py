@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TruncationError
+from .gaussian import MAX_DB, MAX_SQUEEZING
 
 #: Largest tail mass a preparer may silently discard.
 TAIL_TOLERANCE = 1e-8
@@ -172,45 +173,32 @@ def _coherent_amplitudes(gamma: complex, dim: int) -> np.ndarray:
     return np.cumprod(steps)
 
 
-def _min_dim_for_coherent(gamma: complex, tol: float) -> int | None:
-    """Smallest dim that holds all but ``tol`` of |gamma>'s Poisson photon
-    numbers, summed in log space since e^{-|gamma|^2} underflows past
-    |gamma|^2 ~ 745; None, no dim within the budget, past |gamma|^2 = 1e6.
-    The answer lies above the median, which is at least floor(|gamma|^2), and
-    below 12 standard deviations past the mean."""
-    mean = abs(gamma) ** 2
-    if mean == 0.0:
-        return 1
-    if mean > 1e6:
-        return None
-    k = np.arange(math.floor(mean), math.ceil(mean + 12.0 * math.sqrt(mean)) + 40)
-    log_pmf = k * math.log(mean) - mean - np.array([math.lgamma(j + 1.0) for j in k])
-    tail = np.cumsum(np.exp(log_pmf)[::-1])[::-1]  # P(N >= k), smallest terms first
-    return int(k[np.argmax(tail <= tol)])
-
-
-def _checked(amps: np.ndarray, what: str, need=None) -> FockVector:
-    """The state with these amplitudes, unless they are not finite or discard
-    more than the tail budget; ``need()``, if given, is the smallest adequate
-    dim, or None when no dim within the memory budget is adequate."""
+def _checked(amplitudes, dim: int, what: str) -> FockVector:
+    """The state ``amplitudes(dim)``, unless it is not finite or discards more
+    than the tail budget.  Every preparer's state on a smaller dim is a prefix
+    of its state on a larger one, bit for bit, so the smallest adequate dim is
+    the shortest prefix of ``amplitudes(_largest_dim())`` that holds it."""
+    amps = amplitudes(dim)
     if not np.all(np.isfinite(amps)):
         raise ValueError(f"{what} has non-finite amplitudes; its parameters must be finite")
-    tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
+    tail = _tails(amps)[-1]
     if tail > TAIL_TOLERANCE:
-        suggested, largest = need() if need else None, _largest_dim()
-        if need is None:
-            hint = "increase dim"
-        elif suggested is None:
-            hint = f"no dim up to {largest}, the largest the memory budget allows, holds it"
-        elif suggested > largest:
-            hint = f"it needs dim >= {suggested}, over the largest dim the memory budget allows ({largest})"
-        else:
-            hint = f"use dim >= {suggested}"
+        largest = _largest_dim()
+        fits = np.flatnonzero(_tails(amplitudes(largest)) <= TAIL_TOLERANCE)
+        suggested = int(fits[0]) + 1 if fits.size else None
+        hint = (f"use dim >= {suggested}" if suggested else
+                f"no dim up to {largest}, the largest the memory budget allows, holds it")
         raise TruncationError(
-            f"{what} tail mass {tail:.3e} exceeds {TAIL_TOLERANCE:.0e} at dim={amps.size}; {hint}",
+            f"{what} tail mass {tail:.3e} exceeds {TAIL_TOLERANCE:.0e} at dim={dim}; {hint}",
             suggested_dim=suggested,
         )
-    return FockVector(amps, amps.size)
+    return FockVector(amps, dim)
+
+
+def _tails(amps: np.ndarray) -> np.ndarray:
+    """1 - the squared norm of each prefix, summed in order so that a prefix's
+    tails are the first tails of the whole."""
+    return 1.0 - np.cumsum(np.abs(amps) ** 2)
 
 
 def coherent_state(gamma: complex, dim: int) -> FockVector:
@@ -220,10 +208,10 @@ def coherent_state(gamma: complex, dim: int) -> FockVector:
     ------
     TruncationError
         If the discarded tail mass exceeds the tolerance; the error names
-        the smallest adequate dimension.
+        the smallest adequate dimension, or says that no dimension the
+        memory budget allows holds the state.
     """
-    need = partial(_min_dim_for_coherent, gamma, TAIL_TOLERANCE)
-    return _checked(_coherent_amplitudes(gamma, dim), f"coherent_state(|gamma|={abs(gamma):.4g})", need)
+    return _checked(partial(_coherent_amplitudes, gamma), dim, f"coherent_state(|gamma|={abs(gamma):.4g})")
 
 
 def squeezed_vacuum(s: float, dim: int) -> FockVector:
@@ -245,17 +233,18 @@ def squeezed_number_state(n: int, s: float, dim: int) -> FockVector:
     application of that operator to a vector kept on L levels is exact on
     the first L - 1, so starting from the squeezed vacuum on dim + n levels
     leaves the first dim levels exact.  The state on a smaller dim is
-    therefore a prefix of the state on a larger one, and the truncation hint
-    is the shortest prefix of the state on the largest dim that holds it.
+    therefore a prefix of the state on a larger one.
+
+    Raises
+    ------
+    ValueError
+        If |s| is above :data:`~cvpost.gaussian.MAX_SQUEEZING` (100 dB).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-
-    def need():
-        tails = 1.0 - np.cumsum(np.abs(_squeezed_number_amplitudes(n, s, _largest_dim())) ** 2)
-        return next((int(k) + 1 for k in np.flatnonzero(tails <= TAIL_TOLERANCE)), None)
-
-    return _checked(_squeezed_number_amplitudes(n, s, dim), f"S(s={s})|{n}>", need)
+    if abs(s) > MAX_SQUEEZING:
+        raise ValueError(f"s={s} is above the squeezing limit |s| <= {MAX_SQUEEZING:.4f}, {MAX_DB:g} dB")
+    return _checked(partial(_squeezed_number_amplitudes, n, s), dim, f"S(s={s})|{n}>")
 
 
 def _squeezed_number_amplitudes(n: int, s: float, dim: int) -> np.ndarray:
@@ -288,12 +277,13 @@ def scs_state(gamma: complex, parity: str, dim: int) -> FockVector:
     norm_sq = 2.0 * (1.0 + sign * overlap)
     if norm_sq < 1e-12:
         raise ValueError(f"{parity} superposition is degenerate at gamma={gamma}")
-    plus = _coherent_amplitudes(gamma, dim)
-    minus = _coherent_amplitudes(-gamma, dim)
-    with np.errstate(invalid="ignore"):  # _checked reports a NaN parameter
-        amps = (plus + sign * minus) / np.sqrt(norm_sq)
-    need = partial(_min_dim_for_coherent, gamma, TAIL_TOLERANCE / 4.0)
-    return _checked(amps, f"scs_state(|gamma|={abs(gamma):.4g})", need)
+
+    def amplitudes(levels):
+        plus, minus = _coherent_amplitudes(gamma, levels), _coherent_amplitudes(-gamma, levels)
+        with np.errstate(invalid="ignore"):  # _checked reports a NaN parameter
+            return (plus + sign * minus) / np.sqrt(norm_sq)
+
+    return _checked(amplitudes, dim, f"scs_state(|gamma|={abs(gamma):.4g})")
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +359,8 @@ def beam_splitter_unitary(dim: int) -> BeamSplitterBasis:
     With ``S = diag(1j**k)`` and ``T_N`` the real symmetric tridiagonal matrix
     with the same off-diagonal entries, ``A_N = 1j S T_N S^-1``; so
     ``U_N(R) = S V e^{i phi Lambda} V^T S^-1`` with ``T_N = V Lambda V^T``,
-    and V and Lambda depend on dim only, never on R.  Blocks N and N + dim
+    one symmetric eigensolve per block; V and Lambda depend on dim only,
+    never on R, so each dim is solved once and cached.  Blocks N and N + dim
     share one row of the returned arrays (see :class:`BeamSplitterBasis`), so
     :func:`interfere` applies the 2 dim - 1 blocks as dim stacked dim x dim
     products.  Blocks that fit below the truncation are exact, and the
@@ -388,51 +379,14 @@ def beam_splitter_unitary(dim: int) -> BeamSplitterBasis:
             if rows.size:
                 block = slice(rows[0], rows[-1] + 1)
                 coupling = np.sqrt(rows[1:] * (total - rows[1:] + 1.0))
-                eigenvalues[n, block], vectors[n, block, block] = _block_eigh(coupling)
+                generator = np.diag(coupling, 1) + np.diag(coupling, -1)
+                eigenvalues[n, block], vectors[n, block, block] = np.linalg.eigh(generator)
     return BeamSplitterBasis(
         vectors=_readonly(vectors),
         eigenvalues=_readonly(eigenvalues),
         phases=_readonly(_I_POWERS[i % 4]),
         gather=_readonly((i * dim + (i[:, None] - i) % dim).ravel()),
     )
-
-
-def _block_eigh(coupling: np.ndarray):
-    """Eigenvalues and eigenvectors of the symmetric tridiagonal matrix with
-    zero diagonal and off-diagonal ``coupling``.
-
-    ``coupling`` reads the same both ways (swapping the modes maps
-    |i, N - i> to |N - i, i>), so the eigenvectors are mirror-even or
-    mirror-odd, and each kind solves a problem of half the size.  For an
-    even size the two halves differ only in the sign of one diagonal entry,
-    so the odd problem is the even one negated and conjugated by (-1)^i.
-    """
-    k = coupling.size + 1
-    if k == 1:
-        return np.zeros(1), np.ones((1, 1))
-    m, odd = k // 2, k % 2
-    inner, mid = coupling[: m - 1], coupling[m - 1]
-    if odd:  # the middle row couples to the mirror-even half only, by sqrt(2) mid
-        lam_e, y_e = np.linalg.eigh(_tridiagonal(np.append(inner, math.sqrt(2.0) * mid)))
-        lam_o, y_o = np.linalg.eigh(_tridiagonal(inner))
-    else:
-        half = _tridiagonal(inner)
-        half[-1, -1] = mid
-        lam_e, y_e = np.linalg.eigh(half)
-        lam_o, y_o = -lam_e, y_e * (-1.0) ** np.arange(m)[:, None]
-    root = math.sqrt(0.5)
-    vectors = np.zeros((k, k))
-    vectors[:m, : m + odd] = root * y_e[:m]
-    vectors[k - m:, : m + odd] = root * y_e[m - 1::-1]
-    vectors[:m, m + odd:] = root * y_o
-    vectors[k - m:, m + odd:] = -root * y_o[::-1]
-    if odd:
-        vectors[m, : m + 1] = y_e[m]
-    return np.concatenate([lam_e, lam_o]), vectors
-
-
-def _tridiagonal(off: np.ndarray) -> np.ndarray:
-    return np.diag(off, k=1) + np.diag(off, k=-1)
 
 
 def _stacked_product(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:

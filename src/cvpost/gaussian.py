@@ -20,6 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Highest dB level a noise, ancilla or squeezing variance may take, and the
+# same limit on a squeezing parameter, 10 log10(e^{2|s|}) <= MAX_DB.  The
+# emulator's gate conditional is a Schur complement, a difference of terms as
+# large as the largest record variance, so its rounding error is about eps
+# times that variance: 2e-6 SNL at 100 dB, the whole conditional variance by
+# 160 dB.  The coherent closed form is exact up to it, and the Fock
+# preparers' cosh(s) overflows only past |s| = 710.
+MAX_DB = 100.0
+MAX_SQUEEZING = MAX_DB * math.log(10.0) / 20.0
+
 
 @dataclass(frozen=True)
 class GaussianState:

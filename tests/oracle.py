@@ -430,12 +430,16 @@ def displaced_squeezed_vacuum(beta: complex, s: float, dim: int) -> FockVector:
     g = beta * ch - beta.conjugate() * sh
     with np.errstate(invalid="ignore"):  # _checked reports a NaN parameter
         c0 = np.exp(-0.5 * abs(beta) ** 2 + 0.5 * beta.conjugate() ** 2 * math.tanh(s)) / math.sqrt(ch)
-    prev, cur = 0.0, complex(c0)
-    amps = [cur]
-    for k in range(1, dim):
-        prev, cur = cur, (g * cur + math.sqrt(k - 1) * sh * prev) / (math.sqrt(k) * ch)
-        amps.append(cur)
-    return _checked(np.array(amps, dtype=complex), f"D({beta:.4g}) S(s={s})|0>")
+
+    def amplitudes(levels):
+        prev, cur = 0.0, complex(c0)
+        amps = [cur]
+        for k in range(1, levels):
+            prev, cur = cur, (g * cur + math.sqrt(k - 1) * sh * prev) / (math.sqrt(k) * ch)
+            amps.append(cur)
+        return np.array(amps, dtype=complex)
+
+    return _checked(amplitudes, dim, f"D({beta:.4g}) S(s={s})|0>")
 
 
 def conditioned_coherent_target(gamma: complex, reflectivity: float, s: float, dim: int) -> FockVector:

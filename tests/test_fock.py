@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from scipy.special import eval_hermite, factorial
 from scipy.stats import poisson
 
 import oracle
-from cvpost import fock
+from cvpost import fock, gaussian
 from cvpost.errors import TruncationError
 
 RTOL = 1e-10
@@ -75,19 +77,48 @@ def test_coherent_truncation_error_names_adequate_dim():
 
 @pytest.mark.parametrize("modulus", [0.5, 5.0, 20.0, 30.0])
 def test_coherent_min_dim_matches_poisson_tail(modulus):
-    # past |gamma|^2 ~ 745, e^{-|gamma|^2} underflows to 0
-    mean = modulus**2
-    for tol in (fock.TAIL_TOLERANCE, fock.TAIL_TOLERANCE / 4.0):
-        dim = fock._min_dim_for_coherent(modulus * np.exp(0.3j), tol)
-        # dim levels keep photon numbers 0 .. dim - 1, and one level fewer is not enough
-        assert poisson.sf(dim - 1, mean) <= tol < poisson.sf(dim - 2, mean)
+    # dim levels keep photon numbers 0 .. dim - 1, so the smallest adequate
+    # dim is the first whose Poisson tail P(N >= dim) is within the
+    # tolerance; |gamma| = 20 and 30 need more levels than the budget allows
+    dims = np.arange(1, fock._largest_dim() + 1)
+    adequate = dims[poisson.sf(dims - 1, modulus**2) <= fock.TAIL_TOLERANCE]
+    with pytest.raises(TruncationError) as err:
+        fock.coherent_state(modulus * np.exp(0.3j), 1)
+    assert err.value.suggested_dim == (int(adequate[0]) if adequate.size else None)
 
 
 def test_truncation_error_says_when_no_dim_fits():
     with pytest.raises(TruncationError) as err:
         fock.scs_state(20.0, "even", 40)
-    assert err.value.suggested_dim == 523
-    assert f"largest dim the memory budget allows ({fock._largest_dim()})" in str(err.value)
+    assert err.value.suggested_dim is None
+    assert "no dim up to 401, the largest the memory budget allows, holds it" in str(err.value)
+
+
+_MODULUS, _PHASE = st.floats(0.01, 17.0), st.floats(0.0, 2.0 * np.pi)
+PREPARERS = st.one_of(
+    st.builds(lambda r, a: partial(fock.coherent_state, r * np.exp(1j * a)), _MODULUS, _PHASE),
+    st.builds(lambda r, a, parity: partial(fock.scs_state, r * np.exp(1j * a), parity),
+              _MODULUS, _PHASE, st.sampled_from(["even", "odd"])),
+    st.builds(lambda n, s: partial(fock.squeezed_number_state, n, s), st.integers(0, 2), st.floats(-1.9, 1.9)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(prepare=PREPARERS)
+def test_truncation_hint_is_the_smallest_adequate_dim(prepare):
+    try:
+        prepare(1)
+        return  # adequate at the smallest dim
+    except TruncationError as err:
+        need = err.suggested_dim
+    if need is None:
+        with pytest.raises(TruncationError):
+            prepare(fock._largest_dim())
+        return
+    prepare(need)
+    with pytest.raises(TruncationError) as err:
+        prepare(need - 1)
+    assert err.value.suggested_dim == need
 
 
 @pytest.mark.parametrize("n, s, dim", [(0, 1.5, 40), (1, 1.2, 60), (2, -1.0, 40)])
@@ -99,6 +130,18 @@ def test_squeezed_truncation_error_names_smallest_adequate_dim(n, s, dim):
     assert fock.squeezed_number_state(n, s, need).tail_mass <= fock.TAIL_TOLERANCE
     with pytest.raises(TruncationError):
         fock.squeezed_number_state(n, s, need - 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("s", [-1000.0, 1000.0])
+def test_squeezing_above_the_limit_is_refused_before_any_arithmetic(n, s):
+    # cosh(1000) overflows; pyproject turns any RuntimeWarning into an error
+    limit = f"{gaussian.MAX_SQUEEZING:.4f}"
+    with pytest.raises(ValueError, match=rf"s={s} is above the squeezing limit \|s\| <= {limit}, 100 dB"):
+        fock.squeezed_number_state(n, s, 10)
+    # at the limit itself the state is built, and only its truncation fails
+    with pytest.raises(TruncationError, match="no dim up to 401,"):
+        fock.squeezed_number_state(n, np.sign(s) * gaussian.MAX_SQUEEZING, 40)
 
 
 def test_squeezed_truncation_error_says_when_no_dim_fits():
@@ -396,6 +439,20 @@ def test_unitary_blocks_are_unitary_and_cached():
     # the operator itself, truncated blocks (N >= dim) included
     u = oracle.dense_unitary(30, 0.7)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(30 * 30), atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [40, 80, 120])
+def test_eigenbasis_diagonalizes_each_wrapped_diagonal(dim):
+    # row n holds blocks n (i <= n) and n + dim (i > n): T[i-1, i] =
+    # sqrt(i (N - i + 1)) within a block, and no coupling at i = n + 1
+    basis = fock.beam_splitter_unitary(dim)
+    i = np.arange(1, dim)
+    for n, (vectors, eigenvalues) in enumerate(zip(basis.vectors, basis.eigenvalues)):
+        total = np.where(i <= n, n, n + dim)
+        coupling = np.where(i == n + 1, 0.0, np.sqrt(i * (total - i + 1.0)))
+        generator = np.diag(coupling, 1) + np.diag(coupling, -1)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(dim), rtol=0, atol=1e-12)
+        np.testing.assert_allclose((vectors * eigenvalues) @ vectors.T, generator, rtol=0, atol=1e-12 * dim)
 
 
 def test_cached_eigenbasis_is_read_only():
