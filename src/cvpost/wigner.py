@@ -17,9 +17,6 @@ from .fock import FockDensity, FockVector
 #: Single-mode Wigner functions are bounded below by -2/pi.
 WIGNER_LOWER_BOUND = -2.0 / np.pi
 
-#: Riemann-sum defect beyond which a grid is flagged as too coarse.
-NORM_DEFECT_TOLERANCE = 1e-4
-
 
 @dataclass(frozen=True)
 class WignerGrid:
@@ -27,33 +24,21 @@ class WignerGrid:
 
     ``values[i, j]`` is W(x_axis[i], p_axis[j]).  Integrals over the grid
     give each point the cell from halfway to its neighbours (the full step
-    at the ends), so they hold on non-uniform axes too.  ``norm_defect`` is
-    the difference between the Riemann sum and the state's trace; ``coarse``
-    flags grids whose defect exceeds the normalization tolerance.
+    at the ends), so they hold on non-uniform axes too.
     """
 
     values: np.ndarray
     x_axis: np.ndarray
     p_axis: np.ndarray
-    norm_defect: float
-
-    @property
-    def coarse(self) -> bool:
-        return self.norm_defect > NORM_DEFECT_TOLERANCE
 
     def integrate(self, values: np.ndarray) -> float:
         """Riemann sum of ``values`` (same shape as the grid) over the plane."""
-        return _riemann_sum(self.x_axis, self.p_axis, values)
+        # a grid whose cell areas pass the float range (steps near 1e154) sums to inf
+        with np.errstate(over="ignore"):
+            return float(np.gradient(self.x_axis) @ values @ np.gradient(self.p_axis))
 
     def riemann_sum(self) -> float:
         return self.integrate(self.values)
-
-
-def _riemann_sum(x_axis: np.ndarray, p_axis: np.ndarray, values: np.ndarray) -> float:
-    # a grid whose cell areas pass the float range (steps near 1e154) sums to
-    # inf, so it is flagged coarse
-    with np.errstate(over="ignore"):
-        return float(np.gradient(x_axis) @ values @ np.gradient(p_axis))
 
 
 def _grid_axis(axis, name: str) -> np.ndarray:
@@ -157,8 +142,7 @@ def wigner_from_density(
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
     alphas = xg + 1j * pg
     vals = _wigner_values(rho.matrix, alphas.ravel()).reshape(alphas.shape)
-    defect = abs(_riemann_sum(x_axis, p_axis, vals) - rho.trace)
-    return WignerGrid(vals, x_axis, p_axis, defect)
+    return WignerGrid(vals, x_axis, p_axis)
 
 
 # ---------------------------------------------------------------------------
