@@ -392,16 +392,11 @@ def _write_curve(path, axis, values, rows):
 
 def _write_wigner(path, grid: wigner.WignerGrid):
     # The bytes csv.writer would write (repr fields, "\r\n" line ends), one
-    # string per row; no field needs quoting.  Each distinct bit pattern is
-    # formatted once, so -0.0 and 0.0 keep their own repr.
-    values = np.ascontiguousarray(grid.values, dtype=np.float64)
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    rows = text[inverse.reshape(values.shape)].tolist()
+    # string per row; no field needs quoting.
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["alpha_plus\\alpha_minus", *map(repr, grid.p_axis.tolist())]) + "\r\n")
-        for x, row in zip(grid.x_axis.tolist(), rows):
-            fh.write(repr(x) + "," + ",".join(row) + "\r\n")
+        for x, row in zip(grid.x_axis.tolist(), grid.values.tolist()):
+            fh.write(",".join(map(repr, [x, *row])) + "\r\n")
 
 
 # ---------------------------------------------------------------------------
