@@ -27,7 +27,7 @@ from .emulator import (
     predict_stats,
     run_experiment,
 )
-from .errors import EmptySelectionError, TruncationError
+from .errors import TruncationError
 from .fock import (
     FockDensity,
     FockVector,

@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, conditioner, emulator, fock, gaussian, wigner
-from .errors import EmptySelectionError
 from .gaussian import MAX_DB, MAX_SQUEEZING
 
 
@@ -434,7 +433,7 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (ValueError, TypeError, EmptySelectionError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"config validation failed: {exc}", file=sys.stderr)
         return 2
 

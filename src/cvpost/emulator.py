@@ -54,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian
-from .errors import EmptySelectionError
 from .gaussian import MAX_DB, GainReport, GaussianState
 
 _CHUNK = 1 << 20
@@ -310,7 +309,8 @@ def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float
     n = rows.shape[0]
     if n < MIN_SELECTED:
         raise ValueError(
-            f"too few selected samples for variance estimates: {n} < {MIN_SELECTED}"
+            f"too few selected samples for variance estimates: {n} < {MIN_SELECTED}; "
+            "raise x0 or n_samples (x0_snl and n_samples in a config)"
         )
     means, covs = _moments(rows, params)
     if min(covs[0, 0, 0], covs[0, 1, 1]) <= 0:
@@ -352,11 +352,6 @@ def run_experiment(params: ExperimentParams) -> EnsembleStats:
     window of the stream :func:`dump_samples` writes.
     """
     selected = np.concatenate(list(_iter_chunks(params, full=False)), axis=0)
-    if selected.shape[0] == 0:
-        raise EmptySelectionError(
-            f"post-selection window |x| < {params.x0} kept no samples out of {params.n_samples}; "
-            "raise x0 or n_samples"
-        )
     return estimate(selected, params, success_prob=selected.shape[0] / params.n_samples)
 
 

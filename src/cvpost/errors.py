@@ -13,7 +13,3 @@ class TruncationError(ValueError):
         super().__init__(message)
         self.suggested_dim = suggested_dim
 
-
-class EmptySelectionError(RuntimeError):
-    """Raised when a post-selection window keeps zero samples; raise the
-    threshold or the sample count."""

@@ -64,7 +64,7 @@ from scipy.special import gammaln
 
 from cvpost import emulator, fock
 from cvpost.emulator import _fidelity_purity, _references, _variance_correction
-from cvpost.errors import EmptySelectionError, TruncationError
+from cvpost.errors import TruncationError
 from cvpost.fock import FockDensity, FockVector, _checked
 from cvpost.gaussian import GaussianState, s_prime
 from cvpost.wigner import WignerGrid
@@ -396,7 +396,7 @@ def postselect(stream: np.ndarray, x0: float):
     mask = np.abs(stream[:, 2]) < x0
     kept = int(mask.sum())
     if kept == 0:
-        raise EmptySelectionError(
+        raise ValueError(
             f"post-selection window |x| < {x0} kept no samples out of {stream.shape[0]}; "
             "raise x0 or n_samples"
         )

@@ -487,7 +487,8 @@ def test_unphysical_emulator_state_exits_2_naming_it(tmp_path, capsys, payload, 
 def test_empty_emulator_selection_exits_2(tmp_path, capsys):
     code, out = run_cli(tmp_path, {"mode": "emulate", "n_samples": 1000, "x0_snl": 1e-7})
     assert code == 2
-    assert "raise x0 or n_samples" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "0 < 10000" in err and "raise x0 or n_samples (x0_snl and n_samples in a config)" in err
     assert not (out / "result.json").exists()
 
 

@@ -20,7 +20,6 @@ from cvpost.emulator import (
     predict_stats,
     run_experiment,
 )
-from cvpost.errors import EmptySelectionError
 
 import oracle
 from oracle import postselect, synthesize
@@ -231,8 +230,8 @@ def test_window_with_almost_all_mass_splits_a_full_chunk():
 @pytest.mark.parametrize("gamma_plus", [5.0, 50.0])
 def test_window_far_in_the_tail_selects_nothing(gamma_plus):
     # P_s about 1e-10, or 0 with a proposal envelope of mass 0: the
-    # Binomial count is 0 and the run says so
-    with pytest.raises(EmptySelectionError):
+    # Binomial count is 0 and the run asks for a wider window or more samples
+    with pytest.raises(ValueError, match=r"0 < 10000; raise x0 or n_samples \(x0_snl and n_samples in a config\)"):
         run_experiment(bench_params(gamma_plus=gamma_plus, x0=1e-4))
 
 
@@ -311,7 +310,7 @@ def test_streamed_run_matches_full_stream(window):
 
 def test_empty_selection_raises():
     stream = synthesize(quiet_params(n_samples=100))
-    with pytest.raises(EmptySelectionError):
+    with pytest.raises(ValueError, match="kept no samples"):
         postselect(stream, 1e-9)
 
 
