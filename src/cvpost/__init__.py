@@ -27,10 +27,10 @@ from .emulator import (
     predict_stats,
     run_experiment,
 )
-from .errors import TruncationError
 from .fock import (
     FockDensity,
     FockVector,
+    TruncationError,
     TwoModeState,
     coherent_state,
     fock_state,

@@ -28,11 +28,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TruncationError
 from .gaussian import MAX_DB, MAX_SQUEEZING
 
 #: Largest tail mass a preparer may silently discard.
 TAIL_TOLERANCE = 1e-8
+
+
+class TruncationError(ValueError):
+    """Raised when a state or operator loses more than the allowed tail mass
+    to Fock-space truncation.
+
+    ``suggested_dim``, when not None, is the smallest dimension that would
+    keep the tail below the threshold.
+    """
+
+    def __init__(self, message, suggested_dim=None):
+        super().__init__(message)
+        self.suggested_dim = suggested_dim
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

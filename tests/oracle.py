@@ -64,8 +64,7 @@ from scipy.special import gammaln
 
 from cvpost import emulator, fock
 from cvpost.emulator import _fidelity_purity, _references, _variance_correction
-from cvpost.errors import TruncationError
-from cvpost.fock import FockDensity, FockVector, _checked
+from cvpost.fock import FockDensity, FockVector, TruncationError, _checked
 from cvpost.gaussian import GaussianState, s_prime
 from cvpost.wigner import WignerGrid
 

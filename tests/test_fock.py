@@ -10,7 +10,7 @@ from scipy.stats import poisson
 
 import oracle
 from cvpost import fock, gaussian
-from cvpost.errors import TruncationError
+from cvpost.fock import TruncationError
 
 RTOL = 1e-10
 
