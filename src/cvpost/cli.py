@@ -31,7 +31,7 @@ from .gaussian import MAX_DB, MAX_SQUEEZING
 
 class ConfigError(Exception):
     def __init__(self, field, message):
-        super().__init__(f"config field '{field}': {message}")
+        super().__init__(f"{'flag' if field.startswith('-') else 'config field'} '{field}': {message}")
         self.field = field
 
 
@@ -140,6 +140,12 @@ def _sweep_points(count):
     return count >= 1
 
 
+def _dim(dim):
+    if dim < 2:
+        raise ValueError(f"dim={dim} keeps too few levels; the fewest allowed is 2")
+    return fock.check_dim(dim) is None
+
+
 def _squeezing(s):
     if abs(s) > MAX_SQUEEZING:
         raise ValueError(f"|{s}| is above {MAX_SQUEEZING:.4f}, a squeezing of {MAX_DB:g} dB")
@@ -154,7 +160,7 @@ def _photon_keys(reflectivity, squeezing, x0_wig, dim, **extra):
     """Keys of a Fock-input mode; the two run one protocol and differ in these defaults."""
     return {
         "mode": (_REQUIRED, str, None),
-        "dim": (dim, int, lambda v: v >= 2 and fock.check_dim(v) is None),
+        "dim": (dim, int, _dim),
         "reflectivity": (reflectivity, float, lambda v: 0 <= v <= 1),
         "squeezing": (squeezing, float, _squeezing),
         "x0_wig": (x0_wig, float, lambda v: v > 0),
@@ -540,18 +546,14 @@ def main(argv=None) -> int:
     if args.threads < 1:
         print("--threads must be >= 1", file=sys.stderr)
         return 2
-    if args.seed is not None and args.seed < 0:
-        print("--seed must be >= 0", file=sys.stderr)
+    try:  # each flag takes the check of the config key it overrides
+        for flag, val, (_, kind, check) in (("--dim", args.dim, _KEYS["two-photon"]["dim"]),
+                                            ("--seed", args.seed, _KEYS["emulate"]["rng_seed"])):
+            if val is not None:
+                _value(flag, val, kind, check)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    if args.dim is not None and args.dim < 2:
-        print("--dim must be >= 2", file=sys.stderr)
-        return 2
-    if args.dim is not None:
-        try:
-            fock.check_dim(args.dim)
-        except ValueError as exc:
-            print(f"--dim: {exc}", file=sys.stderr)
-            return 2
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_selfcheck(args)

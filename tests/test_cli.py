@@ -345,6 +345,12 @@ def test_selfcheck_dim_over_the_memory_budget_exits_2_at_once(capsys):
     assert captured.out == "" and "the largest dim that fits is 401" in captured.err
 
 
+def test_selfcheck_dim_below_2_exits_2(capsys):
+    assert cli.main(["--dim", "1", "selfcheck"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "flag '--dim': dim=1 keeps too few levels; the fewest allowed is 2" in captured.err
+
+
 def test_unknown_mode_exits_2(tmp_path, capsys):
     code, _ = run_cli(tmp_path, {"mode": "three-photon"})
     assert code == 2
@@ -410,10 +416,15 @@ def test_failed_emulate_run_leaves_no_sample_dump(tmp_path, capsys, payload, mes
      # S(4)|0> fits in no dim the memory budget allows, and the error says so;
      # the ancilla fails before the largest dim's beam-splitter eigenbasis is built
      ({"mode": "single-photon", "squeezing": 4.0, "dim": fock._largest_dim()}, [],
-      f"no dim up to {fock._largest_dim()},")],
+      f"no dim up to {fock._largest_dim()},"),
+     # each flag is checked as the config key it overrides
+     ({"mode": "two-photon"}, ["--dim", "1"], "flag '--dim': dim=1 keeps too few levels; the fewest allowed is 2"),
+     ({"mode": "two-photon", "dim": 1}, [], "config field 'dim': dim=1 keeps too few levels; the fewest allowed is 2"),
+     ({"mode": "emulate"}, ["--seed", "-1"], "flag '--seed'")],
     ids=["rng_seed", "--seed", "anc_antisqz_db-overflow", "anc_antisqz_db-3000dB",
          "squeezing-12", "squeezing--200", "squeezing-1e3", "single-photon-squeezing-1e3",
-         "single-photon-squeezing-30", "two-photon-squeezing--30", "single-photon-squeezing-4-largest-dim"],
+         "single-photon-squeezing-30", "two-photon-squeezing--30", "single-photon-squeezing-4-largest-dim",
+         "--dim-1", "dim-1", "--seed--1"],
 )
 def test_negative_seed_exits_2_naming_it(tmp_path, capsys, payload, extra, name):
     code, out = run_cli(tmp_path, payload, *extra)
