@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .emulator import _GL_NODES, _GL_WEIGHTS
 from .fock import FockDensity, FockVector, TwoModeState
+from .gaussian import GL_NODES, GL_WEIGHTS
 
 #: Below this window half-width (Wigner units) :func:`window_matrix` is taken
 #: whole by Gauss-Legendre quadrature: its closed form subtracts nearly equal
@@ -105,8 +105,8 @@ def window_matrix(dim: int, x0: float) -> np.ndarray:
     if not x0 > 0.0:
         raise ValueError("the window needs x0 > 0; use homodyne_project for a single outcome")
     if x0 < NARROW_WINDOW:
-        psi = fock.quadrature_wavefunctions(dim - 1, x0 * _GL_NODES)
-        m = (psi * (x0 * _GL_WEIGHTS)) @ psi.T
+        psi = fock.quadrature_wavefunctions(dim - 1, x0 * GL_NODES)
+        m = (psi * (x0 * GL_WEIGHTS)) @ psi.T
         m[np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 1] = 0.0
         return 0.5 * (m + m.T)
     psi = fock.quadrature_wavefunctions(dim + 1, x0)[:, 0]  # psi_n(x0), n = 0..dim + 1

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian
-from .gaussian import MAX_DB, GainReport, GaussianState
+from .gaussian import GL_NODES, GL_WEIGHTS, MAX_DB, GainReport, GaussianState
 
 _CHUNK = 1 << 20
 _JACKKNIFE_GROUPS = 64
@@ -418,7 +418,6 @@ def _gate_model(params: ExperimentParams):
 # form gets a variance near h^2/3 as 1 minus a term near 1, losing about
 # log10(3/h^2) digits (9 at the bench's x0 = 1e-4, 5 at x0 = 0.01).
 _NARROW_HALF_WIDTH = 2.0
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def _ndtr(x: float) -> float:  # standard normal CDF
@@ -433,8 +432,8 @@ def _truncated_normal(a: float, b: float):
     half = 0.5 * (b - a)
     if half <= _NARROW_HALF_WIDTH:
         centre = 0.5 * (a + b)
-        v = half * _GL_NODES
-        dens = _GL_WEIGHTS * np.exp(-centre * v - 0.5 * v * v)
+        v = half * GL_NODES
+        dens = GL_WEIGHTS * np.exp(-centre * v - 0.5 * v * v)
         shift = float(dens @ v / dens.sum())
         return mass, centre + shift, float(dens @ (v - shift) ** 2 / dens.sum())
     pa, pb = np.exp(-0.5 * a * a) / _SQRT_2PI, np.exp(-0.5 * b * b) / _SQRT_2PI

@@ -30,6 +30,11 @@ import numpy as np
 MAX_DB = 100.0
 MAX_SQUEEZING = MAX_DB * math.log(10.0) / 20.0
 
+#: The 32-node Gauss-Legendre rule on [-1, 1], with which both engines take
+#: narrow windows: the emulator's truncated-normal moments and the Fock
+#: engine's window matrix.
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
 
 @dataclass(frozen=True)
 class GaussianState:
