@@ -235,7 +235,10 @@ def _photon_setup(resolved):
     joint = conditioner.build_joint(fock.fock_state(n, dim), r, s)
     if n == 1:
         return joint, fock.squeezed_number_state(1, gaussian.s_prime(r, s), dim)
-    return joint, fock.scs_state(complex(*resolved["scs_gamma"]), "even", dim)
+    try:  # a cat state too large for dim names its key
+        return joint, fock.scs_state(complex(*resolved["scs_gamma"]), "even", dim)
+    except fock.TruncationError as exc:
+        raise ConfigError("scs_gamma", str(exc)) from None
 
 
 def _run_photon(resolved, axis=None, values=(None,)):

@@ -178,9 +178,9 @@ def fock_state(n: int, dim: int) -> FockVector:
 
 
 def _coherent_amplitudes(gamma: complex, dim: int) -> np.ndarray:
-    # c_k = c_{k-1} gamma / sqrt(k), as one running product
+    # c_k = c_{k-1} gamma / sqrt(k), as one running product.  |gamma|^2 overflows past 1e154; c_0 is 0 long before
     steps = np.empty(dim, dtype=complex)
-    steps[0] = np.exp(-0.5 * abs(gamma) ** 2)
+    steps[0] = np.exp(-0.5 * min(abs(gamma), 1e150) ** 2)
     steps[1:] = gamma / np.sqrt(np.arange(1, dim))
     return np.cumprod(steps)
 
@@ -285,7 +285,7 @@ def scs_state(gamma: complex, parity: str, dim: int) -> FockVector:
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     sign = 1.0 if parity == "even" else -1.0
-    overlap = np.exp(-2.0 * abs(gamma) ** 2)
+    overlap = np.exp(-2.0 * min(abs(gamma), 1e150) ** 2)  # capped as in _coherent_amplitudes
     norm_sq = 2.0 * (1.0 + sign * overlap)
     if norm_sq < 1e-12:
         raise ValueError(f"{parity} superposition is degenerate at gamma={gamma}")

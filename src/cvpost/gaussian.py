@@ -182,8 +182,9 @@ def gaussian_fidelity(mean_a, cov_a, mean_b, cov_b):
     delta = t[..., 0, 0] * t[..., 1, 1] - t[..., 0, 1] * t[..., 1, 0]
     du = np.asarray(mean_b, dtype=float) - np.asarray(mean_a, dtype=float)
     dx, dy = du[..., 0], du[..., 1]
-    # du^T (Va+Vb)^{-1} du through the adjugate of the 2 x 2 sum
-    quad = (t[..., 1, 1] * dx * dx - (t[..., 0, 1] + t[..., 1, 0]) * dx * dy + t[..., 0, 0] * dy * dy) / delta
+    # du^T (Va+Vb)^{-1} du through the adjugate of the 2 x 2 sum; inf past |du| ~ 1e154, where F is 0
+    with np.errstate(over="ignore"):
+        quad = (t[..., 1, 1] * dx * dx - (t[..., 0, 1] + t[..., 1, 0]) * dx * dy + t[..., 0, 0] * dy * dy) / delta
     return 2.0 * np.exp(-0.5 * quad) / (np.sqrt(delta + lam) - np.sqrt(lam))
 
 

@@ -373,6 +373,16 @@ def test_bad_field_exits_2(tmp_path, capsys):
     assert "reflectivity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", [[1e150, 0.0], [1e160, 0.0], [1e160, -1e160]])
+def test_coherent_far_displacement_runs(tmp_path, gamma):
+    # the fidelity's exponent overflows from |gamma| ~ 1e154; no RuntimeWarning, and F is 0
+    code, out = run_cli(tmp_path, {"mode": "coherent", "gamma": gamma})
+    assert code == 0
+    res = read_result(out)["results"]
+    assert res["fidelity_to_ideal_target"] == 0.0 and abs(res["purity"] - 1.0) <= 1e-15
+    assert np.all(np.isfinite(res["mean_out_snl"]))
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_coherent_squeezing_at_the_limit_runs(tmp_path, sign):
     code, out = run_cli(tmp_path, {"mode": "coherent", "squeezing": sign * cli.MAX_SQUEEZING})
@@ -420,11 +430,14 @@ def test_failed_emulate_run_leaves_no_sample_dump(tmp_path, capsys, payload, mes
      # each flag is checked as the config key it overrides
      ({"mode": "two-photon"}, ["--dim", "1"], "flag '--dim': dim=1 keeps too few levels; the fewest allowed is 2"),
      ({"mode": "two-photon", "dim": 1}, [], "config field 'dim': dim=1 keeps too few levels; the fewest allowed is 2"),
-     ({"mode": "emulate"}, ["--seed", "-1"], "flag '--seed'")],
+     ({"mode": "emulate"}, ["--seed", "-1"], "flag '--seed'"),
+     # |gamma|^2 overflows a float; the cat state fits in no dim
+     ({"mode": "two-photon", "scs_gamma": [1e200, 0]}, [], "config field 'scs_gamma'"),
+     ({"mode": "two-photon", "scs_gamma": [0, 20]}, [], "config field 'scs_gamma'")],
     ids=["rng_seed", "--seed", "anc_antisqz_db-overflow", "anc_antisqz_db-3000dB",
          "squeezing-12", "squeezing--200", "squeezing-1e3", "single-photon-squeezing-1e3",
          "single-photon-squeezing-30", "two-photon-squeezing--30", "single-photon-squeezing-4-largest-dim",
-         "--dim-1", "dim-1", "--seed--1"],
+         "--dim-1", "dim-1", "--seed--1", "scs_gamma-1e200", "scs_gamma-20j"],
 )
 def test_negative_seed_exits_2_naming_it(tmp_path, capsys, payload, extra, name):
     code, out = run_cli(tmp_path, payload, *extra)

@@ -94,6 +94,16 @@ def test_truncation_error_says_when_no_dim_fits():
     assert "no dim up to 401, the largest the memory budget allows, holds it" in str(err.value)
 
 
+@pytest.mark.parametrize("prepare", [
+    partial(fock.scs_state, 1e200, "even", 40), partial(fock.scs_state, -1e200j, "odd", 40),
+    partial(fock.coherent_state, 1e160, 10), partial(fock.coherent_state, 1e300 + 1e300j, 10),
+], ids=["scs-even-1e200", "scs-odd-1e200j", "coherent-1e160", "coherent-1e300-1e300j"])
+def test_huge_amplitudes_fit_no_dim(prepare):
+    # |gamma|^2 overflows a float here; the state is still refused as too large
+    with pytest.raises(TruncationError, match="no dim up to 401, the largest the memory budget allows, holds it"):
+        prepare()
+
+
 _MODULUS, _PHASE = st.floats(0.01, 17.0), st.floats(0.0, 2.0 * np.pi)
 PREPARERS = st.one_of(
     st.builds(lambda r, a: partial(fock.coherent_state, r * np.exp(1j * a)), _MODULUS, _PHASE),

@@ -191,6 +191,14 @@ def test_fidelity_displacement_decay():
     np.testing.assert_allclose(got, wigner_overlap_quadrature(vac, disp), atol=1e-6)
 
 
+@pytest.mark.parametrize("gamma", [1e150, 1e160, 1e300j])
+def test_fidelity_of_far_apart_states_is_zero(gamma):
+    # from |gamma| ~ 1e154 the exponent overflows to inf; F is its limit, 0, with no warning
+    vac = oracle.vacuum_state()
+    disp = coherent_gaussian(gamma)
+    assert fid(vac, disp) == 0.0
+
+
 def test_fidelity_rejects_bad_covariance():
     vac = oracle.vacuum_state()
     bad = np.diag([1.0, -0.5])
