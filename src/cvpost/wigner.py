@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockDensity, FockVector
+from .fock import FockDensity
 
 #: Single-mode Wigner functions are bounded below by -2/pi.
 WIGNER_LOWER_BOUND = -2.0 / np.pi
@@ -162,8 +162,3 @@ def scs_wigner(alpha, gamma: complex):
     direct = np.exp(-2.0 * np.abs(a - g) ** 2) + np.exp(-2.0 * np.abs(a + g) ** 2)
     cross = 2.0 * np.exp(-2.0 * np.abs(a) ** 2) * np.cos(4.0 * np.imag(np.conj(g) * a))
     return n1 * (direct + cross)
-
-
-def state_grid(state: FockVector, **kwargs) -> WignerGrid:
-    """Convenience: Wigner grid of a pure state."""
-    return wigner_from_density(state.density(), **kwargs)

@@ -131,7 +131,7 @@ def test_criterion_8_property_suite():
             fock.squeezed_vacuum(0.52, 40),
             fock.scs_state(1.1j, "even", 40),
         ):
-            grid = wigner.state_grid(psi)
+            grid = wigner.wigner_from_density(psi.density())
             assert abs(grid.riemann_sum() - 1.0) <= 1e-4
             assert grid.values.min() >= -2 / np.pi - 1e-9
 

@@ -18,7 +18,7 @@ def small_axes(extent=3.0, points=121):
 
 
 def test_vacuum_peak():
-    grid = wigner.state_grid(fock.fock_state(0, 20))
+    grid = wigner.wigner_from_density(fock.fock_state(0, 20).density())
     i = np.argmin(np.abs(grid.x_axis))
     j = np.argmin(np.abs(grid.p_axis))
     np.testing.assert_allclose(grid.values[i, j], 2 / np.pi, rtol=1e-10)
@@ -26,7 +26,7 @@ def test_vacuum_peak():
 
 
 def test_single_photon_origin():
-    grid = wigner.state_grid(fock.fock_state(1, 20))
+    grid = wigner.wigner_from_density(fock.fock_state(1, 20).density())
     i = np.argmin(np.abs(grid.x_axis))
     j = np.argmin(np.abs(grid.p_axis))
     np.testing.assert_allclose(grid.values[i, j], -2 / np.pi, rtol=1e-10)
@@ -193,14 +193,14 @@ def test_closed_forms_normalized(func):
 
 
 def test_overlap_identities():
-    vac = wigner.state_grid(fock.fock_state(0, 20))
-    one = wigner.state_grid(fock.fock_state(1, 20))
+    vac = wigner.wigner_from_density(fock.fock_state(0, 20).density())
+    one = wigner.wigner_from_density(fock.fock_state(1, 20).density())
     np.testing.assert_allclose(oracle.overlap(vac, vac), 1.0, atol=GRID_TOL)
     np.testing.assert_allclose(oracle.overlap(vac, one), 0.0, atol=GRID_TOL)
 
 
 def test_overlap_requires_identical_grids():
-    vac = wigner.state_grid(fock.fock_state(0, 12))
+    vac = wigner.wigner_from_density(fock.fock_state(0, 12).density())
     other = wigner.wigner_from_density(
         fock.fock_state(0, 12).density(), *small_axes(extent=5.0, points=101)
     )
@@ -213,8 +213,8 @@ def test_overlap_matches_fock_fidelity_for_conditional_cat():
     target = fock.scs_state(1.1j, "even", 40)
     joint = conditioner.build_joint(fock.fock_state(2, 40), 0.5, -0.37)
     state, _ = conditioner.homodyne_project(joint, 0.0)
-    grid_state = wigner.state_grid(state)
-    grid_target = wigner.state_grid(target)
+    grid_state = wigner.wigner_from_density(state.density())
+    grid_target = wigner.wigner_from_density(target.density())
     np.testing.assert_allclose(
         oracle.overlap(grid_state, grid_target), conditioner.fidelity(state, target), atol=GRID_TOL
     )
@@ -236,7 +236,7 @@ def test_overlap_matches_fock_fidelity_for_conditional_cat():
 )
 def test_marginal_reproduces_homodyne_density(state):
     psi = state(40)
-    grid = wigner.state_grid(psi)
+    grid = wigner.wigner_from_density(psi.density())
     dp = np.diff(grid.p_axis).mean()  # the default axis is uniform
     marginal = grid.values.sum(axis=1) * dp
     density = fock.quadrature_wavefunctions(39, grid.x_axis)
@@ -252,7 +252,7 @@ def test_grids_normalized_and_bounded():
         fock.scs_state(1.1j, "even", 40),
     ]
     for psi in states:
-        grid = wigner.state_grid(psi)
+        grid = wigner.wigner_from_density(psi.density())
         np.testing.assert_allclose(grid.riemann_sum(), 1.0, atol=GRID_TOL)
         assert grid.values.min() >= wigner.WIGNER_LOWER_BOUND - 1e-9
 
@@ -281,6 +281,6 @@ def test_conditional_coherent_output_is_minimum_uncertainty():
     # pure-state config at x = 0: det of the quadrature covariance is 1/16
     joint = conditioner.build_joint(fock.coherent_state(0.3 + 0.2j, 40), 0.75, 0.52)
     state, _ = conditioner.homodyne_project(joint, 0.0)
-    grid = wigner.state_grid(state)
+    grid = wigner.wigner_from_density(state.density())
     _, cov = oracle.grid_moments(grid)
     np.testing.assert_allclose(np.linalg.det(cov), 1.0 / 16.0, atol=GRID_TOL)
