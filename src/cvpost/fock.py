@@ -178,7 +178,8 @@ def fock_state(n: int, dim: int) -> FockVector:
 
 
 def _coherent_amplitudes(gamma: complex, dim: int) -> np.ndarray:
-    # c_k = c_{k-1} gamma / sqrt(k), as one running product.  |gamma|^2 overflows past 1e154; c_0 is 0 long before
+    # c_k = c_{k-1} gamma / sqrt(k), as one running product.  c_0 is 0 from |gamma| ~ 39 on, so
+    # capping |gamma| before squaring it changes no bit and keeps |gamma|^2 from overflowing.
     steps = np.empty(dim, dtype=complex)
     steps[0] = np.exp(-0.5 * min(abs(gamma), 1e150) ** 2)
     steps[1:] = gamma / np.sqrt(np.arange(1, dim))
