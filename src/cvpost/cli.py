@@ -1,8 +1,8 @@
 """Scenario runner: read a JSON config, dispatch to the engines, write
 result.json / curve.csv / wigner.csv / samples.csv.
 
-Each mode's keys form one table, key -> (default, kind, check), and every key
-of a config is checked against it before any work; an unknown key is an
+Each mode's keys form one table, key -> (default, kind, bounds), and every
+key of a config is checked against it before any work; an unknown key is an
 error.  Keys carry unit suffixes (_wig, _snl, _db) so the two unit systems
 cannot be confused, and each mode's defaults are a complete working scenario,
 so ``{"mode": "single-photon"}`` is a valid config.  Every run is a sweep of
@@ -50,8 +50,11 @@ def _parts(val):
     return val if isinstance(val, list) and len(val) == 2 else [val, 0.0]
 
 
-# A config key is (default, kind, check).  Each kind names what a JSON value
-# of it must be; values are not coerced, so an integer key takes no 2.0.
+# A config key is (default, kind, bounds).  Each kind names what a JSON value
+# of it must be; values are not coerced, so an integer key takes no 2.0.  The
+# bounds are None or an interval, written as the README and the errors write
+# it, such as "[0, 1)" or "(0, inf)", that the value, or each of its parts,
+# must lie in.
 _KINDS = {
     str: ("a string", lambda v: isinstance(v, str)),
     bool: ("true or false", lambda v: isinstance(v, bool)),
@@ -65,19 +68,20 @@ _KINDS = {
 _REQUIRED = object()  # the default of a key that has none
 
 
-def _value(field, val, kind, check):
-    """``val`` checked and converted to ``kind`` (a complex to [re, im]); ``check``
-    says whether that is valid, or raises ValueError saying what would be."""
+def _within(val, bounds):
+    lo, hi = map(float, bounds[1:-1].split(","))
+    return (lo <= val if bounds[0] == "[" else lo < val) and (val <= hi if bounds[-1] == "]" else val < hi)
+
+
+def _value(field, val, kind, bounds):
+    """``val`` checked and converted to ``kind`` (a complex to [re, im]), each part within ``bounds``."""
     expected, accepts = _KINDS[kind]
     if not accepts(val):
         raise ConfigError(field, f"expected {expected}, got {val!r}")
     val = [float(p) for p in _parts(val)] if kind is complex else kind(val)
-    try:
-        ok = check is None or check(val)
-    except ValueError as exc:
-        raise ConfigError(field, str(exc)) from None
-    if not ok:
-        raise ConfigError(field, f"invalid value {val!r}")
+    for part in val if kind in (complex, tuple) else [val]:
+        if bounds is not None and not _within(part, bounds):
+            raise ConfigError(field, f"{part!r} is outside {bounds}")
     return val
 
 
@@ -91,12 +95,12 @@ def _read(cfg, table, where=""):
     if unknown:
         raise ConfigError(where + unknown[0], f"unknown key; allowed keys are {sorted(table)}")
     resolved = {}
-    for key, (default, kind, check) in table.items():
+    for key, (default, kind, bounds) in table.items():
         val = cfg.get(key, default)
         if val is _REQUIRED:
             raise ConfigError(where + key, "this key is required")
         if not isinstance(kind, dict):
-            resolved[key] = _value(where + key, val, kind, check)
+            resolved[key] = _value(where + key, val, kind, bounds)
         elif val is not None:
             resolved[key] = _read(val, kind, f"{where}{key}.")
     return resolved
@@ -121,52 +125,45 @@ def _resolve(cfg, tables, where="", dim=None, seed=None):
 MAX_WIGNER_POINTS = 1001
 
 
-def _wigner_points(points):
-    if points > MAX_WIGNER_POINTS:
-        raise ValueError(f"{points} points per axis is too large; the largest allowed is {MAX_WIGNER_POINTS}")
-    return points >= 9
-
-
 #: Largest sweep ``count``.  A sweep holds one row of scalars per point (about
 #: 1 KB) until it writes curve.csv, and a photon point takes about a
 #: millisecond, an emulate point up to a second: at this size a sweep holds
 #: about 10 MB and a photon sweep ends in seconds.  A curve needs far fewer.
 MAX_SWEEP_POINTS = 10_000
 
-
-def _sweep_points(count):
-    if count > MAX_SWEEP_POINTS:
-        raise ValueError(f"{count} points is too many; the largest allowed is {MAX_SWEEP_POINTS}")
-    return count >= 1
-
-
-def _dim(dim):
-    if dim < 2:
-        raise ValueError(f"dim={dim} keeps too few levels; the fewest allowed is 2")
-    return fock.check_dim(dim) is None
-
-
-def _squeezing(s):
-    if abs(s) > MAX_SQUEEZING:
-        raise ValueError(f"|{s}| is above {MAX_SQUEEZING:.4f}, a squeezing of {MAX_DB:g} dB")
-    return True
-
-
-def _eta(val):
-    return 0 < val <= 1
+# A squeezing parameter, a dB level and an input variance, up to MAX_DB
+# (gaussian explains it).
+_SQUEEZING = f"[-{MAX_SQUEEZING!r}, {MAX_SQUEEZING!r}]"
+_DB = f"(-inf, {MAX_DB:g}]"
+_VARIANCE = f"(0, {10 ** (MAX_DB / 10):g}]"
+# A window half-width.  The engines square a window edge (the emulator in gate
+# z-units); no state has weight past |x| ~ 40, and the square overflows past 1.3e154.
+_HALF_WIDTH = "(0, 1e150]"
+# Each part of the coherent mode's gamma, and its outcome x_snl, so that no
+# closed form overflows.  The ideal target scales the SNL mean 2 gamma by
+# 1/sqrt(T) <= 2^26.5, as T >= 2^-53 for a double R < 1: 2e299 * 2^26.5 is
+# 1.9e307, a tenth of the largest float.  The conditional mean adds
+# beta (x - 2 sqrt(R) gamma_plus), where |beta| <= sinh|s| < 5e4 within
+# _SQUEEZING (bound T + R e^{-2s} below by AM-GM), so it stays below 2e304.
+_LOCATION = "[-1e299, 1e299]"
+# The emulator's gamma_plus and gamma_minus.  Its records carry the mean
+# 2 gamma, so their deviations from the sample mean are at least its rounding
+# error, about n eps |2 gamma| over n rows, and the sample moments square and
+# sum them: below 1e100 that overflows for no n that fits in memory.
+_AMPLITUDE = "[-1e100, 1e100]"
 
 
 def _photon_keys(reflectivity, squeezing, x0_wig, dim, **extra):
     """Keys of a Fock-input mode; the two run one protocol and differ in these defaults."""
     return {
         "mode": (_REQUIRED, str, None),
-        "dim": (dim, int, _dim),
-        "reflectivity": (reflectivity, float, lambda v: 0 <= v <= 1),
-        "squeezing": (squeezing, float, _squeezing),
-        "x0_wig": (x0_wig, float, lambda v: v > 0),
+        "dim": (dim, int, f"[2, {fock.MAX_DIM}]"),
+        "reflectivity": (reflectivity, float, "[0, 1]"),
+        "squeezing": (squeezing, float, _SQUEEZING),
+        "x0_wig": (x0_wig, float, _HALF_WIDTH),
         **extra,
-        "wigner_export": (None, {"points": (241, int, _wigner_points),
-                                 "extent": (6.0, float, lambda v: v > 0)}, None),
+        "wigner_export": (None, {"points": (241, int, f"[9, {MAX_WIGNER_POINTS}]"),
+                                 "extent": (6.0, float, "(0, inf)")}, None),
     }
 
 
@@ -181,20 +178,20 @@ _KEYS = {
     "two-photon": _photon_keys(0.5, -0.37, 0.084, 40, scs_gamma=([0.0, 1.1], complex, None)),
     "coherent": {
         "mode": (_REQUIRED, str, None),
-        "reflectivity": (0.75, float, lambda v: 0 <= v < 1),
-        "squeezing": (0.52, float, _squeezing),
-        "gamma": ([0.18, 0.0], complex, None),
-        "x_snl": (0.0, float, None),
+        "reflectivity": (0.75, float, "[0, 1)"),
+        "squeezing": (0.52, float, _SQUEEZING),
+        "gamma": ([0.18, 0.0], complex, _LOCATION),
+        "x_snl": (0.0, float, _LOCATION),
     },
     "emulate": {
         "mode": (_REQUIRED, str, None),
-        **{key: (getattr(_BENCH, _FIELDS.get(key, key)), kind, check) for key, kind, check in (
-            ("reflectivity", float, lambda v: 0 <= v < 1), ("v_in_snl", tuple, None),
-            ("anc_sqz_db", float, None), ("anc_antisqz_db", float, None),
-            ("eta_vis", float, _eta), ("eta_det", float, _eta), ("eta_hom", float, _eta),
-            ("gate_elec_db", float, None), ("hom_elec_db", float, None),
-            ("gamma_plus", float, None), ("gamma_minus", float, None), ("x0_snl", float, lambda v: v > 0),
-            ("n_samples", int, lambda v: v >= 1), ("rng_seed", int, lambda v: v >= 0),
+        **{key: (getattr(_BENCH, _FIELDS.get(key, key)), kind, bounds) for key, kind, bounds in (
+            ("reflectivity", float, "[0, 1)"), ("v_in_snl", tuple, _VARIANCE),
+            ("anc_sqz_db", float, _DB), ("anc_antisqz_db", float, _DB),
+            ("eta_vis", float, "(0, 1]"), ("eta_det", float, "(0, 1]"), ("eta_hom", float, "(0, 1]"),
+            ("gate_elec_db", float, _DB), ("hom_elec_db", float, _DB),
+            ("gamma_plus", float, _AMPLITUDE), ("gamma_minus", float, _AMPLITUDE), ("x0_snl", float, _HALF_WIDTH),
+            ("n_samples", int, "[1, inf)"), ("rng_seed", int, "[0, inf)"),
             ("subtract_electronic", bool, None),
         )},
         "dump_samples_csv": (False, bool, None),
@@ -203,7 +200,7 @@ _KEYS = {
         "mode": (_REQUIRED, str, None),
         "axis": (_REQUIRED, str, None),
         "start": (_REQUIRED, float, None), "stop": (_REQUIRED, float, None),
-        "count": (_REQUIRED, int, _sweep_points),
+        "count": (_REQUIRED, int, f"[1, {MAX_SWEEP_POINTS}]"),
         "log": (False, bool, None),
         "base": ({}, dict, None),
     },
@@ -382,9 +379,11 @@ def _run_sweep(sweep, dim, seed):
     if axis not in _AXES[mode]:
         raise ConfigError("axis", f"mode {mode} supports axes {sorted(_AXES[mode])}")
     values = _axis_values(sweep)
-    if axis in _KEYS[mode]:  # every point is checked as the key it sets would be
+    # every point is checked as the key it sets would be; a coherent point sets gamma's real part
+    key = "gamma" if mode == "coherent" else axis
+    if key in _KEYS[mode]:
         for value in values:
-            _value(axis, float(value), *_KEYS[mode][axis][1:])
+            _value(axis, float(value), *_KEYS[mode][key][1:])
     rows = _MODE_RUNNERS[mode](base, axis, [float(v) for v in values])
     return values, [scalars for scalars, _ in rows]
 
@@ -546,14 +545,12 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to the config file")
     sub.add_parser("selfcheck", help="run the fast invariant suite")
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return 2
-    try:  # each flag takes the check of the config key it overrides
-        for flag, val, (_, kind, check) in (("--dim", args.dim, _KEYS["two-photon"]["dim"]),
-                                            ("--seed", args.seed, _KEYS["emulate"]["rng_seed"])):
+    try:  # --dim and --seed take the bounds of the config key they override
+        for flag, val, (_, kind, bounds) in (("--dim", args.dim, _KEYS["two-photon"]["dim"]),
+                                             ("--seed", args.seed, _KEYS["emulate"]["rng_seed"]),
+                                             ("--threads", args.threads, (1, int, "[1, inf)"))):
             if val is not None:
-                _value(flag, val, kind, check)
+                _value(flag, val, kind, bounds)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -429,6 +429,8 @@ def _truncated_normal(a: float, b: float):
     # Both ends above the mean: difference the upper tails, which are small,
     # rather than two CDF values near 1.
     mass = _ndtr(-a) - _ndtr(-b) if a > 0 else _ndtr(b) - _ndtr(a)
+    if mass == 0.0:  # the window is too far out for its mass to be a float: the limit, the nearer edge
+        return 0.0, float(a if a > 0 else b), 0.0
     half = 0.5 * (b - a)
     if half <= _NARROW_HALF_WIDTH:
         centre = 0.5 * (a + b)
@@ -436,9 +438,10 @@ def _truncated_normal(a: float, b: float):
         dens = GL_WEIGHTS * np.exp(-centre * v - 0.5 * v * v)
         shift = float(dens @ v / dens.sum())
         return mass, centre + shift, float(dens @ (v - shift) ** 2 / dens.sum())
-    pa, pb = np.exp(-0.5 * a * a) / _SQRT_2PI, np.exp(-0.5 * b * b) / _SQRT_2PI
+    with np.errstate(over="ignore"):  # a far end's square overflows, and its density is 0
+        pa, pb = np.exp(-0.5 * a * a) / _SQRT_2PI, np.exp(-0.5 * b * b) / _SQRT_2PI
     mean = (pa - pb) / mass
-    # an infinite end has zero density and contributes nothing
+    # an infinite or far end has zero density and contributes nothing
     edge_a = (a - mean) * pa if pa > 0 else 0.0
     edge_b = (b - mean) * pb if pb > 0 else 0.0
     return mass, float(mean), float(1.0 + (edge_a - edge_b) / mass)

@@ -190,17 +190,16 @@ def _checked(amplitudes, dim: int, what: str) -> FockVector:
     """The state ``amplitudes(dim)``, unless it is not finite or discards more
     than the tail budget.  Every preparer's state on a smaller dim is a prefix
     of its state on a larger one, bit for bit, so the smallest adequate dim is
-    the shortest prefix of ``amplitudes(_largest_dim())`` that holds it."""
+    the shortest prefix of ``amplitudes(MAX_DIM)`` that holds it."""
     amps = amplitudes(dim)
     if not np.all(np.isfinite(amps)):
         raise ValueError(f"{what} has non-finite amplitudes; its parameters must be finite")
     tail = _tails(amps)[-1]
     if tail > TAIL_TOLERANCE:
-        largest = _largest_dim()
-        fits = np.flatnonzero(_tails(amplitudes(largest)) <= TAIL_TOLERANCE)
+        fits = np.flatnonzero(_tails(amplitudes(MAX_DIM)) <= TAIL_TOLERANCE)
         suggested = int(fits[0]) + 1 if fits.size else None
         hint = (f"use dim >= {suggested}" if suggested else
-                f"no dim up to {largest}, the largest the memory budget allows, holds it")
+                f"no dim up to {MAX_DIM}, the largest the memory budget allows, holds it")
         raise TruncationError(
             f"{what} tail mass {tail:.3e} exceeds {TAIL_TOLERANCE:.0e} at dim={dim}; {hint}",
             suggested_dim=suggested,
@@ -323,12 +322,8 @@ def _dim_bytes(dim: int) -> int:
     return 8 * dim**3 + 128 * dim**2
 
 
-def _largest_dim() -> int:
-    """Largest dim that :func:`check_dim` allows."""
-    fits = int((MEMORY_BUDGET / 8) ** (1 / 3))
-    while _dim_bytes(fits) > MEMORY_BUDGET:
-        fits -= 1
-    return fits
+#: Largest dim that :func:`check_dim` allows: 401.
+MAX_DIM = max(d for d in range(int((MEMORY_BUDGET / 8) ** (1 / 3)) + 1) if _dim_bytes(d) <= MEMORY_BUDGET)
 
 
 def check_dim(dim: int) -> None:
@@ -338,7 +333,7 @@ def check_dim(dim: int) -> None:
         return
     raise ValueError(
         f"dim={dim} needs about {need / 2**20:.0f} MiB for the beam-splitter eigenbasis and the "
-        f"joint, over the {MEMORY_BUDGET >> 20} MiB budget; the largest dim that fits is {_largest_dim()}"
+        f"joint, over the {MEMORY_BUDGET >> 20} MiB budget; the largest dim that fits is {MAX_DIM}"
     )
 
 

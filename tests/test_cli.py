@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import time
 
 import numpy as np
@@ -333,7 +334,8 @@ def test_dim_over_the_memory_budget_exits_2_at_once(tmp_path, capsys, payload, e
     assert time.perf_counter() - start < 1.0
     assert code == 2
     err = capsys.readouterr().err
-    assert f"{fock.MEMORY_BUDGET >> 20} MiB budget" in err and "the largest dim that fits is 401" in err
+    # 'dim', 'base.dim' or '--dim', and the largest dim that fits, 401
+    assert "dim': " in err and "is outside [2, 401]" in err
     assert not (out / "result.json").exists()
 
 
@@ -342,13 +344,13 @@ def test_selfcheck_dim_over_the_memory_budget_exits_2_at_once(capsys):
     assert cli.main(["--dim", str(_OVER_BUDGET), "selfcheck"]) == 2
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
-    assert captured.out == "" and "the largest dim that fits is 401" in captured.err
+    assert captured.out == "" and f"flag '--dim': {_OVER_BUDGET} is outside [2, 401]" in captured.err
 
 
 def test_selfcheck_dim_below_2_exits_2(capsys):
     assert cli.main(["--dim", "1", "selfcheck"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "flag '--dim': dim=1 keeps too few levels; the fewest allowed is 2" in captured.err
+    assert captured.out == "" and "flag '--dim': 1 is outside [2, 401]" in captured.err
 
 
 def test_unknown_mode_exits_2(tmp_path, capsys):
@@ -425,11 +427,11 @@ def test_failed_emulate_run_leaves_no_sample_dump(tmp_path, capsys, payload, mes
      ({"mode": "two-photon", "squeezing": -30.0}, [], "'squeezing'"),
      # S(4)|0> fits in no dim the memory budget allows, and the error says so;
      # the ancilla fails before the largest dim's beam-splitter eigenbasis is built
-     ({"mode": "single-photon", "squeezing": 4.0, "dim": fock._largest_dim()}, [],
-      f"no dim up to {fock._largest_dim()},"),
+     ({"mode": "single-photon", "squeezing": 4.0, "dim": fock.MAX_DIM}, [],
+      f"no dim up to {fock.MAX_DIM},"),
      # each flag is checked as the config key it overrides
-     ({"mode": "two-photon"}, ["--dim", "1"], "flag '--dim': dim=1 keeps too few levels; the fewest allowed is 2"),
-     ({"mode": "two-photon", "dim": 1}, [], "config field 'dim': dim=1 keeps too few levels; the fewest allowed is 2"),
+     ({"mode": "two-photon"}, ["--dim", "1"], "flag '--dim': 1 is outside [2, 401]"),
+     ({"mode": "two-photon", "dim": 1}, [], "config field 'dim': 1 is outside [2, 401]"),
      ({"mode": "emulate"}, ["--seed", "-1"], "flag '--seed'"),
      # |gamma|^2 overflows a float; the cat state fits in no dim
      ({"mode": "two-photon", "scs_gamma": [1e200, 0]}, [], "config field 'scs_gamma'"),
@@ -514,6 +516,80 @@ def test_empty_emulator_selection_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "0 < 10000" in err and "raise x0 or n_samples (x0_snl and n_samples in a config)" in err
     assert not (out / "result.json").exists()
+
+
+# A window wider than 2 gate sd and tens of sd from the gate mean: its mass is
+# 0 as a float.  Unchecked, the truncated normal's moments divided by it.
+@pytest.mark.parametrize("payload, message", [
+    ({"mode": "emulate", "gamma_plus": 100, "x0_snl": 10, "n_samples": 20_000},
+     "0 < 10000; raise x0 or n_samples (x0_snl and n_samples in a config)"),
+    ({"mode": "sweep", "axis": "success_prob", "start": 0.1, "stop": 0.5, "count": 2,
+      "base": {"mode": "emulate", "gamma_plus": 100}},
+     "'success_prob': 0.1 cannot be reached: x0 in [1e-06, 50.0] gives P_s in [0, 0]"),
+], ids=["run", "success_prob-sweep"])
+def test_window_without_float_mass_exits_2(tmp_path, capsys, payload, message):
+    code, out = run_cli(tmp_path, payload)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
+# Location inputs past their intervals would overflow a closed form: the ideal
+# target (1e300 at R = 1 - 2^-53), the conditional mean (x_snl) or 2 gamma.
+@pytest.mark.parametrize("payload, field, bounds", [
+    ({"mode": "coherent", "gamma": [1e308, 1e308]}, "gamma", "[-1e299, 1e299]"),
+    ({"mode": "coherent", "gamma": [1e300, 0], "reflectivity": 0.9999999999999999}, "gamma", "[-1e299, 1e299]"),
+    ({"mode": "coherent", "x_snl": 1e305, "reflectivity": 1e-10, "squeezing": -11.5}, "x_snl", "[-1e299, 1e299]"),
+    ({"mode": "sweep", "axis": "gamma_plus", "start": 0.0, "stop": 1e300, "count": 2, "base": {"mode": "coherent"}},
+     "gamma_plus", "[-1e299, 1e299]"),
+    ({"mode": "emulate", "gamma_plus": 1e308}, "gamma_plus", "[-1e100, 1e100]"),
+    ({"mode": "two-photon", "x0_wig": 1e200}, "x0_wig", "(0, 1e150]"),
+    ({"mode": "emulate", "x0_snl": 1e160}, "x0_snl", "(0, 1e150]"),
+], ids=["gamma-1e308", "gamma-1e300-R-1", "x_snl-1e305", "gamma_plus-sweep", "emulate-gamma_plus-1e308",
+        "x0_wig-1e200", "x0_snl-1e160"])
+def test_location_past_its_interval_exits_2(tmp_path, capsys, payload, field, bounds):
+    code, out = run_cli(tmp_path, payload)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"'{field}': " in err and f"is outside {bounds}" in err
+    assert not (out / "result.json").exists()
+
+
+_EDGE = 1.0 - 2.0**-53  # the largest reflectivity below 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"mode": "coherent", "gamma": [1e299, 1e299], "reflectivity": _EDGE},
+    {"mode": "coherent", "gamma": [-1e299, 1e299], "x_snl": 1e299, "reflectivity": _EDGE, "squeezing": cli.MAX_SQUEEZING},
+    {"mode": "coherent", "gamma": [1e299, -1e299], "x_snl": -1e299, "reflectivity": 1e-10,
+     "squeezing": -cli.MAX_SQUEEZING},
+    {"mode": "two-photon", "x0_wig": 1e150},
+], ids=["gamma", "x_snl-squeezed", "x_snl-antisqueezed", "x0_wig"])
+def test_locations_at_their_bounds_run(tmp_path, payload):
+    # no RuntimeWarning (the suite makes them errors), and every result is finite or null
+    code, out = run_cli(tmp_path, payload)
+    assert code == 0
+    res = read_result(out)["results"]
+    assert all(v is None or np.all(np.isfinite(v)) for v in res.values())
+
+
+def test_emulate_amplitudes_at_their_bounds_exit_2_without_overflow(tmp_path, capsys):
+    # the gate sees the amplitude, so the window keeps nothing; at R = 0 a
+    # wide window keeps every row, whose moments are lost to rounding but do
+    # not overflow
+    for k, extra in enumerate([{}, {"reflectivity": 0.0, "x0_snl": 1e150}]):
+        payload = {"mode": "emulate", "gamma_plus": 1e100, "gamma_minus": -1e100, "n_samples": 20_000, **extra}
+        assert cli.main(["--out", str(tmp_path / f"o{k}"), "run", write_config(tmp_path, payload)]) == 2
+        assert "config validation failed" in capsys.readouterr().err
+
+
+def test_widest_window_on_the_narrowest_gate_keeps_every_row(tmp_path):
+    # a gate sd of 1e-5 puts the 1e150 window's ends 1e155 sd out
+    payload = {"mode": "emulate", "reflectivity": 0.0, "eta_vis": 1.0, "anc_antisqz_db": -100.0,
+               "anc_sqz_db": 100.0, "eta_det": 1.0, "gate_elec_db": -1000.0, "x0_snl": 1e150, "n_samples": 20_000}
+    code, out = run_cli(tmp_path, payload)
+    assert code == 0
+    assert read_result(out)["results"]["n_selected"] == 20_000
 
 
 def test_sweep_without_start_exits_2(tmp_path, capsys):
@@ -633,6 +709,70 @@ def test_oversized_sweep_exits_2_at_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'count'" in err and str(cli.MAX_SWEEP_POINTS) in err
     assert not (out / "result.json").exists()
+
+
+def _bounded_keys():
+    """(mode, field, kind, default, bounds) of every key of cli._KEYS with an
+    interval, wigner_export's included."""
+    for mode, table in cli._KEYS.items():
+        for key, (default, kind, bounds) in table.items():
+            if isinstance(kind, dict):
+                yield from ((mode, f"{key}.{sub}", sub_kind, sub_default, sub_bounds)
+                            for sub, (sub_default, sub_kind, sub_bounds) in kind.items() if sub_bounds)
+            elif bounds:
+                yield mode, key, kind, default, bounds
+
+
+def _outside(kind, bounds):
+    """The values just past each finite end of ``bounds``, and each open end itself."""
+    ends = [float(end) for end in bounds[1:-1].split(", ")]
+    for end, out, is_open in zip(ends, (-math.inf, math.inf), (bounds[0] == "(", bounds[-1] == ")")):
+        if math.isfinite(end):
+            yield int(end) + (1 if out > 0 else -1) if kind is int else math.nextafter(end, out)
+            if is_open:
+                yield end
+
+
+_SWEEP = {"mode": "sweep", "axis": "x0_wig", "start": 0.01, "stop": 0.02, "count": 2,
+          "base": {"mode": "single-photon"}}
+
+
+def _rejections():
+    """A run with one key or flag just outside its interval: (flags, config, field, bounds)."""
+    for mode, field, kind, default, bounds in _bounded_keys():
+        for end in _outside(kind, bounds):
+            # a pair is checked part by part
+            pairs = [[end, default[1]], [default[0], end]] if kind in (complex, tuple) else [end]
+            for val in pairs:
+                payload = {**_SWEEP} if mode == "sweep" else {"mode": mode}
+                section, _, key = field.rpartition(".")
+                (payload.setdefault(section, {}) if section else payload)[key] = val
+                yield pytest.param([], payload, field, bounds, id=f"{mode}-{field}={val}")
+    for flag, mode, bounds in (("--dim", "two-photon", cli._KEYS["two-photon"]["dim"][2]),
+                               ("--seed", "emulate", cli._KEYS["emulate"]["rng_seed"][2]),
+                               ("--threads", "emulate", "[1, inf)")):
+        for val in _outside(int, bounds):
+            yield pytest.param([flag, str(val)], {"mode": mode}, flag, bounds, id=f"{flag}={val}")
+
+
+@pytest.mark.parametrize("extra, payload, field, bounds", list(_rejections()))
+def test_every_bound_rejects_just_past_it_before_running(tmp_path, capsys, monkeypatch, extra, payload, field, bounds):
+    def must_not_run(resolved, axis=None, values=(None,)):
+        raise AssertionError(f"the mode ran before {field} was checked")
+
+    for mode in cli._MODE_RUNNERS:
+        monkeypatch.setitem(cli._MODE_RUNNERS, mode, must_not_run)
+    code, out = run_cli(tmp_path, payload, *extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"'{field}': " in err and f" is outside {bounds}\n" in err, err
+    assert not (out / "result.json").exists()
+
+
+def test_the_walk_reaches_sections_and_pairs():
+    walked = {(mode, field) for mode, field, *_ in _bounded_keys()}
+    assert {("sweep", "count"), ("single-photon", "wigner_export.points"), ("two-photon", "wigner_export.extent"),
+            ("coherent", "gamma"), ("emulate", "v_in_snl")} <= walked
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,19 @@ def test_truncated_normal_matches_oracles(x0, gamma_plus):
         assert abs(var - tn.var()) <= 1e-10 * tn.var()
 
 
+@pytest.mark.parametrize("a, b, edge", [(40.0, 60.0, 40.0), (-60.0, -40.0, -40.0), (400.0, 401.0, 400.0),
+                                        (-2e300, -1e300, -1e300)])
+def test_window_without_float_mass_is_its_nearer_edge(a, b, edge):
+    # wider and narrower than 2 sd; unchecked, the first divided by the
+    # zero mass and the narrow rule's weights overflowed
+    assert emulator._truncated_normal(a, b) == (0.0, edge, 0.0)
+
+
+def test_window_with_far_ends_is_the_whole_normal():
+    # numpy scalars, as _gate_model gives: the ends' squares overflow, and their densities are 0
+    assert emulator._truncated_normal(np.float64(-1e200), np.float64(1e200)) == (1.0, 0.0, 1.0)
+
+
 def test_infinite_window_selects_everything():
     # both window ends at infinity have zero density; the prediction is the
     # unconditioned record model

@@ -80,7 +80,7 @@ def test_coherent_min_dim_matches_poisson_tail(modulus):
     # dim levels keep photon numbers 0 .. dim - 1, so the smallest adequate
     # dim is the first whose Poisson tail P(N >= dim) is within the
     # tolerance; |gamma| = 20 and 30 need more levels than the budget allows
-    dims = np.arange(1, fock._largest_dim() + 1)
+    dims = np.arange(1, fock.MAX_DIM + 1)
     adequate = dims[poisson.sf(dims - 1, modulus**2) <= fock.TAIL_TOLERANCE]
     with pytest.raises(TruncationError) as err:
         fock.coherent_state(modulus * np.exp(0.3j), 1)
@@ -123,7 +123,7 @@ def test_truncation_hint_is_the_smallest_adequate_dim(prepare):
         need = err.suggested_dim
     if need is None:
         with pytest.raises(TruncationError):
-            prepare(fock._largest_dim())
+            prepare(fock.MAX_DIM)
         return
     prepare(need)
     with pytest.raises(TruncationError) as err:
@@ -156,7 +156,7 @@ def test_squeezing_above_the_limit_is_refused_before_any_arithmetic(n, s):
 
 def test_squeezed_truncation_error_says_when_no_dim_fits():
     # S(s)|0> fits in the largest dim only below |s| ~ 1.94
-    with pytest.raises(TruncationError, match=f"no dim up to {fock._largest_dim()},") as err:
+    with pytest.raises(TruncationError, match=f"no dim up to {fock.MAX_DIM},") as err:
         fock.squeezed_vacuum(4.0, 40)
     assert err.value.suggested_dim is None
 
