@@ -399,11 +399,15 @@ def _write_curve(path, axis, values, rows):
 
 def _write_wigner(path, grid: wigner.WignerGrid):
     # The bytes csv.writer would write (repr fields, "\r\n" line ends), one
-    # string per row; no field needs quoting.
+    # string per row; no field needs quoting.  Each distinct bit pattern is
+    # formatted once (so -0.0 and 0.0 keep their own reprs): a photon-mode
+    # grid is symmetric in both axes and holds a quarter as many.
+    bits, cells = np.unique(grid.values.view(np.int64), return_inverse=True)
+    table = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["alpha_plus\\alpha_minus", *map(repr, grid.p_axis.tolist())]) + "\r\n")
-        for x, row in zip(grid.x_axis.tolist(), grid.values.tolist()):
-            fh.write(",".join(map(repr, [x, *row])) + "\r\n")
+        for x, row in zip(grid.x_axis.tolist(), table[cells.reshape(grid.values.shape)].tolist()):
+            fh.write(",".join([repr(x), *row]) + "\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +439,7 @@ def _cmd_run(args) -> int:
                 emulator.dump_samples(_experiment_params(resolved), out_dir / "samples.csv")
         export = resolved.get("wigner_export")
         if export is not None:
-            axis = np.linspace(-export["extent"], export["extent"], export["points"])
+            axis = wigner.mirror_axis(export["extent"], export["points"])
             grid = wigner.wigner_from_density(window.avg_state, axis, axis.copy())
             _write_wigner(out_dir / "wigner.csv", grid)
     except ConfigError as exc:

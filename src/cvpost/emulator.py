@@ -115,7 +115,7 @@ class ExperimentParams:
         # without naming a field.
         if self.v_in[0] * self.v_in[1] < 1.0 - 1e-9:
             raise ValueError(f"v_in={tuple(self.v_in)} violates the uncertainty relation: "
-                             "v_in[0] * v_in[1] must be >= 1")
+                             "v_in[0] * v_in[1] must be >= 1 (v_in_snl in a config)")
         v_plus, v_minus = np.diag(_ancilla_record_cov(self))
         if v_plus * v_minus < 1.0 - 1e-9:
             raise ValueError(

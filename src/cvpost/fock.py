@@ -414,6 +414,9 @@ def interfere(psi_in: FockVector, psi_anc: FockVector, reflectivity: float) -> T
     gather, multiply by S^-1, take V^T, multiply by the phases, take V,
     multiply by S, scatter.  The orientation reproduces the Wigner
     composition ``W_in(sqrt(T) a + sqrt(R) b) * W_anc(-sqrt(R) a + sqrt(T) b)``.
+
+    The map is real orthogonal, so for real inputs only the real part is
+    kept: the imaginary parts the eigenbasis leaves (up to 8e-17) are rounding.
     """
     if psi_in.dim != psi_anc.dim:
         raise ValueError("input and ancilla must share the truncation dimension")
@@ -430,6 +433,8 @@ def interfere(psi_in: FockVector, psi_anc: FockVector, reflectivity: float) -> T
     rotated *= np.exp(1j * phi * basis.eigenvalues)
     out = np.empty(dim * dim, dtype=complex)
     out[basis.gather] = (_stacked_product(basis.vectors, rotated) * basis.phases).ravel()
+    if not (psi_in.amplitudes.imag.any() or psi_anc.amplitudes.imag.any()):
+        out = out.real
     return TwoModeState(out.reshape(dim, dim), dim)
 
 

@@ -148,8 +148,10 @@ class GainReport:
 
 
 def gains(out_mean, in_mean, reflectivity: float) -> GainReport:
-    """Gains of the (X+, X-) means, NaN where the input mean is 0, beside the ideal ones."""
-    measured = (float(o / i) if i != 0 else float("nan") for o, i in zip(out_mean, in_mean))
+    """Gains of the (X+, X-) means, NaN where the input mean is 0 and inf past
+    the float range (both null in result.json), beside the ideal ones."""
+    with np.errstate(over="ignore"):
+        measured = [float(o / i) if i != 0 else float("nan") for o, i in zip(out_mean, in_mean)]
     return GainReport(*measured, *map(float, ideal_gains(reflectivity)))
 
 

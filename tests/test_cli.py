@@ -298,6 +298,62 @@ def test_wigner_csv_bytes_match_csv_writer(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def _symmetric_grid_with_signed_zeros():
+    # a photon-mode grid's structure: W(x, p) = W(x, -p) = W(-x, p), here
+    # with -0.0 in one quadrant's cells and 0.0 at their mirrors
+    axis = wigner.mirror_axis(2.0, 9)
+    quadrant = np.random.default_rng(5).normal(size=(5, 5))
+    quadrant[1, 2] = quadrant[3, 0] = -0.0
+    half = np.vstack([quadrant, quadrant[-2::-1]])
+    values = np.hstack([half, half[:, -2::-1]])
+    values[-2, 2] = values[-4, -1] = 0.0
+    assert values[1, 2] == values[-2, 2] and np.signbit(values[1, 2]) != np.signbit(values[-2, 2])
+    return wigner.WignerGrid(values, axis, axis.copy())
+
+
+def _random_grid():
+    rng = np.random.default_rng(6)
+    axis = np.sort(rng.uniform(-6.0, 6.0, 241))
+    return wigner.WignerGrid(rng.normal(scale=0.3, size=(241, 241)), axis, axis.copy())
+
+
+@pytest.mark.parametrize("make", [_symmetric_grid_with_signed_zeros, _random_grid], ids=["symmetric", "random"])
+def test_wigner_csv_bytes_match_csv_writer_on_whole_grids(tmp_path, make):
+    grid = make()
+    cli._write_wigner(tmp_path / "new.csv", grid)
+    _write_wigner_with_csv_module(tmp_path / "old.csv", grid)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode, dim", [("single-photon", 40), ("single-photon", 60), ("single-photon", 80),
+                                       ("two-photon", 40), ("two-photon", 80)])
+def test_photon_wigner_export_is_mirror_symmetric_bit_for_bit(tmp_path, mode, dim):
+    # real states with only even diagonals: W(x, p) = W(x, -p) = W(-x, p),
+    # written field for field, so the grid holds one quadrant's values
+    payload = {"mode": mode, "dim": dim, "wigner_export": {"points": 241, "extent": 6.0}}
+    code, out = run_cli(tmp_path, payload)
+    assert code == 0
+    with open(out / "wigner.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    p_axis, x_axis = header[1:], [row[0] for row in rows]
+    assert x_axis == p_axis
+    assert all(float(p_axis[k]) == -float(p_axis[-1 - k]) for k in range(len(p_axis)))
+    body = [row[1:] for row in rows]
+    assert all(body[i] == body[-1 - i] for i in range(len(body)))
+    assert all(row == row[::-1] for row in body)
+    assert len({field for row in body for field in row}) == 121 ** 2
+
+
+def test_wigner_export_at_the_largest_extent_runs(tmp_path):
+    # the axis is built on a quarter of the extent, so even the largest float does not overflow
+    payload = {"mode": "two-photon", "dim": 20, "wigner_export": {"points": 9, "extent": 1.7976931348623157e308}}
+    code, out = run_cli(tmp_path, payload)
+    assert code == 0
+    with open(out / "wigner.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert float(header[1]) == -1.7976931348623157e308 and float(header[-1]) == 1.7976931348623157e308
+
+
 # ---------------------------------------------------------------------------
 # Validation and exit codes
 # ---------------------------------------------------------------------------
@@ -508,6 +564,23 @@ def test_unphysical_emulator_state_exits_2_naming_it(tmp_path, capsys, payload, 
     err = capsys.readouterr().err
     assert all(name in err for name in names) and "uncertainty relation" in err
     assert not (out / "result.json").exists()
+
+
+def test_uncertainty_relation_error_names_the_config_key(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, {"mode": "emulate", "v_in_snl": [0.5, 1.0]})
+    assert code == 2
+    assert "(v_in_snl in a config)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [{"mode": "coherent", "gamma": [1e-320, 0], "x_snl": 1},
+                                     {"mode": "emulate", "gamma_plus": 1e-320, "gamma_minus": 1e-320}],
+                         ids=["coherent", "emulate"])
+def test_gain_past_the_float_range_is_null(tmp_path, payload):
+    # a subnormal input mean: the gain overflows, with no RuntimeWarning, and reads null
+    code, out = run_cli(tmp_path, payload)
+    assert code == 0
+    res = read_result(out)["results"]
+    assert res["g_plus"] is None and res["g_minus"] is None
 
 
 def test_empty_emulator_selection_exits_2(tmp_path, capsys):

@@ -494,6 +494,23 @@ def test_memory_guard_names_the_budget_and_the_largest_dim():
         fock.beam_splitter_unitary(fits + 1)
 
 
+@pytest.mark.parametrize("psi_in, psi_anc", [
+    (fock.fock_state(1, 24), fock.squeezed_vacuum(0.4, 24)),
+    (fock.fock_state(2, 24), fock.squeezed_vacuum(-0.37, 24)),
+    (fock.coherent_state(0.5 + 0.2j, 24), fock.squeezed_vacuum(0.4, 24)),
+    (fock.fock_state(1, 24), fock.scs_state(1.1j, "even", 24)),
+], ids=["single-photon", "two-photon", "coherent", "cat-ancilla"])
+@pytest.mark.parametrize("reflectivity", [0.3, 0.5, 0.98])
+def test_interfere_is_real_exactly_for_real_inputs(psi_in, psi_anc, reflectivity):
+    # the map is real orthogonal: real inputs give an exactly real joint, and
+    # complex ones keep their imaginary parts; both agree with one dense expm
+    joint = fock.interfere(psi_in, psi_anc, reflectivity).amplitudes
+    real = not (psi_in.amplitudes.imag.any() or psi_anc.amplitudes.imag.any())
+    assert real == (not joint.imag.any())
+    want = oracle.generator_unitary(24, reflectivity) @ np.kron(psi_in.amplitudes, psi_anc.amplitudes)
+    np.testing.assert_allclose(joint.ravel(), want, rtol=0, atol=1e-12)
+
+
 def test_interfere_is_the_dense_route_on_a_vector():
     psi_in = fock.coherent_state(0.5 + 0.2j, 20)
     psi_anc = fock.squeezed_vacuum(0.4, 20)

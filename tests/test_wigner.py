@@ -277,6 +277,28 @@ def test_bad_axis_is_rejected(axis, message):
         wigner.wigner_from_density(rho, np.linspace(-3, 3, 7), axis)
 
 
+@pytest.mark.parametrize("extent", [6.0, 4.0, 1e-3, 1e300, 1.7976931348623157e308])
+@pytest.mark.parametrize("points", [9, 10, 241, 1001])
+def test_mirror_axis_is_antisymmetric_and_near_linspace(extent, points):
+    axis = wigner.mirror_axis(extent, points)
+    assert np.array_equal(axis, -axis[::-1]) and axis[0] == -extent and np.all(np.diff(axis) > 0)
+    if extent < 1e300:  # linspace itself overflows near the largest float
+        linear = np.linspace(-extent, extent, points)
+        assert np.array_equal(axis, 0.5 * (linear - linear[::-1]))
+        assert np.abs(axis - linear).max() <= 2.0 * np.spacing(extent)
+
+
+def test_default_grid_of_a_real_even_state_is_symmetric_bit_for_bit():
+    # a real rho with only even diagonals: W(x, p) = W(x, -p) = W(-x, p) exactly
+    rho = fock.squeezed_number_state(1, 0.4, 30).density()
+    values = wigner.wigner_from_density(rho).values
+    assert np.array_equal(values, values[::-1]) and np.array_equal(values, values[:, ::-1])
+    # a complex state keeps the complex sum, which is still exact under conjugation
+    cat = wigner.wigner_from_density(fock.scs_state(1.1j, "even", 30).density()).values
+    assert np.array_equal(cat, cat[:, ::-1])
+
+
+
 def test_conditional_coherent_output_is_minimum_uncertainty():
     # pure-state config at x = 0: det of the quadrature covariance is 1/16
     joint = conditioner.build_joint(fock.coherent_state(0.3 + 0.2j, 40), 0.75, 0.52)
