@@ -264,11 +264,7 @@ def _run_photon(resolved, axis=None, values=(None,)):
 def _run_coherent(resolved, axis=None, values=(None,)):
     r, s, x_snl = resolved["reflectivity"], resolved["squeezing"], resolved["x_snl"]
     gamma = complex(*resolved["gamma"])
-    sp = gaussian.s_prime(r, s)
-    try:
-        clim = gaussian.classical_limit(r)
-    except ValueError:
-        clim = None
+    sp, clim = gaussian.s_prime(r, s), gaussian.classical_limit(r)
     for value in values:
         if axis == "gamma_plus":
             gamma = complex(value, gamma.imag)

@@ -196,20 +196,17 @@ def purity(cov):
     return 1.0 / np.sqrt(_det(np.asarray(cov, dtype=float)))
 
 
-#: The only reflectivities with a quoted classical fidelity bound.
-_CLASSICAL_LIMITS = {0.75: 0.8, 0.5: np.sqrt(8.0) / 3.0}
-
-
 def classical_limit(reflectivity: float) -> float:
-    """Maximum fidelity reachable without entangling resources.
+    """Largest fidelity a classical state reaches with the ideal target of a
+    coherent input, ``2 sqrt(T) / (1 + T) = sech(s')`` with s' = -ln(T)/2.
 
-    Only the two quoted operating points are supported; there is no general
-    formula for other reflectivities here.
+    Fidelity with a pure target is linear in the state, and a classical state
+    is a mixture of coherent states, so the best classical state is a
+    coherent state.  The best coherent state sits at the target's mean, where
+    :func:`gaussian_fidelity` gives 2 / sqrt(det(I + diag(1/T, T))).  This is
+    0.8 at R = 0.75 and sqrt(8)/3 at R = 0.5.
     """
-    for r, value in _CLASSICAL_LIMITS.items():
-        if abs(reflectivity - r) < 1e-12:
-            return value
-    raise ValueError(
-        f"no classical fidelity bound available for reflectivity {reflectivity}; "
-        "supported values: 0.5, 0.75"
-    )
+    t = 1.0 - reflectivity
+    if not 0.0 < t <= 1.0:
+        raise ValueError(f"reflectivity must be in [0, 1) for the classical bound, got {reflectivity}")
+    return 2.0 * math.sqrt(t) / (1.0 + t)

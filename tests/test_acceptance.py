@@ -107,7 +107,7 @@ def test_criterion_7_classical_limits():
         at_75 = gaussian.classical_limit(0.75)
         at_50 = gaussian.classical_limit(0.5)
     assert at_75 == 0.8
-    assert abs(at_50 - np.sqrt(8.0) / 3.0) <= 1e-12
+    assert at_50 == np.sqrt(8.0) / 3.0
     report(7, t.elapsed, f"bounds {at_75}, {at_50:.6f}")
 
 

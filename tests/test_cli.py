@@ -71,6 +71,20 @@ def test_coherent_mode(tmp_path):
     assert read_result(out2)["results"]["g_minus"] is None
 
 
+def test_coherent_classical_limit_away_from_the_quoted_points(tmp_path):
+    # 2 sqrt(T) / (1 + T) at R = 0.6, in the run and in every row of a sweep's curve
+    code, out = run_cli(tmp_path, {"mode": "coherent", "reflectivity": 0.6})
+    assert code == 0
+    assert read_result(out)["results"]["classical_limit"] == 0.9035079029052513
+    payload = {"mode": "sweep", "axis": "gamma_plus", "start": 0.1, "stop": 2.0, "count": 3,
+               "base": {"mode": "coherent", "reflectivity": 0.6}}
+    code, out = run_cli(tmp_path, payload)
+    assert code == 0
+    with open(out / "curve.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert [row[header.index("classical_limit")] for row in rows] == ["0.9035079029052513"] * 3
+
+
 def test_emulate_mode_deterministic(tmp_path):
     cfg = {"mode": "emulate", "n_samples": 3_000_000}
     code, out = run_cli(tmp_path, cfg)

@@ -240,10 +240,28 @@ def test_purity_values():
 
 
 def test_classical_limit_values():
+    # the two quoted bounds, to the bit, and the closed form between them
     assert classical_limit(0.75) == 0.8
-    np.testing.assert_allclose(classical_limit(0.5), np.sqrt(8.0) / 3.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        classical_limit(0.3)
+    assert classical_limit(0.5) == np.sqrt(8.0) / 3.0
+    np.testing.assert_allclose(classical_limit(0.3), 2.0 * np.sqrt(0.7) / 1.7, rtol=1e-15)
+    np.testing.assert_allclose(classical_limit(0.6), 1.0 / np.cosh(-0.5 * np.log(0.4)), rtol=1e-15)
+    assert classical_limit(0.0) == 1.0
+    for r in (1.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match="reflectivity"):
+            classical_limit(r)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.1, 0.3, 0.5, 0.6, 0.75, 0.9, 0.98])
+def test_classical_limit_is_the_best_coherent_fidelity(r):
+    # the largest fidelity of a coherent state with the ideal target, over a
+    # grid of displacements about the target's mean, is the bound, and is taken
+    # at the mean
+    target = ideal_target(coherent_gaussian(0.18 + 0.1j), r)
+    offsets = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 41)] * 2, indexing="ij"), axis=-1).reshape(-1, 2)
+    fid = gaussian_fidelity(target.mean + offsets, np.eye(2), target.mean, target.cov)
+    best = int(np.argmax(fid))
+    np.testing.assert_array_equal(offsets[best], [0.0, 0.0])
+    np.testing.assert_allclose(fid[best], classical_limit(r), rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
