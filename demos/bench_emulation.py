@@ -11,9 +11,9 @@ the window trades success probability for fidelity.
 import numpy as np
 
 from cvpost import classical_limit
-from cvpost.emulator import bench_params, predict_stats, run_experiment
+from cvpost.emulator import ExperimentParams, predict_stats, run_experiment
 
-base = bench_params(n_samples=4_000_000)
+base = ExperimentParams(n_samples=4_000_000)
 print("bench parameter set:")
 print(f"  R = {base.R}, V_in = {base.v_in}, ancilla {base.anc_sqz_db} dB "
       f"(anti {base.anc_antisqz_db:+} dB assumed)")
@@ -35,15 +35,15 @@ print(f"  success     {stats.success_prob:.4f} ({stats.n_selected} samples kept)
 print("fidelity and purity across input amplitudes (x0 fixed):")
 print("  |gamma+|   fidelity   purity_norm")
 for g in (0.18, 0.5, 1.0, 1.5, 2.03):
-    probe = bench_params(gamma_plus=g)
+    probe = ExperimentParams(gamma_plus=g)
     need = max(1_000_000, int(12_000 / predict_stats(probe).success_prob))
-    run = run_experiment(bench_params(gamma_plus=g, n_samples=need))
+    run = run_experiment(ExperimentParams(gamma_plus=g, n_samples=need))
     print(f"  {g:>6.2f}     {run.fidelity_est:.3f}      {run.purity_norm:.3f}")
 
 print("\nfidelity versus success probability (|gamma+| = 1.07):")
 print("  x0 (snl)   P_s        fidelity")
 for x0 in (2.0, 1.0, 0.5, 0.2, 0.1, 0.05):
-    run = run_experiment(bench_params(gamma_plus=1.07, x0=x0, n_samples=2_000_000))
+    run = run_experiment(ExperimentParams(gamma_plus=1.07, x0=x0, n_samples=2_000_000))
     print(f"  {x0:>5.2f}     {run.success_prob:.4f}    {run.fidelity_est:.4f} +- {run.fidelity_se:.4f}")
 print(f"\n(classical bound {classical_limit(base.R)}; tightening the window raises "
       "the fidelity until it levels off within its error bars, at the cost of throughput)")

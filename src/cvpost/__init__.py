@@ -23,7 +23,6 @@ from .emulator import (
     EnsembleStats,
     ExperimentParams,
     estimate,
-    bench_params,
     predict_stats,
     run_experiment,
 )

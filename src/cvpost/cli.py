@@ -170,7 +170,7 @@ def _photon_keys(reflectivity, squeezing, x0_wig, dim, **extra):
 # Emulate keys that name an ExperimentParams field differently; the other
 # keys are field names.  Their defaults are the bench run's.
 _FIELDS = {"reflectivity": "R", "v_in_snl": "v_in", "x0_snl": "x0"}
-_BENCH = emulator.bench_params()
+_BENCH = emulator.ExperimentParams()
 
 # Keys each mode reads; anything else in a config is an error.
 _KEYS = {

@@ -152,7 +152,7 @@ def test_criterion_8_property_suite():
 
 def test_criterion_9_bench_emulation():
     with timer() as t:
-        params = emulator.bench_params(n_samples=4_000_000)
+        params = emulator.ExperimentParams(n_samples=4_000_000)
         stats = emulator.run_experiment(params)
         assert stats.fidelity_est > 0.8
         assert 0.85 <= stats.fidelity_est <= 0.95
@@ -160,12 +160,12 @@ def test_criterion_9_bench_emulation():
 
         purities = []
         for g_plus in (0.18, 0.5, 1.0, 1.5, 2.03):
-            probe = emulator.bench_params(gamma_plus=g_plus)
+            probe = emulator.ExperimentParams(gamma_plus=g_plus)
             # keep at least ~15k selected samples as the window moves into
             # the tail of the gate distribution at large displacements
             need = int(15_000 / emulator.predict_stats(probe).success_prob)
             sweep = emulator.run_experiment(
-                emulator.bench_params(gamma_plus=g_plus, n_samples=max(1_000_000, need))
+                emulator.ExperimentParams(gamma_plus=g_plus, n_samples=max(1_000_000, need))
             )
             purities.append(sweep.purity_norm)
             assert 0.70 <= sweep.purity_norm <= 0.90
@@ -175,7 +175,7 @@ def test_criterion_9_bench_emulation():
         fids, ses = [], []
         for x0 in (1.0, 0.5, 0.2, 0.1):
             run = emulator.run_experiment(
-                emulator.bench_params(gamma_plus=1.07, x0=x0, n_samples=1_000_000)
+                emulator.ExperimentParams(gamma_plus=1.07, x0=x0, n_samples=1_000_000)
             )
             fids.append(run.fidelity_est)
             ses.append(run.fidelity_se)

@@ -15,7 +15,6 @@ from cvpost.emulator import (
     ExperimentParams,
     dump_samples,
     estimate,
-    bench_params,
     predict_records,
     predict_stats,
     run_experiment,
@@ -66,9 +65,9 @@ def test_vacuum_in_vacuum_out():
 
 
 def test_stream_is_seeded_and_deterministic():
-    params = bench_params(n_samples=50_000)
+    params = ExperimentParams(n_samples=50_000)
     np.testing.assert_array_equal(synthesize(params), synthesize(params))
-    other = bench_params(n_samples=50_000, rng_seed=params.rng_seed + 1)
+    other = ExperimentParams(n_samples=50_000, rng_seed=params.rng_seed + 1)
     assert not np.array_equal(synthesize(other), synthesize(params))
 
 
@@ -81,7 +80,7 @@ def test_gate_record_matches_closed_form_moments(sampler):
     # oracle: Gaussian propagation of the same loss model.  The emulator
     # samples from that model's conditional, so only its sampling is tested
     # here; the three-normal stream propagates each quadrature on its own.
-    params = bench_params(n_samples=400_000)
+    params = ExperimentParams(n_samples=400_000)
     mean_pred, cov_pred = predict_records(params)
     stream = sampler(params)
     n = stream.shape[0]
@@ -132,7 +131,7 @@ def test_marginal_sampler_matches_three_normal_sampler():
     seeds, n = range(40), 100_000
     new, old = [], []
     for seed in seeds:
-        params = bench_params(x0=0.3, n_samples=n, rng_seed=seed)
+        params = ExperimentParams(x0=0.3, n_samples=n, rng_seed=seed)
         new.append(_kept_row_stats(np.concatenate(list(emulator._iter_chunks(params, full=False))), n))
         old.append(_kept_row_stats(oracle.three_normal_selected(params), n))
     new, old = np.array(new), np.array(old)
@@ -140,7 +139,7 @@ def test_marginal_sampler_matches_three_normal_sampler():
     se = np.sqrt((new[:, :-1].var(axis=0, ddof=1) + old[:, :-1].var(axis=0, ddof=1)) / len(seeds))
     assert np.all(np.abs(gap) < 5 * se), gap / se
     # P_s of the pooled draws, in binomial sigma of the prediction
-    p_s = predict_stats(bench_params(x0=0.3)).success_prob
+    p_s = predict_stats(ExperimentParams(x0=0.3)).success_prob
     sigma = np.sqrt(2 * p_s * (1 - p_s) / (n * len(seeds)))
     assert abs(new[:, -1].mean() - old[:, -1].mean()) < 5 * sigma
 
@@ -170,7 +169,7 @@ def test_windowed_gate_draw_matches_closed_form(x0, gamma_plus):
     # the proposal is picked so that no window takes more proposals per kept
     # row than 1/P_s, the one normal per row of drawing every row.  Batches
     # carry a margin of three binomial sigma, within the slack allowed.
-    model = emulator._gate_model(bench_params(gamma_plus=gamma_plus, x0=x0))
+    model = emulator._gate_model(ExperimentParams(gamma_plus=gamma_plus, x0=x0))
     mean, cov, _, (p_s, mu, var), _, _ = model
     rng, n = _ProposalCounter(np.random.default_rng(5)), 20_000
     gate = emulator._draw_gates(rng, n, model, x0, inside=True)
@@ -203,9 +202,9 @@ def test_sampler_keeps_rows_with_the_predicted_success_probability(x0, monkeypat
     monkeypatch.setattr(np.random, "default_rng", lambda seed: Recorder(default_rng(seed)))
     gammas = np.linspace(-2.0, 2.0, 21)
     for gamma_plus in gammas:
-        next(emulator._iter_chunks(bench_params(gamma_plus=gamma_plus, x0=x0, n_samples=1000), full=False))
+        next(emulator._iter_chunks(ExperimentParams(gamma_plus=gamma_plus, x0=x0, n_samples=1000), full=False))
     monkeypatch.undo()
-    assert masses == [predict_stats(bench_params(gamma_plus=g, x0=x0)).success_prob for g in gammas]
+    assert masses == [predict_stats(ExperimentParams(gamma_plus=g, x0=x0)).success_prob for g in gammas]
 
 
 def test_infinite_window_draws_every_row():
@@ -219,7 +218,7 @@ def test_window_with_almost_all_mass_splits_a_full_chunk():
     # 1 - P_s is about 1e-6: the few rejected rows of a full chunk come from
     # the window's complement, and the rows inside the window are exactly
     # the kept rows, in order
-    params = bench_params(x0=8.0, n_samples=emulator._CHUNK)
+    params = ExperimentParams(x0=8.0, n_samples=emulator._CHUNK)
     assert 1e-7 < 1.0 - predict_stats(params).success_prob < 1e-5
     stream = synthesize(params)
     assert stream.shape == (emulator._CHUNK, 3)
@@ -232,7 +231,7 @@ def test_window_far_in_the_tail_selects_nothing(gamma_plus):
     # P_s about 1e-10, or 0 with a proposal envelope of mass 0: the
     # Binomial count is 0 and the run asks for a wider window or more samples
     with pytest.raises(ValueError, match=r"0 < 10000; raise x0 or n_samples \(x0_snl and n_samples in a config\)"):
-        run_experiment(bench_params(gamma_plus=gamma_plus, x0=1e-4))
+        run_experiment(ExperimentParams(gamma_plus=gamma_plus, x0=1e-4))
 
 
 def test_parameter_validation():
@@ -288,7 +287,7 @@ def test_selected_gate_mean_is_centred():
 
 
 def test_success_probability_matches_gaussian_tail():
-    params = bench_params(n_samples=4_000_000)
+    params = ExperimentParams(n_samples=4_000_000)
     stream = synthesize(params)
     _, prob = postselect(stream, params.x0)
     predicted = predict_stats(params).success_prob
@@ -300,7 +299,7 @@ def test_streamed_run_matches_full_stream(window):
     # run_experiment draws the transmitted records of kept rows only, before
     # those of the rejected rows; the rows it keeps must be the ones the full
     # stream keeps, to the bit, so every estimate is the same
-    params = bench_params(rng_seed=7, **BENCH_WINDOWS[window])
+    params = ExperimentParams(rng_seed=7, **BENCH_WINDOWS[window])
     selected, prob = postselect(synthesize(params), params.x0)
     streamed = run_experiment(params)
     dumped = estimate(selected, params, success_prob=prob)
@@ -326,7 +325,7 @@ def test_estimate_requires_enough_samples():
 
 
 def test_paper_configuration_bands():
-    params = bench_params(n_samples=3_000_000)
+    params = ExperimentParams(n_samples=3_000_000)
     stats = run_experiment(params)
     assert 0.85 <= stats.fidelity_est <= 0.95
     assert stats.fidelity_est > 0.8
@@ -364,7 +363,7 @@ def test_gain_is_nan_without_input_displacement():
 @pytest.mark.parametrize("window", sorted(BENCH_WINDOWS))
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_jackknife_agrees_with_bootstrap(seed, window):
-    params = bench_params(rng_seed=seed, **BENCH_WINDOWS[window])
+    params = ExperimentParams(rng_seed=seed, **BENCH_WINDOWS[window])
     selected, prob = postselect(synthesize(params), params.x0)
     stats = estimate(selected, params, success_prob=prob)
     fid_se, pur_se = oracle.bootstrap_se(selected, params)
@@ -376,7 +375,7 @@ def test_jackknife_leaves_out_a_degenerate_group():
     # groups 1-63 spread less than the variance correction subtracts, so the
     # covariance left without group 0 is not positive definite and every
     # other leave-one-out covariance is
-    params = bench_params()
+    params = ExperimentParams()
     n, g = 12_837, emulator._JACKKNIFE_GROUPS
     group = np.arange(n) * g // n
     rows = np.zeros((n, 3))
@@ -399,7 +398,7 @@ def test_jackknife_leaves_out_a_degenerate_group():
 @pytest.mark.parametrize("window", sorted(BENCH_WINDOWS))
 def test_estimate_matches_sample_moments(window):
     # the one moment pass against np.cov on the same rows
-    params = bench_params(**BENCH_WINDOWS[window])
+    params = ExperimentParams(**BENCH_WINDOWS[window])
     rows = np.concatenate(list(emulator._iter_chunks(params, full=False)))
     stats = estimate(rows, params)
     mean, cov = oracle.sample_moments(rows, params)
@@ -433,7 +432,7 @@ def _window_moments_by_quadrature(a, b):
 @pytest.mark.parametrize("gamma_plus", [-2.03, 0.0, 0.18, 2.03])
 @pytest.mark.parametrize("x0", [1e-4, 1e-3, 0.01, 0.3, 1.0, 5.0])
 def test_truncated_normal_matches_oracles(x0, gamma_plus):
-    params = bench_params(gamma_plus=gamma_plus, x0=x0)
+    params = ExperimentParams(gamma_plus=gamma_plus, x0=x0)
     mean, cov = predict_records(params)
     m_g, sig = mean[2], np.sqrt(cov[2, 2])
     a, b = (-x0 - m_g) / sig, (x0 - m_g) / sig
@@ -473,7 +472,7 @@ def test_window_with_far_ends_is_the_whole_normal():
 def test_infinite_window_selects_everything():
     # both window ends at infinity have zero density; the prediction is the
     # unconditioned record model
-    params = bench_params(x0=np.inf)
+    params = ExperimentParams(x0=np.inf)
     pred = predict_stats(params)
     assert pred.success_prob == 1.0
     np.testing.assert_allclose(pred.selected_mean, pred.record_mean[:2], rtol=0, atol=1e-15)
@@ -519,7 +518,7 @@ def test_lossless_run_converges_to_closed_form():
 
 
 def test_postselection_purifies():
-    params = bench_params(n_samples=1_000_000, x0=0.025)
+    params = ExperimentParams(n_samples=1_000_000, x0=0.025)
     stream = synthesize(params)
     selected, prob = postselect(stream, params.x0)
     sel_stats = estimate(selected, params, success_prob=prob)
@@ -531,7 +530,7 @@ def test_fidelity_monotone_in_threshold():
     # tightening the window over a decade never hurts the fidelity
     fid, se = [], []
     for x0 in (1.0, 0.5, 0.2, 0.1):
-        stats = run_experiment(bench_params(gamma_plus=1.07, x0=x0, n_samples=1_000_000))
+        stats = run_experiment(ExperimentParams(gamma_plus=1.07, x0=x0, n_samples=1_000_000))
         fid.append(stats.fidelity_est)
         se.append(stats.fidelity_se)
     for tight, loose, s_t, s_l in zip(fid[1:], fid[:-1], se[1:], se[:-1]):
@@ -539,7 +538,7 @@ def test_fidelity_monotone_in_threshold():
 
 
 def test_run_experiment_is_deterministic():
-    params = bench_params(n_samples=300_000, x0=0.1)
+    params = ExperimentParams(n_samples=300_000, x0=0.1)
     a = run_experiment(params)
     b = run_experiment(params)
     assert a.fidelity_est == b.fidelity_est
@@ -579,7 +578,7 @@ def test_streamed_dump_matches_whole_stream_bytes(tmp_path, monkeypatch):
     # Three chunks, the last one short: the streamed file is byte for byte
     # the in-memory stream written by one savetxt call with its header.
     monkeypatch.setattr(emulator, "_CHUNK", 1000)
-    params = bench_params(n_samples=2500, x0=0.3)
+    params = ExperimentParams(n_samples=2500, x0=0.3)
     dump_samples(params, tmp_path / "streamed.csv")
     np.savetxt(tmp_path / "whole.csv", synthesize(params), fmt="%.17g", delimiter=",",
                header="x_t_plus,x_t_minus,x_r_plus", comments="")
