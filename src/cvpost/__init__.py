@@ -37,7 +37,6 @@ from .fock import (
     quadrature_moments,
     scs_state,
     squeezed_number_state,
-    squeezed_vacuum,
 )
 from .gaussian import (
     GainReport,

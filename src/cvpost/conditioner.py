@@ -40,7 +40,7 @@ NARROW_WINDOW = 0.1
 
 def build_joint(psi_in: FockVector, reflectivity: float, squeezing: float) -> TwoModeState:
     """Interfere ``psi_in`` with the squeezed-vacuum ancilla S(squeezing)|0>."""
-    anc = fock.squeezed_vacuum(squeezing, psi_in.dim)
+    anc = fock.squeezed_number_state(0, squeezing, psi_in.dim)
     return fock.interfere(psi_in, anc, reflectivity)
 
 

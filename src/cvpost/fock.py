@@ -226,20 +226,13 @@ def coherent_state(gamma: complex, dim: int) -> FockVector:
     return _checked(partial(_coherent_amplitudes, gamma), dim, f"coherent_state(|gamma|={abs(gamma):.4g})")
 
 
-def squeezed_vacuum(s: float, dim: int) -> FockVector:
-    """Squeezed vacuum S(s)|0> in the number basis.
-
-    Only even number states are populated:
-    ``c_{2k} = sech(s)^{1/2} tanh(s)^k sqrt((2k)!)/(2^k k!)``.
-    For ``s > 0`` the phase quadrature is squeezed, ``V(a_minus) = e^{-2s}/4``,
-    matching the Wigner form ``(2/pi) exp[-2 a_plus^2 e^{-2s} - 2 a_minus^2 e^{2s}]``.
-    """
-    return squeezed_number_state(0, s, dim)
-
-
 def squeezed_number_state(n: int, s: float, dim: int) -> FockVector:
     """Squeezed number state S(s)|n>.
 
+    The squeezed vacuum S(s)|0> populates only even number states,
+    ``c_{2k} = sech(s)^{1/2} tanh(s)^k sqrt((2k)!)/(2^k k!)``.  For ``s > 0``
+    the phase quadrature is squeezed, ``V(a_minus) = e^{-2s}/4``, matching the
+    Wigner form ``(2/pi) exp[-2 a_plus^2 e^{-2s} - 2 a_minus^2 e^{2s}]``.
     ``S(s) a^dag S(s)^dag = cosh(s) a^dag - sinh(s) a``, so
     ``S(s)|n> = (cosh(s) a^dag - sinh(s) a)^n S(s)|0> / sqrt(n!)``.  One
     application of that operator to a vector kept on L levels is exact on

@@ -128,7 +128,7 @@ def test_criterion_8_property_suite():
 
         for psi in (
             fock.fock_state(1, 40),
-            fock.squeezed_vacuum(0.52, 40),
+            fock.squeezed_number_state(0, 0.52, 40),
             fock.scs_state(1.1j, "even", 40),
         ):
             grid = wigner.wigner_from_density(psi.density())

@@ -333,7 +333,7 @@ def test_pure_joint_agrees_with_dense_route(reflectivity, prepare):
     dim, s, x0 = 24, 0.4, 0.1
     psi_in, target_state = prepare(reflectivity, s, dim)
     dense = oracle.beam_splitter(
-        psi_in.density(), fock.squeezed_vacuum(s, dim).density(), reflectivity
+        psi_in.density(), fock.squeezed_number_state(0, s, dim).density(), reflectivity
     )
     joint = build_joint(psi_in, reflectivity, s)
     vec = joint.amplitudes.ravel()

@@ -157,7 +157,7 @@ def test_squeezing_above_the_limit_is_refused_before_any_arithmetic(n, s):
 def test_squeezed_truncation_error_says_when_no_dim_fits():
     # S(s)|0> fits in the largest dim only below |s| ~ 1.94
     with pytest.raises(TruncationError, match=f"no dim up to {fock.MAX_DIM},") as err:
-        fock.squeezed_vacuum(4.0, 40)
+        fock.squeezed_number_state(0, 4.0, 40)
     assert err.value.suggested_dim is None
 
 
@@ -168,13 +168,13 @@ def test_squeezed_truncation_error_says_when_no_dim_fits():
 
 def test_squeezed_vacuum_identity():
     np.testing.assert_allclose(
-        fock.squeezed_vacuum(0.0, 20).amplitudes, fock.fock_state(0, 20).amplitudes
+        fock.squeezed_number_state(0, 0.0, 20).amplitudes, fock.fock_state(0, 20).amplitudes
     )
 
 
 def test_squeezed_vacuum_ground_amplitude():
     # oracle: |<0|S(s)|0>| = sech(s)^{1/2}
-    psi = fock.squeezed_vacuum(0.5, 40)
+    psi = fock.squeezed_number_state(0, 0.5, 40)
     np.testing.assert_allclose(abs(psi.amplitudes[0]), np.cosh(0.5) ** -0.5, rtol=1e-12)
 
 
@@ -195,7 +195,7 @@ def test_squeezed_vacuum_quadrature_variances():
     # s > 0 squeezes the phase quadrature: V- = e^{-2s}/4, V+ = e^{+2s}/4.
     # At s = 0.52 the squeezed level is -4.5 dB relative to SNL.
     s = 0.52
-    psi = fock.squeezed_vacuum(s, 60)
+    psi = fock.squeezed_number_state(0, s, 60)
     _, cov = fock.quadrature_moments(psi)
     np.testing.assert_allclose(cov[1, 1], 0.25 * np.exp(-2 * s), atol=1e-10)
     np.testing.assert_allclose(cov[0, 0], 0.25 * np.exp(2 * s), atol=1e-10)
@@ -204,12 +204,12 @@ def test_squeezed_vacuum_quadrature_variances():
 
 
 def test_squeezed_vacuum_parity():
-    psi = fock.squeezed_vacuum(0.7, 40)
+    psi = fock.squeezed_number_state(0, 0.7, 40)
     assert np.all(psi.amplitudes[1::2] == 0.0)
 
 
 def test_squeezed_vacuum_matches_operator_route():
-    series = fock.squeezed_vacuum(0.6, 40)
+    series = fock.squeezed_number_state(0, 0.6, 40)
     applied = oracle.apply_squeeze(fock.fock_state(0, 40), 0.6)
     np.testing.assert_allclose(series.amplitudes, applied.amplitudes, atol=1e-10)
 
@@ -329,7 +329,7 @@ def test_scs_odd_variant():
 @pytest.mark.parametrize(
     "prepare",
     [
-        lambda: fock.squeezed_vacuum(np.nan, 20),
+        lambda: fock.squeezed_number_state(0, np.nan, 20),
         lambda: fock.squeezed_number_state(1, np.nan, 20),
         lambda: oracle.displaced_squeezed_vacuum(0.5, np.nan, 20),
         lambda: fock.coherent_state(complex(np.nan, 0.0), 20),
@@ -349,7 +349,7 @@ def test_preparers_reject_nan_parameters(prepare):
 
 def test_beam_splitter_zero_reflectivity_is_identity():
     rho_in = fock.coherent_state(0.4 + 0.1j, 24).density()
-    rho_anc = fock.squeezed_vacuum(0.4, 24).density()
+    rho_anc = fock.squeezed_number_state(0, 0.4, 24).density()
     joint = oracle.beam_splitter(rho_in, rho_anc, 0.0)
     np.testing.assert_allclose(joint.matrix, np.kron(rho_in.matrix, rho_anc.matrix))
 
@@ -368,14 +368,14 @@ def test_single_photon_reflection_probability(reflectivity):
 @pytest.mark.parametrize("reflectivity", [0.0, 0.25, 0.5, 0.75, 0.98, 1.0])
 def test_beam_splitter_preserves_trace(reflectivity):
     rho_in = fock.fock_state(1, 24).density()
-    rho_anc = fock.squeezed_vacuum(0.5, 24).density()
+    rho_anc = fock.squeezed_number_state(0, 0.5, 24).density()
     joint = oracle.beam_splitter(rho_in, rho_anc, reflectivity)
     np.testing.assert_allclose(joint.trace, rho_in.trace * rho_anc.trace, atol=1e-9)
 
 
 def test_beam_splitter_full_reflection_swaps_contents():
     rho_in = fock.coherent_state(0.7, 24).density()
-    rho_anc = fock.squeezed_vacuum(0.3, 24).density()
+    rho_anc = fock.squeezed_number_state(0, 0.3, 24).density()
     joint = oracle.beam_splitter(rho_in, rho_anc, 1.0)
     # photon-number distributions swap (phases may flip sign)
     np.testing.assert_allclose(
@@ -398,7 +398,7 @@ def test_beam_splitter_matches_wigner_composition():
     dim, r, s = 24, 0.75, 0.5
     st, sr = np.sqrt(1 - r), np.sqrt(r)
     joint = oracle.beam_splitter(
-        fock.fock_state(1, dim).density(), fock.squeezed_vacuum(s, dim).density(), r
+        fock.fock_state(1, dim).density(), fock.squeezed_number_state(0, s, dim).density(), r
     )
     rng = np.random.default_rng(42)
     points = rng.uniform(-2.0, 2.0, size=(120, 4))
@@ -414,7 +414,7 @@ def test_beam_splitter_matches_wigner_composition():
 
 def test_operations_do_not_mutate_inputs():
     psi_in = fock.fock_state(1, 20)
-    psi_anc = fock.squeezed_vacuum(0.4, 20)
+    psi_anc = fock.squeezed_number_state(0, 0.4, 20)
     before_in = psi_in.amplitudes.copy()
     before_anc = psi_anc.amplitudes.copy()
     joint = fock.interfere(psi_in, psi_anc, 0.6)
@@ -472,10 +472,10 @@ def test_cached_eigenbasis_is_read_only():
 
 
 def test_interfere_is_bit_identical_from_a_cold_and_a_warm_cache():
-    psi_in, psi_anc = fock.fock_state(2, 40), fock.squeezed_vacuum(-0.37, 40)
+    psi_in, psi_anc = fock.fock_state(2, 40), fock.squeezed_number_state(0, -0.37, 40)
     fock.beam_splitter_unitary.cache_clear()
     cold = fock.interfere(psi_in, psi_anc, 0.5).amplitudes
-    fock.interfere(fock.fock_state(1, 24), fock.squeezed_vacuum(0.3, 24), 0.9)
+    fock.interfere(fock.fock_state(1, 24), fock.squeezed_number_state(0, 0.3, 24), 0.9)
     warm = fock.interfere(psi_in, psi_anc, 0.5).amplitudes
     assert cold.tobytes() == warm.tobytes()
 
@@ -495,9 +495,9 @@ def test_memory_guard_names_the_budget_and_the_largest_dim():
 
 
 @pytest.mark.parametrize("psi_in, psi_anc", [
-    (fock.fock_state(1, 24), fock.squeezed_vacuum(0.4, 24)),
-    (fock.fock_state(2, 24), fock.squeezed_vacuum(-0.37, 24)),
-    (fock.coherent_state(0.5 + 0.2j, 24), fock.squeezed_vacuum(0.4, 24)),
+    (fock.fock_state(1, 24), fock.squeezed_number_state(0, 0.4, 24)),
+    (fock.fock_state(2, 24), fock.squeezed_number_state(0, -0.37, 24)),
+    (fock.coherent_state(0.5 + 0.2j, 24), fock.squeezed_number_state(0, 0.4, 24)),
     (fock.fock_state(1, 24), fock.scs_state(1.1j, "even", 24)),
 ], ids=["single-photon", "two-photon", "coherent", "cat-ancilla"])
 @pytest.mark.parametrize("reflectivity", [0.3, 0.5, 0.98])
@@ -513,7 +513,7 @@ def test_interfere_is_real_exactly_for_real_inputs(psi_in, psi_anc, reflectivity
 
 def test_interfere_is_the_dense_route_on_a_vector():
     psi_in = fock.coherent_state(0.5 + 0.2j, 20)
-    psi_anc = fock.squeezed_vacuum(0.4, 20)
+    psi_anc = fock.squeezed_number_state(0, 0.4, 20)
     joint = fock.interfere(psi_in, psi_anc, 0.6)
     dense = oracle.beam_splitter(psi_in.density(), psi_anc.density(), 0.6)
     vec = joint.amplitudes.ravel()
@@ -577,7 +577,7 @@ def test_wavefunction_rejects_negative_n():
 def test_partial_traces_are_valid_densities():
     joint = oracle.beam_splitter(
         fock.coherent_state(0.5 + 0.2j, 20).density(),
-        fock.squeezed_vacuum(0.4, 20).density(),
+        fock.squeezed_number_state(0, 0.4, 20).density(),
         0.6,
     )
     for keep in (0, 1):

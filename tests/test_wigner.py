@@ -49,7 +49,7 @@ def test_squeezed_photon_matches_closed_form():
     [
         (lambda d: fock.fock_state(0, d), lambda a: oracle.squeezed_vacuum_wigner(a, 0.0)),
         (lambda d: fock.fock_state(1, d), oracle.single_photon_wigner),
-        (lambda d: fock.squeezed_vacuum(0.52, d), lambda a: oracle.squeezed_vacuum_wigner(a, 0.52)),
+        (lambda d: fock.squeezed_number_state(0, 0.52, d), lambda a: oracle.squeezed_vacuum_wigner(a, 0.52)),
         (lambda d: fock.coherent_state(1.1j, d), lambda a: (2 / np.pi) * np.exp(-2 * np.abs(a - 1.1j) ** 2)),
         (lambda d: fock.scs_state(1.1j, "even", d), lambda a: wigner.scs_wigner(a, 1.1j)),
     ],
@@ -230,7 +230,7 @@ def test_overlap_matches_fock_fidelity_for_conditional_cat():
     [
         lambda d: fock.fock_state(0, d),
         lambda d: fock.fock_state(1, d),
-        lambda d: fock.squeezed_vacuum(0.4, d),
+        lambda d: fock.squeezed_number_state(0, 0.4, d),
     ],
     ids=["vacuum", "one-photon", "squeezed"],
 )
@@ -248,7 +248,7 @@ def test_grids_normalized_and_bounded():
     states = [
         fock.fock_state(0, 40),
         fock.fock_state(1, 40),
-        fock.squeezed_vacuum(0.52, 40),
+        fock.squeezed_number_state(0, 0.52, 40),
         fock.scs_state(1.1j, "even", 40),
     ]
     for psi in states:
