@@ -26,7 +26,7 @@ GAMMA = 1.1j
 DIM = 40
 
 joint = build_joint(fock_state(2, DIM), R, S_ANC)
-target = scs_state(GAMMA, "even", DIM)
+target = scs_state(GAMMA, DIM)
 
 zero, _ = homodyne_project(joint, 0.0)
 print(f"input |2>, R = {R}, s = {S_ANC}, target even cat with gamma = {GAMMA}")

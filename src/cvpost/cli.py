@@ -233,7 +233,7 @@ def _photon_setup(resolved):
     if n == 1:
         return joint, fock.squeezed_number_state(1, gaussian.s_prime(r, s), dim)
     try:  # a cat state too large for dim names its key
-        return joint, fock.scs_state(complex(*resolved["scs_gamma"]), "even", dim)
+        return joint, fock.scs_state(complex(*resolved["scs_gamma"]), dim)
     except fock.TruncationError as exc:
         raise ConfigError("scs_gamma", str(exc)) from None
 

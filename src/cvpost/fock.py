@@ -268,25 +268,17 @@ def _squeezed_number_amplitudes(n: int, s: float, dim: int) -> np.ndarray:
     return amps
 
 
-def scs_state(gamma: complex, parity: str, dim: int) -> FockVector:
-    """Normalized superposition of coherent states |gamma> +/- |-gamma>.
-
-    ``parity='even'`` takes the plus sign (even photon numbers only),
-    ``parity='odd'`` the minus sign.  The exact squared norm of the
-    unnormalized superposition is ``2 (1 +/- e^{-2|gamma|^2})``.
+def scs_state(gamma: complex, dim: int) -> FockVector:
+    """Normalized even superposition of coherent states |gamma> + |-gamma>,
+    the cat the |2> input targets (even photon numbers only).  The exact
+    squared norm of the unnormalized superposition is ``2 (1 + e^{-2|gamma|^2})``.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    sign = 1.0 if parity == "even" else -1.0
-    overlap = np.exp(-2.0 * min(abs(gamma), 1e150) ** 2)  # capped as in _coherent_amplitudes
-    norm_sq = 2.0 * (1.0 + sign * overlap)
-    if norm_sq < 1e-12:
-        raise ValueError(f"{parity} superposition is degenerate at gamma={gamma}")
+    norm_sq = 2.0 * (1.0 + np.exp(-2.0 * min(abs(gamma), 1e150) ** 2))  # capped as in _coherent_amplitudes
 
     def amplitudes(levels):
         plus, minus = _coherent_amplitudes(gamma, levels), _coherent_amplitudes(-gamma, levels)
         with np.errstate(invalid="ignore"):  # _checked reports a NaN parameter
-            return (plus + sign * minus) / np.sqrt(norm_sq)
+            return (plus + minus) / np.sqrt(norm_sq)
 
     return _checked(amplitudes, dim, f"scs_state(|gamma|={abs(gamma):.4g})")
 

@@ -50,7 +50,7 @@ def test_criterion_2_single_photon_window():
 
 def test_criterion_3_two_photon_window():
     with timer() as t:
-        target = fock.scs_state(1.1j, "even", 40)
+        target = fock.scs_state(1.1j, 40)
         win = run_window(build_joint(fock.fock_state(2, 40), 0.5, -0.37), target, 0.084)
     assert abs(win.avg_fidelity - 0.99) <= 0.005
     assert abs(win.success_prob - 0.052) / 0.052 <= 0.20
@@ -129,7 +129,7 @@ def test_criterion_8_property_suite():
         for psi in (
             fock.fock_state(1, 40),
             fock.squeezed_number_state(0, 0.52, 40),
-            fock.scs_state(1.1j, "even", 40),
+            fock.scs_state(1.1j, 40),
         ):
             grid = wigner.wigner_from_density(psi.density())
             assert abs(grid.riemann_sum() - 1.0) <= 1e-4

@@ -125,7 +125,7 @@ def single_photon(r, s, dim):
 
 def two_photon_cat():
     """Joint of the two-photon reference configuration and its even-cat target."""
-    return build_joint(fock.fock_state(2, 40), 0.5, -0.37), fock.scs_state(1.1j, "even", 40)
+    return build_joint(fock.fock_state(2, 40), 0.5, -0.37), fock.scs_state(1.1j, 40)
 
 
 def zero_outcome(joint, target):
@@ -324,8 +324,8 @@ AGREE_TOL = 1e-12
     "prepare",
     [
         lambda r, s, dim: (fock.fock_state(1, dim), fock.squeezed_number_state(1, s_prime(r, s), dim)),
-        lambda r, s, dim: (fock.fock_state(2, dim), fock.scs_state(1.1j, "even", dim)),
-        lambda r, s, dim: (fock.coherent_state(0.5 + 0.3j, dim), fock.scs_state(0.6 + 0.5j, "even", dim)),
+        lambda r, s, dim: (fock.fock_state(2, dim), fock.scs_state(1.1j, dim)),
+        lambda r, s, dim: (fock.coherent_state(0.5 + 0.3j, dim), fock.scs_state(0.6 + 0.5j, dim)),
     ],
     ids=["fock1", "fock2", "coherent"],
 )

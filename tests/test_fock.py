@@ -89,15 +89,15 @@ def test_coherent_min_dim_matches_poisson_tail(modulus):
 
 def test_truncation_error_says_when_no_dim_fits():
     with pytest.raises(TruncationError) as err:
-        fock.scs_state(20.0, "even", 40)
+        fock.scs_state(20.0, 40)
     assert err.value.suggested_dim is None
     assert "no dim up to 401, the largest the memory budget allows, holds it" in str(err.value)
 
 
 @pytest.mark.parametrize("prepare", [
-    partial(fock.scs_state, 1e200, "even", 40), partial(fock.scs_state, -1e200j, "odd", 40),
+    partial(fock.scs_state, 1e200, 40), partial(fock.scs_state, -1e200j, 40),
     partial(fock.coherent_state, 1e160, 10), partial(fock.coherent_state, 1e300 + 1e300j, 10),
-], ids=["scs-even-1e200", "scs-odd-1e200j", "coherent-1e160", "coherent-1e300-1e300j"])
+], ids=["scs-even-1e200", "scs-even-1e200j", "coherent-1e160", "coherent-1e300-1e300j"])
 def test_huge_amplitudes_fit_no_dim(prepare):
     # |gamma|^2 overflows a float here; the state is still refused as too large
     with pytest.raises(TruncationError, match="no dim up to 401, the largest the memory budget allows, holds it"):
@@ -107,8 +107,7 @@ def test_huge_amplitudes_fit_no_dim(prepare):
 _MODULUS, _PHASE = st.floats(0.01, 17.0), st.floats(0.0, 2.0 * np.pi)
 PREPARERS = st.one_of(
     st.builds(lambda r, a: partial(fock.coherent_state, r * np.exp(1j * a)), _MODULUS, _PHASE),
-    st.builds(lambda r, a, parity: partial(fock.scs_state, r * np.exp(1j * a), parity),
-              _MODULUS, _PHASE, st.sampled_from(["even", "odd"])),
+    st.builds(lambda r, a: partial(fock.scs_state, r * np.exp(1j * a)), _MODULUS, _PHASE),
     st.builds(lambda n, s: partial(fock.squeezed_number_state, n, s), st.integers(0, 2), st.floats(-1.9, 1.9)),
 )
 
@@ -297,12 +296,12 @@ def test_displaced_squeezed_vacuum_tail_guard():
 
 
 def test_scs_degenerate_even_limit():
-    psi = fock.scs_state(0.0, "even", 12)
+    psi = fock.scs_state(0.0, 12)
     np.testing.assert_allclose(psi.amplitudes, fock.fock_state(0, 12).amplitudes)
 
 
 def test_scs_even_parity():
-    psi = fock.scs_state(1.1j, "even", 40)
+    psi = fock.scs_state(1.1j, 40)
     assert psi.amplitudes[1] == 0.0
     assert np.all(psi.amplitudes[1::2] == 0.0)
 
@@ -311,19 +310,11 @@ def test_scs_normalization_constant():
     # oracle: <g|-g> = e^{-2|g|^2}, so N = [2(1 + e^{-2|g|^2})]^{-1/2}
     gamma = 1.1j
     n_const = (2.0 * (1.0 + np.exp(-2 * abs(gamma) ** 2))) ** -0.5
-    psi = fock.scs_state(gamma, "even", 40)
+    psi = fock.scs_state(gamma, 40)
     plus = fock.coherent_state(gamma, 40).amplitudes
     minus = fock.coherent_state(-gamma, 40).amplitudes
     np.testing.assert_allclose(psi.amplitudes, n_const * (plus + minus), atol=1e-12)
     np.testing.assert_allclose(psi.norm, 1.0, atol=1e-9)
-
-
-def test_scs_odd_variant():
-    psi = fock.scs_state(1.2, "odd", 40)
-    assert np.all(psi.amplitudes[0::2] == 0.0)
-    np.testing.assert_allclose(psi.norm, 1.0, atol=1e-9)
-    with pytest.raises(ValueError):
-        fock.scs_state(0.0, "odd", 20)
 
 
 @pytest.mark.parametrize(
@@ -333,7 +324,7 @@ def test_scs_odd_variant():
         lambda: fock.squeezed_number_state(1, np.nan, 20),
         lambda: oracle.displaced_squeezed_vacuum(0.5, np.nan, 20),
         lambda: fock.coherent_state(complex(np.nan, 0.0), 20),
-        lambda: fock.scs_state(complex(0.0, np.nan), "even", 20),
+        lambda: fock.scs_state(complex(0.0, np.nan), 20),
     ],
     ids=["squeezed_vacuum", "squeezed_number_state", "displaced_squeezed_vacuum", "coherent_state", "scs_state"],
 )
@@ -498,7 +489,7 @@ def test_memory_guard_names_the_budget_and_the_largest_dim():
     (fock.fock_state(1, 24), fock.squeezed_number_state(0, 0.4, 24)),
     (fock.fock_state(2, 24), fock.squeezed_number_state(0, -0.37, 24)),
     (fock.coherent_state(0.5 + 0.2j, 24), fock.squeezed_number_state(0, 0.4, 24)),
-    (fock.fock_state(1, 24), fock.scs_state(1.1j, "even", 24)),
+    (fock.fock_state(1, 24), fock.scs_state(1.1j, 24)),
 ], ids=["single-photon", "two-photon", "coherent", "cat-ancilla"])
 @pytest.mark.parametrize("reflectivity", [0.3, 0.5, 0.98])
 def test_interfere_is_real_exactly_for_real_inputs(psi_in, psi_anc, reflectivity):

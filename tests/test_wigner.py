@@ -51,7 +51,7 @@ def test_squeezed_photon_matches_closed_form():
         (lambda d: fock.fock_state(1, d), oracle.single_photon_wigner),
         (lambda d: fock.squeezed_number_state(0, 0.52, d), lambda a: oracle.squeezed_vacuum_wigner(a, 0.52)),
         (lambda d: fock.coherent_state(1.1j, d), lambda a: (2 / np.pi) * np.exp(-2 * np.abs(a - 1.1j) ** 2)),
-        (lambda d: fock.scs_state(1.1j, "even", d), lambda a: wigner.scs_wigner(a, 1.1j)),
+        (lambda d: fock.scs_state(1.1j, d), lambda a: wigner.scs_wigner(a, 1.1j)),
     ],
     ids=["vacuum", "one-photon", "squeezed", "coherent", "cat"],
 )
@@ -69,7 +69,7 @@ def test_scs_pointwise_tight():
     # the cat Wigner matches its closed form to 1e-8 at adequate dimension
     dim = 48
     pts = np.array([0.0, 0.3 + 0.4j, -1.0 + 1.1j, 0.5j, 1.5 - 0.5j])
-    got = wigner.wigner_point(fock.scs_state(1.1j, "even", dim).density(), pts)
+    got = wigner.wigner_point(fock.scs_state(1.1j, dim).density(), pts)
     np.testing.assert_allclose(got, wigner.scs_wigner(pts, 1.1j), atol=1e-8)
 
 
@@ -110,7 +110,7 @@ def test_grid_matches_pointwise_oracle(dim, kind):
 
 def test_empty_diagonals_match_oracle():
     # an even cat has no odd Fock components, so every odd diagonal is zero
-    rho = fock.scs_state(1.1j, "even", 40).density()
+    rho = fock.scs_state(1.1j, 40).density()
     x_axis, p_axis = oracle_axes("non-uniform")
     grid = wigner.wigner_from_density(rho, x_axis, p_axis)
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
@@ -210,7 +210,7 @@ def test_overlap_requires_identical_grids():
 
 def test_overlap_matches_fock_fidelity_for_conditional_cat():
     # dual route: grid overlap against the Fock-basis fidelity
-    target = fock.scs_state(1.1j, "even", 40)
+    target = fock.scs_state(1.1j, 40)
     joint = conditioner.build_joint(fock.fock_state(2, 40), 0.5, -0.37)
     state, _ = conditioner.homodyne_project(joint, 0.0)
     grid_state = wigner.wigner_from_density(state.density())
@@ -249,7 +249,7 @@ def test_grids_normalized_and_bounded():
         fock.fock_state(0, 40),
         fock.fock_state(1, 40),
         fock.squeezed_number_state(0, 0.52, 40),
-        fock.scs_state(1.1j, "even", 40),
+        fock.scs_state(1.1j, 40),
     ]
     for psi in states:
         grid = wigner.wigner_from_density(psi.density())
@@ -294,7 +294,7 @@ def test_default_grid_of_a_real_even_state_is_symmetric_bit_for_bit():
     values = wigner.wigner_from_density(rho).values
     assert np.array_equal(values, values[::-1]) and np.array_equal(values, values[:, ::-1])
     # a complex state keeps the complex sum, which is still exact under conjugation
-    cat = wigner.wigner_from_density(fock.scs_state(1.1j, "even", 30).density()).values
+    cat = wigner.wigner_from_density(fock.scs_state(1.1j, 30).density()).values
     assert np.array_equal(cat, cat[:, ::-1])
 
 
