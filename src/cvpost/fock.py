@@ -57,8 +57,8 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class FockVector:
     """Pure state of one mode: coefficients ``<n|psi>`` for n = 0..dim-1.
 
-    The squared norm equals ``1 - tail_mass`` where ``tail_mass`` is the
-    population the preparer discarded above the truncation.
+    The squared norm is 1 less the population the preparer discarded above
+    the truncation.
     """
 
     amplitudes: np.ndarray
@@ -73,11 +73,6 @@ class FockVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    @property
-    def tail_mass(self) -> float:
-        """Population lost to truncation, 1 - ||psi||^2."""
-        return max(0.0, 1.0 - self.norm**2)
 
     def density(self) -> "FockDensity":
         return FockDensity(np.outer(self.amplitudes, self.amplitudes.conj()), self.dim)
@@ -107,10 +102,6 @@ class FockDensity:
             if evals.min() < -1e-10 * max(scale, 1.0):
                 raise ValueError("density matrix has negative eigenvalues")
         object.__setattr__(self, "matrix", _readonly(mat))
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
 
     def purity(self) -> float:
         return float(np.real(np.sum(self.matrix * self.matrix.conj().T)))

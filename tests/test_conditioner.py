@@ -138,7 +138,7 @@ def test_window_single_photon_reference():
     win = run_window(*single_photon(0.98, 0.7, 60), 0.025)
     assert abs(win.avg_fidelity - 0.99) < 0.005
     assert abs(win.success_prob - 0.003) / 0.003 < 0.30
-    np.testing.assert_allclose(win.avg_state.trace, 1.0, atol=1e-8)
+    np.testing.assert_allclose(np.trace(win.avg_state.matrix).real, 1.0, atol=1e-8)
 
 
 def test_window_two_photon_reference():
