@@ -7,8 +7,6 @@ states |g> + |-g> with g = 1.1i.  The interference fringes between the two
 coherent lobes survive the window averaging.
 """
 
-import numpy as np
-
 from cvpost import (
     build_joint,
     fidelity,
@@ -16,9 +14,9 @@ from cvpost import (
     homodyne_project,
     run_window,
     scs_state,
-    scs_wigner,
+    wigner_from_density,
 )
-from cvpost.wigner import wigner_point
+from cvpost.wigner import mirror_axis
 
 R = 0.5
 S_ANC = -0.37
@@ -37,11 +35,13 @@ for x0 in (0.02, 0.05, 0.084, 0.15, 0.3):
     win = run_window(joint, target, x0)
     print(f"  {x0:>8.3f}          {win.avg_fidelity:.4f}   {win.success_prob:.5f}")
 
-# Fringes along the amplitude axis: the cat's signature oscillation.
+# Fringes along the amplitude axis: the cat's signature oscillation.  An
+# odd-point mirror axis has its centre at exactly 0.0, so column 50 of each
+# grid is the alpha- = 0 cut.
 win = run_window(joint, target, 0.084)
-axis = np.linspace(-2.5, 2.5, 101)
-produced = wigner_point(win.avg_state, axis.astype(complex))
-ideal = scs_wigner(axis, GAMMA)
+axis = mirror_axis(2.5, 101)
+produced = wigner_from_density(win.avg_state, axis, axis).values[:, 50]
+ideal = wigner_from_density(target.density(), axis, axis).values[:, 50]
 print("\nWigner cut along alpha+ (alpha- = 0): produced vs ideal cat")
 for k in range(0, 101, 10):
     print(f"  alpha+ = {axis[k]:+.2f}:  {produced[k]:+.4f}   {ideal[k]:+.4f}")

@@ -52,6 +52,5 @@ from .gaussian import (
 )
 from .wigner import (
     WignerGrid,
-    scs_wigner,
     wigner_from_density,
 )

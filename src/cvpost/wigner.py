@@ -125,12 +125,6 @@ def _radial_part(rho: np.ndarray, d: int, cutoff: float, z: np.ndarray, logz: np
     return part
 
 
-def wigner_point(rho: FockDensity, alpha) -> np.ndarray | float:
-    """Wigner function of a single-mode state at arbitrary points."""
-    vals = _wigner_values(rho.matrix, np.atleast_1d(alpha))
-    return float(vals[0]) if np.isscalar(alpha) else vals
-
-
 def mirror_axis(extent: float, points: int) -> np.ndarray:
     """``0.5 * (a - a[::-1])`` for ``a = linspace(-extent, extent, points)``:
     ``axis[k] == -axis[-1 - k]`` bit for bit, within 8.9e-16 of ``a`` at
@@ -158,22 +152,3 @@ def wigner_from_density(
     alphas = xg + 1j * pg
     vals = _wigner_values(rho.matrix, alphas.ravel()).reshape(alphas.shape)
     return WignerGrid(vals, x_axis, p_axis)
-
-
-# ---------------------------------------------------------------------------
-# Closed forms
-# ---------------------------------------------------------------------------
-
-
-def scs_wigner(alpha, gamma: complex):
-    """W of the normalized even superposition |gamma> + |-gamma>.
-
-    The two complex-exponential cross terms combine into
-    ``2 exp(-2|a|^2) cos(4 Im(gamma* a))``.
-    """
-    a = np.asarray(alpha, dtype=complex)
-    g = complex(gamma)
-    n1 = 1.0 / (np.pi * (1.0 + np.exp(-2.0 * abs(g) ** 2)))
-    direct = np.exp(-2.0 * np.abs(a - g) ** 2) + np.exp(-2.0 * np.abs(a + g) ** 2)
-    cross = 2.0 * np.exp(-2.0 * np.abs(a) ** 2) * np.cos(4.0 * np.imag(np.conj(g) * a))
-    return n1 * (direct + cross)

@@ -505,6 +505,20 @@ def single_photon_wigner(alpha):
     return (2.0 / np.pi) * np.exp(-2.0 * r2) * (4.0 * r2 - 1.0)
 
 
+def scs_wigner(alpha, gamma: complex):
+    """W of the normalized even superposition |gamma> + |-gamma>.
+
+    The two complex-exponential cross terms combine into
+    ``2 exp(-2|a|^2) cos(4 Im(gamma* a))``.
+    """
+    a = np.asarray(alpha, dtype=complex)
+    g = complex(gamma)
+    n1 = 1.0 / (np.pi * (1.0 + np.exp(-2.0 * abs(g) ** 2)))
+    direct = np.exp(-2.0 * np.abs(a - g) ** 2) + np.exp(-2.0 * np.abs(a + g) ** 2)
+    cross = 2.0 * np.exp(-2.0 * np.abs(a) ** 2) * np.cos(4.0 * np.imag(np.conj(g) * a))
+    return n1 * (direct + cross)
+
+
 def overlap(w1: WignerGrid, w2: WignerGrid) -> float:
     """pi-weighted overlap pi * sum(W1 * W2) dx dp.
 
