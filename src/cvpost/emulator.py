@@ -89,18 +89,19 @@ class ExperimentParams:
     subtract_electronic: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.R <= 1.0:
-            raise ValueError("R must be in [0, 1]")
+        if not 0.0 <= self.R < 1.0:
+            raise ValueError(f"R={self.R} must be in [0, 1): the ideal squeezer target needs T > 0 "
+                             "(reflectivity in a config)")
         for name in ("eta_vis", "eta_det", "eta_hom"):
             eta = getattr(self, name)
             if not 0.0 < eta <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1]")
         if not self.x0 > 0:
             raise ValueError("x0 must be > 0")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+        for name, least in (("n_samples", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name}={value!r} must be an integer >= {least}")
         if len(self.v_in) != 2 or not all(0 < v < np.inf for v in self.v_in):
             raise ValueError("v_in must be two positive finite variances")
         for name in ("gamma_plus", "gamma_minus", "anc_sqz_db", "anc_antisqz_db",
@@ -338,12 +339,30 @@ def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float
     )
 
 
+# Records are rounded to floats about their mean.  Past a float spacing there
+# of 1e-3 of a transmitted record's standard deviation, rounding adds over 1e-7
+# of its variance (spacing^2 / 12), more than the sampling error of any run
+# that fits in memory.
+_ROUNDING = 1e-3
+
+
 def run_experiment(params: ExperimentParams) -> EnsembleStats:
     """Synthesize, post-select, and estimate in one streamed pass.
 
     Only the rows inside the window are drawn; they are the rows inside the
-    window of the stream :func:`dump_samples` writes.
+    window of the stream :func:`dump_samples` writes.  Raises ValueError,
+    before any draw, when the transmitted records' noise would be lost to
+    the rounding of their mean.
     """
+    mean, cov = predict_records(params)
+    sd, spacing = np.sqrt(np.diag(cov)[:2]), np.spacing(np.abs(mean[:2]))
+    if np.any(spacing > _ROUNDING * sd):
+        raise ValueError(
+            f"the transmitted records' noise (sd {sd.min():.3g} SNL) would be lost to the rounding of "
+            f"their means {mean[0]:.3g} and {mean[1]:.3g} (float spacing {spacing.max():.3g}, over "
+            f"{_ROUNDING:g} of the sd); lower |gamma_plus| or |gamma_minus| "
+            "(gamma_plus and gamma_minus in a config)"
+        )
     selected = np.concatenate(list(_iter_chunks(params, full=False)), axis=0)
     return estimate(selected, params, success_prob=selected.shape[0] / params.n_samples)
 

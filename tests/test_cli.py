@@ -661,13 +661,14 @@ def test_locations_at_their_bounds_run(tmp_path, payload):
 
 
 def test_emulate_amplitudes_at_their_bounds_exit_2_without_overflow(tmp_path, capsys):
-    # the gate sees the amplitude, so the window keeps nothing; at R = 0 a
-    # wide window keeps every row, whose moments are lost to rounding but do
-    # not overflow
+    # the records' noise is lost to the rounding of their means, so either
+    # window is refused before any draw, naming the amplitudes
     for k, extra in enumerate([{}, {"reflectivity": 0.0, "x0_snl": 1e150}]):
         payload = {"mode": "emulate", "gamma_plus": 1e100, "gamma_minus": -1e100, "n_samples": 20_000, **extra}
         assert cli.main(["--out", str(tmp_path / f"o{k}"), "run", write_config(tmp_path, payload)]) == 2
-        assert "config validation failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config validation failed" in err
+        assert "lost to the rounding" in err and "(gamma_plus and gamma_minus in a config)" in err
 
 
 def test_widest_window_on_the_narrowest_gate_keeps_every_row(tmp_path):

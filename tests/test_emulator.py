@@ -96,14 +96,14 @@ def test_gate_record_matches_closed_form_moments(sampler):
 
 @pytest.mark.parametrize(
     "overrides",
-    [{}, {"R": 0.0}, {"R": 1.0}, {"gate_elec_db": -4000.0}],
-    ids=["quiet", "R=0", "R=1", "zero-gate-noise"],
+    [{}, {"R": 0.0}, {"R": np.nextafter(1.0, 0.0)}, {"gate_elec_db": -4000.0}],
+    ids=["quiet", "R=0", "R-below-1", "zero-gate-noise"],
 )
 def test_noiseless_gate_draws_finite_rows(overrides):
     # eta_det = 1 and no gate noise (-4000 dB is exactly 0): the gate is an
-    # exact linear combination of input and ancilla X+, and at R = 0 or 1 of
-    # one of them alone; the transmitted pair given it keeps a full-rank
-    # covariance.  Any RuntimeWarning fails the test; the stream keeps its
+    # exact linear combination of input and ancilla X+, and at R = 0 of the
+    # ancilla alone, at the largest R below 1 nearly of the input alone; the
+    # transmitted pair given it keeps a full-rank covariance.  Any RuntimeWarning fails the test; the stream keeps its
     # moments.
     params = quiet_params(x0=0.5, n_samples=100_000, **overrides)
     stream = synthesize(params)
@@ -250,11 +250,13 @@ def test_parameter_validation():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("rng_seed", -1), ("gamma_plus", np.nan), ("gamma_minus", np.inf),
+    [("rng_seed", -1), ("rng_seed", 2.5), ("rng_seed", True), ("n_samples", True), ("n_samples", 2.0e4),
+     ("R", 1.0), ("gamma_plus", np.nan), ("gamma_minus", np.inf),
      ("v_in", (np.inf, 1.0)), ("v_in", (1.0, np.nan)), ("v_in", (0.5, 1.0)),
      ("anc_sqz_db", 4000.0), ("anc_antisqz_db", 4000.0), ("gate_elec_db", 4000.0), ("hom_elec_db", 4000.0),
      ("anc_antisqz_db", 200.0), ("gate_elec_db", 200.0), ("anc_antisqz_db", 3000.0), ("hom_elec_db", 3000.0)],
-    ids=["rng_seed", "gamma_plus-nan", "gamma_minus-inf", "v_in-inf", "v_in-nan", "v_in-unphysical",
+    ids=["rng_seed", "rng_seed-float", "rng_seed-bool", "n_samples-bool", "n_samples-float", "R-1",
+         "gamma_plus-nan", "gamma_minus-inf", "v_in-inf", "v_in-nan", "v_in-unphysical",
          "anc_sqz_db-overflow", "anc_antisqz_db-overflow", "gate_elec_db-overflow", "hom_elec_db-overflow",
          "anc_antisqz_db-200dB", "gate_elec_db-200dB", "anc_antisqz_db-3000dB", "hom_elec_db-3000dB"],
 )
@@ -264,8 +266,31 @@ def test_bad_parameter_is_named(field, value):
     # naming the field.  Above MAX_DB the gate conditional is lost to
     # rounding: at 200 dB predict_stats reports an output variance near
     # 8192 and a fidelity of 0.03, at 3000 dB the run keeps no samples.
+    # A seed of 2.5 ends in a SeedSequence TypeError, n_samples=True in an
+    # empty selection, and R = 1 only after every row is drawn, when the
+    # ideal target is built; each is rejected here, at construction.
     with pytest.raises(ValueError, match=field):
         ExperimentParams(**{field: value})
+
+
+def test_unit_reflectivity_names_its_config_key():
+    with pytest.raises(ValueError, match=r"R=1.0 must be in \[0, 1\).*\(reflectivity in a config\)"):
+        ExperimentParams(R=1.0, x0=5.0, n_samples=20_000)
+
+
+def test_amplitude_lost_to_rounding_is_rejected_before_any_draw(monkeypatch):
+    # at R = 0 a wide window keeps every row, but records about a mean of
+    # 2e100 are rounded to multiples of 4e84, far above their unit noise
+    params = ExperimentParams(R=0.0, gamma_plus=1e100, gamma_minus=-1e100, x0=1e150, n_samples=20_000)
+    # a float spacing under 1e-3 of the record sd (2.4e-4 at 2e12) still runs
+    run_experiment(dataclasses.replace(params, gamma_plus=1e12, gamma_minus=0.0, x0=5.0))
+
+    def draw(*args):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(emulator, "_draw_chunk", draw)
+    with pytest.raises(ValueError, match=r"lost to the rounding .*\(gamma_plus and gamma_minus in a config\)"):
+        run_experiment(params)
 
 
 # ---------------------------------------------------------------------------
