@@ -534,7 +534,10 @@ def _cmd_selfcheck(args) -> int:
     return 0 if all_ok else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of :func:`main`
+    rather than at import, and reused by later calls in the process."""
     parser = argparse.ArgumentParser(prog="cvpost", description=__doc__)
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the emulator RNG seed")
@@ -544,7 +547,11 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run a scenario from a JSON config")
     run_p.add_argument("config", help="path to the config file")
     sub.add_parser("selfcheck", help="run the fast invariant suite")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:  # --dim and --seed take the bounds of the config key they override
         for flag, val, (_, kind, bounds) in (("--dim", args.dim, _KEYS["two-photon"]["dim"]),
                                              ("--seed", args.seed, _KEYS["emulate"]["rng_seed"]),

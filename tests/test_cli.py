@@ -2,7 +2,12 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -863,6 +868,45 @@ def test_the_walk_reaches_sections_and_pairs():
             ("coherent", "gamma"), ("emulate", "v_in_snl")} <= walked
 
 
+def _readme_intervals():
+    """{name: {interval: modes}} from the README's list of intervals: each
+    interval goes to the key and flag names before it in its bullet, and to
+    the modes named beside it (an empty set where it names none)."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("Each bounded key and flag must lie in its interval", 1)[1].split("Modes and their", 1)[0]
+    names = {field for _, field, *_ in _bounded_keys()} | {"--dim", "--seed", "--threads"}
+    listed = {}
+    for bullet in re.split(r"\n\* ", block)[1:]:
+        last = []
+        for segment in bullet.split(";"):
+            tokens = re.findall(r"`([^`]+)`", segment)
+            last = [t for t in tokens if t in names] or last
+            modes = {t for t in tokens if t in cli._KEYS}
+            for interval in (t for t in tokens if re.fullmatch(r"[\[(][^,]+, [^,]+[\])]", t)):
+                for name in last:
+                    listed.setdefault(name, {})[interval] = modes
+    return listed
+
+
+def test_readme_lists_every_interval_of_the_keys_and_flags():
+    # the README quotes each interval as the errors do, so the two must not drift
+    want = {}
+    for mode, field, _, _, bounds in _bounded_keys():
+        want.setdefault(field, {}).setdefault(bounds, set()).add(mode)
+    for flag, bounds in (("--dim", cli._KEYS["two-photon"]["dim"][2]),
+                         ("--seed", cli._KEYS["emulate"]["rng_seed"][2]), ("--threads", "[1, inf)")):
+        want[flag] = {bounds: set()}
+    listed = _readme_intervals()
+    assert {name: set(intervals) for name, intervals in listed.items()} == \
+        {name: set(intervals) for name, intervals in want.items()}
+    # where the README names the modes an interval holds in, they are those of cli._KEYS
+    for name, intervals in listed.items():
+        for interval, modes in intervals.items():
+            assert not modes or modes == want[name][interval], (name, interval, modes)
+    assert listed["reflectivity"]["[0, 1)"] == {"coherent", "emulate"}
+    assert want["reflectivity"]["[0, 1]"] == {"single-photon", "two-photon"}
+
+
 # ---------------------------------------------------------------------------
 # Selfcheck
 # ---------------------------------------------------------------------------
@@ -881,6 +925,19 @@ def test_selfcheck_fails_at_tiny_dimension(capsys):
     assert "FAIL" in out
     assert "squeezed-photon-exactness" in out
     assert "dim" in out  # truncation diagnostic mentions the dimension
+
+
+def test_main_builds_its_parser_on_the_first_call_only(capsys):
+    # not at import, which a console run pays for anyway; then once per process
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = "import sys, cvpost.cli as c; sys.exit(c._parser.cache_info().currsize)"
+    assert subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), timeout=60).returncode == 0
+    cli._parser.cache_clear()
+    assert cli.main(["--dim", "1", "selfcheck"]) == 2
+    parser = cli._parser()
+    assert cli.main(["--seed", "-1", "run", "config.json"]) == 2
+    assert cli._parser() is parser and cli._parser.cache_info().misses == 1
+    capsys.readouterr()
 
 
 def test_selfcheck_deterministic(capsys):
