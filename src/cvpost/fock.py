@@ -224,6 +224,7 @@ def squeezed_number_state(n: int, s: float, dim: int) -> FockVector:
     ``c_{2k} = sech(s)^{1/2} tanh(s)^k sqrt((2k)!)/(2^k k!)``.  For ``s > 0``
     the phase quadrature is squeezed, ``V(a_minus) = e^{-2s}/4``, matching the
     Wigner form ``(2/pi) exp[-2 a_plus^2 e^{-2s} - 2 a_minus^2 e^{2s}]``.
+
     ``S(s) a^dag S(s)^dag = cosh(s) a^dag - sinh(s) a``, so
     ``S(s)|n> = (cosh(s) a^dag - sinh(s) a)^n S(s)|0> / sqrt(n!)``.  One
     application of that operator to a vector kept on L levels is exact on
