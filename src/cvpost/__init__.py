@@ -30,7 +30,6 @@ from .fock import (
     FockDensity,
     FockVector,
     TruncationError,
-    TwoModeState,
     coherent_state,
     fock_state,
     interfere,

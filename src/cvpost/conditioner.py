@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .fock import FockDensity, FockVector, TwoModeState
+from .fock import FockDensity, FockVector
 from .gaussian import GL_NODES, GL_WEIGHTS
 
 #: Below this window half-width (Wigner units) :func:`window_matrix` is taken
@@ -38,13 +38,13 @@ NARROW_WINDOW = 0.1
 # ---------------------------------------------------------------------------
 
 
-def build_joint(psi_in: FockVector, reflectivity: float, squeezing: float) -> TwoModeState:
+def build_joint(psi_in: FockVector, reflectivity: float, squeezing: float) -> np.ndarray:
     """Interfere ``psi_in`` with the squeezed-vacuum ancilla S(squeezing)|0>."""
     anc = fock.squeezed_number_state(0, squeezing, psi_in.dim)
     return fock.interfere(psi_in, anc, reflectivity)
 
 
-def homodyne_project(joint: TwoModeState, x: float):
+def homodyne_project(joint: np.ndarray, x: float):
     """Project the reflected mode onto the quadrature eigenstate |x>.
 
     Returns the normalized transmitted state, a pure :class:`FockVector`
@@ -55,13 +55,13 @@ def homodyne_project(joint: TwoModeState, x: float):
     """
     if not np.isfinite(x):
         raise ValueError("homodyne outcome must be finite")
-    psi = fock.quadrature_wavefunctions(joint.dim - 1, [float(x)])
-    re, im = (np.ascontiguousarray(half) @ psi for half in (joint.amplitudes.real, joint.amplitudes.imag))
+    psi = fock.quadrature_wavefunctions(len(joint) - 1, [float(x)])
+    re, im = (np.ascontiguousarray(half) @ psi for half in (joint.real, joint.imag))
     phi = (re + 1j * im)[:, 0]
     p1 = float(np.real(np.vdot(phi, phi)))
     if p1 <= 0.0:
         raise ValueError(f"outcome density vanished at x={x}; state undefined there")
-    return FockVector(phi / math.sqrt(p1), joint.dim), p1
+    return FockVector(phi / math.sqrt(p1), len(joint)), p1
 
 
 def fidelity(state: FockVector, target: FockVector) -> float:
@@ -125,27 +125,25 @@ def window_matrix(dim: int, x0: float) -> np.ndarray:
     return m
 
 
-def density_norm(joint: TwoModeState, x0: float = 6.0) -> float:
+def density_norm(joint: np.ndarray, x0: float = 6.0) -> float:
     """Integral of P1 over |x| < x0, the window's success probability;
     at the default x0 = 6 it is 1 up to the joint's truncation loss."""
-    amps = joint.amplitudes
-    return float(np.vdot(amps, amps @ window_matrix(joint.dim, x0)).real)
+    return float(np.vdot(joint, joint @ window_matrix(len(joint), x0)).real)
 
 
-def run_window(joint: TwoModeState, target: FockVector, x0: float) -> WindowResult:
+def run_window(joint: np.ndarray, target: FockVector, x0: float) -> WindowResult:
     """Average the conditional output over the window |x| < x0.
 
     The unnormalized averaged state is ``Psi M Psi^dag`` with M from
     :func:`window_matrix`; P_s is its trace and F_ave its overlap with the
     target over P_s.
     """
-    amps = joint.amplitudes
-    avg = (amps @ window_matrix(joint.dim, x0)) @ amps.conj().T
+    avg = (joint @ window_matrix(len(joint), x0)) @ joint.conj().T
     p_s = float(np.trace(avg).real)
     t = target.amplitudes
     return WindowResult(
         avg_fidelity=float((t.conj() @ avg @ t).real) / p_s,
         success_prob=p_s,
-        avg_state=FockDensity(avg / p_s, joint.dim, validate=False),
+        avg_state=FockDensity(avg / p_s, len(joint), validate=False),
     )
 

@@ -107,24 +107,6 @@ class FockDensity:
         return float(np.real(np.sum(self.matrix * self.matrix.conj().T)))
 
 
-@dataclass(frozen=True)
-class TwoModeState:
-    """Pure state over (transmitted, reflected): amplitudes ``Psi[i_t, m_r]``.
-
-    Every state the protocol feeds into the beam splitter is pure, so the
-    joint is this dim x dim matrix; its density matrix would be dim^4.
-    """
-
-    amplitudes: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim} amplitudes, got shape {amps.shape}")
-        object.__setattr__(self, "amplitudes", _readonly(amps))
-
-
 def quadrature_moments(psi: FockVector):
     """Mean vector and 2x2 covariance of (x, p) in Wigner units.
 
@@ -382,10 +364,12 @@ def _stacked_product(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.matmul(mats, vecs.view(np.float64).reshape(dim, dim, 2)).view(complex)[..., 0]
 
 
-def interfere(psi_in: FockVector, psi_anc: FockVector, reflectivity: float) -> TwoModeState:
+def interfere(psi_in: FockVector, psi_anc: FockVector, reflectivity: float) -> np.ndarray:
     """Interfere a pure input mode with a pure ancilla on a beam splitter.
 
-    Returns the joint state over (transmitted, reflected).  Applies
+    Returns the joint state over (transmitted, reflected) as the read-only
+    dim x dim array of its amplitudes ``Psi[i_t, m_r]``: every input is
+    pure, so the joint is pure, and its density matrix would be dim^4.  Applies
     ``S V e^{i phi Lambda} V^T S^-1`` of :func:`beam_splitter_unitary` to each
     wrapped diagonal of ``outer(psi_in, psi_anc)`` without building any block:
     gather, multiply by S^-1, take V^T, multiply by the phases, take V,
@@ -402,7 +386,7 @@ def interfere(psi_in: FockVector, psi_anc: FockVector, reflectivity: float) -> T
     dim = psi_in.dim
     product = np.outer(psi_in.amplitudes, psi_anc.amplitudes)
     if reflectivity == 0.0:  # the identity, exactly
-        return TwoModeState(product, dim)
+        return _readonly(product)
     basis = beam_splitter_unitary(dim)
     phi = math.asin(math.sqrt(reflectivity))
     diagonals = product.ravel()[basis.gather].reshape(dim, dim) * basis.phases.conj()
@@ -412,7 +396,7 @@ def interfere(psi_in: FockVector, psi_anc: FockVector, reflectivity: float) -> T
     out[basis.gather] = (_stacked_product(basis.vectors, rotated) * basis.phases).ravel()
     if not (psi_in.amplitudes.imag.any() or psi_anc.amplitudes.imag.any()):
         out = out.real
-    return TwoModeState(out.reshape(dim, dim), dim)
+    return _readonly(out.reshape(dim, dim))
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def dense_unitary(dim: int, reflectivity: float) -> np.ndarray:
     for i in range(dim):
         for m in range(dim):
             joint = fock.interfere(fock.fock_state(i, dim), fock.fock_state(m, dim), reflectivity)
-            u[:, i * dim + m] = joint.amplitudes.ravel()
+            u[:, i * dim + m] = joint.ravel()
     return u
 
 

@@ -336,7 +336,7 @@ def test_pure_joint_agrees_with_dense_route(reflectivity, prepare):
         psi_in.density(), fock.squeezed_number_state(0, s, dim).density(), reflectivity
     )
     joint = build_joint(psi_in, reflectivity, s)
-    vec = joint.amplitudes.ravel()
+    vec = joint.ravel()
     np.testing.assert_allclose(np.outer(vec, vec.conj()), dense.matrix, rtol=0, atol=AGREE_TOL)
 
     xs = [-0.4, 0.0, 0.13]
