@@ -65,7 +65,7 @@ class FockVector:
     dim: int
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes, dtype=complex if np.iscomplexobj(self.amplitudes) else float)
         if amps.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} amplitudes, got shape {amps.shape}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
@@ -91,7 +91,7 @@ class FockDensity:
     validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if mat.shape != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {mat.shape}")
         if self.validate:
@@ -145,7 +145,7 @@ def fock_state(n: int, dim: int) -> FockVector:
         raise TruncationError(
             f"fock_state(n={n}) does not fit in dim={dim}", suggested_dim=n + 1
         )
-    amps = np.zeros(dim, dtype=complex)
+    amps = np.zeros(dim)
     amps[n] = 1.0
     return FockVector(amps, dim)
 
@@ -227,7 +227,7 @@ def squeezed_number_state(n: int, s: float, dim: int) -> FockVector:
 
 
 def _squeezed_number_amplitudes(n: int, s: float, dim: int) -> np.ndarray:
-    amps = np.zeros(dim + n, dtype=complex)
+    amps = np.zeros(dim + n)
     t, c = np.tanh(s), 1.0 / np.sqrt(np.cosh(s))
     for k in range(0, dim + n, 2):
         amps[k] = c
@@ -367,17 +367,16 @@ def _stacked_product(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def interfere(psi_in: FockVector, psi_anc: FockVector, reflectivity: float) -> np.ndarray:
     """Interfere a pure input mode with a pure ancilla on a beam splitter.
 
-    Returns the joint state over (transmitted, reflected) as the read-only
-    dim x dim array of its amplitudes ``Psi[i_t, m_r]``: every input is
-    pure, so the joint is pure, and its density matrix would be dim^4.  Applies
+    Both are pure, so the joint over (transmitted, reflected) is the read-only
+    dim x dim array ``Psi[i_t, m_r]``; its density matrix would be dim^4.  Applies
     ``S V e^{i phi Lambda} V^T S^-1`` of :func:`beam_splitter_unitary` to each
     wrapped diagonal of ``outer(psi_in, psi_anc)`` without building any block:
     gather, multiply by S^-1, take V^T, multiply by the phases, take V,
     multiply by S, scatter.  The orientation reproduces the Wigner
     composition ``W_in(sqrt(T) a + sqrt(R) b) * W_anc(-sqrt(R) a + sqrt(T) b)``.
 
-    The map is real orthogonal, so for real inputs only the real part is
-    kept: the imaginary parts the eigenbasis leaves (up to 8e-17) are rounding.
+    The map is real orthogonal, so a real product gives a float joint: the
+    imaginary parts the eigenbasis leaves (up to 8e-17) are rounding.
     """
     if psi_in.dim != psi_anc.dim:
         raise ValueError("input and ancilla must share the truncation dimension")
@@ -385,6 +384,8 @@ def interfere(psi_in: FockVector, psi_anc: FockVector, reflectivity: float) -> n
         raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
     dim = psi_in.dim
     product = np.outer(psi_in.amplitudes, psi_anc.amplitudes)
+    if not product.imag.any():  # by value: a coherent state of real gamma is complex-typed
+        product = product.real
     if reflectivity == 0.0:  # the identity, exactly
         return _readonly(product)
     basis = beam_splitter_unitary(dim)
@@ -394,9 +395,7 @@ def interfere(psi_in: FockVector, psi_anc: FockVector, reflectivity: float) -> n
     rotated *= np.exp(1j * phi * basis.eigenvalues)
     out = np.empty(dim * dim, dtype=complex)
     out[basis.gather] = (_stacked_product(basis.vectors, rotated) * basis.phases).ravel()
-    if not (psi_in.amplitudes.imag.any() or psi_anc.amplitudes.imag.any()):
-        out = out.real
-    return _readonly(out.reshape(dim, dim))
+    return _readonly((out if np.iscomplexobj(product) else out.real).reshape(dim, dim))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,17 @@ RTOL = 1e-10
 # ---------------------------------------------------------------------------
 
 
+def test_real_preparers_build_float_states():
+    # a real state stays real from its preparer on; coherent states and cats stay complex
+    assert fock.fock_state(1, 10).amplitudes.dtype == np.float64
+    assert fock.squeezed_number_state(2, 0.4, 30).amplitudes.dtype == np.float64
+    assert fock.fock_state(1, 10).density().matrix.dtype == np.float64
+    assert fock.coherent_state(0.5, 20).amplitudes.dtype == np.complex128
+    assert fock.scs_state(1.1j, 40).amplitudes.dtype == np.complex128
+    assert fock.FockVector([1, 0], 2).amplitudes.dtype == np.float64
+    assert fock.FockDensity(np.eye(2, dtype=complex) / 2, 2).matrix.dtype == np.complex128
+
+
 def test_fock_state_basis_vectors():
     one = fock.fock_state(1, 10)
     expected = np.zeros(10)
@@ -489,15 +500,18 @@ def test_memory_guard_names_the_budget_and_the_largest_dim():
     (fock.fock_state(1, 24), fock.squeezed_number_state(0, 0.4, 24)),
     (fock.fock_state(2, 24), fock.squeezed_number_state(0, -0.37, 24)),
     (fock.coherent_state(0.5 + 0.2j, 24), fock.squeezed_number_state(0, 0.4, 24)),
+    (fock.coherent_state(0.5, 24), fock.squeezed_number_state(0, 0.4, 24)),
     (fock.fock_state(1, 24), fock.scs_state(1.1j, 24)),
-], ids=["single-photon", "two-photon", "coherent", "cat-ancilla"])
-@pytest.mark.parametrize("reflectivity", [0.3, 0.5, 0.98])
+], ids=["single-photon", "two-photon", "coherent", "real-coherent", "cat-ancilla"])
+@pytest.mark.parametrize("reflectivity", [0.0, 0.3, 0.5, 0.98])
 def test_interfere_is_real_exactly_for_real_inputs(psi_in, psi_anc, reflectivity):
-    # the map is real orthogonal: real inputs give an exactly real joint, and
-    # complex ones keep their imaginary parts; both agree with one dense expm
+    # the map is real orthogonal: inputs of real values give a float joint, even
+    # when complex-typed (a coherent state of real gamma), and complex ones
+    # keep their imaginary parts; both agree with one dense expm
     joint = fock.interfere(psi_in, psi_anc, reflectivity)
     real = not (psi_in.amplitudes.imag.any() or psi_anc.amplitudes.imag.any())
-    assert real == (not joint.imag.any())
+    assert joint.dtype == (np.float64 if real else np.complex128)
+    assert joint.shape == (24, 24) and not joint.flags.writeable
     want = oracle.generator_unitary(24, reflectivity) @ np.kron(psi_in.amplitudes, psi_anc.amplitudes)
     np.testing.assert_allclose(joint.ravel(), want, rtol=0, atol=1e-12)
 
