@@ -50,14 +50,11 @@ def homodyne_project(joint: np.ndarray, x: float):
     Returns the normalized transmitted state, a pure :class:`FockVector`
     since the joint is pure, and the outcome density P1(x), the squared norm
     of ``<x|Psi>_r`` (probability per Wigner-unit x, since |x> is
-    delta-normalized).  The wavefunctions are real, so the projection is two
-    real products (half the work of one complex one).
+    delta-normalized).
     """
     if not np.isfinite(x):
         raise ValueError("homodyne outcome must be finite")
-    psi = fock.quadrature_wavefunctions(len(joint) - 1, [float(x)])
-    re, im = (np.ascontiguousarray(half) @ psi for half in (joint.real, joint.imag))
-    phi = (re + 1j * im)[:, 0]
+    phi = (joint @ fock.quadrature_wavefunctions(len(joint) - 1, [float(x)]))[:, 0]
     p1 = float(np.real(np.vdot(phi, phi)))
     if p1 <= 0.0:
         raise ValueError(f"outcome density vanished at x={x}; state undefined there")

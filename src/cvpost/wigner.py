@@ -73,7 +73,6 @@ def _wigner_values(rho: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     diagonal is zero (the photon modes' states).
     """
     dim = rho.shape[0]
-    rho = rho.real if not rho.imag.any() else rho
     a = np.asarray(alphas, dtype=complex).ravel()
     mag = np.abs(a)
     safe = np.where(mag > 0, mag, 1.0)

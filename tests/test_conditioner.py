@@ -136,10 +136,11 @@ def zero_outcome(joint, target):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_photon_runs_stay_real(n):
-    # |n> and the squeezed vacuum are real, so are the joint and the averaged
-    # state; a complex coherent input keeps a complex joint
+    # |n> and the squeezed vacuum are real, so are the joint, the projected
+    # and the averaged states; a complex coherent input keeps a complex joint
     joint = build_joint(fock.fock_state(n, 30), 0.6, 0.4)
     assert joint.dtype == np.float64 and joint.shape == (30, 30) and not joint.flags.writeable
+    assert homodyne_project(joint, 0.1)[0].amplitudes.dtype == np.float64
     win = run_window(joint, fock.squeezed_number_state(n, 0.3, 30), 0.1)
     assert win.avg_state.matrix.dtype == np.float64
     assert build_joint(fock.coherent_state(0.3 + 0.2j, 30), 0.6, 0.4).dtype == np.complex128
