@@ -102,8 +102,9 @@ class ExperimentParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name}={value!r} must be an integer >= {least}")
-        if len(self.v_in) != 2 or not all(0 < v < np.inf for v in self.v_in):
-            raise ValueError("v_in must be two positive finite variances")
+        if len(self.v_in) != 2 or not all(0 < v <= 10 ** (MAX_DB / 10) for v in self.v_in):
+            raise ValueError(f"v_in={tuple(self.v_in)} must be two variances in (0, {10 ** (MAX_DB / 10):g}], "
+                             f"up to {MAX_DB:g} dB (v_in_snl in a config)")
         for name in ("gamma_plus", "gamma_minus", "anc_sqz_db", "anc_antisqz_db",
                      "gate_elec_db", "hom_elec_db"):
             value = getattr(self, name)

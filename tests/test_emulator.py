@@ -273,6 +273,16 @@ def test_bad_parameter_is_named(field, value):
         ExperimentParams(**{field: value})
 
 
+@pytest.mark.parametrize("v_in", [(1e20, 1.0), (1.0, 1e20), (1e300, 1.0)],
+                         ids=["1e20-plus", "1e20-minus", "1e300-plus"])
+def test_input_variance_above_the_db_limit_is_named(v_in):
+    # unchecked, (1e20, 1) ended in predict_stats' unnamed "covariance must be
+    # positive definite" and (1e300, 1) in an overflow
+    with pytest.raises(ValueError, match=r"must be two variances in \(0, 1e\+10\].*\(v_in_snl in a config\)"):
+        ExperimentParams(v_in=v_in)
+    ExperimentParams(v_in=(1e10, 1.0))  # the bound itself, as the CLI's interval has it
+
+
 def test_unit_reflectivity_names_its_config_key():
     with pytest.raises(ValueError, match=r"R=1.0 must be in \[0, 1\).*\(reflectivity in a config\)"):
         ExperimentParams(R=1.0, x0=5.0, n_samples=20_000)
