@@ -141,6 +141,7 @@ def fock_state(n: int, dim: int) -> FockVector:
     dim : int
         Truncation dimension.
     """
+    check_dim(dim)
     if not 0 <= n < dim:
         raise TruncationError(
             f"fock_state(n={n}) does not fit in dim={dim}", suggested_dim=n + 1
@@ -164,6 +165,7 @@ def _checked(amplitudes, dim: int, what: str) -> FockVector:
     than the tail budget.  Every preparer's state on a smaller dim is a prefix
     of its state on a larger one, bit for bit, so the smallest adequate dim is
     the shortest prefix of ``amplitudes(MAX_DIM)`` that holds it."""
+    check_dim(dim)
     amps = amplitudes(dim)
     if not np.all(np.isfinite(amps)):
         raise ValueError(f"{what} has non-finite amplitudes; its parameters must be finite")
@@ -286,7 +288,9 @@ MAX_DIM = max(d for d in range(int((MEMORY_BUDGET / 8) ** (1 / 3)) + 1) if _dim_
 
 
 def check_dim(dim: int) -> None:
-    """Raise ValueError, before anything is allocated, if ``dim`` is over :data:`MEMORY_BUDGET`."""
+    """Raise ValueError, before anything is allocated, if ``dim`` is below 1 or over :data:`MEMORY_BUDGET`."""
+    if dim < 1:
+        raise ValueError(f"dim={dim} is outside [1, {MAX_DIM}]")
     need = _dim_bytes(dim)
     if need <= MEMORY_BUDGET:
         return

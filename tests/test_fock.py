@@ -45,6 +45,22 @@ def test_fock_state_basis_vectors():
     assert np.count_nonzero(two.amplitudes) == 1
 
 
+@pytest.mark.parametrize("prepare", [
+    partial(fock.fock_state, 1),
+    partial(fock.coherent_state, 0.5),
+    partial(fock.squeezed_number_state, 0, 0.3),
+    partial(fock.scs_state, 1.1j),
+], ids=["fock", "coherent", "squeezed", "cat"])
+def test_preparers_check_dim_before_they_allocate(prepare):
+    # unchecked, dim 1000 built a state that only interfere refused, and
+    # dim 0 ended in a bare IndexError
+    for dim in (0, -3):
+        with pytest.raises(ValueError, match=rf"dim={dim} is outside \[1, 401\]"):
+            prepare(dim)
+    with pytest.raises(ValueError, match="over the 512 MiB budget; the largest dim that fits is 401"):
+        prepare(1000)
+
+
 def test_fock_state_out_of_range():
     with pytest.raises(TruncationError):
         fock.fock_state(5, 5)
