@@ -415,7 +415,9 @@ def quadrature_wavefunctions(n_max: int, x) -> np.ndarray:
     |<x|psi>|^2 is a true probability density.  Evaluated by the
     normalized upward recurrence, which stays bounded at large n.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    # <n|x> is 0 long before |x| = 1e150, so capping |x| there, as
+    # _coherent_amplitudes caps |gamma|, changes no value and keeps x^2 finite.
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).clip(-1e150, 1e150)
     xi = np.sqrt(2.0) * xs
     k = np.arange(1.0, n_max + 1)
     up, down = np.outer(np.sqrt(2.0 / k), xi), np.sqrt((k - 1.0) / k).tolist()

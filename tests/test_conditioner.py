@@ -146,6 +146,17 @@ def test_photon_runs_stay_real(n):
     assert build_joint(fock.coherent_state(0.3 + 0.2j, 30), 0.6, 0.4).dtype == np.complex128
 
 
+@pytest.mark.parametrize("x0", [1e160, 1e300, 1.7e308])
+def test_huge_window_or_outcome_does_not_overflow(x0):
+    # the wavefunctions are 0 long before |x| = 1e150, where they are capped
+    joint, target = single_photon(0.98, 0.7, 40)
+    capped, win = run_window(joint, target, 1e150), run_window(joint, target, x0)
+    assert (win.success_prob, win.avg_fidelity) == (capped.success_prob, capped.avg_fidelity)
+    assert density_norm(joint, x0) == density_norm(joint, 1e150)
+    with pytest.raises(ValueError, match="outcome density vanished"):
+        homodyne_project(joint, x0)
+
+
 def test_window_single_photon_reference():
     win = run_window(*single_photon(0.98, 0.7, 60), 0.025)
     assert abs(win.avg_fidelity - 0.99) < 0.005

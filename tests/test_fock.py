@@ -590,6 +590,12 @@ def test_wavefunction_recurrence_stability():
         assert np.max(np.abs(residual)) < 1e-9
 
 
+def test_wavefunctions_vanish_past_the_cap_without_overflow():
+    # |x| is capped at 1e150 before it is squared; <n|x> is 0 there already
+    table = fock.quadrature_wavefunctions(5, [1e150, -1e160, 1e300, 1.7e308, -np.inf])
+    assert table.shape == (6, 5) and not table.any()
+
+
 def test_wavefunction_rejects_negative_n():
     with pytest.raises(ValueError):
         oracle.quadrature_wavefunction(-1, 0.0)
