@@ -109,11 +109,11 @@ def selfcheck_outcomes() -> list:
     return [line.split(":", 1)[0].split(" ", 1) for line in out.getvalue().splitlines()]
 
 
-def collect(names=None) -> dict:
-    """A fresh ledger of the configs ``names`` (default: all of them)."""
+def collect() -> dict:
+    """A fresh ledger of every config."""
     values = {}
     with tempfile.TemporaryDirectory(prefix="ledger-") as tmp:
-        for name in names or CONFIGS:
+        for name in CONFIGS:
             out_dir = Path(tmp) / name
             out_dir.mkdir()
             values[name] = run_config(CONFIGS[name], out_dir)
