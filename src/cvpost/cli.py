@@ -505,7 +505,7 @@ def _selfcheck_checks(dim: int):
         ok = True
         details = []
         for name, state in (("vacuum", fock.fock_state(0, dim)), ("one-photon", fock.fock_state(1, dim))):
-            grid = wigner.wigner_from_density(state.density())
+            grid = wigner.wigner_from_density(fock.FockDensity(np.outer(state, state.conj()), dim))
             total = grid.riemann_sum()
             bound_ok = grid.values.min() >= wigner.WIGNER_LOWER_BOUND - 1e-9
             ok = ok and abs(total - 1) < 1e-4 and bound_ok

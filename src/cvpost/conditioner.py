@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .fock import FockDensity, FockVector
+from .fock import FockDensity
 from .gaussian import GL_NODES, GL_WEIGHTS
 
 #: Below this window half-width (Wigner units) :func:`window_matrix` is taken
@@ -38,17 +38,17 @@ NARROW_WINDOW = 0.1
 # ---------------------------------------------------------------------------
 
 
-def build_joint(psi_in: FockVector, reflectivity: float, squeezing: float) -> np.ndarray:
+def build_joint(psi_in: np.ndarray, reflectivity: float, squeezing: float) -> np.ndarray:
     """Interfere ``psi_in`` with the squeezed-vacuum ancilla S(squeezing)|0>."""
-    anc = fock.squeezed_number_state(0, squeezing, psi_in.dim)
+    anc = fock.squeezed_number_state(0, squeezing, fock.pure_dim(psi_in, what="input"))
     return fock.interfere(psi_in, anc, reflectivity)
 
 
 def homodyne_project(joint: np.ndarray, x: float):
     """Project the reflected mode onto the quadrature eigenstate |x>.
 
-    Returns the normalized transmitted state, a pure :class:`FockVector`
-    since the joint is pure, and the outcome density P1(x), the squared norm
+    Returns the normalized transmitted state, a read-only 1-D array since the
+    joint is pure, and the outcome density P1(x), the squared norm
     of ``<x|Psi>_r`` (probability per Wigner-unit x, since |x> is
     delta-normalized).
     """
@@ -58,21 +58,22 @@ def homodyne_project(joint: np.ndarray, x: float):
     p1 = float(np.real(np.vdot(phi, phi)))
     if p1 <= 0.0:
         raise ValueError(f"outcome density vanished at x={x}; state undefined there")
-    return FockVector(phi / math.sqrt(p1), len(joint)), p1
+    state = phi / math.sqrt(p1)
+    state.setflags(write=False)
+    return state, p1
 
 
-def fidelity(state: FockVector, target: FockVector) -> float:
-    """|<target|state>|^2 of two normalized pure states.
+def fidelity(state: np.ndarray, target: np.ndarray) -> float:
+    """|<target|state>|^2 of two normalized pure states of one dim.
 
     Equals the pi-weighted Wigner overlap of the two states.
     """
-    if state.dim != target.dim:
-        raise ValueError("state and target dimensions differ")
-    if abs(state.norm**2 - 1.0) > 1e-6:
+    fock.pure_dim(target, fock.pure_dim(state), "target")
+    if abs(np.linalg.norm(state) ** 2 - 1.0) > 1e-6:
         raise ValueError("state must be normalized (squared norm 1)")
-    if abs(target.norm - 1.0) > 1e-6:
+    if abs(np.linalg.norm(target) - 1.0) > 1e-6:
         raise ValueError("target must be normalized")
-    return min(float(abs(np.vdot(target.amplitudes, state.amplitudes))) ** 2, 1.0 + 1e-9)
+    return min(float(abs(np.vdot(target, state))) ** 2, 1.0 + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -128,18 +129,18 @@ def density_norm(joint: np.ndarray, x0: float = 6.0) -> float:
     return float(np.vdot(joint, joint @ window_matrix(len(joint), x0)).real)
 
 
-def run_window(joint: np.ndarray, target: FockVector, x0: float) -> WindowResult:
+def run_window(joint: np.ndarray, target: np.ndarray, x0: float) -> WindowResult:
     """Average the conditional output over the window |x| < x0.
 
     The unnormalized averaged state is ``Psi M Psi^dag`` with M from
     :func:`window_matrix`; P_s is its trace and F_ave its overlap with the
     target over P_s.
     """
+    fock.pure_dim(target, len(joint), "target")
     avg = (joint @ window_matrix(len(joint), x0)) @ joint.conj().T
     p_s = float(np.trace(avg).real)
-    t = target.amplitudes
     return WindowResult(
-        avg_fidelity=float((t.conj() @ avg @ t).real) / p_s,
+        avg_fidelity=float((target.conj() @ avg @ target).real) / p_s,
         success_prob=p_s,
         avg_state=FockDensity(avg / p_s, len(joint), validate=False),
     )

@@ -15,8 +15,11 @@ quadrature, ``V(a_minus) = exp(-2s)/4``, and anti-squeezes the amplitude
 quadrature, ``V(a_plus) = exp(+2s)/4``.  The displacement operator is
 ``D(g) = exp[g a^dag - g* a]``.
 
-All values here are immutable after construction and all operations are
-pure functions, so everything is safe to share across threads.
+A pure state of one mode is the read-only 1-D array of its coefficients
+``<n|psi>``, n = 0..dim - 1, so ``dim`` is its length; its squared norm is 1
+less the population the preparer discarded above the truncation.  Every
+array here is read-only and every operation is a pure function, so
+everything is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -107,7 +110,16 @@ class FockDensity:
         return float(np.real(np.sum(self.matrix * self.matrix.conj().T)))
 
 
-def quadrature_moments(psi: FockVector):
+def pure_dim(psi, dim: int | None = None, what: str = "state") -> int:
+    """The length of the pure state ``psi``; raise ValueError, naming its shape,
+    unless it is a 1-D array of ``dim`` amplitudes (of any number if None)."""
+    shape = np.shape(psi)
+    if len(shape) != 1 or shape[0] != (dim or shape[0]):
+        raise ValueError(f"{what} must be a 1-D array of {dim or 'any number of'} amplitudes, got shape {shape}")
+    return shape[0]
+
+
+def quadrature_moments(psi: np.ndarray):
     """Mean vector and 2x2 covariance of (x, p) in Wigner units.
 
     x|psi> and p|psi> come from a|psi> and a^dag|psi>, the amplitudes shifted
@@ -115,12 +127,11 @@ def quadrature_moments(psi: FockVector):
     ``x = (a + a^dag)/2`` and ``p = (a - a^dag)/(2i)`` are; each moment is
     then an inner product, such as <(xp + px)/2> = Re <x psi|p psi>.
     """
-    amps = psi.amplitudes
-    root = np.sqrt(np.arange(1.0, psi.dim))
-    lowered, raised = np.append(root * amps[1:], 0.0), np.append(0.0, root * amps[:-1])
+    root = np.sqrt(np.arange(1.0, pure_dim(psi)))
+    lowered, raised = np.append(root * psi[1:], 0.0), np.append(0.0, root * psi[:-1])
     x_psi, p_psi = 0.5 * (lowered + raised), (lowered - raised) / 2j
-    tr = np.vdot(amps, amps).real
-    mean = np.array([np.vdot(amps, x_psi).real, np.vdot(amps, p_psi).real]) / tr
+    tr = np.vdot(psi, psi).real
+    mean = np.array([np.vdot(psi, x_psi).real, np.vdot(psi, p_psi).real]) / tr
     xp = np.vdot(x_psi, p_psi).real
     second = np.array([[np.vdot(x_psi, x_psi).real, xp], [xp, np.vdot(p_psi, p_psi).real]]) / tr
     return mean, second - np.outer(mean, mean)
@@ -131,7 +142,7 @@ def quadrature_moments(psi: FockVector):
 # ---------------------------------------------------------------------------
 
 
-def fock_state(n: int, dim: int) -> FockVector:
+def fock_state(n: int, dim: int) -> np.ndarray:
     """Number state |n>.
 
     Parameters
@@ -148,7 +159,7 @@ def fock_state(n: int, dim: int) -> FockVector:
         )
     amps = np.zeros(dim)
     amps[n] = 1.0
-    return FockVector(amps, dim)
+    return _readonly(amps)
 
 
 def _coherent_amplitudes(gamma: complex, dim: int) -> np.ndarray:
@@ -160,7 +171,7 @@ def _coherent_amplitudes(gamma: complex, dim: int) -> np.ndarray:
     return np.cumprod(steps)
 
 
-def _checked(amplitudes, dim: int, what: str) -> FockVector:
+def _checked(amplitudes, dim: int, what: str) -> np.ndarray:
     """The state ``amplitudes(dim)``, unless it is not finite or discards more
     than the tail budget.  Every preparer's state on a smaller dim is a prefix
     of its state on a larger one, bit for bit, so the smallest adequate dim is
@@ -179,7 +190,7 @@ def _checked(amplitudes, dim: int, what: str) -> FockVector:
             f"{what} tail mass {tail:.3e} exceeds {TAIL_TOLERANCE:.0e} at dim={dim}; {hint}",
             suggested_dim=suggested,
         )
-    return FockVector(amps, dim)
+    return _readonly(amps)
 
 
 def _tails(amps: np.ndarray) -> np.ndarray:
@@ -188,7 +199,7 @@ def _tails(amps: np.ndarray) -> np.ndarray:
     return 1.0 - np.cumsum(np.abs(amps) ** 2)
 
 
-def coherent_state(gamma: complex, dim: int) -> FockVector:
+def coherent_state(gamma: complex, dim: int) -> np.ndarray:
     """Coherent state |gamma> with amplitudes e^{-|g|^2/2} g^n / sqrt(n!).
 
     Raises
@@ -201,7 +212,7 @@ def coherent_state(gamma: complex, dim: int) -> FockVector:
     return _checked(partial(_coherent_amplitudes, gamma), dim, f"coherent_state(|gamma|={abs(gamma):.4g})")
 
 
-def squeezed_number_state(n: int, s: float, dim: int) -> FockVector:
+def squeezed_number_state(n: int, s: float, dim: int) -> np.ndarray:
     """Squeezed number state S(s)|n>.
 
     The squeezed vacuum S(s)|0> populates only even number states,
@@ -244,7 +255,7 @@ def _squeezed_number_amplitudes(n: int, s: float, dim: int) -> np.ndarray:
     return amps
 
 
-def scs_state(gamma: complex, dim: int) -> FockVector:
+def scs_state(gamma: complex, dim: int) -> np.ndarray:
     """Normalized even superposition of coherent states |gamma> + |-gamma>,
     the cat the |2> input targets (even photon numbers only).  The exact
     squared norm of the unnormalized superposition is ``2 (1 + e^{-2|gamma|^2})``.
@@ -368,7 +379,7 @@ def _stacked_product(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.matmul(mats, vecs.view(np.float64).reshape(dim, dim, 2)).view(complex)[..., 0]
 
 
-def interfere(psi_in: FockVector, psi_anc: FockVector, reflectivity: float) -> np.ndarray:
+def interfere(psi_in: np.ndarray, psi_anc: np.ndarray, reflectivity: float) -> np.ndarray:
     """Interfere a pure input mode with a pure ancilla on a beam splitter.
 
     Both are pure, so the joint over (transmitted, reflected) is the read-only
@@ -382,12 +393,10 @@ def interfere(psi_in: FockVector, psi_anc: FockVector, reflectivity: float) -> n
     The map is real orthogonal, so a real product gives a float joint: the
     imaginary parts the eigenbasis leaves (up to 8e-17) are rounding.
     """
-    if psi_in.dim != psi_anc.dim:
-        raise ValueError("input and ancilla must share the truncation dimension")
+    dim = pure_dim(psi_anc, pure_dim(psi_in, what="input"), "ancilla")
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
-    dim = psi_in.dim
-    product = np.outer(psi_in.amplitudes, psi_anc.amplitudes)
+    product = np.outer(psi_in, psi_anc)
     if not product.imag.any():  # by value: a coherent state of real gamma is complex-typed
         product = product.real
     if reflectivity == 0.0:  # the identity, exactly

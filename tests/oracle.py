@@ -64,7 +64,7 @@ from scipy.special import gammaln
 
 from cvpost import emulator, fock
 from cvpost.emulator import _fidelity_purity, _references, _variance_correction
-from cvpost.fock import FockDensity, FockVector, TruncationError, _checked
+from cvpost.fock import TruncationError, _checked
 from cvpost.gaussian import GaussianState, s_prime
 from cvpost.wigner import WignerGrid
 
@@ -86,11 +86,10 @@ class TwoModeDensity:
         d = self.dim
         return self.matrix.reshape(d, d, d, d)
 
-    def ptrace(self, keep: int) -> FockDensity:
-        """Reduced state of one mode: keep=0 transmitted, keep=1 reflected."""
+    def ptrace(self, keep: int) -> np.ndarray:
+        """Reduced density matrix of one mode: keep=0 transmitted, keep=1 reflected."""
         rho4 = self.as_tensor()
-        red = np.einsum("imjm->ij", rho4) if keep == 0 else np.einsum("imin->mn", rho4)
-        return FockDensity(red, self.dim, validate=False)
+        return np.einsum("imjm->ij", rho4) if keep == 0 else np.einsum("imin->mn", rho4)
 
 
 @lru_cache(maxsize=8)
@@ -138,10 +137,11 @@ def generator_unitary(dim: int, reflectivity: float) -> np.ndarray:
     return expm((theta / 2.0) * (np.kron(a, a.T) - np.kron(a.T, a)))
 
 
-def beam_splitter(rho_in: FockDensity, rho_anc: FockDensity, reflectivity: float) -> TwoModeDensity:
-    u = dense_unitary(rho_in.dim, reflectivity)
-    joint = np.kron(rho_in.matrix, rho_anc.matrix)
-    return TwoModeDensity(u @ joint @ u.conj().T, rho_in.dim)
+def beam_splitter(psi_in: np.ndarray, psi_anc: np.ndarray, reflectivity: float) -> TwoModeDensity:
+    """The dense joint density matrix of two pure states after the beam splitter."""
+    u = dense_unitary(len(psi_in), reflectivity)
+    joint = np.kron(np.outer(psi_in, psi_in.conj()), np.outer(psi_anc, psi_anc.conj()))
+    return TwoModeDensity(u @ joint @ u.conj().T, len(psi_in))
 
 
 def homodyne_project(joint: TwoModeDensity, x: float):
@@ -186,13 +186,13 @@ def window(joint: TwoModeDensity, target: np.ndarray, x0: float, n_nodes: int):
     return fave, ps, avg / np.trace(avg)
 
 
-def _apply_buffered(state: FockVector, generator, buffer: int) -> FockVector:
+def _apply_buffered(state: np.ndarray, generator, buffer: int) -> np.ndarray:
     """Exponentiate ``generator(dim + buffer)``, apply it to the padded state, crop."""
-    dim = state.dim
+    dim = len(state)
     big = dim + buffer
     u = expm(generator(big))
     padded = np.zeros(big, dtype=complex)
-    padded[:dim] = state.amplitudes
+    padded[:dim] = state
     out = (u @ padded)[:dim]
     lost = float(np.vdot(padded, padded).real) - float(np.vdot(out, out).real)
     if lost > fock.TAIL_TOLERANCE:
@@ -200,10 +200,10 @@ def _apply_buffered(state: FockVector, generator, buffer: int) -> FockVector:
             f"operator application lost {lost:.3e} population to truncation at "
             f"dim={dim} (buffer {buffer}); increase dim",
         )
-    return FockVector(out, dim)
+    return out
 
 
-def apply_squeeze(state: FockVector, s: float, buffer: int = 20) -> FockVector:
+def apply_squeeze(state: np.ndarray, s: float, buffer: int = 20) -> np.ndarray:
     """S(s) = exp[-(s/2)(a^2 - a^dag^2)] applied to a state."""
 
     def gen(d):
@@ -214,7 +214,7 @@ def apply_squeeze(state: FockVector, s: float, buffer: int = 20) -> FockVector:
     return _apply_buffered(state, gen, buffer)
 
 
-def apply_displace(state: FockVector, gamma: complex, buffer: int = 20) -> FockVector:
+def apply_displace(state: np.ndarray, gamma: complex, buffer: int = 20) -> np.ndarray:
     """D(gamma) = exp[gamma a^dag - gamma* a] applied to a state."""
 
     def gen(d):
@@ -415,7 +415,7 @@ def quadrature_wavefunction(n: int, x):
     return float(vals[0]) if np.isscalar(x) else vals
 
 
-def displaced_squeezed_vacuum(beta: complex, s: float, dim: int) -> FockVector:
+def displaced_squeezed_vacuum(beta: complex, s: float, dim: int) -> np.ndarray:
     """Displaced squeezed vacuum D(beta) S(s)|0> (H. P. Yuen, Phys. Rev. A 13, 2226 (1976)).
 
     The state is annihilated by ``cosh(s)(a - beta) - sinh(s)(a^dag - beta*)``,
@@ -441,7 +441,7 @@ def displaced_squeezed_vacuum(beta: complex, s: float, dim: int) -> FockVector:
     return _checked(amplitudes, dim, f"D({beta:.4g}) S(s={s})|0>")
 
 
-def conditioned_coherent_target(gamma: complex, reflectivity: float, s: float, dim: int) -> FockVector:
+def conditioned_coherent_target(gamma: complex, reflectivity: float, s: float, dim: int) -> np.ndarray:
     """Pure state the protocol produces from a coherent input at outcome 0:
     ``D(sqrt(T)[e^{2s'} g+ + i g-]) S(s')|0>`` with s' = s_prime(R, s)."""
     sp = s_prime(reflectivity, s)

@@ -21,28 +21,30 @@ RTOL = 1e-10
 
 
 def test_real_preparers_build_float_states():
-    # a real state stays real from its preparer on; coherent states and cats stay complex
-    assert fock.fock_state(1, 10).amplitudes.dtype == np.float64
-    assert fock.squeezed_number_state(2, 0.4, 30).amplitudes.dtype == np.float64
-    assert fock.fock_state(1, 10).density().matrix.dtype == np.float64
-    assert fock.coherent_state(0.5, 20).amplitudes.dtype == np.complex128
-    assert fock.scs_state(1.1j, 40).amplitudes.dtype == np.complex128
-    assert fock.FockVector([1, 0], 2).amplitudes.dtype == np.float64
-    assert fock.FockDensity(np.eye(2, dtype=complex) / 2, 2).matrix.dtype == np.complex128
+    # every preparer returns a read-only 1-D array of dim amplitudes; a real
+    # state stays real from its preparer on, coherent states and cats stay complex
+    for state, dtype in (
+        (fock.fock_state(1, 30), np.float64),
+        (fock.squeezed_number_state(2, 0.4, 30), np.float64),
+        (fock.coherent_state(0.5, 30), np.complex128),
+        (fock.scs_state(1.1j, 30), np.complex128),
+    ):
+        assert type(state) is np.ndarray and state.dtype == dtype and state.shape == (30,)
+        assert not state.flags.writeable
 
 
 def test_fock_state_basis_vectors():
     one = fock.fock_state(1, 10)
     expected = np.zeros(10)
     expected[1] = 1.0
-    np.testing.assert_allclose(one.amplitudes, expected)
+    np.testing.assert_allclose(one, expected)
 
     vac = fock.fock_state(0, 2)
-    np.testing.assert_allclose(vac.amplitudes, [1.0, 0.0])
+    np.testing.assert_allclose(vac, [1.0, 0.0])
 
     two = fock.fock_state(2, 40)
-    assert two.amplitudes[2] == 1.0
-    assert np.count_nonzero(two.amplitudes) == 1
+    assert two[2] == 1.0
+    assert np.count_nonzero(two) == 1
 
 
 @pytest.mark.parametrize("prepare", [
@@ -73,20 +75,20 @@ def test_fock_state_out_of_range():
 
 def test_coherent_vacuum_limit():
     vac = fock.coherent_state(0.0, 10)
-    np.testing.assert_allclose(vac.amplitudes, fock.fock_state(0, 10).amplitudes)
+    np.testing.assert_allclose(vac, fock.fock_state(0, 10))
 
 
 def test_coherent_ground_amplitude():
     psi = fock.coherent_state(1.0, 30)
     # <0|gamma> = e^{-|gamma|^2/2}
-    np.testing.assert_allclose(psi.amplitudes[0], np.exp(-0.5), rtol=RTOL)
+    np.testing.assert_allclose(psi[0], np.exp(-0.5), rtol=RTOL)
 
 
 def test_coherent_mean_field():
     # oracle: direct expectation from the coefficient formula
     gamma = 1.1j
     psi = fock.coherent_state(gamma, 40)
-    c = psi.amplitudes
+    c = psi
     n = np.arange(1, 40)
     mean_a = np.sum(np.conj(c[:-1]) * c[1:] * np.sqrt(n))
     assert abs(mean_a - gamma) < 1e-8
@@ -99,7 +101,7 @@ def test_coherent_truncation_error_names_adequate_dim():
     assert need is not None and need > 12
     # the suggested dimension really is adequate
     psi = fock.coherent_state(3.0, need)
-    assert 1.0 - psi.norm**2 <= fock.TAIL_TOLERANCE
+    assert 1.0 - np.linalg.norm(psi) ** 2 <= fock.TAIL_TOLERANCE
 
 
 @pytest.mark.parametrize("modulus", [0.5, 5.0, 20.0, 30.0])
@@ -163,7 +165,7 @@ def test_squeezed_truncation_error_names_smallest_adequate_dim(n, s, dim):
         fock.squeezed_number_state(n, s, dim)
     need = err.value.suggested_dim
     assert f"use dim >= {need}" in str(err.value)
-    assert 1.0 - fock.squeezed_number_state(n, s, need).norm ** 2 <= fock.TAIL_TOLERANCE
+    assert 1.0 - np.linalg.norm(fock.squeezed_number_state(n, s, need)) ** 2 <= fock.TAIL_TOLERANCE
     with pytest.raises(TruncationError):
         fock.squeezed_number_state(n, s, need - 1)
 
@@ -194,14 +196,14 @@ def test_squeezed_truncation_error_says_when_no_dim_fits():
 
 def test_squeezed_vacuum_identity():
     np.testing.assert_allclose(
-        fock.squeezed_number_state(0, 0.0, 20).amplitudes, fock.fock_state(0, 20).amplitudes
+        fock.squeezed_number_state(0, 0.0, 20), fock.fock_state(0, 20)
     )
 
 
 def test_squeezed_vacuum_ground_amplitude():
     # oracle: |<0|S(s)|0>| = sech(s)^{1/2}
     psi = fock.squeezed_number_state(0, 0.5, 40)
-    np.testing.assert_allclose(abs(psi.amplitudes[0]), np.cosh(0.5) ** -0.5, rtol=1e-12)
+    np.testing.assert_allclose(abs(psi[0]), np.cosh(0.5) ** -0.5, rtol=1e-12)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -210,7 +212,7 @@ def test_quadrature_moments_match_operator_matrices(dim, seed, decay):
     # oracle: traces against the dim x dim x and p matrices of the truncated a
     rng = np.random.default_rng(seed)
     amps = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * np.exp(-decay * np.arange(dim))
-    mean, cov = fock.quadrature_moments(fock.FockVector(amps, dim))
+    mean, cov = fock.quadrature_moments(amps)
     want_mean, want_cov = oracle.quadrature_moments(np.outer(amps, amps.conj()))
     scale = max(1.0, *(np.diag(want_cov) + want_mean**2))  # the larger second moment
     np.testing.assert_allclose(mean, want_mean, rtol=0, atol=1e-13 * scale)
@@ -231,13 +233,13 @@ def test_squeezed_vacuum_quadrature_variances():
 
 def test_squeezed_vacuum_parity():
     psi = fock.squeezed_number_state(0, 0.7, 40)
-    assert np.all(psi.amplitudes[1::2] == 0.0)
+    assert np.all(psi[1::2] == 0.0)
 
 
 def test_squeezed_vacuum_matches_operator_route():
     series = fock.squeezed_number_state(0, 0.6, 40)
     applied = oracle.apply_squeeze(fock.fock_state(0, 40), 0.6)
-    np.testing.assert_allclose(series.amplitudes, applied.amplitudes, atol=1e-10)
+    np.testing.assert_allclose(series, applied, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +255,22 @@ def test_displaced_vacuum_is_coherent():
     gamma = 0.8 - 0.4j
     direct = fock.coherent_state(gamma, 40)
     displaced = oracle.displaced_squeezed_vacuum(gamma, 0.0, 40)
-    np.testing.assert_allclose(displaced.amplitudes, direct.amplitudes, atol=1e-8)
+    np.testing.assert_allclose(displaced, direct, atol=1e-8)
 
 
 def test_zero_squeeze_is_identity():
     psi = fock.coherent_state(0.5 + 0.2j, 30)
     out = oracle.displaced_squeezed_vacuum(0.5 + 0.2j, 0.0, 30)
-    np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(out, psi, atol=1e-12)
     for n in (0, 1, 2):
         out = fock.squeezed_number_state(n, 0.0, 30)
-        np.testing.assert_allclose(out.amplitudes, fock.fock_state(n, 30).amplitudes, atol=1e-12)
+        np.testing.assert_allclose(out, fock.fock_state(n, 30), atol=1e-12)
 
 
 def test_squeezed_photon_origin_parity():
     # squeezing preserves photon-number parity, so W(0) = -2/pi for S(s)|1>
     psi = fock.squeezed_number_state(1, 0.67, 40)
-    probs = np.abs(psi.amplitudes) ** 2
+    probs = np.abs(psi) ** 2
     parity = np.sum(probs * (-1.0) ** np.arange(40))
     w_origin = (2 / np.pi) * parity
     np.testing.assert_allclose(w_origin, -2 / np.pi, atol=1e-9)
@@ -285,7 +287,7 @@ def test_squeezed_number_state_matches_oracle(n, s):
     dim = 80
     got = fock.squeezed_number_state(n, s, dim)
     ref = oracle.apply_squeeze(fock.fock_state(n, dim + ORACLE_LEVELS), s)
-    np.testing.assert_allclose(got.amplitudes, ref.amplitudes[:dim], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, ref[:dim], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("beta", [0.7 - 0.4j, 1.5j, -1.5, 1.06 + 1.06j])
@@ -295,7 +297,7 @@ def test_displaced_squeezed_vacuum_matches_oracle(beta, s):
     got = oracle.displaced_squeezed_vacuum(beta, s, dim)
     vac = fock.fock_state(0, dim + ORACLE_LEVELS)
     ref = oracle.apply_displace(oracle.apply_squeeze(vac, s), beta)
-    np.testing.assert_allclose(got.amplitudes, ref.amplitudes[:dim], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, ref[:dim], rtol=0, atol=1e-12)
 
 
 def test_squeezed_number_state_tail_guard_is_exact():
@@ -303,13 +305,13 @@ def test_squeezed_number_state_tail_guard_is_exact():
     # 1 - 7.4e-9 at s = 0.7; the guard raises on the first only
     for s, raises in ((0.75, True), (0.7, False)):
         ref = oracle.apply_squeeze(fock.fock_state(1, 40 + ORACLE_LEVELS), s)
-        true_tail = 1.0 - np.sum(np.abs(ref.amplitudes[:40]) ** 2)
+        true_tail = 1.0 - np.sum(np.abs(ref[:40]) ** 2)
         assert (true_tail > fock.TAIL_TOLERANCE) == raises, true_tail
         if raises:
             with pytest.raises(TruncationError, match="dim=40"):
                 fock.squeezed_number_state(1, s, 40)
         else:
-            np.testing.assert_allclose(1.0 - fock.squeezed_number_state(1, s, 40).norm ** 2, true_tail, atol=1e-14)
+            np.testing.assert_allclose(1.0 - np.linalg.norm(fock.squeezed_number_state(1, s, 40)) ** 2, true_tail, atol=1e-14)
 
 
 def test_displaced_squeezed_vacuum_tail_guard():
@@ -324,13 +326,13 @@ def test_displaced_squeezed_vacuum_tail_guard():
 
 def test_scs_degenerate_even_limit():
     psi = fock.scs_state(0.0, 12)
-    np.testing.assert_allclose(psi.amplitudes, fock.fock_state(0, 12).amplitudes)
+    np.testing.assert_allclose(psi, fock.fock_state(0, 12))
 
 
 def test_scs_even_parity():
     psi = fock.scs_state(1.1j, 40)
-    assert psi.amplitudes[1] == 0.0
-    assert np.all(psi.amplitudes[1::2] == 0.0)
+    assert psi[1] == 0.0
+    assert np.all(psi[1::2] == 0.0)
 
 
 def test_scs_normalization_constant():
@@ -338,10 +340,10 @@ def test_scs_normalization_constant():
     gamma = 1.1j
     n_const = (2.0 * (1.0 + np.exp(-2 * abs(gamma) ** 2))) ** -0.5
     psi = fock.scs_state(gamma, 40)
-    plus = fock.coherent_state(gamma, 40).amplitudes
-    minus = fock.coherent_state(-gamma, 40).amplitudes
-    np.testing.assert_allclose(psi.amplitudes, n_const * (plus + minus), atol=1e-12)
-    np.testing.assert_allclose(psi.norm, 1.0, atol=1e-9)
+    plus = fock.coherent_state(gamma, 40)
+    minus = fock.coherent_state(-gamma, 40)
+    np.testing.assert_allclose(psi, n_const * (plus + minus), atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(psi), 1.0, atol=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -366,48 +368,40 @@ def test_preparers_reject_nan_parameters(prepare):
 
 
 def test_beam_splitter_zero_reflectivity_is_identity():
-    rho_in = fock.coherent_state(0.4 + 0.1j, 24).density()
-    rho_anc = fock.squeezed_number_state(0, 0.4, 24).density()
-    joint = oracle.beam_splitter(rho_in, rho_anc, 0.0)
-    np.testing.assert_allclose(joint.matrix, np.kron(rho_in.matrix, rho_anc.matrix))
+    psi_in = fock.coherent_state(0.4 + 0.1j, 24)
+    psi_anc = fock.squeezed_number_state(0, 0.4, 24)
+    joint = oracle.beam_splitter(psi_in, psi_anc, 0.0)
+    np.testing.assert_allclose(joint.matrix, np.kron(np.outer(psi_in, psi_in.conj()), np.outer(psi_anc, psi_anc)))
 
 
 @pytest.mark.parametrize("reflectivity", [0.5, 0.75])
 def test_single_photon_reflection_probability(reflectivity):
-    joint = oracle.beam_splitter(
-        fock.fock_state(1, 8).density(), fock.fock_state(0, 8).density(), reflectivity
-    )
-    reflected = joint.ptrace(1)
-    np.testing.assert_allclose(np.real(reflected.matrix[1, 1]), reflectivity, atol=1e-12)
-    transmitted = joint.ptrace(0)
-    np.testing.assert_allclose(np.real(transmitted.matrix[1, 1]), 1 - reflectivity, atol=1e-12)
+    joint = oracle.beam_splitter(fock.fock_state(1, 8), fock.fock_state(0, 8), reflectivity)
+    np.testing.assert_allclose(np.real(joint.ptrace(1)[1, 1]), reflectivity, atol=1e-12)
+    np.testing.assert_allclose(np.real(joint.ptrace(0)[1, 1]), 1 - reflectivity, atol=1e-12)
 
 
 @pytest.mark.parametrize("reflectivity", [0.0, 0.25, 0.5, 0.75, 0.98, 1.0])
 def test_beam_splitter_preserves_trace(reflectivity):
-    rho_in = fock.fock_state(1, 24).density()
-    rho_anc = fock.squeezed_number_state(0, 0.5, 24).density()
-    joint = oracle.beam_splitter(rho_in, rho_anc, reflectivity)
-    np.testing.assert_allclose(joint.trace, np.trace(rho_in.matrix).real * np.trace(rho_anc.matrix).real, atol=1e-9)
+    psi_in = fock.fock_state(1, 24)
+    psi_anc = fock.squeezed_number_state(0, 0.5, 24)
+    joint = oracle.beam_splitter(psi_in, psi_anc, reflectivity)
+    np.testing.assert_allclose(joint.trace, np.linalg.norm(psi_in) ** 2 * np.linalg.norm(psi_anc) ** 2, atol=1e-9)
 
 
 def test_beam_splitter_full_reflection_swaps_contents():
-    rho_in = fock.coherent_state(0.7, 24).density()
-    rho_anc = fock.squeezed_number_state(0, 0.3, 24).density()
-    joint = oracle.beam_splitter(rho_in, rho_anc, 1.0)
+    psi_in = fock.coherent_state(0.7, 24)
+    psi_anc = fock.squeezed_number_state(0, 0.3, 24)
+    joint = oracle.beam_splitter(psi_in, psi_anc, 1.0)
     # photon-number distributions swap (phases may flip sign)
-    np.testing.assert_allclose(
-        np.real(np.diag(joint.ptrace(1).matrix)), np.real(np.diag(rho_in.matrix)), atol=1e-10
-    )
-    np.testing.assert_allclose(
-        np.real(np.diag(joint.ptrace(0).matrix)), np.real(np.diag(rho_anc.matrix)), atol=1e-10
-    )
+    np.testing.assert_allclose(np.real(np.diag(joint.ptrace(1))), np.abs(psi_in) ** 2, atol=1e-10)
+    np.testing.assert_allclose(np.real(np.diag(joint.ptrace(0))), np.abs(psi_anc) ** 2, atol=1e-10)
 
 
 def test_beam_splitter_rejects_bad_reflectivity():
-    rho = fock.fock_state(0, 4).density()
+    psi = fock.fock_state(0, 4)
     with pytest.raises(ValueError):
-        oracle.beam_splitter(rho, rho, 1.5)
+        oracle.beam_splitter(psi, psi, 1.5)
 
 
 def test_beam_splitter_matches_wigner_composition():
@@ -415,9 +409,7 @@ def test_beam_splitter_matches_wigner_composition():
     # W_in(sqrt(T) a + sqrt(R) b) * W_anc(-sqrt(R) a + sqrt(T) b)
     dim, r, s = 24, 0.75, 0.5
     st, sr = np.sqrt(1 - r), np.sqrt(r)
-    joint = oracle.beam_splitter(
-        fock.fock_state(1, dim).density(), fock.squeezed_number_state(0, s, dim).density(), r
-    )
+    joint = oracle.beam_splitter(fock.fock_state(1, dim), fock.squeezed_number_state(0, s, dim), r)
     rng = np.random.default_rng(42)
     points = rng.uniform(-2.0, 2.0, size=(120, 4))
     for ap, am, bp, bm in points:
@@ -433,13 +425,13 @@ def test_beam_splitter_matches_wigner_composition():
 def test_operations_do_not_mutate_inputs():
     psi_in = fock.fock_state(1, 20)
     psi_anc = fock.squeezed_number_state(0, 0.4, 20)
-    before_in = psi_in.amplitudes.copy()
-    before_anc = psi_anc.amplitudes.copy()
+    before_in = psi_in.copy()
+    before_anc = psi_anc.copy()
     joint = fock.interfere(psi_in, psi_anc, 0.6)
-    np.testing.assert_array_equal(psi_in.amplitudes, before_in)
-    np.testing.assert_array_equal(psi_anc.amplitudes, before_anc)
+    np.testing.assert_array_equal(psi_in, before_in)
+    np.testing.assert_array_equal(psi_anc, before_anc)
     with pytest.raises(ValueError):
-        psi_in.density().matrix[0, 0] = 2.0  # payload arrays are read-only
+        psi_in[0] = 2.0  # states are read-only arrays
     with pytest.raises(ValueError):
         joint[0, 0] = 2.0
     with pytest.raises(ValueError):
@@ -525,10 +517,10 @@ def test_interfere_is_real_exactly_for_real_inputs(psi_in, psi_anc, reflectivity
     # when complex-typed (a coherent state of real gamma), and complex ones
     # keep their imaginary parts; both agree with one dense expm
     joint = fock.interfere(psi_in, psi_anc, reflectivity)
-    real = not (psi_in.amplitudes.imag.any() or psi_anc.amplitudes.imag.any())
+    real = not (psi_in.imag.any() or psi_anc.imag.any())
     assert joint.dtype == (np.float64 if real else np.complex128)
     assert joint.shape == (24, 24) and not joint.flags.writeable
-    want = oracle.generator_unitary(24, reflectivity) @ np.kron(psi_in.amplitudes, psi_anc.amplitudes)
+    want = oracle.generator_unitary(24, reflectivity) @ np.kron(psi_in, psi_anc)
     np.testing.assert_allclose(joint.ravel(), want, rtol=0, atol=1e-12)
 
 
@@ -536,7 +528,7 @@ def test_interfere_is_the_dense_route_on_a_vector():
     psi_in = fock.coherent_state(0.5 + 0.2j, 20)
     psi_anc = fock.squeezed_number_state(0, 0.4, 20)
     joint = fock.interfere(psi_in, psi_anc, 0.6)
-    dense = oracle.beam_splitter(psi_in.density(), psi_anc.density(), 0.6)
+    dense = oracle.beam_splitter(psi_in, psi_anc, 0.6)
     vec = joint.ravel()
     np.testing.assert_allclose(np.outer(vec, vec.conj()), dense.matrix, rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
@@ -602,16 +594,13 @@ def test_wavefunction_rejects_negative_n():
 
 
 def test_partial_traces_are_valid_densities():
-    joint = oracle.beam_splitter(
-        fock.coherent_state(0.5 + 0.2j, 20).density(),
-        fock.squeezed_number_state(0, 0.4, 20).density(),
-        0.6,
-    )
+    joint = oracle.beam_splitter(fock.coherent_state(0.5 + 0.2j, 20), fock.squeezed_number_state(0, 0.4, 20), 0.6)
     for keep in (0, 1):
         red = joint.ptrace(keep)
-        # re-validate explicitly: Hermitian, positive, unit trace
-        fock.FockDensity(red.matrix, red.dim, validate=True)
-        np.testing.assert_allclose(np.trace(red.matrix).real, 1.0, atol=1e-9)
+        # Hermitian, positive, unit trace
+        np.testing.assert_allclose(red, red.conj().T, rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(red).min() > -1e-10
+        np.testing.assert_allclose(np.trace(red).real, 1.0, atol=1e-9)
 
 
 def test_density_validation_rejects_bad_matrices():

@@ -7,6 +7,11 @@ from cvpost import conditioner, fock, wigner
 GRID_TOL = 1e-4
 
 
+def pure_grid(psi, *axes):
+    """The Wigner grid of the pure state ``psi``."""
+    return wigner.wigner_from_density(fock.FockDensity(np.outer(psi, psi.conj()), len(psi)), *axes)
+
+
 def small_axes(extent=3.0, points=121):
     axis = np.linspace(-extent, extent, points)
     return axis, axis.copy()
@@ -18,7 +23,7 @@ def small_axes(extent=3.0, points=121):
 
 
 def test_vacuum_peak():
-    grid = wigner.wigner_from_density(fock.fock_state(0, 20).density())
+    grid = pure_grid(fock.fock_state(0, 20))
     i = np.argmin(np.abs(grid.x_axis))
     j = np.argmin(np.abs(grid.p_axis))
     np.testing.assert_allclose(grid.values[i, j], 2 / np.pi, rtol=1e-10)
@@ -26,7 +31,7 @@ def test_vacuum_peak():
 
 
 def test_single_photon_origin():
-    grid = wigner.wigner_from_density(fock.fock_state(1, 20).density())
+    grid = pure_grid(fock.fock_state(1, 20))
     i = np.argmin(np.abs(grid.x_axis))
     j = np.argmin(np.abs(grid.p_axis))
     np.testing.assert_allclose(grid.values[i, j], -2 / np.pi, rtol=1e-10)
@@ -37,7 +42,7 @@ def test_squeezed_photon_matches_closed_form():
     sp = 0.67
     psi = fock.squeezed_number_state(1, sp, 60)
     x_axis, p_axis = small_axes()
-    grid = wigner.wigner_from_density(psi.density(), x_axis, p_axis)
+    grid = pure_grid(psi, x_axis, p_axis)
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
     q = np.exp(-2 * sp) * xg**2 + np.exp(2 * sp) * pg**2
     expected = (2 / np.pi) * np.exp(-2 * q) * (4 * q - 1)
@@ -59,7 +64,7 @@ def test_ground_truth_pointwise(state, closed):
     # every preparer's grid Wigner matches the closed form on |a+|,|a-| <= 3
     dim = 40
     x_axis, p_axis = small_axes()
-    grid = wigner.wigner_from_density(state(dim).density(), x_axis, p_axis)
+    grid = pure_grid(state(dim), x_axis, p_axis)
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
     expected = closed(xg + 1j * pg)
     np.testing.assert_allclose(grid.values, expected, atol=1e-6)
@@ -69,7 +74,8 @@ def test_scs_pointwise_tight():
     # the cat Wigner matches its closed form to 1e-8 at adequate dimension
     dim = 48
     pts = np.array([0.0, 0.3 + 0.4j, -1.0 + 1.1j, 0.5j, 1.5 - 0.5j])
-    got = wigner._wigner_values(fock.scs_state(1.1j, dim).density().matrix, pts)
+    cat = fock.scs_state(1.1j, dim)
+    got = wigner._wigner_values(np.outer(cat, cat.conj()), pts)
     np.testing.assert_allclose(got, oracle.scs_wigner(pts, 1.1j), atol=1e-8)
 
 
@@ -110,7 +116,8 @@ def test_grid_matches_pointwise_oracle(dim, kind):
 
 def test_empty_diagonals_match_oracle():
     # an even cat has no odd Fock components, so every odd diagonal is zero
-    rho = fock.scs_state(1.1j, 40).density()
+    cat = fock.scs_state(1.1j, 40)
+    rho = fock.FockDensity(np.outer(cat, cat.conj()), 40)
     x_axis, p_axis = oracle_axes("non-uniform")
     grid = wigner.wigner_from_density(rho, x_axis, p_axis)
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
@@ -139,7 +146,7 @@ def test_wigner_scales_with_the_state(scale):
 
 
 def test_tiny_trace_photon_is_not_zeroed():
-    one = fock.fock_state(1, 40).density().matrix
+    one = np.outer(fock.fock_state(1, 40), fock.fock_state(1, 40))
     got = wigner._wigner_values(1e-20 * one, np.array([0.0]))
     np.testing.assert_allclose(got, -1e-20 * 2 / np.pi, rtol=1e-12)
 
@@ -190,17 +197,15 @@ def test_closed_forms_normalized(func):
 
 
 def test_overlap_identities():
-    vac = wigner.wigner_from_density(fock.fock_state(0, 20).density())
-    one = wigner.wigner_from_density(fock.fock_state(1, 20).density())
+    vac = pure_grid(fock.fock_state(0, 20))
+    one = pure_grid(fock.fock_state(1, 20))
     np.testing.assert_allclose(oracle.overlap(vac, vac), 1.0, atol=GRID_TOL)
     np.testing.assert_allclose(oracle.overlap(vac, one), 0.0, atol=GRID_TOL)
 
 
 def test_overlap_requires_identical_grids():
-    vac = wigner.wigner_from_density(fock.fock_state(0, 12).density())
-    other = wigner.wigner_from_density(
-        fock.fock_state(0, 12).density(), *small_axes(extent=5.0, points=101)
-    )
+    vac = pure_grid(fock.fock_state(0, 12))
+    other = pure_grid(fock.fock_state(0, 12), *small_axes(extent=5.0, points=101))
     with pytest.raises(ValueError):
         oracle.overlap(vac, other)
 
@@ -210,8 +215,8 @@ def test_overlap_matches_fock_fidelity_for_conditional_cat():
     target = fock.scs_state(1.1j, 40)
     joint = conditioner.build_joint(fock.fock_state(2, 40), 0.5, -0.37)
     state, _ = conditioner.homodyne_project(joint, 0.0)
-    grid_state = wigner.wigner_from_density(state.density())
-    grid_target = wigner.wigner_from_density(target.density())
+    grid_state = pure_grid(state)
+    grid_target = pure_grid(target)
     np.testing.assert_allclose(
         oracle.overlap(grid_state, grid_target), conditioner.fidelity(state, target), atol=GRID_TOL
     )
@@ -233,11 +238,11 @@ def test_overlap_matches_fock_fidelity_for_conditional_cat():
 )
 def test_marginal_reproduces_homodyne_density(state):
     psi = state(40)
-    grid = wigner.wigner_from_density(psi.density())
+    grid = pure_grid(psi)
     dp = np.diff(grid.p_axis).mean()  # the default axis is uniform
     marginal = grid.values.sum(axis=1) * dp
     density = fock.quadrature_wavefunctions(39, grid.x_axis)
-    expected = np.abs(density.T @ psi.amplitudes) ** 2
+    expected = np.abs(density.T @ psi) ** 2
     np.testing.assert_allclose(marginal, expected, atol=GRID_TOL)
 
 
@@ -249,7 +254,7 @@ def test_grids_normalized_and_bounded():
         fock.scs_state(1.1j, 40),
     ]
     for psi in states:
-        grid = wigner.wigner_from_density(psi.density())
+        grid = pure_grid(psi)
         np.testing.assert_allclose(grid.riemann_sum(), 1.0, atol=GRID_TOL)
         assert grid.values.min() >= wigner.WIGNER_LOWER_BOUND - 1e-9
 
@@ -258,7 +263,7 @@ def test_non_uniform_axis_is_integrated_cell_by_cell():
     # 200 points on [-6, 0) and 41 on [0, 6]: a first-step spacing of 0.03
     # would put the vacuum's Riemann sum near 0.36
     axis = np.concatenate([np.linspace(-6, 0, 200, endpoint=False), np.linspace(0, 6, 41)])
-    grid = wigner.wigner_from_density(fock.fock_state(0, 20).density(), axis, axis.copy())
+    grid = pure_grid(fock.fock_state(0, 20), axis, axis.copy())
     assert abs(grid.riemann_sum() - 1.0) < 1e-4
 
 
@@ -269,9 +274,8 @@ def test_non_uniform_axis_is_integrated_cell_by_cell():
     ids=["one-point", "empty", "decreasing", "repeated"],
 )
 def test_bad_axis_is_rejected(axis, message):
-    rho = fock.fock_state(0, 8).density()
     with pytest.raises(ValueError, match=message):
-        wigner.wigner_from_density(rho, np.linspace(-3, 3, 7), axis)
+        pure_grid(fock.fock_state(0, 8), np.linspace(-3, 3, 7), axis)
 
 
 @pytest.mark.parametrize("extent", [6.0, 4.0, 1e-3, 1e300, 1.7976931348623157e308])
@@ -287,11 +291,10 @@ def test_mirror_axis_is_antisymmetric_and_near_linspace(extent, points):
 
 def test_default_grid_of_a_real_even_state_is_symmetric_bit_for_bit():
     # a real rho with only even diagonals: W(x, p) = W(x, -p) = W(-x, p) exactly
-    rho = fock.squeezed_number_state(1, 0.4, 30).density()
-    values = wigner.wigner_from_density(rho).values
+    values = pure_grid(fock.squeezed_number_state(1, 0.4, 30)).values
     assert np.array_equal(values, values[::-1]) and np.array_equal(values, values[:, ::-1])
     # a complex state keeps the complex sum, which is still exact under conjugation
-    cat = wigner.wigner_from_density(fock.scs_state(1.1j, 30).density()).values
+    cat = pure_grid(fock.scs_state(1.1j, 30)).values
     assert np.array_equal(cat, cat[:, ::-1])
 
 
@@ -300,6 +303,6 @@ def test_conditional_coherent_output_is_minimum_uncertainty():
     # pure-state config at x = 0: det of the quadrature covariance is 1/16
     joint = conditioner.build_joint(fock.coherent_state(0.3 + 0.2j, 40), 0.75, 0.52)
     state, _ = conditioner.homodyne_project(joint, 0.0)
-    grid = wigner.wigner_from_density(state.density())
+    grid = pure_grid(state)
     _, cov = oracle.grid_moments(grid)
     np.testing.assert_allclose(np.linalg.det(cov), 1.0 / 16.0, atol=GRID_TOL)
