@@ -18,7 +18,6 @@ from cvpost import (
     scs_state,
     wigner_from_density,
 )
-from cvpost.fock import FockDensity
 from cvpost.wigner import mirror_axis
 
 R = 0.5
@@ -44,7 +43,7 @@ for x0 in (0.02, 0.05, 0.084, 0.15, 0.3):
 win = run_window(joint, target, 0.084)
 axis = mirror_axis(2.5, 101)
 produced = wigner_from_density(win.avg_state, axis, axis).values[:, 50]
-ideal = wigner_from_density(FockDensity(np.outer(target, target.conj()), DIM), axis, axis).values[:, 50]
+ideal = wigner_from_density(np.outer(target, target.conj()), axis, axis).values[:, 50]
 print("\nWigner cut along alpha+ (alpha- = 0): produced vs ideal cat")
 for k in range(0, 101, 10):
     print(f"  alpha+ = {axis[k]:+.2f}:  {produced[k]:+.4f}   {ideal[k]:+.4f}")

@@ -256,7 +256,7 @@ def _run_photon(resolved, axis=None, values=(None,)):
             "f_ave": win.avg_fidelity,
             "p_s": win.success_prob,
             "fidelity_at_zero": zero,
-            "purity_avg_state": win.avg_state.purity(),
+            "purity_avg_state": float(np.real(np.sum(win.avg_state * win.avg_state.conj().T))),
         }
         yield {**head, **scalars, **tail}, win
 
@@ -505,7 +505,7 @@ def _selfcheck_checks(dim: int):
         ok = True
         details = []
         for name, state in (("vacuum", fock.fock_state(0, dim)), ("one-photon", fock.fock_state(1, dim))):
-            grid = wigner.wigner_from_density(fock.FockDensity(np.outer(state, state.conj()), dim))
+            grid = wigner.wigner_from_density(np.outer(state, state.conj()))
             total = grid.riemann_sum()
             bound_ok = grid.values.min() >= wigner.WIGNER_LOWER_BOUND - 1e-9
             ok = ok and abs(total - 1) < 1e-4 and bound_ok

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .fock import FockDensity
 from .gaussian import GL_NODES, GL_WEIGHTS
 
 #: Below this window half-width (Wigner units) :func:`window_matrix` is taken
@@ -82,7 +81,8 @@ class WindowResult:
 
     avg_fidelity: float
     success_prob: float
-    avg_state: FockDensity
+    #: The normalized averaged state, a read-only dim x dim density matrix.
+    avg_state: np.ndarray
 
 
 def window_matrix(dim: int, x0: float) -> np.ndarray:
@@ -139,9 +139,7 @@ def run_window(joint: np.ndarray, target: np.ndarray, x0: float) -> WindowResult
     fock.pure_dim(target, len(joint), "target")
     avg = (joint @ window_matrix(len(joint), x0)) @ joint.conj().T
     p_s = float(np.trace(avg).real)
-    return WindowResult(
-        avg_fidelity=float((target.conj() @ avg @ target).real) / p_s,
-        success_prob=p_s,
-        avg_state=FockDensity(avg / p_s, len(joint), validate=False),
-    )
+    avg_state = avg / p_s
+    avg_state.setflags(write=False)
+    return WindowResult(float((target.conj() @ avg @ target).real) / p_s, p_s, avg_state)
 

@@ -25,7 +25,7 @@ everything is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
@@ -83,27 +83,15 @@ class FockVector:
 
 @dataclass(frozen=True)
 class FockDensity:
-    """Hermitian, positive-semidefinite density matrix of one mode.
-
-    The trace is 1 - tail for a prepared state; it is not constrained here,
-    so a matrix of any trace may be wrapped.
-    """
+    """Density matrix of one mode."""
 
     matrix: np.ndarray
     dim: int
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if mat.shape != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {mat.shape}")
-        if self.validate:
-            scale = max(float(np.abs(mat).max()), 1e-300)
-            if np.abs(mat - mat.conj().T).max() > 1e-12 * max(scale, 1.0):
-                raise ValueError("density matrix is not Hermitian within 1e-12")
-            evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-            if evals.min() < -1e-10 * max(scale, 1.0):
-                raise ValueError("density matrix has negative eigenvalues")
         object.__setattr__(self, "matrix", _readonly(mat))
 
     def purity(self) -> float:

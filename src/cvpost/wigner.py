@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockDensity
-
 #: Single-mode Wigner functions are bounded below by -2/pi.
 WIGNER_LOWER_BOUND = -2.0 / np.pi
 
@@ -134,20 +132,30 @@ def mirror_axis(extent: float, points: int) -> np.ndarray:
 
 
 def wigner_from_density(
-    rho: FockDensity,
+    rho: np.ndarray,
     x_axis: np.ndarray | None = None,
     p_axis: np.ndarray | None = None,
 ) -> WignerGrid:
-    """Sample the Wigner function of a state on a rectangular grid.
+    """Sample the Wigner function of the density matrix ``rho`` on a rectangular grid.
 
-    Defaults to 241 x 241 points over [-6, 6]^2 (:func:`mirror_axis`), which
-    resolves cat-state fringes at |gamma| ~ 1.1 with >= 10 points per fringe.
-    Each axis needs at least two points, in increasing order.
+    ``rho`` must be square, Hermitian within 1e-12 and free of eigenvalues
+    below -1e-10 of its scale; its trace may be anything.  The grid defaults
+    to 241 x 241 points over [-6, 6]^2 (:func:`mirror_axis`), which resolves
+    cat-state fringes at |gamma| ~ 1.1 with >= 10 points per fringe.  Each
+    axis needs at least two points, in increasing order.
     """
+    rho = np.asarray(rho, dtype=complex if np.iscomplexobj(rho) else float)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not rho.size:
+        raise ValueError(f"density matrix must be a non-empty square array, got shape {rho.shape}")
+    scale = np.abs(rho).max(initial=1.0)
+    if np.abs(rho - rho.conj().T).max() > 1e-12 * scale:
+        raise ValueError("density matrix is not Hermitian within 1e-12")
+    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-10 * scale:
+        raise ValueError("density matrix has negative eigenvalues")
     default = mirror_axis(6.0, 241)
     x_axis = _grid_axis(default if x_axis is None else x_axis, "x_axis")
     p_axis = _grid_axis(default.copy() if p_axis is None else p_axis, "p_axis")
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
     alphas = xg + 1j * pg
-    vals = _wigner_values(rho.matrix, alphas.ravel()).reshape(alphas.shape)
+    vals = _wigner_values(rho, alphas.ravel()).reshape(alphas.shape)
     return WignerGrid(vals, x_axis, p_axis)

@@ -131,7 +131,7 @@ def test_criterion_8_property_suite():
             fock.squeezed_number_state(0, 0.52, 40),
             fock.scs_state(1.1j, 40),
         ):
-            grid = wigner.wigner_from_density(fock.FockDensity(np.outer(psi, psi.conj()), len(psi)))
+            grid = wigner.wigner_from_density(np.outer(psi, psi.conj()))
             assert abs(grid.riemann_sum() - 1.0) <= 1e-4
             assert grid.values.min() >= -2 / np.pi - 1e-9
 

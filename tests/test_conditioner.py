@@ -140,9 +140,11 @@ def test_photon_runs_stay_real(n):
     # and the averaged states; a complex coherent input keeps a complex joint
     joint = build_joint(fock.fock_state(n, 30), 0.6, 0.4)
     assert joint.dtype == np.float64 and joint.shape == (30, 30) and not joint.flags.writeable
-    assert homodyne_project(joint, 0.1)[0].dtype == np.float64
-    win = run_window(joint, fock.squeezed_number_state(n, 0.3, 30), 0.1)
-    assert win.avg_state.matrix.dtype == np.float64
+    state = homodyne_project(joint, 0.1)[0]
+    assert type(state) is np.ndarray and state.dtype == np.float64 and state.shape == (30,)
+    avg_state = run_window(joint, fock.squeezed_number_state(n, 0.3, 30), 0.1).avg_state
+    assert type(avg_state) is np.ndarray and avg_state.dtype == np.float64 and avg_state.shape == (30, 30)
+    assert not (state.flags.writeable or avg_state.flags.writeable)
     assert build_joint(fock.coherent_state(0.3 + 0.2j, 30), 0.6, 0.4).dtype == np.complex128
 
 
@@ -161,7 +163,7 @@ def test_window_single_photon_reference():
     win = run_window(*single_photon(0.98, 0.7, 60), 0.025)
     assert abs(win.avg_fidelity - 0.99) < 0.005
     assert abs(win.success_prob - 0.003) / 0.003 < 0.30
-    np.testing.assert_allclose(np.trace(win.avg_state.matrix).real, 1.0, atol=1e-8)
+    np.testing.assert_allclose(np.trace(win.avg_state).real, 1.0, atol=1e-8)
 
 
 def test_window_two_photon_reference():
@@ -376,5 +378,5 @@ def test_pure_joint_agrees_with_dense_route(reflectivity, prepare):
     fave, ps, avg = oracle.window(dense, target, x0, 1025)
     np.testing.assert_allclose(win.avg_fidelity, fave, rtol=AGREE_TOL)
     np.testing.assert_allclose(win.success_prob, ps, rtol=AGREE_TOL)
-    np.testing.assert_allclose(win.avg_state.matrix, avg, rtol=0, atol=AGREE_TOL)
+    np.testing.assert_allclose(win.avg_state, avg, rtol=0, atol=AGREE_TOL)
     np.testing.assert_allclose(density_norm(joint), oracle.density_norm(dense, n_nodes=769), rtol=AGREE_TOL)

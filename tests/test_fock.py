@@ -601,10 +601,3 @@ def test_partial_traces_are_valid_densities():
         np.testing.assert_allclose(red, red.conj().T, rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(red).min() > -1e-10
         np.testing.assert_allclose(np.trace(red).real, 1.0, atol=1e-9)
-
-
-def test_density_validation_rejects_bad_matrices():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        fock.FockDensity(np.array([[0.5, 0.1], [0.3, 0.5]]), 2)
-    with pytest.raises(ValueError, match="negative eigenvalues"):
-        fock.FockDensity(np.array([[0.5, 0.8], [0.8, 0.5]]), 2)  # eigenvalues 1.3, -0.3

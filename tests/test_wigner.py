@@ -9,7 +9,7 @@ GRID_TOL = 1e-4
 
 def pure_grid(psi, *axes):
     """The Wigner grid of the pure state ``psi``."""
-    return wigner.wigner_from_density(fock.FockDensity(np.outer(psi, psi.conj()), len(psi)), *axes)
+    return wigner.wigner_from_density(np.outer(psi, psi.conj()), *axes)
 
 
 def small_axes(extent=3.0, points=121):
@@ -88,7 +88,7 @@ def random_mixed_density(dim, rank=4, seed=0):
     rng = np.random.default_rng(seed + dim)
     vecs = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = (vecs * rng.random(rank)) @ vecs.conj().T
-    return fock.FockDensity(rho / np.trace(rho).real, dim)
+    return rho / np.trace(rho).real
 
 
 def oracle_axes(kind):
@@ -110,18 +110,18 @@ def test_grid_matches_pointwise_oracle(dim, kind):
     x_axis, p_axis = oracle_axes(kind)
     grid = wigner.wigner_from_density(rho, x_axis, p_axis)
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
-    expected = oracle.wigner_values(rho.matrix, (xg + 1j * pg).ravel()).reshape(xg.shape)
+    expected = oracle.wigner_values(rho, (xg + 1j * pg).ravel()).reshape(xg.shape)
     np.testing.assert_allclose(grid.values, expected, rtol=0, atol=1e-13)
 
 
 def test_empty_diagonals_match_oracle():
     # an even cat has no odd Fock components, so every odd diagonal is zero
     cat = fock.scs_state(1.1j, 40)
-    rho = fock.FockDensity(np.outer(cat, cat.conj()), 40)
+    rho = np.outer(cat, cat.conj())
     x_axis, p_axis = oracle_axes("non-uniform")
     grid = wigner.wigner_from_density(rho, x_axis, p_axis)
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
-    expected = oracle.wigner_values(rho.matrix, (xg + 1j * pg).ravel()).reshape(xg.shape)
+    expected = oracle.wigner_values(rho, (xg + 1j * pg).ravel()).reshape(xg.shape)
     np.testing.assert_allclose(grid.values, expected, rtol=0, atol=1e-13)
 
 
@@ -129,7 +129,7 @@ def test_wigner_point_matches_oracle():
     rho = random_mixed_density(40)
     pts = np.array([0.0, 0.3 - 0.4j, -1.0 + 1.1j, 0.5j, 2.5 - 0.5j, -0.3 + 0.4j])
     np.testing.assert_allclose(
-        wigner._wigner_values(rho.matrix, pts), oracle.wigner_values(rho.matrix, pts), rtol=0, atol=1e-13
+        wigner._wigner_values(rho, pts), oracle.wigner_values(rho, pts), rtol=0, atol=1e-13
     )
 
 
@@ -139,9 +139,7 @@ def test_wigner_scales_with_the_state(scale):
     rho = random_mixed_density(40)
     x_axis, p_axis = oracle_axes("non-uniform")
     base = wigner.wigner_from_density(rho, x_axis, p_axis).values
-    scaled = wigner.wigner_from_density(
-        fock.FockDensity(scale * rho.matrix, 40), x_axis, p_axis
-    ).values
+    scaled = wigner.wigner_from_density(scale * rho, x_axis, p_axis).values
     np.testing.assert_allclose(scaled / scale, base, rtol=1e-12, atol=1e-12 * np.abs(base).max())
 
 
@@ -155,7 +153,7 @@ def test_far_points_are_zero_not_nan():
     # 4|alpha|^2 overflows past |alpha| = 1e154; W is 0 there, as it is at 1e150
     rho = random_mixed_density(20)
     pts = np.array([1e150, 1e154, -3e200j, 1e300 + 1e300j, 1.5e308])
-    np.testing.assert_array_equal(wigner._wigner_values(rho.matrix, pts), 0.0)
+    np.testing.assert_array_equal(wigner._wigner_values(rho, pts), 0.0)
     axis = np.linspace(-1e300, 1e300, 9)
     grid = wigner.wigner_from_density(rho, axis, axis.copy())
     assert np.all(np.isfinite(grid.values)) and grid.riemann_sum() == np.inf
@@ -276,6 +274,20 @@ def test_non_uniform_axis_is_integrated_cell_by_cell():
 def test_bad_axis_is_rejected(axis, message):
     with pytest.raises(ValueError, match=message):
         pure_grid(fock.fock_state(0, 8), np.linspace(-3, 3, 7), axis)
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [(np.ones((2, 3)) / 2, r"square array, got shape \(2, 3\)"), (np.array([1.0, 0.0]), r"got shape \(2,\)"),
+     (np.zeros((0, 0)), r"non-empty square array, got shape \(0, 0\)"),
+     ([[0.5, 0.1], [0.3, 0.5]], "not Hermitian within 1e-12"),
+     ([[0.5, 0.8], [0.8, 0.5]], "negative eigenvalues")],  # eigenvalues 1.3, -0.3
+    ids=["non-square", "1-D", "empty", "non-Hermitian", "negative-eigenvalue"],
+)
+def test_density_validation_rejects_bad_matrices(rho, message):
+    # the grid is the one public function that takes a density matrix, so it checks it
+    with pytest.raises(ValueError, match=message):
+        wigner.wigner_from_density(rho)
 
 
 @pytest.mark.parametrize("extent", [6.0, 4.0, 1e-3, 1e300, 1.7976931348623157e308])
