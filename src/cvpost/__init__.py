@@ -27,8 +27,6 @@ from .emulator import (
     run_experiment,
 )
 from .fock import (
-    FockDensity,
-    FockVector,
     TruncationError,
     coherent_state,
     fock_state,

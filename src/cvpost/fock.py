@@ -15,17 +15,15 @@ quadrature, ``V(a_minus) = exp(-2s)/4``, and anti-squeezes the amplitude
 quadrature, ``V(a_plus) = exp(+2s)/4``.  The displacement operator is
 ``D(g) = exp[g a^dag - g* a]``.
 
-A pure state of one mode is the read-only 1-D array of its coefficients
-``<n|psi>``, n = 0..dim - 1, so ``dim`` is its length; its squared norm is 1
-less the population the preparer discarded above the truncation.  Every
-array here is read-only and every operation is a pure function, so
-everything is safe to share across threads.
+A pure state of one mode is the read-only 1-D array of its amplitudes
+``<n|psi>``, n < dim; its squared norm is 1 less the population the preparer
+discarded above the truncation.  Every array here is read-only and every
+operation is a pure function, so everything is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
@@ -54,48 +52,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class FockVector:
-    """Pure state of one mode: coefficients ``<n|psi>`` for n = 0..dim-1.
-
-    The squared norm is 1 less the population the preparer discarded above
-    the truncation.
-    """
-
-    amplitudes: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex if np.iscomplexobj(self.amplitudes) else float)
-        if amps.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} amplitudes, got shape {amps.shape}")
-        object.__setattr__(self, "amplitudes", _readonly(amps))
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def density(self) -> "FockDensity":
-        return FockDensity(np.outer(self.amplitudes, self.amplitudes.conj()), self.dim)
-
-
-@dataclass(frozen=True)
-class FockDensity:
-    """Density matrix of one mode."""
-
-    matrix: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {mat.shape}")
-        object.__setattr__(self, "matrix", _readonly(mat))
-
-    def purity(self) -> float:
-        return float(np.real(np.sum(self.matrix * self.matrix.conj().T)))
 
 
 def pure_dim(psi, dim: int | None = None, what: str = "state") -> int:
