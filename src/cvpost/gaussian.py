@@ -20,13 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Highest dB level a noise, ancilla or squeezing variance may take, and the
-# same limit on a squeezing parameter, 10 log10(e^{2|s|}) <= MAX_DB.  The
-# emulator's gate conditional is a Schur complement, a difference of terms as
-# large as the largest record variance, so its rounding error is about eps
-# times that variance: 2e-6 SNL at 100 dB, the whole conditional variance by
-# 160 dB.  The coherent closed form is exact up to it, and the Fock
-# preparers' cosh(s) overflows only past |s| = 710.
+# The one limit the engines check: the highest dB level a noise, ancilla or
+# squeezing variance may take, and the same limit on a squeezing parameter,
+# 10 log10(e^{2|s|}) <= MAX_DB, which the closed form and the Fock preparers
+# enforce.  The emulator's gate conditional is a Schur complement, a
+# difference of terms as large as the largest record variance, so its
+# rounding error is about eps times that variance: 2e-6 SNL at 100 dB, the
+# whole conditional variance by 160 dB.  The coherent closed form is exact up
+# to the limit, but its (T + R e^{-2s})^2 overflows below about s = -178, and
+# the Fock preparers' cosh(s) past |s| = 710.
 MAX_DB = 100.0
 MAX_SQUEEZING = MAX_DB * math.log(10.0) / 20.0
 
@@ -92,6 +94,8 @@ def s_prime(reflectivity: float, s: float) -> float:
 def _conditional_variance(reflectivity: float, s: float) -> float:
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError("reflectivity must be in [0, 1]")
+    if abs(s) > MAX_SQUEEZING:
+        raise ValueError(f"s={s} is above the squeezing limit |s| <= {MAX_SQUEEZING:.4f}, {MAX_DB:g} dB")
     v = 1.0 - reflectivity + np.exp(-2.0 * s) * reflectivity
     if v <= 0.0:
         raise ValueError("degenerate configuration: T + e^{-2s} R is not positive")

@@ -71,7 +71,7 @@ def test_closed_form_matches_the_general_schur_complement(gamma):
                 np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("s", [9.0, 10.0, 12.0, 20.0])
+@pytest.mark.parametrize("s", [9.0, 10.0, 11.0, gaussian.MAX_SQUEEZING])
 def test_strongly_squeezed_output_stays_pure(s):
     # the Schur complement of the joint cancels terms of order e^{4s}, which
     # put purity 4e-9 above 1 at s = 10; the closed form keeps every term positive
@@ -79,6 +79,16 @@ def test_strongly_squeezed_output_stays_pure(s):
     assert abs(purity(out.cov) - 1.0) <= 1e-15
     target = ideal_target(coherent_gaussian(0.18), 0.75)
     assert gaussian_fidelity(out.mean, out.cov, target.mean, target.cov) <= 1.0
+
+
+@pytest.mark.parametrize("s", [12.0, 20.0, -12.0, -300.0])
+def test_closed_form_rejects_squeezing_past_the_limit(s):
+    # the limit squeezed_number_state checks; unchecked, s_prime(0.5, -300)
+    # overflowed to -inf and condition_coherent at -360 gave an infinite variance
+    with pytest.raises(ValueError, match=rf"s={s} is above the squeezing limit \|s\| <= 11.5129, 100 dB"):
+        s_prime(0.5, s)
+    with pytest.raises(ValueError, match="above the squeezing limit"):
+        condition_coherent(0.1, 0.5, s, 0.0)
 
 
 def test_strong_squeezing_reaches_ideal_gains():
