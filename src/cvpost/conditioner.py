@@ -68,10 +68,10 @@ def fidelity(state: np.ndarray, target: np.ndarray) -> float:
     Equals the pi-weighted Wigner overlap of the two states.
     """
     fock.pure_dim(target, fock.pure_dim(state), "target")
-    if abs(np.linalg.norm(state) ** 2 - 1.0) > 1e-6:
-        raise ValueError("state must be normalized (squared norm 1)")
-    if abs(np.linalg.norm(target) - 1.0) > 1e-6:
-        raise ValueError("target must be normalized")
+    for name, psi in (("state", state), ("target", target)):
+        norm_sq = float(np.linalg.norm(psi)) ** 2
+        if abs(norm_sq - 1.0) > 1e-6:
+            raise ValueError(f"{name} must be normalized (squared norm 1 within 1e-6), got {norm_sq!r}")
     return min(float(abs(np.vdot(target, state))) ** 2, 1.0 + 1e-9)
 
 

@@ -113,6 +113,31 @@ def test_fidelity_rejects_unnormalized():
         fidelity(half, psi)
 
 
+def test_fidelity_holds_state_and_target_to_one_normalization_rule():
+    # squared norm 1.0000016: the target's norm alone, 1.0000008, passed 1e-6
+    psi, off = np.array([1.0, 0.0]), np.array([1.0000008, 0.0])
+    with pytest.raises(ValueError, match=r"^state must be normalized \(squared norm 1 within 1e-6\), got 1.0000016"):
+        fidelity(off, psi)
+    with pytest.raises(ValueError, match=r"^target must be normalized \(squared norm 1 within 1e-6\), got 1.0000016"):
+        fidelity(psi, off)
+    assert fidelity(np.array([1.0000004, 0.0]), np.array([0.0, 1.0000004])) == 0.0
+
+
+def test_state_taking_functions_reject_a_2d_or_mismatched_state():
+    # run_window used to end in numpy's unnamed matmul error for a target of another dim
+    joint, target = build_joint(fock.fock_state(1, 20), 0.5, 0.3), fock.fock_state(1, 20)
+    with pytest.raises(ValueError, match=r"target must be a 1-D array of 20 amplitudes, got shape \(30,\)"):
+        run_window(joint, fock.fock_state(1, 30), 0.1)
+    with pytest.raises(ValueError, match=r"target must be a 1-D array of 20 amplitudes, got shape \(20, 20\)"):
+        run_window(joint, np.outer(target, target), 0.1)
+    with pytest.raises(ValueError, match=r"target must be a 1-D array of 20 amplitudes, got shape \(30,\)"):
+        fidelity(target, fock.fock_state(1, 30))
+    with pytest.raises(ValueError, match=r"state must be a 1-D array of any number of amplitudes, got shape \(20, 20\)"):
+        fidelity(np.outer(target, target), target)
+    with pytest.raises(ValueError, match=r"input must be a 1-D array of any number of amplitudes, got shape \(20, 20\)"):
+        build_joint(np.outer(target, target), 0.5, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # Window averaging
 # ---------------------------------------------------------------------------
