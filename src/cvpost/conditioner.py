@@ -70,7 +70,7 @@ def fidelity(state: np.ndarray, target: np.ndarray) -> float:
     fock.pure_dim(target, fock.pure_dim(state), "target")
     for name, psi in (("state", state), ("target", target)):
         norm_sq = float(np.linalg.norm(psi)) ** 2
-        if abs(norm_sq - 1.0) > 1e-6:
+        if not abs(norm_sq - 1.0) <= 1e-6:  # a NaN norm fails too
             raise ValueError(f"{name} must be normalized (squared norm 1 within 1e-6), got {norm_sq!r}")
     return min(float(abs(np.vdot(target, state))) ** 2, 1.0 + 1e-9)
 

@@ -121,6 +121,8 @@ def test_fidelity_holds_state_and_target_to_one_normalization_rule():
     with pytest.raises(ValueError, match=r"^target must be normalized \(squared norm 1 within 1e-6\), got 1.0000016"):
         fidelity(psi, off)
     assert fidelity(np.array([1.0000004, 0.0]), np.array([0.0, 1.0000004])) == 0.0
+    with pytest.raises(ValueError, match="state must be normalized .* got nan"):
+        fidelity(np.array([np.nan, 0.0]), psi)  # returned nan
 
 
 def test_state_taking_functions_reject_a_2d_or_mismatched_state():
