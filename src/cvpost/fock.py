@@ -55,11 +55,11 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def pure_dim(psi, dim: int | None = None, what: str = "state") -> int:
-    """The length of the pure state ``psi``; raise ValueError, naming its shape,
-    unless it is a 1-D array of ``dim`` amplitudes (of any number if None)."""
+    """The length of the pure state ``psi``, a 1-D array of ``dim`` amplitudes (any if None), or ValueError."""
     shape = np.shape(psi)
-    if len(shape) != 1 or shape[0] != (dim or shape[0]):
-        raise ValueError(f"{what} must be a 1-D array of {dim or 'any number of'} amplitudes, got shape {shape}")
+    if len(shape) != 1 or dim not in (None, shape[0]):
+        length = "" if dim is None else f" of {dim} amplitudes"
+        raise ValueError(f"{what} must be a 1-D array{length}, got shape {shape}")
     return shape[0]
 
 

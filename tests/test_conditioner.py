@@ -134,9 +134,9 @@ def test_state_taking_functions_reject_a_2d_or_mismatched_state():
         run_window(joint, np.outer(target, target), 0.1)
     with pytest.raises(ValueError, match=r"target must be a 1-D array of 20 amplitudes, got shape \(30,\)"):
         fidelity(target, fock.fock_state(1, 30))
-    with pytest.raises(ValueError, match=r"state must be a 1-D array of any number of amplitudes, got shape \(20, 20\)"):
+    with pytest.raises(ValueError, match=r"state must be a 1-D array, got shape \(20, 20\)"):
         fidelity(np.outer(target, target), target)
-    with pytest.raises(ValueError, match=r"input must be a 1-D array of any number of amplitudes, got shape \(20, 20\)"):
+    with pytest.raises(ValueError, match=r"input must be a 1-D array, got shape \(20, 20\)"):
         build_joint(np.outer(target, target), 0.5, 0.3)
 
 

@@ -527,16 +527,18 @@ def test_interfere_is_real_exactly_for_real_inputs(psi_in, psi_anc, reflectivity
 def test_state_taking_functions_reject_a_2d_or_mismatched_state():
     # a pure state is a 1-D array of dim amplitudes; the error names the shape
     psi, wide = fock.fock_state(1, 12), fock.fock_state(0, 20)
-    with pytest.raises(ValueError, match=r"input must be a 1-D array of any number of amplitudes, got shape \(12, 12\)"):
+    with pytest.raises(ValueError, match=r"input must be a 1-D array, got shape \(12, 12\)"):
         fock.interfere(np.outer(psi, psi), psi, 0.5)
     with pytest.raises(ValueError, match=r"ancilla must be a 1-D array of 12 amplitudes, got shape \(20,\)"):
         fock.interfere(psi, wide, 0.5)
     with pytest.raises(ValueError, match=r"ancilla must be a 1-D array of 12 amplitudes, got shape \(1, 12\)"):
         fock.interfere(psi, psi[None, :], 0.5)
-    with pytest.raises(ValueError, match=r"state must be a 1-D array of any number of amplitudes, got shape \(12, 12\)"):
+    with pytest.raises(ValueError, match=r"state must be a 1-D array, got shape \(12, 12\)"):
         fock.quadrature_moments(np.outer(psi, psi))
     with pytest.raises(ValueError, match=r"got shape \(\)"):
         fock.quadrature_moments(np.float64(1.0))
+    with pytest.raises(ValueError, match=r"of 0 amplitudes, got shape \(12,\)"):
+        fock.pure_dim(psi, 0)
 
 
 def test_interfere_is_the_dense_route_on_a_vector():
