@@ -52,18 +52,19 @@ def test_s_prime_validation():
 
 
 def test_two_mode_vacuum_projection():
-    joint = fock.interfere(fock.fock_state(0, 12), fock.fock_state(0, 12), 0.5)
-    state, density = homodyne_project(joint, 0.0)
+    vac = fock.fock_state(0, 12)
+    state, density = homodyne_project(fock.interfere(vac, vac, 0.5), 0.0)
     # P1(0) is the N(0, 1/4) density at the origin
     np.testing.assert_allclose(density, np.sqrt(2 / np.pi), atol=1e-9)
-    np.testing.assert_allclose(np.outer(state, state.conj()), np.outer(fock.fock_state(0, 12), fock.fock_state(0, 12)), atol=1e-9)
+    np.testing.assert_allclose(np.outer(state, state.conj()), np.outer(vac, vac), atol=1e-9)
 
 
 def test_zero_reflectivity_leaves_input_untouched():
-    joint = fock.interfere(fock.fock_state(1, 12), fock.fock_state(0, 12), 0.0)
+    one = fock.fock_state(1, 12)
+    joint = fock.interfere(one, fock.fock_state(0, 12), 0.0)
     for x in (-0.7, 0.0, 1.3):
         state, _ = homodyne_project(joint, x)
-        np.testing.assert_allclose(np.outer(state, state.conj()), np.outer(fock.fock_state(1, 12), fock.fock_state(1, 12)), atol=1e-10)
+        np.testing.assert_allclose(np.outer(state, state.conj()), np.outer(one, one), atol=1e-10)
 
 
 def test_zero_outcome_yields_squeezed_photon(fig2_joint, fig2_target):

@@ -87,8 +87,7 @@ def test_coherent_ground_amplitude():
 def test_coherent_mean_field():
     # oracle: direct expectation from the coefficient formula
     gamma = 1.1j
-    psi = fock.coherent_state(gamma, 40)
-    c = psi
+    c = fock.coherent_state(gamma, 40)
     n = np.arange(1, 40)
     mean_a = np.sum(np.conj(c[:-1]) * c[1:] * np.sqrt(n))
     assert abs(mean_a - gamma) < 1e-8
