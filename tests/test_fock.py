@@ -310,7 +310,8 @@ def test_squeezed_number_state_tail_guard_is_exact():
             with pytest.raises(TruncationError, match="dim=40"):
                 fock.squeezed_number_state(1, s, 40)
         else:
-            np.testing.assert_allclose(1.0 - np.linalg.norm(fock.squeezed_number_state(1, s, 40)) ** 2, true_tail, atol=1e-14)
+            tail = 1.0 - np.linalg.norm(fock.squeezed_number_state(1, s, 40)) ** 2
+            np.testing.assert_allclose(tail, true_tail, atol=1e-14)
 
 
 def test_displaced_squeezed_vacuum_tail_guard():
