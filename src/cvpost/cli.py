@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, conditioner, emulator, fock, gaussian, wigner
-from .gaussian import MAX_DB, MAX_SQUEEZING
+from .gaussian import MAX_SQUEEZING, within
 
 
 class ConfigError(Exception):
@@ -68,11 +68,6 @@ _KINDS = {
 _REQUIRED = object()  # the default of a key that has none
 
 
-def _within(val, bounds):
-    lo, hi = map(float, bounds[1:-1].split(","))
-    return (lo <= val if bounds[0] == "[" else lo < val) and (val <= hi if bounds[-1] == "]" else val < hi)
-
-
 def _value(field, val, kind, bounds):
     """``val`` checked and converted to ``kind`` (a complex to [re, im]), each part within ``bounds``."""
     expected, accepts = _KINDS[kind]
@@ -80,7 +75,7 @@ def _value(field, val, kind, bounds):
         raise ConfigError(field, f"expected {expected}, got {val!r}")
     val = [float(p) for p in _parts(val)] if kind is complex else kind(val)
     for part in val if kind in (complex, tuple) else [val]:
-        if bounds is not None and not _within(part, bounds):
+        if bounds is not None and not within(part, bounds):
             raise ConfigError(field, f"{part!r} is outside {bounds}")
     return val
 
@@ -131,14 +126,8 @@ MAX_WIGNER_POINTS = 1001
 #: about 10 MB and a photon sweep ends in seconds.  A curve needs far fewer.
 MAX_SWEEP_POINTS = 10_000
 
-# A squeezing parameter, a dB level and an input variance, up to MAX_DB
-# (gaussian explains it).
+# A squeezing parameter, up to MAX_DB (gaussian explains it).
 _SQUEEZING = f"[-{MAX_SQUEEZING!r}, {MAX_SQUEEZING!r}]"
-_DB = f"(-inf, {MAX_DB:g}]"
-_VARIANCE = f"(0, {10 ** (MAX_DB / 10):g}]"
-# A window half-width.  The engines square a window edge (the emulator in gate
-# z-units); no state has weight past |x| ~ 40, and the square overflows past 1.3e154.
-_HALF_WIDTH = "(0, 1e150]"
 # Each part of the coherent mode's gamma, and its outcome x_snl, so that no
 # closed form overflows.  The ideal target scales the SNL mean 2 gamma by
 # 1/sqrt(T) <= 2^26.5, as T >= 2^-53 for a double R < 1: 2e299 * 2^26.5 is
@@ -146,11 +135,6 @@ _HALF_WIDTH = "(0, 1e150]"
 # beta (x - 2 sqrt(R) gamma_plus), where |beta| <= sinh|s| < 5e4 within
 # _SQUEEZING (bound T + R e^{-2s} below by AM-GM), so it stays below 2e304.
 _LOCATION = "[-1e299, 1e299]"
-# The emulator's gamma_plus and gamma_minus.  Its records carry the mean
-# 2 gamma, so their deviations from the sample mean are at least its rounding
-# error, about n eps |2 gamma| over n rows, and the sample moments square and
-# sum them: below 1e100 that overflows for no n that fits in memory.
-_AMPLITUDE = "[-1e100, 1e100]"
 
 
 def _photon_keys(reflectivity, squeezing, x0_wig, dim, **extra):
@@ -160,16 +144,14 @@ def _photon_keys(reflectivity, squeezing, x0_wig, dim, **extra):
         "dim": (dim, int, f"[2, {fock.MAX_DIM}]"),
         "reflectivity": (reflectivity, float, "[0, 1]"),
         "squeezing": (squeezing, float, _SQUEEZING),
-        "x0_wig": (x0_wig, float, _HALF_WIDTH),
+        "x0_wig": (x0_wig, float, emulator.PARAMS["x0"][2]),  # a window half-width, as the emulator's
         **extra,
         "wigner_export": (None, {"points": (241, int, f"[9, {MAX_WIGNER_POINTS}]"),
                                  "extent": (6.0, float, "(0, inf)")}, None),
     }
 
 
-# Emulate keys that name an ExperimentParams field differently; the other
-# keys are field names.  Their defaults are the bench run's.
-_FIELDS = {"reflectivity": "R", "v_in_snl": "v_in", "x0_snl": "x0"}
+# The emulate keys are emulator.PARAMS's, with the bench run's defaults.
 _BENCH = emulator.ExperimentParams()
 
 # Keys each mode reads; anything else in a config is an error.
@@ -185,15 +167,7 @@ _KEYS = {
     },
     "emulate": {
         "mode": (_REQUIRED, str, None),
-        **{key: (getattr(_BENCH, _FIELDS.get(key, key)), kind, bounds) for key, kind, bounds in (
-            ("reflectivity", float, "[0, 1)"), ("v_in_snl", tuple, _VARIANCE),
-            ("anc_sqz_db", float, _DB), ("anc_antisqz_db", float, _DB),
-            ("eta_vis", float, "(0, 1]"), ("eta_det", float, "(0, 1]"), ("eta_hom", float, "(0, 1]"),
-            ("gate_elec_db", float, _DB), ("hom_elec_db", float, _DB),
-            ("gamma_plus", float, _AMPLITUDE), ("gamma_minus", float, _AMPLITUDE), ("x0_snl", float, _HALF_WIDTH),
-            ("n_samples", int, "[1, inf)"), ("rng_seed", int, "[0, inf)"),
-            ("subtract_electronic", bool, None),
-        )},
+        **{key: (getattr(_BENCH, field), kind, bounds) for field, (key, kind, bounds) in emulator.PARAMS.items()},
         "dump_samples_csv": (False, bool, None),
     },
     "sweep": {
@@ -284,8 +258,7 @@ def _run_coherent(resolved, axis=None, values=(None,)):
 
 
 def _experiment_params(resolved):
-    fields = {_FIELDS.get(key, key): val for key, val in resolved.items()}
-    return emulator.ExperimentParams(**{k: v for k, v in fields.items() if k not in ("mode", "dump_samples_csv")})
+    return emulator.ExperimentParams(**{field: resolved[key] for field, (key, _, _) in emulator.PARAMS.items()})
 
 
 def _run_emulate(resolved, axis=None, values=(None,)):
@@ -296,7 +269,7 @@ def _run_emulate(resolved, axis=None, values=(None,)):
         if axis == "success_prob":
             point = dataclasses.replace(params, x0=_x0_for_success_prob(*ps_of, value))
         elif axis is not None:
-            point = dataclasses.replace(params, **{_FIELDS.get(axis, axis): value})
+            point = _experiment_params({**resolved, axis: value})
         # The results are the EnsembleStats fields in order, with the gains inlined.
         stats = dataclasses.asdict(emulator.run_experiment(point))
         yield {"v_out_snl": stats.pop("v_out"), **stats.pop("gains"), **stats}, None

@@ -26,9 +26,6 @@ Model choices
 * The RF chain is not modelled; samples are drawn directly as white
   Gaussian quadrature records.
 
-* dB levels above ``MAX_DB`` (100 dB) are rejected: conditioning on a
-  variance that large loses the conditional to rounding.
-
 Synthesis is chunked with sub-generators spawned deterministically from
 ``rng_seed`` and reduced in fixed order, so results are bit-stable.  The
 record triple is jointly Gaussian, and one gate model, built from
@@ -54,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian
-from .gaussian import GL_NODES, GL_WEIGHTS, MAX_DB, GainReport, GaussianState
+from .gaussian import GL_NODES, GL_WEIGHTS, MAX_DB, GainReport, GaussianState, within
 
 _CHUNK = 1 << 20
 _JACKKNIFE_GROUPS = 64
@@ -65,6 +62,41 @@ SAMPLE_COLUMNS = ("x_t_plus", "x_t_minus", "x_r_plus")
 
 def _db_to_var(db: float) -> float:
     return float(10.0 ** (db / 10.0))
+
+
+# The config key, kind and interval of each ExperimentParams field, in field
+# order; cvpost.cli reads its emulate keys from here.  The interval, written
+# as the README and the errors write it, holds the value or each part of a
+# pair.  Why each interval ends where it does:
+# * reflectivity: the ideal squeezer target needs T > 0.
+# * variances and dB levels, up to MAX_DB (gaussian explains it): conditioning
+#   on the gate would lose a larger variance to rounding.
+# * gamma_plus, gamma_minus: the records carry the mean 2 gamma, so their
+#   deviations from the sample mean are at least its rounding error, about
+#   n eps |2 gamma| over n rows, and the sample moments square and sum them:
+#   below 1e100 that overflows for no n that fits in memory.
+# * x0, a window half-width, as the photon modes' x0_wig takes too: both
+#   engines square a window edge (the emulator in gate z-units); no state has
+#   weight past |x| ~ 40, and the square overflows past 1.3e154.
+_DB = f"(-inf, {MAX_DB:g}]"
+_EFFICIENCY = "(0, 1]"
+PARAMS = {
+    "R": ("reflectivity", float, "[0, 1)"),
+    "v_in": ("v_in_snl", tuple, f"(0, {10 ** (MAX_DB / 10):g}]"),
+    "anc_sqz_db": ("anc_sqz_db", float, _DB),
+    "anc_antisqz_db": ("anc_antisqz_db", float, _DB),
+    "eta_vis": ("eta_vis", float, _EFFICIENCY),
+    "eta_det": ("eta_det", float, _EFFICIENCY),
+    "eta_hom": ("eta_hom", float, _EFFICIENCY),
+    "gate_elec_db": ("gate_elec_db", float, _DB),
+    "hom_elec_db": ("hom_elec_db", float, _DB),
+    "gamma_plus": ("gamma_plus", float, "[-1e100, 1e100]"),
+    "gamma_minus": ("gamma_minus", float, "[-1e100, 1e100]"),
+    "x0": ("x0_snl", float, "(0, 1e150]"),
+    "n_samples": ("n_samples", int, "[1, inf)"),
+    "rng_seed": ("rng_seed", int, "[0, inf)"),
+    "subtract_electronic": ("subtract_electronic", bool, None),
+}
 
 
 @dataclass(frozen=True)
@@ -89,30 +121,13 @@ class ExperimentParams:
     subtract_electronic: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.R < 1.0:
-            raise ValueError(f"R={self.R} must be in [0, 1): the ideal squeezer target needs T > 0 "
-                             "(reflectivity in a config)")
-        for name in ("eta_vis", "eta_det", "eta_hom"):
-            eta = getattr(self, name)
-            if not 0.0 < eta <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1]")
-        if not self.x0 > 0:
-            raise ValueError("x0 must be > 0")
-        for name, least in (("n_samples", 1), ("rng_seed", 0)):
+        for name, (key, kind, bounds) in PARAMS.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name}={value!r} must be an integer >= {least}")
-        if len(self.v_in) != 2 or not all(0 < v <= 10 ** (MAX_DB / 10) for v in self.v_in):
-            raise ValueError(f"v_in={tuple(self.v_in)} must be two variances in (0, {10 ** (MAX_DB / 10):g}], "
-                             f"up to {MAX_DB:g} dB (v_in_snl in a config)")
-        for name in ("gamma_plus", "gamma_minus", "anc_sqz_db", "anc_antisqz_db",
-                     "gate_elec_db", "hom_elec_db"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            if name.endswith("_db") and value > MAX_DB:
-                raise ValueError(f"{name}={value} dB is above {MAX_DB:g} dB: the record model cannot "
-                                 "condition on so large a variance without losing it to rounding")
+            parts = tuple(value) if kind is tuple else (value,)
+            bad_kind = kind is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer)))
+            if bad_kind or len(parts) != 1 + (kind is tuple) or bounds and not all(within(p, bounds) for p in parts):
+                whole = {int: "an integer in", tuple: "a pair, each part in"}.get(kind, "in")
+                raise ValueError(f"{name}={value!r} must be {whole} {bounds} ({key} in a config)")
         # The slack of 1e-9 absorbs the rounding of exactly conjugate levels
         # (-30 and +30 dB); GaussianState would reject these states later
         # without naming a field.

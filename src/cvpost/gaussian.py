@@ -32,6 +32,13 @@ import numpy as np
 MAX_DB = 100.0
 MAX_SQUEEZING = MAX_DB * math.log(10.0) / 20.0
 
+
+def within(val, bounds: str) -> bool:
+    """Whether ``val`` lies in ``bounds``, an interval written as the README
+    and the errors write it, such as "[0, 1)" or "(-inf, 100]"; NaN lies in none."""
+    lo, hi = map(float, bounds[1:-1].split(","))
+    return (lo <= val if bounds[0] == "[" else lo < val) and (val <= hi if bounds[-1] == "]" else val < hi)
+
 #: The 32-node Gauss-Legendre rule on [-1, 1], with which both engines take
 #: narrow windows: the emulator's truncated-normal moments and the Fock
 #: engine's window matrix.

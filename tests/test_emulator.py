@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -208,7 +209,8 @@ def test_sampler_keeps_rows_with_the_predicted_success_probability(x0, monkeypat
 
 
 def test_infinite_window_draws_every_row():
-    params = quiet_params(x0=np.inf, n_samples=10_000)
+    # the largest window, whose ends are as good as infinite
+    params = quiet_params(x0=1e150, n_samples=10_000)
     kept = np.concatenate(list(emulator._iter_chunks(params, full=False)))
     assert kept.shape == (10_000, 3)
     np.testing.assert_array_equal(synthesize(params), kept)
@@ -273,12 +275,45 @@ def test_bad_parameter_is_named(field, value):
         ExperimentParams(**{field: value})
 
 
+def _past_each_end():
+    """(field, value) just past each finite end of every emulator.PARAMS
+    interval, and each open finite end itself; a pair gets each part in turn."""
+    bench = ExperimentParams()
+    for field, (key, kind, bounds) in emulator.PARAMS.items():
+        if bounds is None:
+            continue
+        ends = [float(end) for end in bounds[1:-1].split(", ")]
+        for end, out, is_open in zip(ends, (-math.inf, math.inf), (bounds[0] == "(", bounds[-1] == ")")):
+            if not math.isfinite(end):
+                continue
+            past = int(end) + (1 if out > 0 else -1) if kind is int else math.nextafter(end, out)
+            for val in [past, end] if is_open else [past]:
+                for value in [(val, bench.v_in[1]), (bench.v_in[0], val)] if kind is tuple else [val]:
+                    yield pytest.param(field, key, bounds, value, id=f"{field}={value}")
+
+
+@pytest.mark.parametrize("field, key, bounds, value", list(_past_each_end()))
+def test_every_field_rejects_just_past_its_interval(field, key, bounds, value):
+    # the library holds each field to the interval the CLI holds its key to;
+    # gamma_plus and gamma_minus past 1e100 and x0 past 1e150 ran unchecked
+    with pytest.raises(ValueError) as info:
+        ExperimentParams(**{field: value})
+    message = str(info.value)
+    assert message.startswith(f"{field}=") and f" {bounds} ({key} in a config)" in message, message
+
+
+def test_the_field_walk_reaches_every_interval():
+    walked = {param.values[0] for param in _past_each_end()}
+    assert walked == {field for field, (_, _, bounds) in emulator.PARAMS.items() if bounds}
+    assert {"gamma_plus", "gamma_minus", "x0", "v_in", "n_samples"} <= walked
+
+
 @pytest.mark.parametrize("v_in", [(1e20, 1.0), (1.0, 1e20), (1e300, 1.0)],
                          ids=["1e20-plus", "1e20-minus", "1e300-plus"])
 def test_input_variance_above_the_db_limit_is_named(v_in):
     # unchecked, (1e20, 1) ended in predict_stats' unnamed "covariance must be
     # positive definite" and (1e300, 1) in an overflow
-    with pytest.raises(ValueError, match=r"must be two variances in \(0, 1e\+10\].*\(v_in_snl in a config\)"):
+    with pytest.raises(ValueError, match=r"must be a pair, each part in \(0, 1e\+10\] \(v_in_snl in a config\)"):
         ExperimentParams(v_in=v_in)
     ExperimentParams(v_in=(1e10, 1.0))  # the bound itself, as the CLI's interval has it
 
@@ -505,9 +540,9 @@ def test_window_with_far_ends_is_the_whole_normal():
 
 
 def test_infinite_window_selects_everything():
-    # both window ends at infinity have zero density; the prediction is the
-    # unconditioned record model
-    params = ExperimentParams(x0=np.inf)
+    # the largest window's ends, at 1e150 gate sd, have zero density; the
+    # prediction is the unconditioned record model
+    params = ExperimentParams(x0=1e150)
     pred = predict_stats(params)
     assert pred.success_prob == 1.0
     np.testing.assert_allclose(pred.selected_mean, pred.record_mean[:2], rtol=0, atol=1e-15)
