@@ -105,7 +105,7 @@ def _resolve(cfg, tables, where="", dim=None, seed=None):
     """Read a config of one of the modes in ``tables``.  ``--dim`` and
     ``--seed`` replace ``dim`` and ``rng_seed`` once the config's own are checked."""
     mode = cfg.get("mode") if isinstance(cfg, dict) else None
-    if mode not in tables:
+    if not isinstance(mode, str) or mode not in tables:
         raise ConfigError(where + "mode", f"must be one of {sorted(tables)}")
     resolved = _read(cfg, tables[mode], where)
     for key, val in (("dim", dim), ("rng_seed", seed)):
@@ -414,7 +414,7 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"config validation failed: {exc}", file=sys.stderr)
         return 2
 

@@ -434,6 +434,18 @@ def test_unknown_mode_exits_2(tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"mode": ["single-photon"]}, "mode"),
+    ({"mode": "sweep", "axis": "x0_wig", "start": 0.01, "stop": 0.02, "count": 2, "base": {"mode": {}}}, "base.mode"),
+], ids=["list", "sweep-base-object"])
+def test_non_string_mode_exits_2_naming_it(tmp_path, capsys, payload, field):
+    # a list or object mode ended in "config validation failed: unhashable type"
+    code, out = run_cli(tmp_path, payload)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config field '{field}': must be one of [")
+    assert not (out / "result.json").exists()
+
+
 def test_empty_sweep_exits_2(tmp_path, capsys):
     payload = {
         "mode": "sweep", "axis": "x0_wig", "start": 0.2, "stop": 0.1, "count": 3,
