@@ -138,7 +138,7 @@ def wigner_from_density(
 ) -> WignerGrid:
     """Sample the Wigner function of the density matrix ``rho`` on a rectangular grid.
 
-    ``rho`` must be square, Hermitian within 1e-12 and free of eigenvalues
+    ``rho`` must be square, finite, Hermitian within 1e-12 and free of eigenvalues
     below -1e-10 of its scale; its trace may be anything.  The grid defaults
     to 241 x 241 points over [-6, 6]^2 (:func:`mirror_axis`), which resolves
     cat-state fringes at |gamma| ~ 1.1 with >= 10 points per fringe.  Each
@@ -147,6 +147,11 @@ def wigner_from_density(
     rho = np.asarray(rho, dtype=complex if np.iscomplexobj(rho) else float)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not rho.size:
         raise ValueError(f"density matrix must be a non-empty square array, got shape {rho.shape}")
+    bad = np.argwhere(~np.isfinite(rho))
+    if bad.size:  # NaN fails no comparison below, and eigvalsh would not converge
+        i, j = bad[0].tolist()
+        raise ValueError(f"density matrix has {len(bad)} non-finite entries, the first {rho[i, j].item()} "
+                         f"at [{i}, {j}]")
     scale = np.abs(rho).max(initial=1.0)
     if np.abs(rho - rho.conj().T).max() > 1e-12 * scale:
         raise ValueError("density matrix is not Hermitian within 1e-12")

@@ -281,8 +281,12 @@ def test_bad_axis_is_rejected(axis, message):
     [(np.ones((2, 3)) / 2, r"square array, got shape \(2, 3\)"), (np.array([1.0, 0.0]), r"got shape \(2,\)"),
      (np.zeros((0, 0)), r"non-empty square array, got shape \(0, 0\)"),
      ([[0.5, 0.1], [0.3, 0.5]], "not Hermitian within 1e-12"),
-     ([[0.5, 0.8], [0.8, 0.5]], "negative eigenvalues")],  # eigenvalues 1.3, -0.3
-    ids=["non-square", "1-D", "empty", "non-Hermitian", "negative-eigenvalue"],
+     ([[0.5, 0.8], [0.8, 0.5]], "negative eigenvalues"),  # eigenvalues 1.3, -0.3
+     # NaN passed the Hermitian and eigenvalue checks and ended in eigvalsh's "did not converge"
+     (np.full((3, 3), np.nan), r"9 non-finite entries, the first nan at \[0, 0\]"),
+     ([[0.5, 0.0], [0.0, np.inf]], r"1 non-finite entries, the first inf at \[1, 1\]"),
+     (np.diag([0.5, complex(0.5, np.nan)]), r"1 non-finite entries, the first \(0\.5\+nanj\) at \[1, 1\]")],
+    ids=["non-square", "1-D", "empty", "non-Hermitian", "negative-eigenvalue", "nan", "inf", "complex-nan"],
 )
 def test_density_validation_rejects_bad_matrices(rho, message):
     # the grid is the one public function that takes a density matrix, so it checks it
