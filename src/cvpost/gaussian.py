@@ -57,6 +57,8 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float)
         if mean.shape != (2,) or cov.shape != (2, 2):
             raise ValueError(f"a state is one mode: mean (2,) and cov (2, 2), got {mean.shape} and {cov.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):  # NaN would fail none of the checks below
+            raise ValueError(f"a state's mean and covariance must be finite, got {mean.tolist()} and {cov.tolist()}")
         scale = max(1.0, float(np.abs(cov).max()))
         if abs(cov[0, 1] - cov[1, 0]) > 1e-10 * scale:
             raise ValueError("covariance matrix must be symmetric")
@@ -101,7 +103,7 @@ def s_prime(reflectivity: float, s: float) -> float:
 def _conditional_variance(reflectivity: float, s: float) -> float:
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError("reflectivity must be in [0, 1]")
-    if abs(s) > MAX_SQUEEZING:
+    if not abs(s) <= MAX_SQUEEZING:  # NaN too
         raise ValueError(f"s={s} is above the squeezing limit |s| <= {MAX_SQUEEZING:.4f}, {MAX_DB:g} dB")
     v = 1.0 - reflectivity + np.exp(-2.0 * s) * reflectivity
     if v <= 0.0:
@@ -134,10 +136,9 @@ def ideal_target(state: GaussianState, reflectivity: float) -> GaussianState:
     Uses s' = -ln(T)/2: means scale by (e^{s'}, e^{-s'}) and the covariance
     by the corresponding symplectic congruence.
     """
-    t = 1.0 - reflectivity
-    if t <= 0:
-        raise ValueError("reflectivity must be < 1 for the ideal squeezer limit")
-    sp = -0.5 * np.log(t)
+    if not 0.0 <= reflectivity < 1.0:
+        raise ValueError(f"reflectivity must be in [0, 1) for the ideal squeezer limit, got {reflectivity}")
+    sp = -0.5 * np.log(1.0 - reflectivity)
     m = np.diag([np.exp(sp), np.exp(-sp)])
     return GaussianState(m @ state.mean, m @ state.cov @ m.T)
 

@@ -91,6 +91,25 @@ def test_closed_form_rejects_squeezing_past_the_limit(s):
         condition_coherent(0.1, 0.5, s, 0.0)
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: s_prime(0.5, _NAN), r"s=nan is above the squeezing limit"),
+    (lambda: condition_coherent(0.1, 0.5, _NAN, 0.0), r"s=nan is above the squeezing limit"),
+    (lambda: condition_coherent(0.1, 0.5, 0.3, _NAN), r"must be finite, got \[nan, "),
+    (lambda: condition_coherent(complex(_NAN, 0.0), 0.5, 0.3, 0.0), r"must be finite, got \[nan, "),
+    (lambda: condition_coherent(complex(0.0, np.inf), 0.5, 0.3, 0.0), r"must be finite, got \[0.0, inf\]"),
+    (lambda: ideal_target(coherent_gaussian(0.1), _NAN), r"reflectivity must be in \[0, 1\) .*, got nan"),
+    (lambda: GaussianState(np.zeros(2), np.diag([_NAN, 1.0])), r"must be finite, got \[0.0, 0.0\] and \[\[nan, "),
+], ids=["s_prime-s", "condition_coherent-s", "condition_coherent-x", "condition_coherent-gamma",
+        "condition_coherent-gamma-inf", "ideal_target-reflectivity", "state-cov"])
+def test_closed_form_rejects_nan(call, message):
+    # each returned a NaN state silently: NaN fails every comparison, so no check fired
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_strong_squeezing_reaches_ideal_gains():
     # s -> infinity: gains (2, 1/2) at R = 0.75 and variances e^{+/-2s'}
     gamma = 0.18
