@@ -102,7 +102,7 @@ PARAMS = {
 @dataclass(frozen=True)
 class ExperimentParams:
     """Bench parameters, whose defaults are the bench run; all variances and
-    dB levels are relative to SNL."""
+    dB levels are relative to SNL.  Each field must lie in its interval of :data:`PARAMS`."""
 
     R: float = 0.75
     v_in: tuple = (1.13, 1.05)

@@ -39,6 +39,7 @@ def within(val, bounds: str) -> bool:
     lo, hi = map(float, bounds[1:-1].split(","))
     return (lo <= val if bounds[0] == "[" else lo < val) and (val <= hi if bounds[-1] == "]" else val < hi)
 
+
 #: The 32-node Gauss-Legendre rule on [-1, 1], with which both engines take
 #: narrow windows: the emulator's truncated-normal moments and the Fock
 #: engine's window matrix.

@@ -150,8 +150,8 @@ def wigner_from_density(
     bad = np.argwhere(~np.isfinite(rho))
     if bad.size:  # NaN fails no comparison below, and eigvalsh would not converge
         i, j = bad[0].tolist()
-        raise ValueError(f"density matrix has {len(bad)} non-finite entries, the first {rho[i, j].item()} "
-                         f"at [{i}, {j}]")
+        raise ValueError(f"density matrix has a non-finite entry, {rho[i, j].item()} at [{i}, {j}] "
+                         f"({len(bad)} in all)")
     scale = np.abs(rho).max(initial=1.0)
     if np.abs(rho - rho.conj().T).max() > 1e-12 * scale:
         raise ValueError("density matrix is not Hermitian within 1e-12")

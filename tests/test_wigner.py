@@ -283,9 +283,9 @@ def test_bad_axis_is_rejected(axis, message):
      ([[0.5, 0.1], [0.3, 0.5]], "not Hermitian within 1e-12"),
      ([[0.5, 0.8], [0.8, 0.5]], "negative eigenvalues"),  # eigenvalues 1.3, -0.3
      # NaN passed the Hermitian and eigenvalue checks and ended in eigvalsh's "did not converge"
-     (np.full((3, 3), np.nan), r"9 non-finite entries, the first nan at \[0, 0\]"),
-     ([[0.5, 0.0], [0.0, np.inf]], r"1 non-finite entries, the first inf at \[1, 1\]"),
-     (np.diag([0.5, complex(0.5, np.nan)]), r"1 non-finite entries, the first \(0\.5\+nanj\) at \[1, 1\]")],
+     (np.full((3, 3), np.nan), r"a non-finite entry, nan at \[0, 0\] \(9 in all\)"),
+     ([[0.5, 0.0], [0.0, np.inf]], r"a non-finite entry, inf at \[1, 1\] \(1 in all\)"),
+     (np.diag([0.5, complex(0.5, np.nan)]), r"a non-finite entry, \(0\.5\+nanj\) at \[1, 1\]")],
     ids=["non-square", "1-D", "empty", "non-Hermitian", "negative-eigenvalue", "nan", "inf", "complex-nan"],
 )
 def test_density_validation_rejects_bad_matrices(rho, message):
