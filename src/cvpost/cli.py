@@ -19,14 +19,13 @@ import csv
 import dataclasses
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, conditioner, emulator, fock, gaussian, wigner
-from .gaussian import MAX_SQUEEZING, within
+from .gaussian import MAX_SQUEEZING, SQUEEZING, checked
 
 
 class ConfigError(Exception):
@@ -35,49 +34,18 @@ class ConfigError(Exception):
         self.field = field
 
 
-def _is_number(val):
-    # bool is an int subclass, but JSON true/false is not a number; the NaN and
-    # Infinity that Python's json parser accepts are not finite numbers, and
-    # neither is an integer too large for a float.
-    try:
-        return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
-    except OverflowError:
-        return False
-
-
-def _parts(val):
-    """A complex value as written: an [re, im] pair, or a number taken as [val, 0]."""
-    return val if isinstance(val, list) and len(val) == 2 else [val, 0.0]
-
-
-# A config key is (default, kind, bounds).  Each kind names what a JSON value
-# of it must be; values are not coerced, so an integer key takes no 2.0.  The
-# bounds are None or an interval, written as the README and the errors write
-# it, such as "[0, 1)" or "(0, inf)", that the value, or each of its parts,
-# must lie in.
-_KINDS = {
-    str: ("a string", lambda v: isinstance(v, str)),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    int: ("an integer", lambda v: isinstance(v, int) and _is_number(v)),
-    float: ("a finite number", _is_number),
-    tuple: ("a pair of finite numbers",
-            lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))),
-    complex: ("a finite number or [re, im] pair", lambda v: all(map(_is_number, _parts(v)))),
-    dict: ("a JSON object", lambda v: isinstance(v, dict)),
-}
+# A config key is (default, kind, bounds): what a JSON value of it must be,
+# and None or the interval that the value, or each of its parts, must lie in,
+# as gaussian.checked takes them.
 _REQUIRED = object()  # the default of a key that has none
 
 
 def _value(field, val, kind, bounds):
-    """``val`` checked and converted to ``kind`` (a complex to [re, im]), each part within ``bounds``."""
-    expected, accepts = _KINDS[kind]
-    if not accepts(val):
-        raise ConfigError(field, f"expected {expected}, got {val!r}")
-    val = [float(p) for p in _parts(val)] if kind is complex else kind(val)
-    for part in val if kind in (complex, tuple) else [val]:
-        if bounds is not None and not within(part, bounds):
-            raise ConfigError(field, f"{part!r} is outside {bounds}")
-    return val
+    """``val`` checked and converted by :func:`cvpost.gaussian.checked`; its reason is a ConfigError naming ``field``."""
+    try:
+        return checked(val, kind, bounds)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from None
 
 
 def _read(cfg, table, where=""):
@@ -126,14 +94,12 @@ MAX_WIGNER_POINTS = 1001
 #: about 10 MB and a photon sweep ends in seconds.  A curve needs far fewer.
 MAX_SWEEP_POINTS = 10_000
 
-# A squeezing parameter, up to MAX_DB (gaussian explains it).
-_SQUEEZING = f"[-{MAX_SQUEEZING!r}, {MAX_SQUEEZING!r}]"
 # Each part of the coherent mode's gamma, and its outcome x_snl, so that no
 # closed form overflows.  The ideal target scales the SNL mean 2 gamma by
 # 1/sqrt(T) <= 2^26.5, as T >= 2^-53 for a double R < 1: 2e299 * 2^26.5 is
 # 1.9e307, a tenth of the largest float.  The conditional mean adds
-# beta (x - 2 sqrt(R) gamma_plus), where |beta| <= sinh|s| < 5e4 within
-# _SQUEEZING (bound T + R e^{-2s} below by AM-GM), so it stays below 2e304.
+# beta (x - 2 sqrt(R) gamma_plus), where |beta| <= sinh|s| < 5e4 for
+# |s| <= MAX_SQUEEZING (bound T + R e^{-2s} below by AM-GM), so it stays below 2e304.
 _LOCATION = "[-1e299, 1e299]"
 
 
@@ -143,7 +109,7 @@ def _photon_keys(reflectivity, squeezing, x0_wig, dim, **extra):
         "mode": (_REQUIRED, str, None),
         "dim": (dim, int, f"[2, {fock.MAX_DIM}]"),
         "reflectivity": (reflectivity, float, "[0, 1]"),
-        "squeezing": (squeezing, float, _SQUEEZING),
+        "squeezing": (squeezing, float, SQUEEZING),
         "x0_wig": (x0_wig, float, emulator.PARAMS["x0"][2]),  # a window half-width, as the emulator's
         **extra,
         "wigner_export": (None, {"points": (241, int, f"[9, {MAX_WIGNER_POINTS}]"),
@@ -161,7 +127,7 @@ _KEYS = {
     "coherent": {
         "mode": (_REQUIRED, str, None),
         "reflectivity": (0.75, float, "[0, 1)"),
-        "squeezing": (0.52, float, _SQUEEZING),
+        "squeezing": (0.52, float, SQUEEZING),
         "gamma": ([0.18, 0.0], complex, _LOCATION),
         "x_snl": (0.0, float, _LOCATION),
     },

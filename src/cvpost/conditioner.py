@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .gaussian import GL_NODES, GL_WEIGHTS
+from .gaussian import GL_NODES, GL_WEIGHTS, checked
 
 #: Below this window half-width (Wigner units) :func:`window_matrix` is taken
 #: whole by Gauss-Legendre quadrature: its closed form subtracts nearly equal
@@ -51,9 +51,7 @@ def homodyne_project(joint: np.ndarray, x: float):
     of ``<x|Psi>_r`` (probability per Wigner-unit x, since |x> is
     delta-normalized).
     """
-    if not np.isfinite(x):
-        raise ValueError("homodyne outcome must be finite")
-    phi = (joint @ fock.quadrature_wavefunctions(len(joint) - 1, [float(x)]))[:, 0]
+    phi = (joint @ fock.quadrature_wavefunctions(len(joint) - 1, [checked(x, float, None, "x")]))[:, 0]
     p1 = float(np.real(np.vdot(phi, phi)))
     if p1 <= 0.0:
         raise ValueError(f"outcome density vanished at x={x}; state undefined there")
@@ -100,8 +98,7 @@ def window_matrix(dim: int, x0: float) -> np.ndarray:
     last step has its own.  Below :data:`NARROW_WINDOW` all of M is the
     32-node Gauss-Legendre rule instead, with the parity zeros set exactly.
     """
-    if not x0 > 0.0:
-        raise ValueError("the window needs x0 > 0; use homodyne_project for a single outcome")
+    x0 = checked(x0, float, "(0, inf)", "x0")  # a single outcome is homodyne_project's
     if x0 < NARROW_WINDOW:
         psi = fock.quadrature_wavefunctions(dim - 1, x0 * GL_NODES)
         m = (psi * (x0 * GL_WEIGHTS)) @ psi.T

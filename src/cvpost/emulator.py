@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian
-from .gaussian import GL_NODES, GL_WEIGHTS, MAX_DB, GainReport, GaussianState, within
+from .gaussian import GL_NODES, GL_WEIGHTS, MAX_DB, GainReport, GaussianState, checked
 
 _CHUNK = 1 << 20
 _JACKKNIFE_GROUPS = 64
@@ -102,7 +102,9 @@ PARAMS = {
 @dataclass(frozen=True)
 class ExperimentParams:
     """Bench parameters, whose defaults are the bench run; all variances and
-    dB levels are relative to SNL.  Each field must lie in its interval of :data:`PARAMS`."""
+    dB levels are relative to SNL.  Each field must be of its kind and lie in
+    its interval of :data:`PARAMS`, and is kept as :func:`~cvpost.gaussian.checked`
+    converts it: a numpy scalar as a Python number, a pair as a tuple."""
 
     R: float = 0.75
     v_in: tuple = (1.13, 1.05)
@@ -122,12 +124,10 @@ class ExperimentParams:
 
     def __post_init__(self):
         for name, (key, kind, bounds) in PARAMS.items():
-            value = getattr(self, name)
-            parts = tuple(value) if kind is tuple else (value,)
-            bad_kind = kind is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer)))
-            if bad_kind or len(parts) != 1 + (kind is tuple) or bounds and not all(within(p, bounds) for p in parts):
-                whole = {int: "an integer in", tuple: "a pair, each part in"}.get(kind, "in")
-                raise ValueError(f"{name}={value!r} must be {whole} {bounds} ({key} in a config)")
+            try:
+                object.__setattr__(self, name, checked(getattr(self, name), kind, bounds, name))
+            except ValueError as exc:
+                raise ValueError(f"{exc} ({key} in a config)") from None
         # The slack of 1e-9 absorbs the rounding of exactly conjugate levels
         # (-30 and +30 dB); GaussianState would reject these states later
         # without naming a field.

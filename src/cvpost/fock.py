@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import MAX_DB, MAX_SQUEEZING
+from .gaussian import SQUEEZING, checked
 
 #: Largest tail mass a preparer may silently discard.
 TAIL_TOLERANCE = 1e-8
@@ -174,12 +174,15 @@ def squeezed_number_state(n: int, s: float, dim: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If |s| is above :data:`~cvpost.gaussian.MAX_SQUEEZING` (100 dB).
+        If ``n`` is not an integer in [0, inf), or ``s`` not a finite number
+        in :data:`~cvpost.gaussian.SQUEEZING`, |s| up to
+        :data:`~cvpost.gaussian.MAX_SQUEEZING` (100 dB); the error names the
+        argument and its value, and the interval the value lies outside.
+    TruncationError
+        If the discarded tail mass exceeds the tolerance, as for
+        :func:`coherent_state`.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if abs(s) > MAX_SQUEEZING:
-        raise ValueError(f"s={s} is above the squeezing limit |s| <= {MAX_SQUEEZING:.4f}, {MAX_DB:g} dB")
+    n, s = checked(n, int, "[0, inf)", "n"), checked(s, float, SQUEEZING, "s")
     return _checked(partial(_squeezed_number_amplitudes, n, s), dim, f"S(s={s})|{n}>")
 
 
@@ -338,8 +341,7 @@ def interfere(psi_in: np.ndarray, psi_anc: np.ndarray, reflectivity: float) -> n
     imaginary parts the eigenbasis leaves (up to 8e-17) are rounding.
     """
     dim = pure_dim(psi_anc, pure_dim(psi_in, what="input"), "ancilla")
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
+    reflectivity = checked(reflectivity, float, "[0, 1]", "reflectivity")
     product = np.outer(psi_in, psi_anc)
     if not product.imag.any():  # by value: a coherent state of real gamma is complex-typed
         product = product.real

@@ -33,11 +33,47 @@ MAX_DB = 100.0
 MAX_SQUEEZING = MAX_DB * math.log(10.0) / 20.0
 
 
-def within(val, bounds: str) -> bool:
-    """Whether ``val`` lies in ``bounds``, an interval written as the README
-    and the errors write it, such as "[0, 1)" or "(-inf, 100]"; NaN lies in none."""
-    lo, hi = map(float, bounds[1:-1].split(","))
-    return (lo <= val if bounds[0] == "[" else lo < val) and (val <= hi if bounds[-1] == "]" else val < hi)
+#: A squeezing parameter's interval, |s| <= MAX_SQUEEZING, as :func:`checked` takes it.
+SQUEEZING = f"[-{MAX_SQUEEZING!r}, {MAX_SQUEEZING!r}]"
+
+# What a value of each kind must be, as the errors say it.  Nothing is coerced:
+# bool is an int subclass but no number, an int kind takes no 2.0, and NaN, an
+# infinity or an int too large for a float is no finite number.
+_KINDS = {str: "a string", bool: "true or false", dict: "a JSON object", int: "an integer", float: "a finite number",
+          tuple: "a pair of finite numbers", complex: "a finite number or [re, im] pair"}
+_INTEGERS, _NUMBERS, _SEQUENCES = (int, np.integer), (int, float, np.integer, np.floating), (list, tuple, np.ndarray)
+_INTERVALS = {}  # an interval's (lo, hi), parsed on its first use
+
+
+def checked(val, kind, bounds=None, name=None):
+    """``val`` as ``kind``: a numpy integer or floating scalar as a Python
+    number, a pair as a tuple, a complex as [re, im] (a number as [val, 0]).
+    It, or each part, must lie in ``bounds``: None, or an interval written as
+    the README writes it, such as "[0, 1)".  Else ValueError with the reason,
+    such as "expected a finite number, got True" or "1.5 is outside [0, 1]",
+    after "name: " if ``name`` is given."""
+    try:
+        if kind is bool or kind is str or kind is dict:
+            if isinstance(val, kind):
+                return val
+            raise TypeError
+        numbers = _INTEGERS if kind is int else _NUMBERS
+        pair = kind is not int and kind is not float and isinstance(val, _SEQUENCES) and len(val) == 2
+        if kind is tuple and not pair:
+            raise TypeError
+        parts = []
+        for part in val if pair else [val, 0.0] if kind is complex else [val]:
+            if isinstance(part, bool) or not isinstance(part, numbers) or not math.isfinite(part):
+                raise TypeError
+            parts.append(int(part) if kind is int else float(part))
+    except (TypeError, OverflowError):  # OverflowError: an int too large for a float
+        raise ValueError(f"{'' if name is None else name + ': '}expected {_KINDS[kind]}, got {val!r}") from None
+    if bounds is not None:
+        lo, hi = _INTERVALS.get(bounds) or _INTERVALS.setdefault(bounds, tuple(map(float, bounds[1:-1].split(","))))
+        for part in parts:
+            if not ((lo <= part if bounds[0] == "[" else lo < part) and (part <= hi if bounds[-1] == "]" else part < hi)):
+                raise ValueError(f"{'' if name is None else name + ': '}{part!r} is outside {bounds}")
+    return parts[0] if kind is float or kind is int else tuple(parts) if kind is tuple else parts
 
 
 #: The 32-node Gauss-Legendre rule on [-1, 1], with which both engines take
@@ -84,8 +120,7 @@ def interfere(inp: GaussianState, anc: GaussianState, reflectivity: float):
     """Moments (mean, cov) of the two-mode state (t, r), ordered
     (X+_t, X-_t, X+_r, X-_r), after the beam splitter on single-mode inputs
     (in, anc): t = sqrt(T) in - sqrt(R) anc, r = sqrt(R) in + sqrt(T) anc."""
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
+    reflectivity = checked(reflectivity, float, "[0, 1]", "reflectivity")
     st = np.sqrt(1.0 - reflectivity)
     sr = np.sqrt(reflectivity)
     i2 = np.eye(2)
@@ -102,14 +137,9 @@ def s_prime(reflectivity: float, s: float) -> float:
 
 
 def _conditional_variance(reflectivity: float, s: float) -> float:
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError("reflectivity must be in [0, 1]")
-    if not abs(s) <= MAX_SQUEEZING:  # NaN too
-        raise ValueError(f"s={s} is above the squeezing limit |s| <= {MAX_SQUEEZING:.4f}, {MAX_DB:g} dB")
-    v = 1.0 - reflectivity + np.exp(-2.0 * s) * reflectivity
-    if v <= 0.0:
-        raise ValueError("degenerate configuration: T + e^{-2s} R is not positive")
-    return v
+    # T + e^{-2s} R lies between 1 and e^{-2s}, so it is positive for every checked pair
+    reflectivity = checked(reflectivity, float, "[0, 1]", "reflectivity")
+    return 1.0 - reflectivity + np.exp(-2.0 * checked(s, float, SQUEEZING, "s")) * reflectivity
 
 
 def condition_coherent(gamma: complex, reflectivity: float, s_anc: float, x: float) -> GaussianState:
@@ -137,9 +167,7 @@ def ideal_target(state: GaussianState, reflectivity: float) -> GaussianState:
     Uses s' = -ln(T)/2: means scale by (e^{s'}, e^{-s'}) and the covariance
     by the corresponding symplectic congruence.
     """
-    if not 0.0 <= reflectivity < 1.0:
-        raise ValueError(f"reflectivity must be in [0, 1) for the ideal squeezer limit, got {reflectivity}")
-    sp = -0.5 * np.log(1.0 - reflectivity)
+    sp = -0.5 * np.log(1.0 - checked(reflectivity, float, "[0, 1)", "reflectivity"))
     m = np.diag([np.exp(sp), np.exp(-sp)])
     return GaussianState(m @ state.mean, m @ state.cov @ m.T)
 
@@ -219,7 +247,5 @@ def classical_limit(reflectivity: float) -> float:
     :func:`gaussian_fidelity` gives 2 / sqrt(det(I + diag(1/T, T))).  This is
     0.8 at R = 0.75 and sqrt(8)/3 at R = 0.5.
     """
-    t = 1.0 - reflectivity
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"reflectivity must be in [0, 1) for the classical bound, got {reflectivity}")
+    t = 1.0 - checked(reflectivity, float, "[0, 1)", "reflectivity")
     return 2.0 * math.sqrt(t) / (1.0 + t)

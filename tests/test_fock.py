@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -173,8 +174,8 @@ def test_squeezed_truncation_error_names_smallest_adequate_dim(n, s, dim):
 @pytest.mark.parametrize("s", [-1000.0, 1000.0])
 def test_squeezing_above_the_limit_is_refused_before_any_arithmetic(n, s):
     # cosh(1000) overflows; pyproject turns any RuntimeWarning into an error
-    limit = f"{gaussian.MAX_SQUEEZING:.4f}"
-    with pytest.raises(ValueError, match=rf"s={s} is above the squeezing limit \|s\| <= {limit}, 100 dB"):
+    limit = re.escape(gaussian.SQUEEZING)
+    with pytest.raises(ValueError, match=rf"^s: {re.escape(repr(s))} is outside {limit}$"):
         fock.squeezed_number_state(n, s, 10)
     # at the limit itself the state is built, and only its truncation fails
     with pytest.raises(TruncationError, match="no dim up to 401,"):
@@ -347,18 +348,18 @@ def test_scs_normalization_constant():
 
 
 @pytest.mark.parametrize(
-    "prepare",
+    "prepare, message",
     [
-        lambda: fock.squeezed_number_state(0, np.nan, 20),
-        lambda: fock.squeezed_number_state(1, np.nan, 20),
-        lambda: oracle.displaced_squeezed_vacuum(0.5, np.nan, 20),
-        lambda: fock.coherent_state(complex(np.nan, 0.0), 20),
-        lambda: fock.scs_state(complex(0.0, np.nan), 20),
+        (lambda: fock.squeezed_number_state(0, np.nan, 20), "^s: expected a finite number, got nan$"),
+        (lambda: fock.squeezed_number_state(1, np.nan, 20), "^s: expected a finite number, got nan$"),
+        (lambda: oracle.displaced_squeezed_vacuum(0.5, np.nan, 20), "non-finite amplitudes"),
+        (lambda: fock.coherent_state(complex(np.nan, 0.0), 20), "non-finite amplitudes"),
+        (lambda: fock.scs_state(complex(0.0, np.nan), 20), "non-finite amplitudes"),
     ],
     ids=["squeezed_vacuum", "squeezed_number_state", "displaced_squeezed_vacuum", "coherent_state", "scs_state"],
 )
-def test_preparers_reject_nan_parameters(prepare):
-    with pytest.raises(ValueError, match="non-finite amplitudes"):
+def test_preparers_reject_nan_parameters(prepare, message):
+    with pytest.raises(ValueError, match=message):
         prepare()
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -85,9 +87,10 @@ def test_strongly_squeezed_output_stays_pure(s):
 def test_closed_form_rejects_squeezing_past_the_limit(s):
     # the limit squeezed_number_state checks; unchecked, s_prime(0.5, -300)
     # overflowed to -inf and condition_coherent at -360 gave an infinite variance
-    with pytest.raises(ValueError, match=rf"s={s} is above the squeezing limit \|s\| <= 11.5129, 100 dB"):
+    message = rf"^s: {re.escape(repr(s))} is outside \[-11.512925464970229, 11.512925464970229\]$"
+    with pytest.raises(ValueError, match=message):
         s_prime(0.5, s)
-    with pytest.raises(ValueError, match="above the squeezing limit"):
+    with pytest.raises(ValueError, match=message):
         condition_coherent(0.1, 0.5, s, 0.0)
 
 
@@ -95,12 +98,12 @@ _NAN = float("nan")
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: s_prime(0.5, _NAN), r"s=nan is above the squeezing limit"),
-    (lambda: condition_coherent(0.1, 0.5, _NAN, 0.0), r"s=nan is above the squeezing limit"),
+    (lambda: s_prime(0.5, _NAN), r"^s: expected a finite number, got nan$"),
+    (lambda: condition_coherent(0.1, 0.5, _NAN, 0.0), r"^s: expected a finite number, got nan$"),
     (lambda: condition_coherent(0.1, 0.5, 0.3, _NAN), r"must be finite, got \[nan, "),
     (lambda: condition_coherent(complex(_NAN, 0.0), 0.5, 0.3, 0.0), r"must be finite, got \[nan, "),
     (lambda: condition_coherent(complex(0.0, np.inf), 0.5, 0.3, 0.0), r"must be finite, got \[0.0, inf\]"),
-    (lambda: ideal_target(coherent_gaussian(0.1), _NAN), r"reflectivity must be in \[0, 1\) .*, got nan"),
+    (lambda: ideal_target(coherent_gaussian(0.1), _NAN), r"^reflectivity: expected a finite number, got nan$"),
     (lambda: GaussianState(np.zeros(2), np.diag([_NAN, 1.0])), r"must be finite, got \[0.0, 0.0\] and \[\[nan, "),
 ], ids=["s_prime-s", "condition_coherent-s", "condition_coherent-x", "condition_coherent-gamma",
         "condition_coherent-gamma-inf", "ideal_target-reflectivity", "state-cov"])
