@@ -331,7 +331,8 @@ def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float
     c00 = covs[:, 0, 0]
     usable = (c00 > 0) & (c00 * covs[:, 1, 1] - covs[:, 0, 1] * covs[:, 1, 0] > 0)
     usable[0] = True  # all the rows: the fidelity raises if this one is degenerate
-    fid, pnorm = _fidelity_purity(means[usable], covs[usable], _references(params))
+    refs = _references(params)  # refs[0].mean is the input's SNL mean, 2 gamma
+    fid, pnorm = _fidelity_purity(means[usable], covs[usable], refs)
     # sqrt((G-1)/G * sum (v - mean v)^2) over the usable leave-one-out estimates v[1:]
     fid_se, pur_se = (float(np.sqrt((v.size - 2) * np.var(v[1:]))) for v in (fid, pnorm))
 
@@ -344,7 +345,7 @@ def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float
     )
     return EnsembleStats(
         v_out=(float(covs[0, 0, 0]), float(covs[0, 1, 1])),
-        gains=gaussian.gains(means[0], (2.0 * params.gamma_plus, 2.0 * params.gamma_minus), params.R),
+        gains=gaussian.gains(means[0], refs[0].mean, params.R),
         fidelity_est=float(fid[0]),
         fidelity_se=fid_se,
         purity_norm=float(pnorm[0]),
