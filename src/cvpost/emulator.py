@@ -393,8 +393,6 @@ def run_experiment(params: ExperimentParams) -> EnsembleStats:
 class PredictedStats:
     """Gaussian-propagation prediction of the record model."""
 
-    record_mean: np.ndarray  # (X+_t, X-_t, gate)
-    record_cov: np.ndarray
     selected_mean: np.ndarray
     selected_cov: np.ndarray
     success_prob: float
@@ -492,8 +490,6 @@ def predict_stats(params: ExperimentParams) -> PredictedStats:
     est_cov = sel_cov - np.diag([sub, sub])
     fid, pnorm = _fidelity_purity(sel_mean, est_cov, _references(params))
     return PredictedStats(
-        record_mean=mean,
-        record_cov=cov,
         selected_mean=sel_mean,
         selected_cov=est_cov,
         success_prob=p_s,

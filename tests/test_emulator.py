@@ -546,8 +546,9 @@ def test_infinite_window_selects_everything():
     params = ExperimentParams(x0=1e150)
     pred = predict_stats(params)
     assert pred.success_prob == 1.0
-    np.testing.assert_allclose(pred.selected_mean, pred.record_mean[:2], rtol=0, atol=1e-15)
-    unconditioned = pred.record_cov[:2, :2] - emulator._variance_correction(params) * np.eye(2)
+    record_mean, record_cov = predict_records(params)
+    np.testing.assert_allclose(pred.selected_mean, record_mean[:2], rtol=0, atol=1e-15)
+    unconditioned = record_cov[:2, :2] - emulator._variance_correction(params) * np.eye(2)
     np.testing.assert_allclose(pred.selected_cov, unconditioned, rtol=1e-14)
 
 
