@@ -257,11 +257,13 @@ def test_parameter_validation():
      ("R", 1.0), ("gamma_plus", np.nan), ("gamma_minus", np.inf),
      ("v_in", (np.inf, 1.0)), ("v_in", (1.0, np.nan)), ("v_in", (0.5, 1.0)),
      ("anc_sqz_db", 4000.0), ("anc_antisqz_db", 4000.0), ("gate_elec_db", 4000.0), ("hom_elec_db", 4000.0),
-     ("anc_antisqz_db", 200.0), ("gate_elec_db", 200.0), ("anc_antisqz_db", 3000.0), ("hom_elec_db", 3000.0)],
+     ("anc_antisqz_db", 200.0), ("gate_elec_db", 200.0), ("anc_antisqz_db", 3000.0), ("hom_elec_db", 3000.0),
+     ("subtract_electronic", "no"), ("eta_vis", True), ("eta_det", True), ("gamma_plus", False), ("R", "0.5")],
     ids=["rng_seed", "rng_seed-float", "rng_seed-bool", "n_samples-bool", "n_samples-float", "R-1",
          "gamma_plus-nan", "gamma_minus-inf", "v_in-inf", "v_in-nan", "v_in-unphysical",
          "anc_sqz_db-overflow", "anc_antisqz_db-overflow", "gate_elec_db-overflow", "hom_elec_db-overflow",
-         "anc_antisqz_db-200dB", "gate_elec_db-200dB", "anc_antisqz_db-3000dB", "hom_elec_db-3000dB"],
+         "anc_antisqz_db-200dB", "gate_elec_db-200dB", "anc_antisqz_db-3000dB", "hom_elec_db-3000dB",
+         "subtract_electronic-str", "eta_vis-bool", "eta_det-bool", "gamma_plus-bool", "R-str"],
 )
 def test_bad_parameter_is_named(field, value):
     # unchecked, a NaN gamma_plus ends in an empty selection, an infinite
@@ -271,7 +273,9 @@ def test_bad_parameter_is_named(field, value):
     # 8192 and a fidelity of 0.03, at 3000 dB the run keeps no samples.
     # A seed of 2.5 ends in a SeedSequence TypeError, n_samples=True in an
     # empty selection, and R = 1 only after every row is drawn, when the
-    # ideal target is built; each is rejected here, at construction.
+    # ideal target is built; each is rejected here, at construction.  The
+    # string "no" subtracted the electronic noise as a truthy value, the
+    # booleans ran as 1 and 0, and R = "0.5" ended in an unnamed TypeError.
     with pytest.raises(ValueError, match=field):
         ExperimentParams(**{field: value})
 
@@ -322,6 +326,16 @@ def test_input_variance_above_the_db_limit_is_named(v_in):
 def test_unit_reflectivity_names_its_config_key():
     with pytest.raises(ValueError, match=r"^R: 1.0 is outside \[0, 1\) \(reflectivity in a config\)$"):
         ExperimentParams(R=1.0, x0=5.0, n_samples=20_000)
+
+
+def test_numpy_scalars_are_kept_as_python_numbers():
+    # a float32 x0 was compared with the 1e150 bound as a float32, which
+    # overflowed in the cast: a RuntimeWarning, an error under pyproject's filter
+    params = ExperimentParams(x0=np.float32(0.3), n_samples=np.int64(20_000), v_in=np.array([1.13, 1.05]))
+    assert type(params.x0) is float and params.x0 == float(np.float32(0.3))
+    assert type(params.n_samples) is int and params.v_in == (1.13, 1.05)
+    with pytest.raises(ValueError, match=r"^x0: 1e\+200 is outside \(0, 1e150\] \(x0_snl in a config\)$"):
+        ExperimentParams(x0=np.float64(1e200))
 
 
 def test_amplitude_lost_to_rounding_is_rejected_before_any_draw(monkeypatch):

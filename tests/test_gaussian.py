@@ -113,6 +113,35 @@ def test_closed_form_rejects_nan(call, message):
         call()
 
 
+_KET = fock.fock_state(1, 8)
+
+
+# Each scalar argument the engines check, as (call with the value, the argument's name).
+_ARGUMENTS = {
+    "fock.interfere-reflectivity": (lambda v: fock.interfere(_KET, _KET, v), "reflectivity"),
+    "gaussian.interfere-reflectivity": (lambda v: gaussian.interfere(coherent_gaussian(0.1), coherent_gaussian(0), v),
+                                        "reflectivity"),
+    "s_prime-reflectivity": (lambda v: s_prime(v, 0.5), "reflectivity"),
+    "s_prime-s": (lambda v: s_prime(0.5, v), "s"),
+    "condition_coherent-s": (lambda v: condition_coherent(0.1, 0.5, v, 0.0), "s"),
+    "ideal_target-reflectivity": (lambda v: ideal_target(coherent_gaussian(0.1), v), "reflectivity"),
+    "classical_limit-reflectivity": (lambda v: classical_limit(v), "reflectivity"),
+    "squeezed_number_state-n": (lambda v: fock.squeezed_number_state(v, 0.3, 8), "n"),
+    "squeezed_number_state-s": (lambda v: fock.squeezed_number_state(1, v, 8), "s"),
+    "window_matrix-x0": (lambda v: conditioner.window_matrix(8, v), "x0"),
+    "homodyne_project-x": (lambda v: conditioner.homodyne_project(fock.interfere(_KET, _KET, 0.5), v), "x"),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", True], ids=["str", "bool"])
+@pytest.mark.parametrize("call, name", list(_ARGUMENTS.values()), ids=list(_ARGUMENTS))
+def test_argument_of_the_wrong_kind_is_named(call, name, value):
+    # a string ended in an unnamed TypeError, and True ran as 1
+    kind = "an integer" if name == "n" else "a finite number"
+    with pytest.raises(ValueError, match=rf"^{name}: expected {kind}, got {re.escape(repr(value))}$"):
+        call(value)
+
+
 def test_strong_squeezing_reaches_ideal_gains():
     # s -> infinity: gains (2, 1/2) at R = 0.75 and variances e^{+/-2s'}
     gamma = 0.18
