@@ -10,9 +10,11 @@ ledger stores, as ``float.hex``, every ``results`` scalar, every
 ``curve.csv`` cell, the cells of ``wigner.csv`` on every 12th row and column,
 and the first and last rows of ``samples.csv``; a note of ``results`` is kept
 as its text.  From ``selfcheck`` it stores each check's PASS or FAIL and
-name, not the printed digits, which are rounding-level.  The report prints every value that moved with its old value, its new value and
-its relative change, and names the configs whose values all stayed
-bit-identical.  ``tests/test_ledger.py`` holds a fresh run to the ledger
+name, not the printed digits, which are rounding-level.  The report starts
+with the machine it ran on (platform, Python, numpy and the BLAS numpy was
+built with), prints every value that moved with its old value, its new
+value and its relative change, and names the configs whose values all
+stayed bit-identical.  ``tests/test_ledger.py`` holds a fresh run to the ledger
 within tolerances, since the bits depend on the BLAS kernels of the machine.
 """
 
@@ -22,9 +24,12 @@ import contextlib
 import csv
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from cvpost import cli
 
@@ -162,7 +167,15 @@ def report(old: dict, new: dict) -> list:
     return lines
 
 
+def machine() -> str:
+    """The platform, Python, numpy and BLAS of this run; the ledger's bits depend on them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"machine: {platform.platform()}, Python {platform.python_version()}, numpy {np.__version__}, "
+            f"BLAS {blas.get('name')} {blas.get('version')}")
+
+
 def main() -> int:
+    print(machine())
     new = collect()
     if LEDGER.exists():
         print("\n".join(report(json.loads(LEDGER.read_text()), new)))
