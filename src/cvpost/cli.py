@@ -41,7 +41,7 @@ _REQUIRED = object()  # the default of a key that has none
 
 
 def _value(field, val, kind, bounds):
-    """``val`` checked and converted by :func:`cvpost.gaussian.checked`; its reason is a ConfigError naming ``field``."""
+    """``val`` checked and converted by :func:`cvpost.gaussian.checked`, its reason a ConfigError naming ``field``."""
     try:
         return checked(val, kind, bounds)
     except ValueError as exc:

@@ -42,7 +42,7 @@ SQUEEZING = f"[-{MAX_SQUEEZING!r}, {MAX_SQUEEZING!r}]"
 _KINDS = {str: "a string", bool: "true or false", dict: "a JSON object", int: "an integer", float: "a finite number",
           tuple: "a pair of finite numbers", complex: "a finite number or [re, im] pair"}
 _INTEGERS, _NUMBERS, _SEQUENCES = (int, np.integer), (int, float, np.integer, np.floating), (list, tuple, np.ndarray)
-_INTERVALS = {}  # an interval's (lo, hi), parsed on its first use
+_INTERVALS = {}  # each interval's (lo, hi), parsed on its first use: a memo of a pure parse
 
 
 def checked(val, kind, bounds=None, name=None):
@@ -71,7 +71,8 @@ def checked(val, kind, bounds=None, name=None):
     if bounds is not None:
         lo, hi = _INTERVALS.get(bounds) or _INTERVALS.setdefault(bounds, tuple(map(float, bounds[1:-1].split(","))))
         for part in parts:
-            if not ((lo <= part if bounds[0] == "[" else lo < part) and (part <= hi if bounds[-1] == "]" else part < hi)):
+            if not ((lo <= part if bounds[0] == "[" else lo < part)
+                    and (part <= hi if bounds[-1] == "]" else part < hi)):
                 raise ValueError(f"{'' if name is None else name + ': '}{part!r} is outside {bounds}")
     return parts[0] if kind is float or kind is int else tuple(parts) if kind is tuple else parts
 
