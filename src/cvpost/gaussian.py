@@ -36,7 +36,7 @@ MAX_SQUEEZING = MAX_DB * math.log(10.0) / 20.0
 #: A squeezing parameter's interval, |s| <= MAX_SQUEEZING, as :func:`checked` takes it.
 SQUEEZING = f"[-{MAX_SQUEEZING!r}, {MAX_SQUEEZING!r}]"
 
-# What a value of each kind must be, as the errors say it.  Nothing is coerced:
+# What a value of each kind must be, as the errors say it.  No kind is coerced:
 # bool is an int subclass but no number, an int kind takes no 2.0, and NaN, an
 # infinity or an int too large for a float is no finite number.
 _KINDS = {str: "a string", bool: "true or false", dict: "a JSON object", int: "an integer", float: "a finite number",
