@@ -1,15 +1,23 @@
-"""Agreement oracles: the dense two-mode route for the pure-state joint,
-and the point-by-point Wigner evaluator for the grid evaluator.
+"""Agreement oracles: a truncation-free position-space reference for the
+photon modes, and the point-by-point Wigner evaluator for the grid evaluator.
 
-The package keeps the state after the beam splitter as a dim x dim amplitude
-matrix and applies the beam splitter from a per-dim eigenbasis, one wrapped
-diagonal at a time.  This module does the same physics the long way: the
-beam splitter is one dense dim^2 x dim^2 unitary, read off ``fock.interfere``
-on every product basis state, the joint is a dense dim^2 x dim^2 density
-matrix, and every reduction is an explicit tensor contraction of that
-matrix.  The unitary itself is checked against one ``expm`` of the full
-two-mode generator (:func:`generator_unitary`), whose own rounding error on a
-generator of norm ~dim is near 1e-12.  Meant for small dims only.
+Both inputs of the protocol are pure, so the state after the beam splitter
+is a product wavefunction in rotated coordinates (Wigner units),
+Psi(x_t, x_r) = psi_in(sqrt(T) x_t + sqrt(R) x_r) psi_anc(-sqrt(R) x_t + sqrt(T) x_r)
+(:func:`joint_wavefunction`).  Every input is a closed form in x
+(:func:`wavefunction` gives the one of each ``cvpost.fock`` preparer), so the
+reference uses no Fock truncation and none of the package's recurrences or
+its beam-splitter eigenbasis.  Gauss-Legendre rules take from Psi its number
+amplitudes Psi[i, m] (:func:`number_amplitudes`, 160^2 nodes on [-9, 9]);
+the conditional amplitudes, outcome density and target overlap at
+reflected outcomes (:func:`outcome_cuts`, 400 x_t nodes on [-12, 12]); and
+a window's F_ave, P_s and averaged state (:func:`window_integrals`, with 80
+more nodes on the window).  Doubling every node count moves these by about
+3e-14.
+
+:func:`generator_joint` checks the beam-splitter eigenbasis on its own: it
+applies the exponential of the two-mode generator, a sparse dim^2 x dim^2
+matrix, to the product state by ``scipy.sparse.linalg.expm_multiply``.
 
 :func:`apply_squeeze` and :func:`apply_displace` exponentiate the squeeze
 and displacement generators with ``expm`` on a buffered space, the route
@@ -43,10 +51,6 @@ the dim x dim matrices of the truncated quadrature operators, the route
 the package took before ``fock.quadrature_moments`` read them off the
 shifted amplitudes of a pure state.
 
-:func:`window` and :func:`density_norm` integrate the outcome density by
-composite Simpson on uniform nodes, the rule the package used before its
-window became the exact matrix ``conditioner.window_matrix``.
-
 The rest is API that only the tests call: closed-form Wigner functions, the
 grid overlap and moments, single-wavefunction and Gaussian-state
 shorthands, and the pure state the protocol makes from a coherent input.
@@ -55,53 +59,19 @@ shorthands, and the pure state the protocol makes from a coherent input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
-from scipy.special import gammaln
+from scipy.sparse.linalg import expm_multiply
+from scipy.special import eval_hermite, gammaln
 
 from cvpost import emulator, fock
 from cvpost.emulator import _fidelity_purity, _references, _variance_correction
 from cvpost.fock import TruncationError, _checked
 from cvpost.gaussian import GaussianState, s_prime
 from cvpost.wigner import WignerGrid
-
-
-@dataclass(frozen=True)
-class TwoModeDensity:
-    """Joint density matrix over (transmitted, reflected) with row/column
-    index ``i_t * dim + i_r``."""
-
-    matrix: np.ndarray
-    dim: int
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-    def as_tensor(self) -> np.ndarray:
-        """View as rho[i, m, j, n] with (i, j) transmitted, (m, n) reflected."""
-        d = self.dim
-        return self.matrix.reshape(d, d, d, d)
-
-    def ptrace(self, keep: int) -> np.ndarray:
-        """Reduced density matrix of one mode: keep=0 transmitted, keep=1 reflected."""
-        rho4 = self.as_tensor()
-        return np.einsum("imjm->ij", rho4) if keep == 0 else np.einsum("imin->mn", rho4)
-
-
-@lru_cache(maxsize=8)
-def dense_unitary(dim: int, reflectivity: float) -> np.ndarray:
-    """The package's beam splitter as one dim^2 x dim^2 matrix: column
-    ``i * dim + m`` is ``fock.interfere`` applied to the product state |i, m>."""
-    u = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for m in range(dim):
-            joint = fock.interfere(fock.fock_state(i, dim), fock.fock_state(m, dim), reflectivity)
-            u[:, i * dim + m] = joint.ravel()
-    return u
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -130,60 +100,99 @@ def quadrature_moments(rho: np.ndarray):
     return mean, cov
 
 
-def generator_unitary(dim: int, reflectivity: float) -> np.ndarray:
-    """exp[(theta/2)(a_in a_anc^dag - a_in^dag a_anc)] by one dense ``expm``."""
-    theta = 2.0 * np.arcsin(np.sqrt(reflectivity))
-    a = annihilation(dim)
-    return expm((theta / 2.0) * (np.kron(a, a.T) - np.kron(a.T, a)))
+# ---------------------------------------------------------------------------
+# Position-space reference for the photon modes
+# ---------------------------------------------------------------------------
 
 
-def beam_splitter(psi_in: np.ndarray, psi_anc: np.ndarray, reflectivity: float) -> TwoModeDensity:
-    """The dense joint density matrix of two pure states after the beam splitter."""
-    u = dense_unitary(len(psi_in), reflectivity)
-    joint = np.kron(np.outer(psi_in, psi_in.conj()), np.outer(psi_anc, psi_anc.conj()))
-    return TwoModeDensity(u @ joint @ u.conj().T, len(psi_in))
+def number_wavefunction(n, x):
+    """<x|n> = (2/pi)^{1/4} H_n(sqrt(2) x) e^{-x^2} / sqrt(2^n n!), by
+    ``scipy.special.eval_hermite``; ``n`` and ``x`` broadcast."""
+    n, x = np.asarray(n), np.asarray(x, dtype=float)
+    norm = np.exp(-x * x - 0.5 * (n * math.log(2.0) + gammaln(n + 1.0)))
+    return (2.0 / np.pi) ** 0.25 * eval_hermite(n, math.sqrt(2.0) * x) * norm
 
 
-def homodyne_project(joint: TwoModeDensity, x: float):
-    """``<x|rho|x>_r`` as a dim x dim matrix, and its trace P1(x)."""
-    psi = fock.quadrature_wavefunctions(joint.dim - 1, float(x))[:, 0]
-    partial = np.tensordot(joint.as_tensor(), psi, axes=([3], [0]))  # [i, m, j]
-    reduced = np.tensordot(partial, psi, axes=([1], [0]))  # [i, j]
-    return reduced, float(np.real(np.trace(reduced)))
+def squeezed_number_wavefunction(n, s, x):
+    """<x|S(s)|n> = e^{-s/2} <x e^{-s}|n>, since S(s) stretches x by e^s; at
+    n = 0 the squeezed vacuum (2/(pi e^{2s}))^{1/4} e^{-x^2 e^{-2s}}."""
+    return math.exp(-0.5 * s) * number_wavefunction(n, np.asarray(x) * math.exp(-s))
 
 
-def _simpson_weights(n_nodes: int, lo: float, hi: float) -> np.ndarray:
-    if n_nodes < 3 or n_nodes % 2 == 0:
-        raise ValueError("composite Simpson needs an odd node count >= 3")
-    h = (hi - lo) / (n_nodes - 1)
-    w = np.ones(n_nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * h / 3.0
+def coherent_wavefunction(gamma, x):
+    """<x|gamma> = (2/pi)^{1/4} exp[-(x - g_r)^2 + 2i g_i x - i g_r g_i]."""
+    g = complex(gamma)
+    return (2.0 / np.pi) ** 0.25 * np.exp(-((x - g.real) ** 2) + 2j * g.imag * x - 1j * g.real * g.imag)
 
 
-def gate_density(joint: TwoModeDensity, xs) -> np.ndarray:
-    gate = np.einsum("imin->mn", joint.as_tensor())
-    psis = fock.quadrature_wavefunctions(joint.dim - 1, xs)
-    return np.real(np.einsum("mk,mn,nk->k", psis, gate, psis))
+def cat_wavefunction(gamma, x):
+    """<x| of the normalized |gamma> + |-gamma>, the state of ``fock.scs_state``."""
+    norm = math.sqrt(2.0 * (1.0 + math.exp(-2.0 * abs(gamma) ** 2)))
+    return (coherent_wavefunction(gamma, x) + coherent_wavefunction(-gamma, x)) / norm
 
 
-def density_norm(joint: TwoModeDensity, half_range: float = 6.0, n_nodes: int = 193) -> float:
-    xs = np.linspace(-half_range, half_range, n_nodes)
-    return float(_simpson_weights(n_nodes, -half_range, half_range) @ gate_density(joint, xs))
+_WAVEFUNCTIONS = {
+    fock.fock_state: number_wavefunction,
+    fock.squeezed_number_state: squeezed_number_wavefunction,
+    fock.coherent_state: coherent_wavefunction,
+    fock.scs_state: cat_wavefunction,
+}
 
 
-def window(joint: TwoModeDensity, target: np.ndarray, x0: float, n_nodes: int):
-    """(F_ave, P_s, normalized averaged state) on ``n_nodes`` Simpson nodes."""
-    rho4 = joint.as_tensor()
-    kmat = np.einsum("i,imjn,j->mn", target.conj(), rho4, target)
-    xs = np.linspace(-x0, x0, n_nodes)
-    w = _simpson_weights(n_nodes, -x0, x0)
-    psis = fock.quadrature_wavefunctions(joint.dim - 1, xs)
-    ps = float(w @ gate_density(joint, xs))
-    fave = float(w @ np.real(np.einsum("mk,mn,nk->k", psis, kmat, psis))) / ps
-    avg = np.tensordot(rho4, (psis * w) @ psis.T, axes=([1, 3], [0, 1]))
-    return fave, ps, avg / np.trace(avg)
+def wavefunction(preparer, *args):
+    """x -> <x|psi> in closed form, for the state ``preparer(*args, dim)`` of
+    ``cvpost.fock`` at any dim."""
+    return partial(_WAVEFUNCTIONS[preparer], *args)
+
+
+def joint_wavefunction(psi_in, psi_anc, reflectivity: float):
+    """Psi(x_t, x_r) of the wavefunctions ``psi_in`` and ``psi_anc`` after the
+    beam splitter: the rotation of coordinates whose Wigner form is
+    ``fock.interfere``'s composition."""
+    st, sr = math.sqrt(1.0 - reflectivity), math.sqrt(reflectivity)
+    return lambda xt, xr: psi_in(st * xt + sr * xr) * psi_anc(-sr * xt + st * xr)
+
+
+def _rule(nodes: int, half_width: float):
+    """Gauss-Legendre nodes and weights on [-half_width, half_width]."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return half_width * x, half_width * w
+
+
+def number_amplitudes(joint, dim: int, nodes: int = 160, half_width: float = 9.0) -> np.ndarray:
+    """Psi[i, m] = <i, m|Psi> for i, m < dim, on a nodes^2 grid."""
+    x, w = _rule(nodes, half_width)
+    basis = number_wavefunction(np.arange(dim)[:, None], x) * w
+    return basis @ joint(x[:, None], x) @ basis.T
+
+
+def outcome_cuts(joint, target, dim: int, xs, nodes: int = 400, half_width: float = 12.0):
+    """At each reflected outcome x_r of ``xs``, integrals over x_t of the cut
+    Psi(., x_r): its amplitudes <i|Psi(., x_r)> for i < dim (rows), the
+    outcome density P1(x_r) = integral of |Psi|^2, and <target|Psi(., x_r)>."""
+    xt, wt = _rule(nodes, half_width)
+    cut = joint(xt[:, None], np.asarray(xs, dtype=float))
+    phi = (number_wavefunction(np.arange(dim)[:, None], xt) * wt) @ cut
+    return phi, wt @ np.abs(cut) ** 2, (wt * np.conj(target(xt))) @ cut
+
+
+def window_integrals(joint, target, dim: int, x0: float, nodes=(80, 400)):
+    """(F_ave, P_s, normalized averaged state on dim levels) of the window
+    |x_r| < x0: ``nodes[0]`` nodes on the window, :func:`outcome_cuts` on
+    ``nodes[1]``."""
+    xr, wr = _rule(nodes[0], x0)
+    phi, p1, overlap = outcome_cuts(joint, target, dim, xr, nodes[1])
+    p_s = wr @ p1
+    return wr @ np.abs(overlap) ** 2 / p_s, p_s, (phi * wr) @ phi.conj().T / p_s
+
+
+def generator_joint(psi_in: np.ndarray, psi_anc: np.ndarray, reflectivity: float) -> np.ndarray:
+    """exp[phi (a_in a_anc^dag - a_in^dag a_anc)] psi_in x psi_anc, R = sin^2 phi,
+    by ``expm_multiply`` on the sparse generator, as a dim x dim joint."""
+    dim = len(psi_in)
+    a = sparse.csr_array(annihilation(dim))
+    generator = math.asin(math.sqrt(reflectivity)) * (sparse.kron(a, a.T) - sparse.kron(a.T, a))
+    return expm_multiply(generator.tocsr(), np.kron(psi_in, psi_anc)).reshape(dim, dim)
 
 
 def _apply_buffered(state: np.ndarray, generator, buffer: int) -> np.ndarray:
@@ -222,37 +231,6 @@ def apply_displace(state: np.ndarray, gamma: complex, buffer: int = 20) -> np.nd
         return gamma * a.T - np.conj(gamma) * a
 
     return _apply_buffered(state, gen, buffer)
-
-
-def _kernel_matrix(dim: int, alpha: complex) -> np.ndarray:
-    """K[m, n] with W(alpha) = sum_mn rho[m, n] K[m, n] for one point."""
-    z = 4.0 * abs(alpha) ** 2
-    unit = np.conj(alpha) / abs(alpha) if abs(alpha) > 0 else 1.0
-    k = np.zeros((dim, dim), dtype=complex)
-    for d in range(dim):
-        if d == 0:
-            t_prev, t_cur = 0.0, np.exp(-0.5 * z)
-        else:
-            t_prev = 0.0
-            t_cur = np.exp(0.5 * d * np.log(z) - 0.5 * z - 0.5 * gammaln(d + 1)) if z > 0 else 0.0
-        sign = 1.0
-        for n in range(dim - d):
-            val = sign * unit**d * t_cur
-            k[n + d, n] = val
-            if d > 0:
-                k[n, n + d] = np.conj(val)
-            c1 = (2 * n + 1 + d - z) / np.sqrt((n + 1) * (n + 1 + d))
-            c2 = np.sqrt(n * (n + d) / ((n + 1) * (n + 1 + d))) if n > 0 else 0.0
-            t_prev, t_cur = t_cur, c1 * t_cur - c2 * t_prev
-            sign = -sign
-    return (2.0 / np.pi) * k
-
-
-def wigner_two_mode_point(joint: TwoModeDensity, alpha: complex, beta: complex) -> float:
-    """Joint Wigner function W(alpha, beta) of a two-mode state at one point."""
-    ka = _kernel_matrix(joint.dim, alpha)
-    kb = _kernel_matrix(joint.dim, beta)
-    return float(np.real(np.einsum("imjn,ij,mn->", joint.as_tensor(), ka, kb)))
 
 
 def wigner_values(rho: np.ndarray, alphas: np.ndarray) -> np.ndarray:

@@ -367,7 +367,7 @@ def test_conditioned_coherent_target_matches_wide_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Agreement with the dense two-mode route
+# Agreement with the position-space reference
 # ---------------------------------------------------------------------------
 
 AGREE_TOL = 1e-12
@@ -377,34 +377,55 @@ AGREE_TOL = 1e-12
 @pytest.mark.parametrize(
     "prepare",
     [
-        lambda r, s, dim: (fock.fock_state(1, dim), fock.squeezed_number_state(1, s_prime(r, s), dim)),
-        lambda r, s, dim: (fock.fock_state(2, dim), fock.scs_state(1.1j, dim)),
-        lambda r, s, dim: (fock.coherent_state(0.5 + 0.3j, dim), fock.scs_state(0.6 + 0.5j, dim)),
+        lambda r, s: [(fock.fock_state, 1), (fock.squeezed_number_state, 1, s_prime(r, s))],
+        lambda r, s: [(fock.fock_state, 2), (fock.scs_state, 1.1j)],
+        lambda r, s: [(fock.coherent_state, 0.5 + 0.3j), (fock.scs_state, 0.6 + 0.5j)],
     ],
     ids=["fock1", "fock2", "coherent"],
 )
 def test_pure_joint_agrees_with_dense_route(reflectivity, prepare):
-    dim, s, x0 = 24, 0.4, 0.1
-    psi_in, target = prepare(reflectivity, s, dim)
-    dense = oracle.beam_splitter(psi_in, fock.squeezed_number_state(0, s, dim), reflectivity)
-    joint = build_joint(psi_in, reflectivity, s)
-    vec = joint.ravel()
-    np.testing.assert_allclose(np.outer(vec, vec.conj()), dense.matrix, rtol=0, atol=AGREE_TOL)
+    # the route is the reference's dense Gauss-Legendre grid over the exact
+    # joint wavefunction, which has no truncation; at dim 60 the package shows
+    # none either (3e-14 here), while at dim 24 it is off by up to 2e-6
+    dim, s, x0 = 60, 0.4, 0.1
+    (prep_in, *arg_in), (prep_target, *arg_target) = prepare(reflectivity, s)
+    wf_target = oracle.wavefunction(prep_target, *arg_target)
+    ref = oracle.joint_wavefunction(oracle.wavefunction(prep_in, *arg_in),
+                                    oracle.wavefunction(fock.squeezed_number_state, 0, s), reflectivity)
+    joint, target = build_joint(prep_in(*arg_in, dim), reflectivity, s), prep_target(*arg_target, dim)
+    low = np.add.outer(np.arange(dim), np.arange(dim)) < dim - 4  # short of the truncated corner
+    np.testing.assert_allclose(joint[low], oracle.number_amplitudes(ref, dim)[low], rtol=0, atol=AGREE_TOL)
 
-    xs = [-0.4, 0.0, 0.13]
-    for x in xs:
-        want, want_p1 = oracle.homodyne_project(dense, x)
+    phi, p1, overlap = oracle.outcome_cuts(ref, wf_target, dim, [-0.4, 0.0, 0.13])
+    for k, x in enumerate([-0.4, 0.0, 0.13]):
         got, got_p1 = homodyne_project(joint, x)
-        np.testing.assert_allclose(got_p1, want_p1, rtol=AGREE_TOL)
-        np.testing.assert_allclose(np.outer(got, got.conj()), want / want_p1, rtol=0, atol=AGREE_TOL)
-        want_fid = np.real(target.conj() @ want @ target) / want_p1
-        np.testing.assert_allclose(fidelity(got, target), want_fid, rtol=0, atol=AGREE_TOL)
+        np.testing.assert_allclose(got_p1, p1[k], rtol=AGREE_TOL)
+        np.testing.assert_allclose(got, phi[:, k] / np.sqrt(p1[k]), rtol=0, atol=AGREE_TOL)
+        np.testing.assert_allclose(fidelity(got, target), abs(overlap[k]) ** 2 / p1[k], rtol=0, atol=AGREE_TOL)
 
     win = run_window(joint, target, x0)
-    # 1025 Simpson nodes bring the oracle within 3e-14 of the exact window
-    # here; 129 leave it 1e-10 away at R = 0.98
-    fave, ps, avg = oracle.window(dense, target, x0, 1025)
+    fave, ps, avg = oracle.window_integrals(ref, wf_target, dim, x0)
     np.testing.assert_allclose(win.avg_fidelity, fave, rtol=AGREE_TOL)
     np.testing.assert_allclose(win.success_prob, ps, rtol=AGREE_TOL)
     np.testing.assert_allclose(win.avg_state, avg, rtol=0, atol=AGREE_TOL)
-    np.testing.assert_allclose(density_norm(joint), oracle.density_norm(dense, n_nodes=769), rtol=AGREE_TOL)
+    np.testing.assert_allclose(density_norm(joint), oracle.window_integrals(ref, wf_target, 1, 6.0)[1], rtol=AGREE_TOL)
+
+
+@pytest.mark.parametrize("n, reflectivity, s, x0, target, errors", [
+    (2, 0.5, -0.37, 0.084, (fock.scs_state, 1.1j), {18: (2e-5, 1.0), 40: (0.0, 1e-11), 60: (0.0, 1e-12)}),
+    (1, 0.98, 0.7, 0.025, (fock.squeezed_number_state, 1, s_prime(0.98, 0.7)), {40: (1e-9, 1.0), 60: (0.0, 1e-12)}),
+], ids=["two-photon", "single-photon"])
+def test_reference_sees_the_truncation_of_the_photon_defaults(n, reflectivity, s, x0, target, errors):
+    # the relative P_s error of each CLI default against the reference falls
+    # from a size the reference must see (3.9e-5 at two-photon dim 18, 2.2e-9
+    # at single-photon dim 40) to below 1e-12, past the reference's own error
+    prep_target, *arg_target = target
+    wf_target = oracle.wavefunction(prep_target, *arg_target)
+    ref = oracle.joint_wavefunction(oracle.wavefunction(fock.fock_state, n),
+                                    oracle.wavefunction(fock.squeezed_number_state, 0, s), reflectivity)
+    fave, ps, _ = oracle.window_integrals(ref, wf_target, 1, x0)
+    fave2, ps2, _ = oracle.window_integrals(ref, wf_target, 1, x0, nodes=(160, 800))
+    assert abs(ps2 / ps - 1) < 1e-13 and abs(fave2 - fave) < 1e-13  # doubling every node count
+    for dim, (least, below) in errors.items():
+        win = run_window(build_joint(fock.fock_state(n, dim), reflectivity, s), prep_target(*arg_target, dim), x0)
+        assert least <= abs(win.success_prob / ps - 1) < below, dim

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import eval_hermite, factorial
 from scipy.stats import poisson
 
 import oracle
@@ -371,56 +370,53 @@ def test_preparers_reject_nan_parameters(prepare, message):
 def test_beam_splitter_zero_reflectivity_is_identity():
     psi_in = fock.coherent_state(0.4 + 0.1j, 24)
     psi_anc = fock.squeezed_number_state(0, 0.4, 24)
-    joint = oracle.beam_splitter(psi_in, psi_anc, 0.0)
-    np.testing.assert_allclose(joint.matrix, np.kron(np.outer(psi_in, psi_in.conj()), np.outer(psi_anc, psi_anc)))
+    np.testing.assert_array_equal(fock.interfere(psi_in, psi_anc, 0.0), np.outer(psi_in, psi_anc))
 
 
 @pytest.mark.parametrize("reflectivity", [0.5, 0.75])
 def test_single_photon_reflection_probability(reflectivity):
-    joint = oracle.beam_splitter(fock.fock_state(1, 8), fock.fock_state(0, 8), reflectivity)
-    np.testing.assert_allclose(np.real(joint.ptrace(1)[1, 1]), reflectivity, atol=1e-12)
-    np.testing.assert_allclose(np.real(joint.ptrace(0)[1, 1]), 1 - reflectivity, atol=1e-12)
+    # |1, 0> goes to the transmitted |1, 0> and the reflected |0, 1>
+    joint = fock.interfere(fock.fock_state(1, 8), fock.fock_state(0, 8), reflectivity)
+    np.testing.assert_allclose(joint[[0, 1], [1, 0]] ** 2, [reflectivity, 1 - reflectivity], atol=1e-12)
 
 
 @pytest.mark.parametrize("reflectivity", [0.0, 0.25, 0.5, 0.75, 0.98, 1.0])
 def test_beam_splitter_preserves_trace(reflectivity):
     psi_in = fock.fock_state(1, 24)
     psi_anc = fock.squeezed_number_state(0, 0.5, 24)
-    joint = oracle.beam_splitter(psi_in, psi_anc, reflectivity)
-    np.testing.assert_allclose(joint.trace, np.linalg.norm(psi_in) ** 2 * np.linalg.norm(psi_anc) ** 2, atol=1e-9)
+    joint = fock.interfere(psi_in, psi_anc, reflectivity)
+    want = np.linalg.norm(psi_in) ** 2 * np.linalg.norm(psi_anc) ** 2
+    np.testing.assert_allclose(np.linalg.norm(joint) ** 2, want, atol=1e-9)
 
 
 def test_beam_splitter_full_reflection_swaps_contents():
     psi_in = fock.coherent_state(0.7, 24)
     psi_anc = fock.squeezed_number_state(0, 0.3, 24)
-    joint = oracle.beam_splitter(psi_in, psi_anc, 1.0)
+    joint = np.abs(fock.interfere(psi_in, psi_anc, 1.0)) ** 2
     # photon-number distributions swap (phases may flip sign)
-    np.testing.assert_allclose(np.real(np.diag(joint.ptrace(1))), np.abs(psi_in) ** 2, atol=1e-10)
-    np.testing.assert_allclose(np.real(np.diag(joint.ptrace(0))), np.abs(psi_anc) ** 2, atol=1e-10)
+    np.testing.assert_allclose(joint.sum(axis=0), np.abs(psi_in) ** 2, atol=1e-10)
+    np.testing.assert_allclose(joint.sum(axis=1), np.abs(psi_anc) ** 2, atol=1e-10)
 
 
 def test_beam_splitter_rejects_bad_reflectivity():
     psi = fock.fock_state(0, 4)
     with pytest.raises(ValueError):
-        oracle.beam_splitter(psi, psi, 1.5)
+        fock.interfere(psi, psi, 1.5)
 
 
-def test_beam_splitter_matches_wigner_composition():
-    # two-mode Wigner of |1> x S(s)|0> equals
-    # W_in(sqrt(T) a + sqrt(R) b) * W_anc(-sqrt(R) a + sqrt(T) b)
-    dim, r, s = 24, 0.75, 0.5
-    st, sr = np.sqrt(1 - r), np.sqrt(r)
-    joint = oracle.beam_splitter(fock.fock_state(1, dim), fock.squeezed_number_state(0, s, dim), r)
-    rng = np.random.default_rng(42)
-    points = rng.uniform(-2.0, 2.0, size=(120, 4))
-    for ap, am, bp, bm in points:
-        a = ap + 1j * am
-        b = bp + 1j * bm
-        got = oracle.wigner_two_mode_point(joint, a, b)
-        want = oracle.single_photon_wigner(st * a + sr * b) * oracle.squeezed_vacuum_wigner(
-            -sr * a + st * b, s
-        )
-        assert abs(got - want) < 1e-5
+@pytest.mark.parametrize("reflectivity", [0.3, 0.75])
+@pytest.mark.parametrize("state", [
+    (fock.fock_state, 1), (fock.fock_state, 2), (fock.coherent_state, 0.5 + 0.2j),
+], ids=["fock1", "fock2", "coherent"])
+def test_interfere_matches_position_space_reference(state, reflectivity):
+    # the amplitudes of the rotated product wavefunction, exact on the blocks
+    # i + m < dim; the corner that truncates the inputs differs by about 1e-6
+    dim, (prep, *args) = 24, state
+    anc = oracle.wavefunction(fock.squeezed_number_state, 0, 0.4)
+    ref = oracle.joint_wavefunction(oracle.wavefunction(prep, *args), anc, reflectivity)
+    joint = fock.interfere(prep(*args, dim), fock.squeezed_number_state(0, 0.4, dim), reflectivity)
+    low = np.add.outer(np.arange(dim), np.arange(dim)) < dim - 4
+    np.testing.assert_allclose(joint[low], oracle.number_amplitudes(ref, dim)[low], rtol=0, atol=1e-13)
 
 
 def test_operations_do_not_mutate_inputs():
@@ -441,13 +437,15 @@ def test_operations_do_not_mutate_inputs():
 
 @pytest.mark.parametrize("reflectivity", [0.0, 0.3, 0.75, 1.0])
 def test_unitary_blocks_match_dense_generator(reflectivity):
-    # independent route: one expm of the full two-mode generator, whose own
-    # rounding on a generator of norm ~dim is ~1e-12
-    dim = 24
+    # independent route: the full two-mode generator's exponential applied to
+    # a product of random amplitudes on every level, truncated blocks included
+    rng = np.random.default_rng(24)
+    psi_in, psi_anc = rng.standard_normal((2, 24)) + 1j * rng.standard_normal((2, 24))
+    psi_in, psi_anc = psi_in / np.linalg.norm(psi_in), psi_anc / np.linalg.norm(psi_anc)
     np.testing.assert_allclose(
-        oracle.dense_unitary(dim, reflectivity),
-        oracle.generator_unitary(dim, reflectivity),
-        rtol=0, atol=1e-10,
+        fock.interfere(psi_in, psi_anc, reflectivity),
+        oracle.generator_joint(psi_in, psi_anc, reflectivity),
+        rtol=0, atol=1e-12,
     )
 
 
@@ -457,9 +455,9 @@ def test_unitary_blocks_are_unitary_and_cached():
     assert basis.vectors.shape == (30, 30, 30)
     for vectors in basis.vectors:
         np.testing.assert_allclose(vectors @ vectors.T, np.eye(30), atol=1e-12)
-    # the operator itself, truncated blocks (N >= dim) included
-    u = oracle.dense_unitary(30, 0.7)
-    np.testing.assert_allclose(u @ u.conj().T, np.eye(30 * 30), atol=1e-12)
+    # with orthogonal blocks and phases of modulus 1, a permutation makes the
+    # operator unitary, truncated blocks (N >= dim) included
+    np.testing.assert_array_equal(np.sort(basis.gather), np.arange(30 * 30))
 
 
 @pytest.mark.parametrize("dim", [40, 80, 120])
@@ -516,13 +514,12 @@ def test_memory_guard_names_the_budget_and_the_largest_dim():
 def test_interfere_is_real_exactly_for_real_inputs(psi_in, psi_anc, reflectivity):
     # the map is real orthogonal: inputs of real values give a float joint, even
     # when complex-typed (a coherent state of real gamma), and complex ones
-    # keep their imaginary parts; both agree with one dense expm
+    # keep their imaginary parts; both agree with the generator's exponential
     joint = fock.interfere(psi_in, psi_anc, reflectivity)
     real = not (psi_in.imag.any() or psi_anc.imag.any())
     assert joint.dtype == (np.float64 if real else np.complex128)
     assert joint.shape == (24, 24) and not joint.flags.writeable
-    want = oracle.generator_unitary(24, reflectivity) @ np.kron(psi_in, psi_anc)
-    np.testing.assert_allclose(joint.ravel(), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(joint, oracle.generator_joint(psi_in, psi_anc, reflectivity), rtol=0, atol=1e-12)
 
 
 def test_state_taking_functions_reject_a_2d_or_mismatched_state():
@@ -540,17 +537,6 @@ def test_state_taking_functions_reject_a_2d_or_mismatched_state():
         fock.quadrature_moments(np.float64(1.0))
     with pytest.raises(ValueError, match=r"of 0 amplitudes, got shape \(12,\)"):
         fock.pure_dim(psi, 0)
-
-
-def test_interfere_is_the_dense_route_on_a_vector():
-    psi_in = fock.coherent_state(0.5 + 0.2j, 20)
-    psi_anc = fock.squeezed_number_state(0, 0.4, 20)
-    joint = fock.interfere(psi_in, psi_anc, 0.6)
-    dense = oracle.beam_splitter(psi_in, psi_anc, 0.6)
-    vec = joint.ravel()
-    np.testing.assert_allclose(np.outer(vec, vec.conj()), dense.matrix, rtol=0, atol=1e-14)
-    with pytest.raises(ValueError):
-        fock.interfere(psi_in, fock.fock_state(0, 10), 0.6)
 
 
 # ---------------------------------------------------------------------------
@@ -577,15 +563,7 @@ def test_wavefunction_matches_hermite_formula():
     # independent small-n oracle with explicit Hermite polynomials
     xs = np.linspace(-4.0, 4.0, 41)
     for n in range(0, 31, 5):
-        direct = (
-            (2 / np.pi) ** 0.25
-            * eval_hermite(n, np.sqrt(2) * xs)
-            * np.exp(-(xs**2))
-            / np.sqrt(2.0**n * factorial(n))
-        )
-        np.testing.assert_allclose(
-            oracle.quadrature_wavefunction(n, xs), direct, atol=1e-10
-        )
+        np.testing.assert_allclose(oracle.quadrature_wavefunction(n, xs), oracle.number_wavefunction(n, xs), atol=1e-10)
 
 
 def test_wavefunction_recurrence_stability():
@@ -612,9 +590,8 @@ def test_wavefunction_rejects_negative_n():
 
 
 def test_partial_traces_are_valid_densities():
-    joint = oracle.beam_splitter(fock.coherent_state(0.5 + 0.2j, 20), fock.squeezed_number_state(0, 0.4, 20), 0.6)
-    for keep in (0, 1):
-        red = joint.ptrace(keep)
+    joint = fock.interfere(fock.coherent_state(0.5 + 0.2j, 20), fock.squeezed_number_state(0, 0.4, 20), 0.6)
+    for red in (joint @ joint.conj().T, joint.T @ joint.conj()):  # transmitted, reflected
         # Hermitian, positive, unit trace
         np.testing.assert_allclose(red, red.conj().T, rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(red).min() > -1e-10
