@@ -522,11 +522,14 @@ def test_failed_emulate_run_leaves_no_sample_dump(tmp_path, capsys, payload, mes
      ({"mode": "emulate"}, ["--seed", "-1"], "flag '--seed'"),
      # |gamma|^2 overflows a float; the cat state fits in no dim
      ({"mode": "two-photon", "scs_gamma": [1e200, 0]}, [], "config field 'scs_gamma'"),
-     ({"mode": "two-photon", "scs_gamma": [0, 20]}, [], "config field 'scs_gamma'")],
+     ({"mode": "two-photon", "scs_gamma": [0, 20]}, [], "config field 'scs_gamma'"),
+     # unbounded, it spawned 1e14 chunk seeds and grew past 1.1 GB before any draw
+     ({"mode": "emulate", "n_samples": 10**20}, [],
+      "config field 'n_samples': 100000000000000000000 is outside [1, 1e9]")],
     ids=["rng_seed", "--seed", "anc_antisqz_db-overflow", "anc_antisqz_db-3000dB",
          "squeezing-12", "squeezing--200", "squeezing-1e3", "single-photon-squeezing-1e3",
          "single-photon-squeezing-30", "two-photon-squeezing--30", "single-photon-squeezing-4-largest-dim",
-         "--dim-1", "dim-1", "--seed--1", "scs_gamma-1e200", "scs_gamma-20j"],
+         "--dim-1", "dim-1", "--seed--1", "scs_gamma-1e200", "scs_gamma-20j", "n_samples-1e20"],
 )
 def test_negative_seed_exits_2_naming_it(tmp_path, capsys, payload, extra, name):
     code, out = run_cli(tmp_path, payload, *extra)

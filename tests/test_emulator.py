@@ -597,7 +597,7 @@ def test_lossless_run_converges_to_closed_form():
     pred = predict_stats(params)
     stats = run_experiment(params)
     n = stats.n_selected
-    for got, want in zip(stats.v_out, pred.v_out):
+    for got, want in zip(stats.v_out, np.diag(pred.selected_cov)):
         assert abs(got - want) < 4 * want * np.sqrt(2.0 / n)
     assert abs(stats.fidelity_est - pred.fidelity) < 3 * stats.fidelity_se
     assert abs(stats.purity_norm - pred.purity_norm) < 3 * stats.purity_norm_se
