@@ -79,7 +79,7 @@ def _db_to_var(db: float) -> float:
 #   engines square a window edge (the emulator in gate z-units); no state has
 #   weight past |x| ~ 40, and the square overflows past 1.3e154.
 # * n_samples: a run spawns one chunk seed per 2^20 rows before its first
-#   draw; 1e9 is 954 seeds, 37 times the largest run any test makes.
+#   draw; 1e9 is 954 seeds, 37 times the largest run a test or demo makes.
 _DB = f"(-inf, {MAX_DB:g}]"
 _EFFICIENCY = "(0, 1]"
 PARAMS = {
