@@ -98,7 +98,7 @@ def window_matrix(dim: int, x0: float) -> np.ndarray:
     last step has its own.  Below :data:`NARROW_WINDOW` all of M is the
     32-node Gauss-Legendre rule instead, with the parity zeros set exactly.
     """
-    x0 = checked(x0, float, "(0, inf)", "x0")  # a single outcome is homodyne_project's
+    dim, x0 = fock.check_dim(dim), checked(x0, float, "(0, inf)", "x0")  # a single outcome is homodyne_project's
     if x0 < NARROW_WINDOW:
         psi = fock.quadrature_wavefunctions(dim - 1, x0 * GL_NODES)
         m = (psi * (x0 * GL_WEIGHTS)) @ psi.T

@@ -54,6 +54,10 @@ from . import gaussian
 from .gaussian import GL_NODES, GL_WEIGHTS, MAX_DB, GainReport, GaussianState, checked
 
 _CHUNK = 1 << 20
+# run_experiment holds each kept row until the estimate, 48 bytes a row, and
+# refuses before any draw a run expected (P_s n_samples) to keep more than
+# 512 MiB of them, the Fock engine's budget too: about 11.2M rows.
+_KEPT_ROW_BYTES, _KEPT_BYTES = 48, 1 << 29
 _JACKKNIFE_GROUPS = 64
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -371,9 +375,16 @@ def run_experiment(params: ExperimentParams) -> EnsembleStats:
     Only the rows inside the window are drawn; they are the rows inside the
     window of the stream :func:`dump_samples` writes.  Raises ValueError,
     before any draw, when the transmitted records' noise would be lost to
-    the rounding of their mean.
+    the rounding of their mean, or when the rows the window is expected to
+    keep would take more memory than the kept-row budget.
     """
-    mean, cov = predict_records(params)
+    mean, cov, _, (p_s, _, _), _, _ = _gate_model(params)
+    if p_s * params.n_samples * _KEPT_ROW_BYTES > _KEPT_BYTES:
+        raise ValueError(
+            f"n_samples: {params.n_samples} would keep about {p_s * params.n_samples:.3g} rows (P_s {p_s:.3g}), "
+            f"{_KEPT_ROW_BYTES} bytes each, over the {_KEPT_BYTES >> 20} MiB budget; the largest n_samples that "
+            f"fits is {math.floor(_KEPT_BYTES / (_KEPT_ROW_BYTES * p_s))} (n_samples in a config)"
+        )
     sd, spacing = np.sqrt(np.diag(cov)[:2]), np.spacing(np.abs(mean[:2]))
     if np.any(spacing > _ROUNDING * sd):
         raise ValueError(

@@ -87,23 +87,10 @@ def quadrature_moments(psi: np.ndarray):
 
 
 def fock_state(n: int, dim: int) -> np.ndarray:
-    """Number state |n>.
-
-    Parameters
-    ----------
-    n : int
-        Photon number, 0 <= n < dim.
-    dim : int
-        Truncation dimension.
-    """
-    check_dim(dim)
-    if not 0 <= n < dim:
-        raise TruncationError(
-            f"fock_state(n={n}) does not fit in dim={dim}", suggested_dim=n + 1
-        )
-    amps = np.zeros(dim)
-    amps[n] = 1.0
-    return _readonly(amps)
+    """Number state |n>, for an integer n in [0, MAX_DIM - 1]; a TruncationError,
+    as for :func:`coherent_state`, names dim n + 1 when n >= dim."""
+    n = checked(n, int, _PHOTONS, "n")
+    return _checked(lambda levels: np.eye(1, levels, n)[0], dim, f"fock_state(n={n})")
 
 
 def _coherent_amplitudes(gamma: complex, dim: int) -> np.ndarray:
@@ -115,18 +102,21 @@ def _coherent_amplitudes(gamma: complex, dim: int) -> np.ndarray:
     return np.cumprod(steps)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an amplitude that overflows fails the norm test
 def _checked(amplitudes, dim: int, what: str) -> np.ndarray:
-    """The state ``amplitudes(dim)``, unless it is not finite or discards more
-    than the tail budget.  Every preparer's state on a smaller dim is a prefix
-    of its state on a larger one, bit for bit, so the smallest adequate dim is
-    the shortest prefix of ``amplitudes(MAX_DIM)`` that holds it."""
-    check_dim(dim)
+    """The state ``amplitudes(dim)``, unless rounding has lifted its squared
+    norm over 1 + the tail budget or made it NaN (ValueError), or it discards
+    more than the budget (TruncationError).  Every preparer's state on a
+    smaller dim is a prefix of its state on a larger one, bit for bit, so the
+    smallest adequate dim is the shortest such prefix of ``amplitudes(MAX_DIM)``."""
+    dim = check_dim(dim)
     amps = amplitudes(dim)
-    if not np.all(np.isfinite(amps)):
-        raise ValueError(f"{what} has non-finite amplitudes; its parameters must be finite")
     tail = _tails(amps)[-1]
+    if not tail >= -TAIL_TOLERANCE:  # NaN too
+        raise ValueError(f"{what} has squared norm {1.0 - tail:.6g} at dim={dim}, not at most "
+                         f"1 + {TAIL_TOLERANCE:.0e}: its amplitudes lost their precision to rounding")
     if tail > TAIL_TOLERANCE:
-        fits = np.flatnonzero(_tails(amplitudes(MAX_DIM)) <= TAIL_TOLERANCE)
+        fits = np.flatnonzero(abs(_tails(amplitudes(MAX_DIM))) <= TAIL_TOLERANCE)
         suggested = int(fits[0]) + 1 if fits.size else None
         hint = (f"use dim >= {suggested}" if suggested else
                 f"no dim up to {MAX_DIM}, the largest the memory budget allows, holds it")
@@ -148,11 +138,14 @@ def coherent_state(gamma: complex, dim: int) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If ``gamma`` is no number, complex or [re, im] pair in [-1e308, 1e308].
     TruncationError
         If the discarded tail mass exceeds the tolerance; the error names
         the smallest adequate dimension, or says that no dimension the
         memory budget allows holds the state.
     """
+    gamma = complex(*checked(gamma, complex, _AMPLITUDE, "gamma"))
     return _checked(partial(_coherent_amplitudes, gamma), dim, f"coherent_state(|gamma|={abs(gamma):.4g})")
 
 
@@ -166,23 +159,28 @@ def squeezed_number_state(n: int, s: float, dim: int) -> np.ndarray:
 
     ``S(s) a^dag S(s)^dag = cosh(s) a^dag - sinh(s) a``, so
     ``S(s)|n> = (cosh(s) a^dag - sinh(s) a)^n S(s)|0> / sqrt(n!)``.  One
-    application of that operator to a vector kept on L levels is exact on
-    the first L - 1, so starting from the squeezed vacuum on dim + n levels
-    leaves the first dim levels exact.  The state on a smaller dim is
-    therefore a prefix of the state on a larger one.
+    application of that operator to a vector kept on L levels loses nothing
+    to truncation on the first L - 1, so starting from the squeezed vacuum on
+    dim + n levels leaves the first dim levels free of it, and the state on a
+    smaller dim a prefix of the state on a larger one.  Rounding grows with n
+    and |s|, as each application subtracts terms larger than their
+    difference: within 1e-10 of the operator route for n <= 15 and
+    |s| <= 0.7, the state is 8e-9 off at n = 20 and 1e-6 at n = 25 (s = 0.7).
 
     Raises
     ------
     ValueError
-        If ``n`` is not an integer in [0, inf), or ``s`` not a finite number
-        in :data:`~cvpost.gaussian.SQUEEZING`, |s| up to
+        If ``n`` is not an integer in [0, MAX_DIM - 1] (no larger n fits any
+        dim), or ``s`` not a finite number in
+        :data:`~cvpost.gaussian.SQUEEZING`, |s| up to
         :data:`~cvpost.gaussian.MAX_SQUEEZING` (100 dB); the error names the
-        argument and its value, and the interval the value lies outside.
+        argument and its value, and the interval the value lies outside.  Or
+        if rounding has lifted the squared norm over 1 + the tolerance.
     TruncationError
         If the discarded tail mass exceeds the tolerance, as for
         :func:`coherent_state`.
     """
-    n, s = checked(n, int, "[0, inf)", "n"), checked(s, float, SQUEEZING, "s")
+    n, s = checked(n, int, _PHOTONS, "n"), checked(s, float, SQUEEZING, "s")
     return _checked(partial(_squeezed_number_amplitudes, n, s), dim, f"S(s={s})|{n}>")
 
 
@@ -207,12 +205,11 @@ def scs_state(gamma: complex, dim: int) -> np.ndarray:
     the cat the |2> input targets (even photon numbers only).  The exact
     squared norm of the unnormalized superposition is ``2 (1 + e^{-2|gamma|^2})``.
     """
+    gamma = complex(*checked(gamma, complex, _AMPLITUDE, "gamma"))
     norm_sq = 2.0 * (1.0 + np.exp(-2.0 * min(abs(gamma), 1e150) ** 2))  # capped as in _coherent_amplitudes
 
     def amplitudes(levels):
-        plus, minus = _coherent_amplitudes(gamma, levels), _coherent_amplitudes(-gamma, levels)
-        with np.errstate(invalid="ignore"):  # _checked reports a NaN parameter
-            return (plus + minus) / np.sqrt(norm_sq)
+        return (_coherent_amplitudes(gamma, levels) + _coherent_amplitudes(-gamma, levels)) / np.sqrt(norm_sq)
 
     return _checked(amplitudes, dim, f"scs_state(|gamma|={abs(gamma):.4g})")
 
@@ -245,17 +242,15 @@ def _dim_bytes(dim: int) -> int:
 MAX_DIM = max(d for d in range(int((MEMORY_BUDGET / 8) ** (1 / 3)) + 1) if _dim_bytes(d) <= MEMORY_BUDGET)
 
 
-def check_dim(dim: int) -> None:
-    """Raise ValueError, before anything is allocated, if ``dim`` is below 1 or over :data:`MEMORY_BUDGET`."""
-    if dim < 1:
-        raise ValueError(f"dim={dim} is outside [1, {MAX_DIM}]")
-    need = _dim_bytes(dim)
-    if need <= MEMORY_BUDGET:
-        return
-    raise ValueError(
-        f"dim={dim} needs about {need / 2**20:.0f} MiB for the beam-splitter eigenbasis and the "
-        f"joint, over the {MEMORY_BUDGET >> 20} MiB budget; the largest dim that fits is {MAX_DIM}"
-    )
+# The intervals of dim; of a photon number n, as no larger n fits any dim; of n_max, as
+# window_matrix takes dim + 2 levels; and of each part of gamma, so that |gamma| is a float.
+_DIMS, _PHOTONS, _LEVELS = f"[1, {MAX_DIM}]", f"[0, {MAX_DIM - 1}]", f"[0, {MAX_DIM + 1}]"
+_AMPLITUDE = "[-1e308, 1e308]"
+
+
+def check_dim(dim: int) -> int:
+    """``dim`` as an int in [1, :data:`MAX_DIM`], checked before anything is allocated, or ValueError."""
+    return checked(dim, int, _DIMS, "dim")
 
 
 class BeamSplitterBasis(NamedTuple):
@@ -299,7 +294,7 @@ def beam_splitter_unitary(dim: int) -> BeamSplitterBasis:
     ``a_t = sqrt(T) a_in - sqrt(R) a_anc`` and
     ``a_r = sqrt(R) a_in + sqrt(T) a_anc``.
     """
-    check_dim(dim)
+    dim = check_dim(dim)
     i = np.arange(dim)
     vectors = np.zeros((dim, dim, dim))
     eigenvalues = np.zeros((dim, dim))
@@ -370,6 +365,7 @@ def quadrature_wavefunctions(n_max: int, x) -> np.ndarray:
     |<x|psi>|^2 is a true probability density.  Evaluated by the
     normalized upward recurrence, which stays bounded at large n.
     """
+    n_max = checked(n_max, int, _LEVELS, "n_max")
     # <n|x> is 0 long before |x| = 1e150, so capping |x| there, as
     # _coherent_amplitudes caps |gamma|, changes no value and keeps x^2 finite.
     xs = np.atleast_1d(np.asarray(x, dtype=float)).clip(-1e150, 1e150)

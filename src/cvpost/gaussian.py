@@ -41,13 +41,14 @@ SQUEEZING = f"[-{MAX_SQUEEZING!r}, {MAX_SQUEEZING!r}]"
 # infinity or an int too large for a float is no finite number.
 _KINDS = {str: "a string", bool: "true or false", dict: "a JSON object", int: "an integer", float: "a finite number",
           tuple: "a pair of finite numbers", complex: "a finite number or [re, im] pair"}
-_INTEGERS, _NUMBERS, _SEQUENCES = (int, np.integer), (int, float, np.integer, np.floating), (list, tuple, np.ndarray)
+_INTEGERS, _NUMBERS, _COMPLEX = (int, np.integer), (int, float, np.integer, np.floating), (complex, np.complexfloating)
+_SEQUENCES = (list, tuple, np.ndarray)
 _INTERVALS = {}  # each interval's (lo, hi), parsed on its first use: a memo of a pure parse
 
 
 def checked(val, kind, bounds=None, name=None):
     """``val`` as ``kind``: a numpy integer or floating scalar as a Python
-    number, a pair as a tuple, a complex as [re, im] (a number as [val, 0]).
+    number, a pair as a tuple, a complex as [re, im] (a real as [val, 0]).
     It, or each part, must lie in ``bounds``: None, or an interval written as
     the README writes it, such as "[0, 1)".  Else ValueError with the reason,
     such as "expected a finite number, got True" or "1.5 is outside [0, 1]",
@@ -62,7 +63,8 @@ def checked(val, kind, bounds=None, name=None):
         if kind is tuple and not pair:
             raise TypeError
         parts = []
-        for part in val if pair else [val, 0.0] if kind is complex else [val]:
+        whole = ([val.real, val.imag] if isinstance(val, _COMPLEX) else [val, 0.0]) if kind is complex else [val]
+        for part in val if pair else whole:
             if isinstance(part, bool) or not isinstance(part, numbers) or not math.isfinite(part):
                 raise TypeError
             parts.append(int(part) if kind is int else float(part))

@@ -538,6 +538,33 @@ def test_negative_seed_exits_2_naming_it(tmp_path, capsys, payload, extra, name)
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"mode": "sweep", "axis": "gamma_plus", "start": -1.0, "stop": 1.0, "count": 2, "log": True,
+      "base": {"mode": "coherent"}}, "config field 'start': log sweeps need start > 0"),
+    ({"mode": "sweep", "axis": "dim", "start": 40, "stop": 60, "count": 2, "base": {"mode": "single-photon"}},
+     "config field 'axis': mode single-photon supports axes ['success_prob', 'x0_wig']"),
+    ({"mode": "emulate", "v_in_snl": [1, 2, 3]},
+     "config field 'v_in_snl': expected a pair of finite numbers, got [1, 2, 3]"),
+    # once "fock_state(n=2) does not fit in dim=2", naming no dim that fits
+    ({"mode": "two-photon", "dim": 2},
+     "config validation failed: fock_state(n=2) tail mass 1.000e+00 exceeds 1e-08 at dim=2; use dim >= 3"),
+    # unchecked, a window that keeps all of 1e9 rows would hold about 48 GB until the estimate
+    ({"mode": "emulate", "x0_snl": 100, "n_samples": 10**9},
+     "config validation failed: n_samples: 1000000000 would keep about 1e+09 rows (P_s 1), 48 bytes each, "
+     "over the 512 MiB budget; the largest n_samples that fits is 11184810 (n_samples in a config)"),
+], ids=["log-start", "axis", "v_in_snl-triple", "two-photon-dim-2", "kept-rows-1e9"])
+def test_rejection_exits_2_at_once_with_its_reason(tmp_path, capsys, monkeypatch, payload, message):
+    def no_draw(*args, **kwargs):  # so that a check that comes too late fails here, not in 48 GB of rows
+        raise AssertionError("the emulator drew before the run was refused")
+
+    monkeypatch.setattr(emulator, "_iter_chunks", no_draw)
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, payload)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and capsys.readouterr().err == message + "\n"
+    assert not (out / "result.json").exists()
+
+
 @pytest.mark.parametrize(
     "payload, field",
     [

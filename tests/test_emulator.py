@@ -409,6 +409,40 @@ def test_estimate_requires_enough_samples():
         estimate(stream, quiet_params(n_samples=5_000))
 
 
+def test_estimate_requires_three_record_columns():
+    with pytest.raises(ValueError, match=r"^selected must be an \(n, 3\) sample array$"):
+        estimate(np.zeros((20_000, 2)), ExperimentParams())
+
+
+def test_estimate_refuses_a_correction_over_the_record_variance():
+    # at eta_hom 1e-6 the inferred-out loss, (1 - eta)/eta, is nearly all of a
+    # rescaled record's variance, and this sample's variance falls below it
+    params = ExperimentParams(eta_hom=1e-6, x0=100.0, gamma_plus=0.0, gamma_minus=0.0, n_samples=20_000)
+    with pytest.raises(ValueError, match="^variance correction exceeded the estimated record variance; "):
+        run_experiment(params)
+
+
+def test_run_refuses_kept_rows_over_the_budget_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before the kept-row budget was checked")
+
+    monkeypatch.setattr(emulator, "_iter_chunks", no_draw)
+    # unchecked, a window that keeps every one of 1e9 rows would hold about 48 GB
+    with pytest.raises(ValueError, match=r"^n_samples: 1000000000 would keep about 1e\+09 rows \(P_s 1\), "
+                                         r"48 bytes each, over the 512 MiB budget; the largest n_samples that fits "
+                                         r"is 11184810 \(n_samples in a config\)$"):
+        run_experiment(ExperimentParams(x0=100.0, n_samples=10**9))
+    # at a window that keeps a fraction of the rows, the named n_samples passes the check and one more does not
+    params = ExperimentParams(x0=2.0, n_samples=10**9)
+    with pytest.raises(ValueError, match="the largest n_samples that fits is") as err:
+        run_experiment(params)
+    fits = int(re.search(r"fits is (\d+)", str(err.value)).group(1))
+    with pytest.raises(AssertionError, match="drew before"):
+        run_experiment(dataclasses.replace(params, n_samples=fits))
+    with pytest.raises(ValueError, match=f"^n_samples: {fits + 1} would keep"):
+        run_experiment(dataclasses.replace(params, n_samples=fits + 1))
+
+
 def test_paper_configuration_bands():
     params = ExperimentParams(n_samples=3_000_000)
     stats = run_experiment(params)

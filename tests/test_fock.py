@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.stats import poisson
 
 import oracle
-from cvpost import fock, gaussian
+from cvpost import conditioner, fock, gaussian
 from cvpost.fock import TruncationError
 
 RTOL = 1e-10
@@ -56,16 +56,63 @@ def test_fock_state_basis_vectors():
 def test_preparers_check_dim_before_they_allocate(prepare):
     # unchecked, dim 1000 built a state that only interfere refused, and
     # dim 0 ended in a bare IndexError
-    for dim in (0, -3):
-        with pytest.raises(ValueError, match=rf"dim={dim} is outside \[1, 401\]"):
+    for dim in (0, -3, 402, 1000):
+        with pytest.raises(ValueError, match=rf"^dim: {dim} is outside \[1, 401\]$"):
             prepare(dim)
-    with pytest.raises(ValueError, match="over the 512 MiB budget; the largest dim that fits is 401"):
-        prepare(1000)
 
 
 def test_fock_state_out_of_range():
     with pytest.raises(TruncationError):
         fock.fock_state(5, 5)
+
+
+@pytest.mark.parametrize("n, dim", [(2, 2), (400, 40)])
+def test_fock_state_names_the_dim_that_holds_it(n, dim):
+    # dim 2 once said only that |2> does not fit, naming no dim that holds it
+    with pytest.raises(TruncationError, match=rf"^fock_state\(n={n}\) .* at dim={dim}; use dim >= {n + 1}$") as err:
+        fock.fock_state(n, dim)
+    assert err.value.suggested_dim == n + 1
+    assert fock.fock_state(n, n + 1)[n] == 1.0
+
+
+# Each once raised a bare numpy TypeError or IndexError, or ran with a bool as a number.
+@pytest.mark.parametrize("call, message", [
+    (lambda: fock.fock_state(1, 2.5), r"^dim: expected an integer, got 2\.5$"),
+    (lambda: fock.coherent_state(0.5, 2.5), r"^dim: expected an integer, got 2\.5$"),
+    (lambda: fock.squeezed_number_state(0, 0.3, 40.0), r"^dim: expected an integer, got 40\.0$"),
+    (lambda: fock.scs_state(1.1j, True), r"^dim: expected an integer, got True$"),
+    (lambda: conditioner.window_matrix(2.5, 0.3), r"^dim: expected an integer, got 2\.5$"),
+    (lambda: conditioner.window_matrix(402, 0.3), r"^dim: 402 is outside \[1, 401\]$"),
+    (lambda: fock.quadrature_wavefunctions(2.5, 0.3), r"^n_max: expected an integer, got 2\.5$"),
+    (lambda: fock.quadrature_wavefunctions(-1, 0.3), r"^n_max: -1 is outside \[0, 402\]$"),
+    (lambda: fock.quadrature_wavefunctions(403, 0.3), r"^n_max: 403 is outside \[0, 402\]$"),
+    (lambda: fock.fock_state(1.0, 3), r"^n: expected an integer, got 1\.0$"),
+    (lambda: fock.fock_state(True, 3), r"^n: expected an integer, got True$"),
+    (lambda: fock.fock_state(500, 40), r"^n: 500 is outside \[0, 400\]$"),
+    (lambda: fock.squeezed_number_state(600, 0.3, 401), r"^n: 600 is outside \[0, 400\]$"),
+    (lambda: fock.squeezed_number_state(40000, 0.7, 60), r"^n: 40000 is outside \[0, 400\]$"),
+    (lambda: fock.coherent_state("a", 10), r"^gamma: expected a finite number or \[re, im\] pair, got 'a'$"),
+    (lambda: fock.coherent_state(True, 10), r"^gamma: expected .*, got True$"),
+    (lambda: fock.scs_state(complex(np.inf, 0.0), 10), r"^gamma: expected .*, got \(inf\+0j\)$"),
+    # |gamma| overflowed a float, an OverflowError from abs()
+    (lambda: fock.coherent_state(complex(1.7e308, 1.7e308), 10), r"^gamma: 1\.7e\+308 is outside \[-1e308, 1e308\]$"),
+    (lambda: fock.scs_state([1e308, -1.7e308], 10), r"^gamma: -1\.7e\+308 is outside \[-1e308, 1e308\]$"),
+], ids=["fock-dim", "coherent-dim", "squeezed-dim", "cat-dim", "window-dim", "window-dim-402", "n_max-float",
+        "n_max-negative", "n_max-403", "fock-n-float", "fock-n-bool", "fock-n-500", "squeezed-n-600",
+        "squeezed-n-40000", "gamma-str", "gamma-bool", "cat-gamma-inf", "gamma-1.7e308", "cat-gamma-1.7e308"])
+def test_engine_arguments_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_engine_arguments_take_numpy_scalars_and_their_largest_values():
+    assert fock.fock_state(np.int64(400), np.int64(401))[400] == 1.0
+    np.testing.assert_array_equal(fock.squeezed_number_state(np.int32(2), 0.4, 30),
+                                  fock.squeezed_number_state(2, 0.4, 30))
+    for gamma in (np.complex128(0.5 + 0.2j), [0.5, 0.2], (np.float64(0.5), 0.2)):
+        np.testing.assert_array_equal(fock.coherent_state(gamma, 30), fock.coherent_state(0.5 + 0.2j, 30))
+    assert fock.quadrature_wavefunctions(fock.MAX_DIM + 1, [0.3]).shape == (fock.MAX_DIM + 2, 1)
+    assert conditioner.window_matrix(fock.MAX_DIM, 0.3).shape == (fock.MAX_DIM, fock.MAX_DIM)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +361,38 @@ def test_squeezed_number_state_tail_guard_is_exact():
             np.testing.assert_allclose(tail, true_tail, atol=1e-14)
 
 
+@pytest.mark.parametrize("n, s, dim, norm", [
+    (40, 0.7, 401, "669.444"), (30, 1.0, 401, "1.71161e+09"), (100, 0.3, 401, "1.23644"), (40, 0.7, 60, "1.916"),
+    (400, gaussian.MAX_SQUEEZING, 401, "nan"), (100, 3.0, 10, "2.96737e+208"),
+])
+def test_squeezed_number_state_refuses_a_norm_over_one(n, s, dim, norm):
+    # rounding in the recurrence lifts these squared norms over 1, and once
+    # returned them; the last two overflow, which warns nothing
+    with pytest.raises(ValueError, match=rf"^S\(s={s}\)\|{n}> has squared norm {re.escape(norm)} at dim={dim}, "
+                                         r"not at most 1 \+ 1e-08"):
+        fock.squeezed_number_state(n, s, dim)
+
+
+def test_truncation_hint_skips_dims_that_rounding_spoils():
+    # S(0.7)|40> first keeps its tail within 1e-8 at dim 57, where its
+    # squared norm is already over 1, so no dim holds it
+    with pytest.raises(TruncationError, match="no dim up to 401") as err:
+        fock.squeezed_number_state(40, 0.7, 10)
+    assert err.value.suggested_dim is None
+    with pytest.raises(ValueError, match="squared norm"):
+        fock.squeezed_number_state(40, 0.7, 57)
+
+
+@pytest.mark.parametrize("s", [-0.7, -0.3, 0.3, 0.7])
+def test_squeezed_number_states_match_the_operator_route_up_to_n_15(s):
+    # 120 levels hold each state; a smaller dim's state is a prefix of this one
+    dim = 120
+    for n in range(16):
+        got = fock.squeezed_number_state(n, s, dim)
+        ref = oracle.apply_squeeze(fock.fock_state(n, dim + ORACLE_LEVELS), s)
+        np.testing.assert_allclose(got, ref[:dim], rtol=0, atol=1e-10, err_msg=f"n={n}")
+
+
 def test_displaced_squeezed_vacuum_tail_guard():
     with pytest.raises(TruncationError):
         oracle.displaced_squeezed_vacuum(2.0 + 1.0j, 0.5, 12)
@@ -351,9 +430,9 @@ def test_scs_normalization_constant():
     [
         (lambda: fock.squeezed_number_state(0, np.nan, 20), "^s: expected a finite number, got nan$"),
         (lambda: fock.squeezed_number_state(1, np.nan, 20), "^s: expected a finite number, got nan$"),
-        (lambda: oracle.displaced_squeezed_vacuum(0.5, np.nan, 20), "non-finite amplitudes"),
-        (lambda: fock.coherent_state(complex(np.nan, 0.0), 20), "non-finite amplitudes"),
-        (lambda: fock.scs_state(complex(0.0, np.nan), 20), "non-finite amplitudes"),
+        (lambda: oracle.displaced_squeezed_vacuum(0.5, np.nan, 20), r"S\(s=nan\)\|0> has squared norm nan at dim=20"),
+        (lambda: fock.coherent_state(complex(np.nan, 0.0), 20), r"^gamma: expected .*, got \(nan\+0j\)$"),
+        (lambda: fock.scs_state(complex(0.0, np.nan), 20), r"^gamma: expected .*, got nanj$"),
     ],
     ids=["squeezed_vacuum", "squeezed_number_state", "displaced_squeezed_vacuum", "coherent_state", "scs_state"],
 )
@@ -499,7 +578,7 @@ def test_interfere_rejects_bad_reflectivity(reflectivity):
 def test_memory_guard_names_the_budget_and_the_largest_dim():
     fits = 401
     assert fock._dim_bytes(fits) <= fock.MEMORY_BUDGET < fock._dim_bytes(fits + 1)
-    with pytest.raises(ValueError, match=f"{fock.MEMORY_BUDGET >> 20} MiB budget; the largest dim that fits is {fits}"):
+    with pytest.raises(ValueError, match=rf"^dim: {fits + 1} is outside \[1, {fits}\]$"):
         fock.beam_splitter_unitary(fits + 1)
 
 

@@ -295,6 +295,25 @@ def test_purity_values():
     np.testing.assert_allclose(stacked, [purity(st.cov) for st in states], rtol=1e-15, atol=0)
 
 
+def test_purity_refuses_a_covariance_that_is_not_2_by_2():
+    with pytest.raises(ValueError, match=r"^covariances must be \(\.\.\., 2, 2\): single-mode states$"):
+        purity(np.eye(3))
+
+
+def test_checked_takes_a_complex_value_as_its_two_parts():
+    for val in (1.5 - 2j, np.complex128(1.5 - 2j), np.complex64(1.5 - 2j), [1.5, -2], (np.float32(1.5), -2.0)):
+        parts = gaussian.checked(val, complex)
+        assert parts == [1.5, -2.0] and all(type(part) is float for part in parts)
+    assert gaussian.checked(np.float64(0.5), complex) == [0.5, 0.0]
+    # each part is held to finiteness and to the interval; only the complex kind takes a complex
+    for val, message in ((complex(np.nan, 1.0), r"expected a finite number or \[re, im\] pair, got \(nan\+1j\)"),
+                         (1 - 2j, r"-2\.0 is outside \[-1, 1\]")):
+        with pytest.raises(ValueError, match=rf"^gamma: {message}$"):
+            gaussian.checked(val, complex, "[-1, 1]", "gamma")
+    with pytest.raises(ValueError, match=r"^x: expected a finite number, got \(1\+0j\)$"):
+        gaussian.checked(1 + 0j, float, None, "x")
+
+
 # ---------------------------------------------------------------------------
 # Classical fidelity bounds
 # ---------------------------------------------------------------------------
