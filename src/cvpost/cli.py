@@ -230,12 +230,16 @@ def _experiment_params(resolved):
 def _run_emulate(resolved, axis=None, values=(None,)):
     params = _experiment_params(resolved)
     ps_of = _ps_of("emulate", params)
-    for value in values:
+    points = []
+    for value in values:  # every point is built and checked before the first draw
         point = params
         if axis == "success_prob":
             point = dataclasses.replace(params, x0=_x0_for_success_prob(*ps_of, value))
         elif axis is not None:
             point = _experiment_params({**resolved, axis: value})
+        emulator.check_run(point)
+        points.append(point)
+    for point in points:
         # The results are the EnsembleStats fields in order, with the gains inlined.
         stats = dataclasses.asdict(emulator.run_experiment(point))
         yield {"v_out_snl": stats.pop("v_out"), **stats.pop("gains"), **stats}, None

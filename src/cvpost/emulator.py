@@ -369,15 +369,12 @@ def estimate(selected: np.ndarray, params: ExperimentParams, success_prob: float
 _ROUNDING = 1e-3
 
 
-def run_experiment(params: ExperimentParams) -> EnsembleStats:
-    """Synthesize, post-select, and estimate in one streamed pass.
-
-    Only the rows inside the window are drawn; they are the rows inside the
-    window of the stream :func:`dump_samples` writes.  Raises ValueError,
-    before any draw, when the transmitted records' noise would be lost to
-    the rounding of their mean, or when the rows the window is expected to
-    keep would take more memory than the kept-row budget.
-    """
+def check_run(params: ExperimentParams) -> None:
+    """Raise the ValueError :func:`run_experiment` raises before any draw:
+    when the rows the window is expected to keep would take more memory than
+    the kept-row budget, or when the transmitted records' noise would be
+    lost to the rounding of their mean.  Draws nothing, so a sweep checks
+    every point before it runs the first."""
     mean, cov, _, (p_s, _, _), _, _ = _gate_model(params)
     if p_s * params.n_samples * _KEPT_ROW_BYTES > _KEPT_BYTES:
         raise ValueError(
@@ -393,6 +390,16 @@ def run_experiment(params: ExperimentParams) -> EnsembleStats:
             f"{_ROUNDING:g} of the sd); lower |gamma_plus| or |gamma_minus| "
             "(gamma_plus and gamma_minus in a config)"
         )
+
+
+def run_experiment(params: ExperimentParams) -> EnsembleStats:
+    """Synthesize, post-select, and estimate in one streamed pass.
+
+    Only the rows inside the window are drawn; they are the rows inside the
+    window of the stream :func:`dump_samples` writes.  Raises ValueError,
+    before any draw, as :func:`check_run` does.
+    """
+    check_run(params)
     selected = np.concatenate(list(_iter_chunks(params, full=False)), axis=0)
     return estimate(selected, params, success_prob=selected.shape[0] / params.n_samples)
 

@@ -15,6 +15,10 @@ a window's F_ave, P_s and averaged state (:func:`window_integrals`, with 80
 more nodes on the window).  Doubling every node count moves these by about
 3e-14.
 
+:func:`coherent_window` is the window-level reference for a coherent input:
+its P1(x) and its fidelity to the x = 0 conditional state are Gaussian in
+x, so P_s and F_ave over |x| < x0 are erf terms, with no ``window_matrix``.
+
 :func:`generator_joint` checks the beam-splitter eigenbasis on its own: it
 applies the exponential of the two-mode generator, a sparse dim^2 x dim^2
 matrix, to the product state by ``scipy.sparse.linalg.expm_multiply``.
@@ -417,6 +421,42 @@ def displaced_squeezed_vacuum(beta: complex, s: float, dim: int) -> np.ndarray:
         return np.array(amps, dtype=complex)
 
     return _checked(amplitudes, dim, f"D({beta:.4g}) S(s={s})|0>")
+
+
+def coherent_window(gamma: complex, reflectivity: float, s: float, x0: float, dim: int):
+    """(F_ave, P_s, target) of the window |x| < x0 (Wigner units) for the
+    coherent input |gamma> and the ancilla S(s)|0>, in closed form; the
+    target is the conditional state at x = 0, on dim levels.
+
+    The reflected x_r = sqrt(R) x_in + sqrt(T) x_anc is normal, mean
+    m = sqrt(R) Re(gamma) and variance v = R/4 + T e^{2s}/4.  At outcome x
+    the transmitted state is pure Gaussian with a covariance that does not
+    depend on x, diag(V_x, V_p) with V_x = T/4 + R e^{2s}/4 - c^2/v and
+    c = sqrt(RT)(1 - e^{2s})/4 = Cov(x_t, x_r), and its x_t mean moves by
+    kappa x, kappa = c/v.  Two pure states of one covariance a distance d
+    apart overlap as exp(-d^T V^-1 d / 4), so the fidelity to the x = 0
+    state is exp(-lam x^2 / 2), lam = kappa^2 / (2 V_x).  P1(x) F(x) is then
+    a normal of variance 1/(1/v + lam) times exp(-m^2 lam / (2 (1 + lam v)))
+    sqrt(1/(1 + lam v)), and each window integral is a difference of erf.
+    """
+    g, t = complex(gamma), 1.0 - reflectivity
+    anc_x, anc_p = math.exp(2.0 * s) / 4.0, math.exp(-2.0 * s) / 4.0
+    m, v = math.sqrt(reflectivity) * g.real, reflectivity / 4.0 + t * anc_x
+    c = math.sqrt(reflectivity * t) * (0.25 - anc_x)
+    v_x, v_p = t / 4.0 + reflectivity * anc_x - c * c / v, t / 4.0 + reflectivity * anc_p
+    kappa = c / v
+    lam = kappa**2 / (2.0 * v_x)
+
+    def mass(mean, var):  # of a normal over |x| < x0
+        w = math.sqrt(2.0 * var)
+        return 0.5 * (math.erf((x0 - mean) / w) + math.erf((x0 + mean) / w))
+
+    p_s = mass(m, v)
+    var = 1.0 / (1.0 / v + lam)
+    both = math.sqrt(var / v) * math.exp(-m * m * lam / (2.0 * (1.0 + lam * v))) * mass(var * m / v, var)
+    beta = complex(math.sqrt(t) * g.real - kappa * m, math.sqrt(t) * g.imag)
+    assert abs(16.0 * v_x * v_p - 1.0) < 1e-12  # the conditional state is pure
+    return both / p_s, p_s, displaced_squeezed_vacuum(beta, 0.5 * math.log(4.0 * v_x), dim)
 
 
 def conditioned_coherent_target(gamma: complex, reflectivity: float, s: float, dim: int) -> np.ndarray:

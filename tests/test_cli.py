@@ -552,7 +552,13 @@ def test_negative_seed_exits_2_naming_it(tmp_path, capsys, payload, extra, name)
     ({"mode": "emulate", "x0_snl": 100, "n_samples": 10**9},
      "config validation failed: n_samples: 1000000000 would keep about 1e+09 rows (P_s 1), 48 bytes each, "
      "over the 512 MiB budget; the largest n_samples that fits is 11184810 (n_samples in a config)"),
-], ids=["log-start", "axis", "v_in_snl-triple", "two-photon-dim-2", "kept-rows-1e9"])
+    # every point of an emulate sweep is checked before the first draws; its first point once
+    # drew 287 chunks before the second was refused
+    ({"mode": "sweep", "axis": "x0_snl", "start": 0.01, "stop": 100, "count": 2,
+      "base": {"mode": "emulate", "n_samples": 300_000_000}},
+     "config validation failed: n_samples: 300000000 would keep about 3e+08 rows (P_s 1), 48 bytes each, "
+     "over the 512 MiB budget; the largest n_samples that fits is 11184810 (n_samples in a config)"),
+], ids=["log-start", "axis", "v_in_snl-triple", "two-photon-dim-2", "kept-rows-1e9", "emulate-sweep-kept-rows"])
 def test_rejection_exits_2_at_once_with_its_reason(tmp_path, capsys, monkeypatch, payload, message):
     def no_draw(*args, **kwargs):  # so that a check that comes too late fails here, not in 48 GB of rows
         raise AssertionError("the emulator drew before the run was refused")

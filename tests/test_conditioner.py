@@ -165,12 +165,13 @@ def zero_outcome(joint, target):
 @pytest.mark.parametrize("n", [1, 2])
 def test_photon_runs_stay_real(n):
     # |n> and the squeezed vacuum are real, so are the joint, the projected
-    # and the averaged states; a complex coherent input keeps a complex joint
+    # and the averaged states (here against the squeezed state of n's parity);
+    # a complex coherent input keeps a complex joint
     joint = build_joint(fock.fock_state(n, 30), 0.6, 0.4)
     assert joint.dtype == np.float64 and joint.shape == (30, 30) and not joint.flags.writeable
     state = homodyne_project(joint, 0.1)[0]
     assert type(state) is np.ndarray and state.dtype == np.float64 and state.shape == (30,)
-    avg_state = run_window(joint, fock.squeezed_number_state(n, 0.3, 30), 0.1).avg_state
+    avg_state = run_window(joint, fock.squeezed_number_state(n % 2, 0.3, 30), 0.1).avg_state
     assert type(avg_state) is np.ndarray and avg_state.dtype == np.float64 and avg_state.shape == (30, 30)
     assert not (state.flags.writeable or avg_state.flags.writeable)
     assert build_joint(fock.coherent_state(0.3 + 0.2j, 30), 0.6, 0.4).dtype == np.complex128
@@ -364,6 +365,20 @@ def test_conditioned_coherent_target_matches_wide_oracle():
     ref = oracle.apply_displace(oracle.apply_squeeze(fock.fock_state(0, 140), sp), shifted)
     got = oracle.conditioned_coherent_target(gamma, r, s, dim)
     np.testing.assert_allclose(got, ref[:dim], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("reflectivity", [0.3, 0.75, 0.9])
+@pytest.mark.parametrize("s", [-0.5, 0.52])
+def test_coherent_window_matches_its_closed_form(reflectivity, s):
+    # P_s and F_ave to the x = 0 conditional state are erf terms for a
+    # coherent input (oracle.coherent_window), not window_matrix
+    dim = 80
+    for gamma in (0.18, 0.5 + 0.3j, -0.7j, 1.2):
+        joint = build_joint(fock.coherent_state(gamma, dim), reflectivity, s)
+        for x0 in (1e-3, 0.05, 0.3, 1.5):
+            fave, ps, target = oracle.coherent_window(gamma, reflectivity, s, x0, dim)
+            win = run_window(joint, target, x0)
+            assert abs(win.success_prob / ps - 1.0) < 1e-8 and abs(win.avg_fidelity - fave) < 1e-8, (gamma, x0)
 
 
 # ---------------------------------------------------------------------------

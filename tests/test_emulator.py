@@ -637,6 +637,22 @@ def test_lossless_run_converges_to_closed_form():
     assert abs(stats.purity_norm - pred.purity_norm) < 3 * stats.purity_norm_se
 
 
+@pytest.mark.parametrize("reflectivity", [0.3, 0.75, 0.9])
+@pytest.mark.parametrize("s", [-0.5, 0.52])
+def test_lossless_success_prob_matches_the_coherent_window(reflectivity, s):
+    # a pure squeezed ancilla, V(X+) = e^{2s} SNL, and every loss off: P_s of
+    # the gate window |X+_r| < x0 is the Fock engine's over |x| < x0 / 2
+    # (Wigner units), in closed form from oracle.coherent_window; the gate
+    # window runs down to x0 = 1e-4 SNL
+    db = 20.0 * s / math.log(10.0)
+    for gamma in (0.18, 0.5 + 0.3j, 1.2):
+        for x0 in (5e-5, 1e-3, 0.05, 0.3, 1.5):
+            params = quiet_params(R=reflectivity, anc_sqz_db=-db, anc_antisqz_db=db, gamma_plus=complex(gamma).real,
+                                  gamma_minus=complex(gamma).imag, x0=2.0 * x0)
+            want = oracle.coherent_window(gamma, reflectivity, s, x0, 60)[1]
+            assert abs(predict_stats(params).success_prob / want - 1.0) < 1e-10, (gamma, x0)
+
+
 def test_postselection_purifies():
     params = ExperimentParams(n_samples=1_000_000, x0=0.025)
     stream = synthesize(params)

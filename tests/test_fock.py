@@ -1,3 +1,4 @@
+import math
 import re
 from functools import partial
 
@@ -25,7 +26,7 @@ def test_real_preparers_build_float_states():
     # state stays real from its preparer on, coherent states and cats stay complex
     for state, dtype in (
         (fock.fock_state(1, 30), np.float64),
-        (fock.squeezed_number_state(2, 0.4, 30), np.float64),
+        (fock.squeezed_number_state(1, 0.4, 30), np.float64),
         (fock.coherent_state(0.5, 30), np.complex128),
         (fock.scs_state(1.1j, 30), np.complex128),
     ):
@@ -89,8 +90,12 @@ def test_fock_state_names_the_dim_that_holds_it(n, dim):
     (lambda: fock.fock_state(1.0, 3), r"^n: expected an integer, got 1\.0$"),
     (lambda: fock.fock_state(True, 3), r"^n: expected an integer, got True$"),
     (lambda: fock.fock_state(500, 40), r"^n: 500 is outside \[0, 400\]$"),
-    (lambda: fock.squeezed_number_state(600, 0.3, 401), r"^n: 600 is outside \[0, 400\]$"),
-    (lambda: fock.squeezed_number_state(40000, 0.7, 60), r"^n: 40000 is outside \[0, 400\]$"),
+    # S(s)|n> is built for the two states the protocol uses, n = 0 and 1
+    (lambda: fock.squeezed_number_state(2, 0.3, 40), r"^n: 2 is outside \[0, 1\]$"),
+    (lambda: fock.squeezed_number_state(40, 0.7, 60), r"^n: 40 is outside \[0, 1\]$"),
+    (lambda: fock.squeezed_number_state(400, 0.3, 401), r"^n: 400 is outside \[0, 1\]$"),
+    (lambda: fock.squeezed_number_state(600, 0.3, 401), r"^n: 600 is outside \[0, 1\]$"),
+    (lambda: fock.squeezed_number_state(40000, 0.7, 60), r"^n: 40000 is outside \[0, 1\]$"),
     (lambda: fock.coherent_state("a", 10), r"^gamma: expected a finite number or \[re, im\] pair, got 'a'$"),
     (lambda: fock.coherent_state(True, 10), r"^gamma: expected .*, got True$"),
     (lambda: fock.scs_state(complex(np.inf, 0.0), 10), r"^gamma: expected .*, got \(inf\+0j\)$"),
@@ -98,8 +103,8 @@ def test_fock_state_names_the_dim_that_holds_it(n, dim):
     (lambda: fock.coherent_state(complex(1.7e308, 1.7e308), 10), r"^gamma: 1\.7e\+308 is outside \[-1e308, 1e308\]$"),
     (lambda: fock.scs_state([1e308, -1.7e308], 10), r"^gamma: -1\.7e\+308 is outside \[-1e308, 1e308\]$"),
 ], ids=["fock-dim", "coherent-dim", "squeezed-dim", "cat-dim", "window-dim", "window-dim-402", "n_max-float",
-        "n_max-negative", "n_max-403", "fock-n-float", "fock-n-bool", "fock-n-500", "squeezed-n-600",
-        "squeezed-n-40000", "gamma-str", "gamma-bool", "cat-gamma-inf", "gamma-1.7e308", "cat-gamma-1.7e308"])
+        "n_max-negative", "n_max-403", "fock-n-float", "fock-n-bool", "fock-n-500", "squeezed-n-2",
+        "squeezed-n-40", "squeezed-n-400", "squeezed-n-600", "squeezed-n-40000", "gamma-str", "gamma-bool", "cat-gamma-inf", "gamma-1.7e308", "cat-gamma-1.7e308"])
 def test_engine_arguments_are_refused_by_name(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -107,8 +112,8 @@ def test_engine_arguments_are_refused_by_name(call, message):
 
 def test_engine_arguments_take_numpy_scalars_and_their_largest_values():
     assert fock.fock_state(np.int64(400), np.int64(401))[400] == 1.0
-    np.testing.assert_array_equal(fock.squeezed_number_state(np.int32(2), 0.4, 30),
-                                  fock.squeezed_number_state(2, 0.4, 30))
+    np.testing.assert_array_equal(fock.squeezed_number_state(np.int32(1), 0.4, 30),
+                                  fock.squeezed_number_state(1, 0.4, 30))
     for gamma in (np.complex128(0.5 + 0.2j), [0.5, 0.2], (np.float64(0.5), 0.2)):
         np.testing.assert_array_equal(fock.coherent_state(gamma, 30), fock.coherent_state(0.5 + 0.2j, 30))
     assert fock.quadrature_wavefunctions(fock.MAX_DIM + 1, [0.3]).shape == (fock.MAX_DIM + 2, 1)
@@ -183,7 +188,7 @@ _MODULUS, _PHASE = st.floats(0.01, 17.0), st.floats(0.0, 2.0 * np.pi)
 PREPARERS = st.one_of(
     st.builds(lambda r, a: partial(fock.coherent_state, r * np.exp(1j * a)), _MODULUS, _PHASE),
     st.builds(lambda r, a: partial(fock.scs_state, r * np.exp(1j * a)), _MODULUS, _PHASE),
-    st.builds(lambda n, s: partial(fock.squeezed_number_state, n, s), st.integers(0, 2), st.floats(-1.9, 1.9)),
+    st.builds(lambda n, s: partial(fock.squeezed_number_state, n, s), st.integers(0, 1), st.floats(-1.9, 1.9)),
 )
 
 
@@ -205,7 +210,7 @@ def test_truncation_hint_is_the_smallest_adequate_dim(prepare):
     assert err.value.suggested_dim == need
 
 
-@pytest.mark.parametrize("n, s, dim", [(0, 1.5, 40), (1, 1.2, 60), (2, -1.0, 40)])
+@pytest.mark.parametrize("n, s, dim", [(0, 1.5, 40), (1, 1.2, 60), (1, -1.0, 40)])
 def test_squeezed_truncation_error_names_smallest_adequate_dim(n, s, dim):
     with pytest.raises(TruncationError) as err:
         fock.squeezed_number_state(n, s, dim)
@@ -216,7 +221,7 @@ def test_squeezed_truncation_error_names_smallest_adequate_dim(n, s, dim):
         fock.squeezed_number_state(n, s, need - 1)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("s", [-1000.0, 1000.0])
 def test_squeezing_above_the_limit_is_refused_before_any_arithmetic(n, s):
     # cosh(1000) overflows; pyproject turns any RuntimeWarning into an error
@@ -308,7 +313,7 @@ def test_zero_squeeze_is_identity():
     psi = fock.coherent_state(0.5 + 0.2j, 30)
     out = oracle.displaced_squeezed_vacuum(0.5 + 0.2j, 0.0, 30)
     np.testing.assert_allclose(out, psi, atol=1e-12)
-    for n in (0, 1, 2):
+    for n in (0, 1):
         out = fock.squeezed_number_state(n, 0.0, 30)
         np.testing.assert_allclose(out, fock.fock_state(n, 30), atol=1e-12)
 
@@ -327,7 +332,7 @@ def test_apply_squeeze_truncation_guard():
         fock.squeezed_number_state(1, 1.5, 8)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("s", [-0.9, -0.3, 0.4, 0.9])
 def test_squeezed_number_state_matches_oracle(n, s):
     dim = 80
@@ -361,36 +366,18 @@ def test_squeezed_number_state_tail_guard_is_exact():
             np.testing.assert_allclose(tail, true_tail, atol=1e-14)
 
 
-@pytest.mark.parametrize("n, s, dim, norm", [
-    (40, 0.7, 401, "669.444"), (30, 1.0, 401, "1.71161e+09"), (100, 0.3, 401, "1.23644"), (40, 0.7, 60, "1.916"),
-    (400, gaussian.MAX_SQUEEZING, 401, "nan"), (100, 3.0, 10, "2.96737e+208"),
-])
-def test_squeezed_number_state_refuses_a_norm_over_one(n, s, dim, norm):
-    # rounding in the recurrence lifts these squared norms over 1, and once
-    # returned them; the last two overflow, which warns nothing
-    with pytest.raises(ValueError, match=rf"^S\(s={s}\)\|{n}> has squared norm {re.escape(norm)} at dim={dim}, "
-                                         r"not at most 1 \+ 1e-08"):
-        fock.squeezed_number_state(n, s, dim)
-
-
-def test_truncation_hint_skips_dims_that_rounding_spoils():
-    # S(0.7)|40> first keeps its tail within 1e-8 at dim 57, where its
-    # squared norm is already over 1, so no dim holds it
-    with pytest.raises(TruncationError, match="no dim up to 401") as err:
-        fock.squeezed_number_state(40, 0.7, 10)
-    assert err.value.suggested_dim is None
-    with pytest.raises(ValueError, match="squared norm"):
-        fock.squeezed_number_state(40, 0.7, 57)
-
-
-@pytest.mark.parametrize("s", [-0.7, -0.3, 0.3, 0.7])
-def test_squeezed_number_states_match_the_operator_route_up_to_n_15(s):
-    # 120 levels hold each state; a smaller dim's state is a prefix of this one
-    dim = 120
-    for n in range(16):
-        got = fock.squeezed_number_state(n, s, dim)
-        ref = oracle.apply_squeeze(fock.fock_state(n, dim + ORACLE_LEVELS), s)
-        np.testing.assert_allclose(got, ref[:dim], rtol=0, atol=1e-10, err_msg=f"n={n}")
+@pytest.mark.parametrize("s", [-1.2, -0.7, 0.3, 1.2])
+def test_squeezed_photon_is_the_closed_form_product(s):
+    # S(s)|1> = sech(s)^{3/2} sum_k tanh(s)^k sqrt((2k+1)!)/(2^k k!) |2k+1>, each
+    # factorial ratio exact in integers, and the expm route; 110 levels hold S(1.2)|1>
+    dim = 110
+    ratios = [math.factorial(2 * k + 1) / (4**k * math.factorial(k) ** 2) for k in range(dim // 2)]
+    terms = np.sqrt(ratios) * np.tanh(s) ** np.arange(dim // 2)
+    got = fock.squeezed_number_state(1, s, dim)
+    assert np.all(got[::2] == 0.0)
+    np.testing.assert_allclose(got[1::2], np.cosh(s) ** -1.5 * terms, rtol=1e-14, atol=0)
+    ref = oracle.apply_squeeze(fock.fock_state(1, dim + ORACLE_LEVELS), s)
+    np.testing.assert_allclose(got, ref[:dim], rtol=0, atol=1e-13)
 
 
 def test_displaced_squeezed_vacuum_tail_guard():
