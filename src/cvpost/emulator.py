@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -147,6 +148,12 @@ class ExperimentParams:
                 f"eta_vis={self.eta_vis} give ancilla record variances whose product "
                 f"{v_plus * v_minus:.6g} is below 1, violating the uncertainty relation"
             )
+
+    @cached_property
+    def _model(self):
+        """:func:`_gate_model` of these parameters, built on first use and
+        kept, so that checking, drawing and predicting share one build."""
+        return _gate_model(self)
 
 
 @dataclass(frozen=True)
@@ -255,7 +262,7 @@ def _draw_chunk(rng: np.random.Generator, m: int, model, x0: float, full: bool) 
 
 def _iter_chunks(params: ExperimentParams, full: bool):
     p = params
-    model = _gate_model(p)
+    model = p._model
     n_chunks = (p.n_samples + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(p.rng_seed).spawn(n_chunks)
     remaining = p.n_samples
@@ -375,7 +382,7 @@ def check_run(params: ExperimentParams) -> None:
     the kept-row budget, or when the transmitted records' noise would be
     lost to the rounding of their mean.  Draws nothing, so a sweep checks
     every point before it runs the first."""
-    mean, cov, _, (p_s, _, _), _, _ = _gate_model(params)
+    mean, cov, _, (p_s, _, _), _, _ = params._model
     if p_s * params.n_samples * _KEPT_ROW_BYTES > _KEPT_BYTES:
         raise ValueError(
             f"n_samples: {params.n_samples} would keep about {p_s * params.n_samples:.3g} rows (P_s {p_s:.3g}), "
@@ -500,7 +507,7 @@ def predict_stats(params: ExperimentParams) -> PredictedStats:
     is P_s; the selected transmitted moments follow from the Schur
     conditional plus the within-window gate spread.
     """
-    mean, cov, _, (p_s, mu, var), beta, cond_cov = _gate_model(params)
+    mean, cov, _, (p_s, mu, var), beta, cond_cov = params._model
     v_g = cov[2, 2]
     sel_mean = mean[:2] + beta * (np.sqrt(v_g) * mu)
     sel_cov = cond_cov + np.outer(beta, beta) * (v_g * var)

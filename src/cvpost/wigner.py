@@ -49,6 +49,11 @@ def _grid_axis(axis, name: str) -> np.ndarray:
     return axis
 
 
+def _cutoff(rho: np.ndarray) -> float:
+    """A diagonal none of whose coefficients exceeds this is skipped."""
+    return 1e-16 * np.abs(rho).max(initial=0.0)
+
+
 def _wigner_values(rho: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Sum_{mn} rho_mn W_mn at arbitrary complex points.
 
@@ -58,28 +63,32 @@ def _wigner_values(rho: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     raw factorial ratios overflow.
 
     ``T_n^d`` depends on the radius only, so the recurrence runs once per
-    distinct ``z`` (a symmetric grid repeats each radius up to eight
-    times).  The phase enters as ``unit**d`` with ``unit = conj(a)/|a|``;
-    the sum over diagonals is a Horner sum in ``unit`` taken from the
-    highest ``d`` down, each radial part folded in as soon as it exists.
-    Diagonals whose coefficients are all below ``1e-16`` of the largest
-    ``|rho_mn|`` are skipped, so the result scales with ``rho``.
+    distinct ``z``.  The phase enters as ``unit**d`` with
+    ``unit = conj(a)/|a|``; the sum over diagonals is a Horner sum in
+    ``unit`` taken from the highest ``d`` down, each radial part folded in
+    as soon as it exists.  Diagonals whose coefficients are all at or below
+    ``1e-16`` of the largest ``|rho_mn|`` are skipped, so the result scales
+    with ``rho``.  A point whose ``z`` underflows to 0 (``|alpha|`` below
+    about 1.6e-162) gets the bits of W(0).
 
     A real ``rho`` takes real radial parts.  Complex products are exact
     under conjugation and negation, so ``alpha`` and ``conj(alpha)`` then
     get the same bits, as do ``alpha`` and ``-conj(alpha)`` when every odd
-    diagonal is zero (the photon modes' states).
+    diagonal is skipped (the photon modes' states).
+    :func:`wigner_from_density` evaluates one point of each such class.
     """
     dim = rho.shape[0]
     a = np.asarray(alphas, dtype=complex).ravel()
     mag = np.abs(a)
-    safe = np.where(mag > 0, mag, 1.0)
-    unit = np.where(mag > 0, np.conj(a) / safe, 1.0)
     # W is 0 past |alpha| = 1e150, where e^{-z/2} has underflowed; the cap keeps
     # z finite (4|alpha|^2 overflows past 1e154, and 0 * inf is NaN).
-    z, inv = np.unique(4.0 * np.minimum(mag, 1e150) ** 2, return_inverse=True)
+    z = 4.0 * np.minimum(mag, 1e150) ** 2
+    # Where z underflows to 0 the point is the origin's: the division takes
+    # 1/|alpha|, which overflows for subnormal |alpha|.
+    unit = np.divide(np.conj(a), mag, out=np.ones_like(a), where=z > 0)
+    z, inv = np.unique(z, return_inverse=True)
     logz = np.log(np.where(z > 0, z, 1.0))
-    cutoff = 1e-16 * np.abs(rho).max(initial=0.0)
+    cutoff = _cutoff(rho)
     # After step d, horner = sum over d' >= d of part_d' * unit**(d' - d + 1).
     horner = np.zeros(a.size, dtype=complex)
     for d in range(dim - 1, 0, -1):
@@ -107,6 +116,9 @@ def _radial_part(rho: np.ndarray, d: int, cutoff: float, z: np.ndarray, logz: np
         t_cur = np.exp(-0.5 * z)
     else:
         t_cur = np.where(z > 0, np.exp(0.5 * d * logz - 0.5 * z - 0.5 * math.lgamma(d + 1)), 0.0)
+    # T_{n+1} = ((2n+1+d - z) T_n - sqrt(n (n+d)) T_{n-1}) / sqrt((n+1)(n+1+d)), taken
+    # in place in three buffers that swap roles each step
+    step = np.empty_like(z)
     part = np.zeros(z.size, dtype=coef.dtype)
     sign = 1.0
     for n in range(n_last + 1):
@@ -115,9 +127,12 @@ def _radial_part(rho: np.ndarray, d: int, cutoff: float, z: np.ndarray, logz: np
             part += (sign * c) * t_cur
         if n == n_last:
             break
-        c1 = (2 * n + 1 + d - z) / np.sqrt((n + 1) * (n + 1 + d))
-        c2 = np.sqrt(n * (n + d) / ((n + 1) * (n + 1 + d))) if n > 0 else 0.0
-        t_prev, t_cur = t_cur, c1 * t_cur - c2 * t_prev
+        np.subtract(2 * n + 1 + d, z, out=step)
+        step /= np.sqrt((n + 1) * (n + 1 + d))
+        step *= t_cur
+        t_prev *= np.sqrt(n * (n + d) / ((n + 1) * (n + 1 + d))) if n > 0 else 0.0
+        step -= t_prev
+        t_prev, t_cur, step = t_cur, step, t_prev
         sign = -sign
     return part
 
@@ -143,6 +158,12 @@ def wigner_from_density(
     to 241 x 241 points over [-6, 6]^2 (:func:`mirror_axis`), which resolves
     cat-state fringes at |gamma| ~ 1.1 with >= 10 points per fringe.  Each
     axis needs at least two points, in increasing order.
+
+    The values are those of :func:`_wigner_values` at every grid point, bit
+    for bit, but each is evaluated once per mirror class: ``p`` and ``-p``
+    share a value when ``rho`` is real, and ``x`` and ``-x`` too when, in
+    addition, every odd diagonal is skipped.  On the default grid of such a
+    state that is 14,641 of the 58,081 points.
     """
     rho = np.asarray(rho, dtype=complex if np.iscomplexobj(rho) else float)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not rho.size:
@@ -160,7 +181,13 @@ def wigner_from_density(
     default = mirror_axis(6.0, 241)
     x_axis = _grid_axis(default if x_axis is None else x_axis, "x_axis")
     p_axis = _grid_axis(default.copy() if p_axis is None else p_axis, "p_axis")
-    xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
-    alphas = xg + 1j * pg
-    vals = _wigner_values(rho, alphas.ravel()).reshape(alphas.shape)
-    return WignerGrid(vals, x_axis, p_axis)
+    # One point per mirror class; np.unique leaves an axis that does not
+    # fold as it is, since the axis is strictly increasing.
+    real = not np.iscomplexobj(rho)
+    i, j = np.indices(rho.shape)
+    even = real and not np.any(np.abs(rho[(i - j) % 2 == 1]) > _cutoff(rho))
+    xs, xi = np.unique(np.abs(x_axis) if even else x_axis, return_inverse=True)
+    ps, pi = np.unique(np.abs(p_axis) if real else p_axis, return_inverse=True)
+    xg, pg = np.meshgrid(xs, ps, indexing="ij")
+    vals = _wigner_values(rho, (xg + 1j * pg).ravel()).reshape(xg.shape)
+    return WignerGrid(vals[np.ix_(xi, pi)], x_axis, p_axis)

@@ -104,6 +104,20 @@ def test_emulate_mode_deterministic(tmp_path):
     assert read_result(out2)["results"] == res
 
 
+@pytest.mark.parametrize("payload, points", [
+    ({"mode": "emulate", "n_samples": 300_000, "x0_snl": 0.1}, 1),
+    ({"mode": "sweep", "axis": "x0_snl", "start": 0.1, "stop": 0.2, "count": 2,
+      "base": {"mode": "emulate", "n_samples": 300_000}}, 2),
+])
+def test_emulate_point_builds_its_gate_model_once(tmp_path, monkeypatch, payload, points):
+    # the CLI's pre-draw check, run_experiment's own check and the draws share one model
+    built = []
+    build = emulator._gate_model
+    monkeypatch.setattr(emulator, "_gate_model", lambda params: built.append(params) or build(params))
+    code, _ = run_cli(tmp_path, payload)
+    assert code == 0 and len(built) == points
+
+
 def test_seed_flag_overrides(tmp_path):
     base = {"mode": "emulate", "n_samples": 1_000_000, "x0_snl": 0.1}
     _, out_a = run_cli(tmp_path, base)
@@ -291,6 +305,18 @@ def test_wigner_export_far_from_the_origin_has_no_nan(tmp_path):
     values = np.loadtxt(out / "wigner.csv", delimiter=",", skiprows=1)[:, 1:]
     assert values.shape == (241, 241) and np.all(np.isfinite(values))
     assert np.count_nonzero(values) == 1  # the origin alone
+
+
+def test_wigner_export_of_a_subnormal_extent_is_the_origin_value(tmp_path):
+    # 4|alpha|^2 underflows to 0 at every point of this grid, which once gave
+    # NaN everywhere but at the origin
+    payload = {"mode": "two-photon", "wigner_export": {"points": 9, "extent": 1e-320}}
+    code, out = run_cli(tmp_path, payload)
+    assert code == 0
+    with open(out / "wigner.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    cells = {field for row in rows for field in row[1:]}
+    assert len(rows) == 9 and len(cells) == 1 and np.isfinite(float(cells.pop()))
 
 
 def _write_wigner_with_csv_module(path, grid):

@@ -305,14 +305,72 @@ def test_mirror_axis_is_antisymmetric_and_near_linspace(extent, points):
         assert np.abs(axis - linear).max() <= 2.0 * np.spacing(extent)
 
 
+def bits(values):
+    """The values' bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def mesh_values(rho, x_axis, p_axis):
+    """_wigner_values at every grid point, one evaluation each."""
+    xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
+    return wigner._wigner_values(rho, (xg + 1j * pg).ravel()).reshape(xg.shape)
+
+
 def test_default_grid_of_a_real_even_state_is_symmetric_bit_for_bit():
-    # a real rho with only even diagonals: W(x, p) = W(x, -p) = W(-x, p) exactly
-    values = pure_grid(fock.squeezed_number_state(1, 0.4, 30)).values
+    # the property the grid's mirror-class fold rests on, at every point of
+    # the default grid: a real rho with only even diagonals gives
+    # W(x, p) = W(x, -p) = W(-x, p) exactly
+    axis = wigner.mirror_axis(6.0, 241)
+    psi = fock.squeezed_number_state(1, 0.4, 30)
+    values = bits(mesh_values(np.outer(psi, psi), axis, axis))
     assert np.array_equal(values, values[::-1]) and np.array_equal(values, values[:, ::-1])
     # a complex state keeps the complex sum, which is still exact under conjugation
-    cat = pure_grid(fock.scs_state(1.1j, 30)).values
-    assert np.array_equal(cat, cat[:, ::-1])
+    cat = fock.scs_state(1.1j, 30)
+    values = bits(mesh_values(np.outer(cat, cat.conj()), axis, axis))
+    assert np.array_equal(values, values[:, ::-1])
 
+
+FOLD_STATES = {
+    # real with only even diagonals: both axes fold
+    "real-even": lambda: np.outer(*[fock.squeezed_number_state(1, 0.4, 30)] * 2),
+    # real with odd diagonals: only p folds
+    "real-odd": lambda: random_mixed_density(24).real,
+    "complex": lambda: random_mixed_density(24),
+}
+FOLD_AXES = {
+    "odd": (wigner.mirror_axis(5.0, 41), wigner.mirror_axis(3.0, 25)),
+    "even": (wigner.mirror_axis(4.5, 40), wigner.mirror_axis(3.0, 24)),
+    "non-mirrored": (np.sort(np.random.default_rng(3).uniform(-4, 4, 23)), wigner.mirror_axis(3.0, 25)),
+    "negative-zero": (np.array([-1.5, -0.25, -0.0, 0.25, 1.5]), np.array([-2.0, -0.0, 2.0])),
+}
+
+
+@pytest.mark.parametrize("axes", FOLD_AXES.values(), ids=FOLD_AXES.keys())
+@pytest.mark.parametrize("state", FOLD_STATES.values(), ids=FOLD_STATES.keys())
+def test_folded_grid_matches_every_point_bit_for_bit(state, axes):
+    rho = state()
+    for x_axis, p_axis in (axes, axes[::-1]):
+        unfolded = bits(mesh_values(rho, x_axis, p_axis))
+        assert np.array_equal(bits(wigner.wigner_from_density(rho, x_axis, p_axis).values), unfolded)
+
+
+@pytest.mark.parametrize("state, points", [("real-even", 121 * 121), ("real-odd", 241 * 121),
+                                           ("complex", 241 * 241)])
+def test_default_grid_is_evaluated_once_per_mirror_class(monkeypatch, state, points):
+    sizes = []
+    evaluate = wigner._wigner_values
+    monkeypatch.setattr(wigner, "_wigner_values", lambda rho, a: sizes.append(a.size) or evaluate(rho, a))
+    wigner.wigner_from_density(FOLD_STATES[state]())
+    assert sizes == [points]
+
+
+def test_subnormal_points_take_the_origin_value():
+    # 4|alpha|^2 underflows to 0 there, and conj(alpha) / |alpha| would
+    # overflow and give NaN, as it did at 1e-310j
+    one = np.outer(fock.fock_state(1, 8), fock.fock_state(1, 8))
+    got = wigner._wigner_values(one, np.array([1e-310j, 5e-324, -1e-200 + 1e-200j, 0.0]))
+    assert np.array_equal(bits(got), bits(np.full(4, got[-1])))
+    np.testing.assert_allclose(got[-1], -2 / np.pi, rtol=1e-15)
 
 
 def test_conditional_coherent_output_is_minimum_uncertainty():
